@@ -217,6 +217,13 @@ class WaferSpec:
             raise SpecError("photon_loss outside [0, 1)")
         if not 0.0 <= self.filter_fidelity <= 1.0:
             raise SpecError("filter_fidelity outside [0, 1]")
+        if self.fusion_params.transmission != 1.0:
+            # build_wafer draws fusion outcomes from success_prob alone;
+            # photon loss enters through photon_loss.
+            raise SpecError(
+                "fusion transmission != 1 is not modelled by build_wafer; "
+                "set photon_loss instead"
+            )
 
     @property
     def cells(self) -> int:

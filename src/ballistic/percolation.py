@@ -7,7 +7,6 @@ lattice.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,33 +19,6 @@ from .errors import ConvergenceError, SpecError
 from .graphstate import GraphRegister
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-
-
-@dataclass
-class PercolationReport:
-    seed: int
-    spec_hash: str
-    trials: int
-    crossing: dict
-    largest_component_fraction: float
-    spanning_probability: float
-    standard_error: float
-    sustained_layers: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "spec_hash": self.spec_hash,
-                "trials": self.trials,
-                "crossing": self.crossing,
-                "largest_component_fraction": self.largest_component_fraction,
-                "spanning_probability": self.spanning_probability,
-                "standard_error": self.standard_error,
-                "sustained_layers": self.sustained_layers,
-            },
-            sort_keys=True,
-        )
 
 
 def standard_error(p_hat: float, trials: int) -> float:
@@ -227,37 +199,38 @@ class PathfindingState:
     window: int
     paths: list = field(default_factory=list)
     sustained: list = field(default_factory=list)
-    frontier_layer: int = 0
 
 
-def _adjacency_lists(comp: CompLattice, punched: bool):
+def _csr_adjacency(comp: CompLattice, punched: bool):
+    """Neighbours of the alive subgraph as CSR lists, each slice ascending.
+
+    Node u's neighbours are indices[indptr[u]:indptr[u + 1]].  Both come
+    back as Python lists: the searches index them once per visit, where a
+    numpy scalar lookup costs more than a list one.
+    """
     alive = comp.alive_flat(punched)
-    adj: dict[int, list[int]] = {}
-    for a, b in comp.edges:
-        a, b = int(a), int(b)
-        if alive[a] and alive[b]:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    for v in adj:
-        adj[v].sort()
-    return adj, alive
+    n = comp.node_count
+    e = np.asarray(comp.edges, dtype=np.int64).reshape(-1, 2)
+    e = e[alive[e[:, 0]] & alive[e[:, 1]]]
+    a, b = e[:, 0], e[:, 1]
+    # Sorting the keys source * n + target orders by source, then target.
+    indices = np.sort(np.concatenate([a * n + b, b * n + a])) % n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
+    return indptr.tolist(), indices.tolist(), alive
 
 
-def _layer_of(comp: CompLattice, v: int) -> int:
-    return (v // 2) % comp.nz
-
-
-def _reach_score(adj, comp, start, z_lo, z_hi, used):
+def _reach_score(indptr, indices, layer, start, z_lo, z_hi, used):
     """Highest layer reachable from `start` inside [z_lo, z_hi]."""
-    best = _layer_of(comp, start)
+    best = layer[start]
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
-        for w in adj.get(u, ()):
+        for w in indices[indptr[u]:indptr[u + 1]]:
             if w in seen or w in used:
                 continue
-            zw = _layer_of(comp, w)
+            zw = layer[w]
             if not z_lo <= zw <= z_hi:
                 continue
             if zw > best:
@@ -282,29 +255,30 @@ def find_paths_windowed(
     layer at a time.  The step choice uses only layers <= current + window:
     among the layer-(t+1) nodes reachable inside the window, take the one
     whose window component reaches the farthest layer (ties: lowest id).
-    Wires are vertex-disjoint.  The state's `frontier_layer` for each path is
-    the highest layer reached; a wire that spans all nz layers "sustains" nz.
+    Every search visits a node's neighbours in ascending id order, which
+    fixes both that tie-break and the BFS parent of each node.  Wires are
+    vertex-disjoint.  A wire that spans all nz layers "sustains" nz - 1.
     """
     if window < 1:
         raise SpecError("window must be >= 1")
     comp = _comp_of(lattice)
-    adj, alive = _adjacency_lists(comp, punched)
+    indptr, indices, alive = _csr_adjacency(comp, punched)
     nz = comp.nz
+    layer_arr = (np.arange(comp.node_count) // 2) % nz
+    layer = layer_arr.tolist()
     used: set[int] = set()
     state = PathfindingState(window=window)
 
-    layer0 = [
-        v
-        for v in range(comp.node_count)
-        if alive[v] and _layer_of(comp, v) == 0
-    ]
+    layer0 = np.flatnonzero(alive & (layer_arr == 0)).tolist()
     for _wire in range(wires):
         start = None
         start_score = -1
         for v in layer0:
             if v in used:
                 continue
-            score = _reach_score(adj, comp, v, 0, min(window, nz - 1), used)
+            score = _reach_score(
+                indptr, indices, layer, v, 0, min(window, nz - 1), used
+            )
             if score > start_score:
                 start, start_score = v, score
                 if score >= min(window, nz - 1):
@@ -333,10 +307,10 @@ def find_paths_windowed(
                 nxt = []
                 new_candidates = []
                 for u in frontier:
-                    for w in adj.get(u, ()):
+                    for w in indices[indptr[u]:indptr[u + 1]]:
                         if w in parents or w in used:
                             continue
-                        zw = _layer_of(comp, w)
+                        zw = layer[w]
                         if not z_lo <= zw <= z_hi:
                             continue
                         parents[w] = u
@@ -352,7 +326,9 @@ def find_paths_windowed(
                     while node is not None:
                         hop_used.add(node)
                         node = parents[node]
-                    score = _reach_score(adj, comp, v, z_lo, z_hi, hop_used)
+                    score = _reach_score(
+                        indptr, indices, layer, v, z_lo, z_hi, hop_used
+                    )
                     if score > best_score:
                         best, best_score = v, score
                         if score >= z_hi:
@@ -372,7 +348,6 @@ def find_paths_windowed(
             z += 1
         state.paths.append(path)
         state.sustained.append(z)
-        state.frontier_layer = max(state.frontier_layer, z)
     return state
 
 

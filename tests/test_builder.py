@@ -182,3 +182,6 @@ def test_invalid_wafer_spec():
         WaferSpec(0, 1, 1)
     with pytest.raises(SpecError):
         WaferSpec(1, 1, 1, photon_loss=1.0)
+    with pytest.raises(SpecError):
+        WaferSpec(1, 1, 1, fusion_params=FusionParams(transmission=0.9))
+    WaferSpec(1, 1, 1, fusion_params=FusionParams(transmission=1.0))

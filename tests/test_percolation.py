@@ -1,5 +1,9 @@
 """Connectivity analytics: crossing, thresholds, punch-out, pathfinding."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from ballistic.errors import ConvergenceError, SpecError
 from ballistic.fusion import FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import (
+    _csr_adjacency,
     crossing_exists,
     estimate_threshold,
     find_paths_windowed,
@@ -19,6 +24,8 @@ from ballistic.percolation import (
     wilson_interval,
 )
 from ballistic.rng import trial_rng
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def chain_lattice(nz, broken_at=None):
@@ -135,3 +142,84 @@ def test_wires_are_vertex_disjoint():
     for path in state.paths:
         assert not (set(path) & seen)
         seen.update(path)
+
+
+def test_lossy_pathfinding_golden():
+    """Lossy, punched, two-wire routing: wires die at varied layers.
+
+    Unlike the C16 golden (every trial spans), this one moves if the
+    pathfinder's choices move, even when wires still span.
+    """
+    golden = json.loads((GOLDEN / "pathfinding_lossy.json").read_text())
+    spec = WaferSpec(
+        *golden["lattice"],
+        fusion_params=FusionParams(**golden["fusion"]),
+        photon_loss=golden["photon_loss"],
+    )
+    sustained, digests = [], []
+    for t in range(golden["trials"]):
+        lat = build_wafer(
+            spec, rng=trial_rng(golden["seed"], t), graph_level=False
+        )
+        state = find_paths_windowed(
+            lat,
+            window=golden["window"],
+            wires=golden["wires"],
+            punched=golden["punched"],
+        )
+        sustained.append(state.sustained)
+        digests.append(
+            hashlib.sha256(json.dumps(state.paths).encode()).hexdigest()
+        )
+    assert sustained == golden["sustained"]
+    assert digests == golden["paths_digest"]
+
+
+def _edge_list_neighbours(comp, punched):
+    alive = comp.alive_flat(punched)
+    nbrs = [[] for _ in range(comp.node_count)]
+    for a, b in np.asarray(comp.edges).reshape(-1, 2).tolist():
+        if alive[a] and alive[b]:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    return [sorted(ns) for ns in nbrs]
+
+
+def test_csr_adjacency_matches_edge_list():
+    rng = np.random.default_rng(2016)
+    specs = [
+        WaferSpec(1, 1, 1),
+        WaferSpec(2, 2, 2, fusion_params=FusionParams(success_prob=0.0)),
+    ]
+    for _ in range(100):
+        nx, ny, nz = (int(d) for d in rng.integers(1, 4, size=3))
+        specs.append(
+            WaferSpec(
+                nx, ny, nz,
+                fusion_params=FusionParams(
+                    "BoostedTypeII", success_prob=float(rng.uniform(0.3, 1))
+                ),
+                photon_loss=float(rng.uniform(0.0, 0.3)),
+                filter_fidelity=float(rng.uniform(0.8, 1.0)),
+                filter_enabled=bool(rng.integers(2)),
+            )
+        )
+    comps = [
+        build_wafer(spec, rng=trial_rng(16, i), graph_level=False).comp
+        for i, spec in enumerate(specs)
+    ]
+    # the two edgeless specs above, and a hand lattice whose edge array is
+    # 1-D and empty
+    comps.append(chain_lattice(1))
+    edgeless = {0, 1, len(comps) - 1}
+    assert sum(len(comp.edges) > 0 for comp in comps) >= 50
+    for i, comp in enumerate(comps):
+        for punched in (False, True):
+            indptr, indices, _alive = _csr_adjacency(comp, punched)
+            got = [
+                indices[indptr[v]:indptr[v + 1]]
+                for v in range(comp.node_count)
+            ]
+            assert got == _edge_list_neighbours(comp, punched), (i, punched)
+            if i in edgeless:
+                assert not any(got)
