@@ -74,6 +74,22 @@ def mux_yield_trial(params: dict, rng) -> dict:
     return metrics
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_mux_yield(params: dict) -> None:
+    p = params["p"]
+    if not ((_is_int(p) or isinstance(p, float)) and 0 <= p <= 1):
+        raise SpecError(f"mux-yield p must be a number in [0, 1], got {p!r}")
+    if not (_is_int(params["bins"]) and params["bins"] >= 1):
+        raise SpecError(f"mux-yield bins must be an int >= 1, got {params['bins']!r}")
+    # the cap bounds the (blocks, 2^S) draw in mux_yield_trial
+    bad = [s for s in params["s_values"] if not (_is_int(s) and 0 <= s <= 20)]
+    if bad:
+        raise SpecError(f"mux-yield s_values must be ints in [0, 20], got {bad!r}")
+
+
 def wafer_span_trial(params: dict, rng) -> dict:
     lat = build_wafer(_wafer_spec(params), rng=rng, graph_level=False)
     return {
@@ -133,6 +149,7 @@ _WAFER_DEFAULTS = {
 SCENARIOS = {
     "mux-yield": {
         "trial": mux_yield_trial,
+        "check": _check_mux_yield,
         "defaults": {"p": 0.2, "s_values": [0, 1, 2, 3, 4, 5, 6], "bins": 2000},
     },
     "wafer-span": {
@@ -206,6 +223,8 @@ def validate_config(raw: dict) -> dict:
         if want_list != isinstance(value, list):
             raise SpecError(f"parameter {key!r} has the wrong shape")
         params[key] = value
+    if "check" in SCENARIOS[scenario]:
+        SCENARIOS[scenario]["check"](params)
     cfg = {
         "version": CONFIG_VERSION,
         "scenario": scenario,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -37,14 +39,14 @@ class PhotonStream:
     def bin_count(self) -> int:
         return len(self.occupancy)
 
-    @property
+    @cached_property
     def photon_bins(self) -> tuple[int, ...]:
-        return tuple(i for i, o in enumerate(self.occupancy) if o)
+        return tuple(compress(range(len(self.occupancy)), self.occupancy))
 
     @staticmethod
     def sample(bin_count: int, p: float, rng, stream_id: str = "A"):
         occ = rng.random(bin_count) < p
-        return PhotonStream(tuple(bool(x) for x in occ), p, stream_id)
+        return PhotonStream(tuple(occ.tolist()), p, stream_id)
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,12 @@ class SwitchModel:
 
     loss_db_per_pass: float = 0.0
     extinction_db: float = -50.0
-    phase_jitter_variance: float = 0.0
 
     def __post_init__(self):
         if self.loss_db_per_pass < 0:
             raise SpecError("switch loss must be >= 0 dB")
         if self.extinction_db > 0:
             raise SpecError("extinction ratio must be <= 0 dB")
-        if self.phase_jitter_variance < 0:
-            raise SpecError("phase jitter variance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,9 @@ class DelayNetwork:
     switch_model: SwitchModel = field(default_factory=SwitchModel)
 
     def __post_init__(self):
-        if self.stage_count < 0:
-            raise SpecError("stage count must be >= 0")
+        # routing keeps times and 2 * time + branch keys in int64
+        if not 0 <= self.stage_count <= 61:
+            raise SpecError("stage count must be in [0, 61]")
 
     @property
     def stage_delays(self) -> tuple[int, ...]:
@@ -178,6 +178,41 @@ def extinction_to_z_error(extinction_db: float) -> float:
 # -- delay-network transit --------------------------------------------------
 
 
+def _route(bins, delays, stage_count: int, log):
+    """Send photons at ascending `bins` through a binary delay cascade.
+
+    At stage s a photon takes the delay branch iff bit s of its delay is
+    set; delays must lie in [0, 2^stage_count).  Photons meeting in the
+    same branch of a stage at the same time, or on the same output bin, are
+    all dropped.  Returns the survivors' ascending indices into `bins` and
+    their output times.  When `log` is a list, collision events are
+    appended stage by stage, and within a stage in the order of each
+    group's lowest input bin.
+    """
+    pos, t, d = np.arange(len(bins)), bins, delays
+    # the output is one more stage, on which no delay bit is set
+    for s in range(stage_count + 1):
+        branch = d & 1
+        key = t * 2 + branch
+        order = np.argsort(key, kind="stable")
+        same = key[order[1:]] == key[order[:-1]]
+        t, d = t + (branch << s), d >> 1
+        if not same.any():
+            continue
+        keep = np.ones(len(pos), dtype=bool)
+        keep[order[1:][same]] = keep[order[:-1][same]] = False
+        if log is not None:
+            groups: dict[int, list[int]] = {}
+            for k, b in zip(key[~keep].tolist(), bins[pos[~keep]].tolist()):
+                groups.setdefault(k, []).append(b)
+            for k, members in groups.items():
+                label = f"stage-{s}-{'delay' if k & 1 else 'pass'}"
+                label = "output" if s == stage_count else label
+                log.append((label, k >> 1, tuple(members)))
+        pos, t, d = pos[keep], t[keep], d[keep]
+    return pos, t
+
+
 def route_with_delays(stream: PhotonStream, assignments, network: DelayNetwork):
     """Send photons through the binary delay cascade and detect collisions.
 
@@ -191,62 +226,63 @@ def route_with_delays(stream: PhotonStream, assignments, network: DelayNetwork):
     (stage_label, time_bin, input_bins_involved).
     """
     for b, d in assignments.items():
-        if d is None:
-            continue
-        if not 0 <= d <= network.max_delay:
+        if d is not None and not (
+            isinstance(d, (int, np.integer)) and 0 <= d <= network.max_delay
+        ):
             raise SpecError(
-                f"delay {d} at bin {b} outside [0, {network.max_delay}]"
+                f"delay {d} at bin {b} is not an integer in [0, {network.max_delay}]"
             )
-    # (input_bin, current_time, remaining-delay bits) per live photon
-    live = {}
-    discarded = 0
-    for b in stream.photon_bins:
-        d = assignments.get(b, 0)
-        if d is None:
-            discarded += 1
-            continue
-        live[b] = (b, d)
+    delays = [assignments.get(b, 0) for b in stream.photon_bins]
+    routed = [d is not None for d in delays]
+    bins = np.array(stream.photon_bins, dtype=np.int64)[routed]
+    delays = np.fromiter(compress(delays, routed), dtype=np.int64)
     collisions = []
-
-    for s in range(network.stage_count):
-        seg = 1 << s
-        occupancy: dict[tuple[int, int], list[int]] = {}
-        for b, (t, d) in live.items():
-            branch = 1 if d & seg else 0
-            occupancy.setdefault((branch, t), []).append(b)
-        for (branch, t), members in occupancy.items():
-            if len(members) > 1:
-                collisions.append((f"stage-{s}-{'delay' if branch else 'pass'}",
-                                   t, tuple(sorted(members))))
-                for b in members:
-                    del live[b]
-        for b in list(live):
-            t, d = live[b]
-            if d & seg:
-                live[b] = (t + seg, d & ~seg)
-
-    out_bins: dict[int, list[int]] = {}
-    for b, (t, _d) in live.items():
-        out_bins.setdefault(t, []).append(b)
-    for t, members in out_bins.items():
-        if len(members) > 1:
-            collisions.append(("output", t, tuple(sorted(members))))
-            for b in members:
-                del live[b]
-
-    n_out = max(
-        [stream.bin_count] + [t + 1 for t, _ in (v for v in live.values())]
-    )
-    occ = [False] * n_out
-    for _b, (t, _d) in live.items():
-        occ[t] = True
-    out = PhotonStream(tuple(occ), stream.p, stream.stream_id)
+    survivors, times = _route(bins, delays, network.stage_count, collisions)
+    occ = np.zeros(max(stream.bin_count, times.max(initial=-1) + 1), dtype=bool)
+    occ[times] = True
+    out = PhotonStream(tuple(occ.tolist()), stream.p, stream.stream_id)
     dropped = sum(len(m) for _lbl, _t, m in collisions)
-    assert len(stream.photon_bins) == len(live) + dropped + discarded
+    assert len(bins) == len(survivors) + dropped
     return out, collisions
 
 
 # -- relative-time multiplexing ---------------------------------------------
+
+
+def _matcher_bins(stream_a, stream_b, max_delay, delayed_stream):
+    """Check a matcher's arguments; returns (delayed, undelayed) photon bins."""
+    if max_delay < 0:
+        raise SpecError("max_delay must be >= 0")
+    if delayed_stream not in (0, 1):
+        raise SpecError("delayed_stream must be 0 or 1")
+    if delayed_stream == 1:
+        stream_a, stream_b = stream_b, stream_a
+    return (np.array(stream_a.photon_bins, dtype=np.int64),
+            np.array(stream_b.photon_bins, dtype=np.int64))
+
+
+def _window_match(items, slots, low: int, high: int):
+    """Match ascending `items` in turn, each to the earliest of the ascending
+    `slots` in [item + low, item + high] that lies above every slot taken or
+    passed over before.  Returns the matched item and slot indices."""
+    lo = np.searchsorted(slots, items + low).tolist()
+    hi = np.searchsorted(slots, items + high, "right").tolist()
+    matched_items, matched_slots = [], []
+    x = 0
+    for k in range(len(lo)):
+        if x < lo[k]:
+            x = lo[k]
+        if x < hi[k]:
+            matched_items.append(k)
+            matched_slots.append(x)
+            x += 1
+    return matched_items, matched_slots
+
+
+def _sliding_sweep(a, b, max_delay):
+    """Sliding-window pairs of ascending bin arrays `a` (delayed) and `b`."""
+    ia, ib = _window_match(a, b, 0, max_delay)
+    return a[ia], b[ib]
 
 
 def sliding_window_match(
@@ -264,31 +300,11 @@ def sliding_window_match(
     of the undelayed stream that come up first have no one left to meet
     them and are discarded in turn.
     """
-    if max_delay < 0:
-        raise SpecError("max_delay must be >= 0")
-    if delayed_stream not in (0, 1):
-        raise SpecError("delayed_stream must be 0 or 1")
-    delayed, other = (
-        (stream_a, stream_b) if delayed_stream == 0 else (stream_b, stream_a)
-    )
-    a = list(delayed.photon_bins)
-    b = list(other.photon_bins)
-    ia = ib = 0
-    pairs = []
-    while ia < len(a) and ib < len(b):
-        ta, tb = a[ia], b[ib]
-        if ta <= tb:
-            if tb - ta <= max_delay:
-                pairs.append(MatchedPair(ta, tb))
-                ia += 1
-                ib += 1
-            else:
-                ia += 1  # no partner in range: discard
-        else:
-            ib += 1  # cannot be delayed backwards: discard
+    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay, delayed_stream)
+    pa, pb = _sliding_sweep(a_bins, b_bins, max_delay)
     if delayed_stream == 1:
-        pairs = [MatchedPair(pr.bin_b, pr.bin_a) for pr in pairs]
-    return pairs
+        pa, pb = pb, pa
+    return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
 
 
 def delivered_pairs(
@@ -303,16 +319,12 @@ def delivered_pairs(
     delayed_stream is 0, in `bin_b` otherwise.  Returns the surviving pairs
     and the collision events.
     """
-    key = (lambda pr: pr.bin_a) if delayed_stream == 0 else (lambda pr: pr.bin_b)
-    assignments: dict[int, int | None] = {
-        b: None for b in delayed.photon_bins
-    }
-    assignments.update({key(pr): pr.delay for pr in pairs})
+    keys = [pr.bin_b if delayed_stream else pr.bin_a for pr in pairs]
+    assignments: dict[int, int | None] = dict.fromkeys(delayed.photon_bins)
+    assignments.update(zip(keys, [pr.delay for pr in pairs]))
     _out, collisions = route_with_delays(delayed, assignments, network)
-    destroyed = set()
-    for _lbl, _t, members in collisions:
-        destroyed.update(members)
-    kept = [pr for pr in pairs if key(pr) not in destroyed]
+    destroyed = {b for _lbl, _t, members in collisions for b in members}
+    kept = [pr for pr, b in zip(pairs, keys) if b not in destroyed]
     return kept, collisions
 
 
@@ -323,18 +335,11 @@ def _greedy_interval_matching(a_bins, b_bins, max_delay):
     unmatched a photon.  Compatibility windows are intervals with a common
     width, so the exchange argument applies: any matching can be reordered
     so the earliest b takes the earliest compatible a without losing pairs,
-    hence the greedy sweep attains maximum cardinality.
+    hence the greedy sweep attains maximum cardinality.  Takes and returns
+    ascending bin arrays.
     """
-    pairs = []
-    ia = 0
-    a_bins = sorted(a_bins)
-    for tb in sorted(b_bins):
-        while ia < len(a_bins) and a_bins[ia] < tb - max_delay:
-            ia += 1
-        if ia < len(a_bins) and a_bins[ia] <= tb:
-            pairs.append(MatchedPair(a_bins[ia], tb))
-            ia += 1
-    return pairs
+    ib, ia = _window_match(b_bins, a_bins, -max_delay, 0)
+    return a_bins[ia], b_bins[ib]
 
 
 def matching_rmux(
@@ -356,43 +361,37 @@ def matching_rmux(
     that survive routing.  The returned set is deliverable as-is and never
     smaller than the delivered sliding-window set.
     """
-    if max_delay < 0:
-        raise SpecError("max_delay must be >= 0")
-    if delayed_stream not in (0, 1):
-        raise SpecError("delayed_stream must be 0 or 1")
-    delayed, other = (
-        (stream_a, stream_b) if delayed_stream == 0 else (stream_b, stream_a)
-    )
+    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay, delayed_stream)
     if network is None:
         network = DelayNetwork(max(max_delay.bit_length(), 0))
+    elif max_delay > network.max_delay:
+        raise SpecError(f"max_delay exceeds the network's {network.max_delay}")
 
-    def survivors(plan):
-        kept, _collisions = delivered_pairs(delayed, plan, network)
-        return kept
+    def survivors(pa, pb):
+        """The pairs of a plan whose delayed photons route collision-free."""
+        order = np.argsort(pa)
+        kept, _ = _route(pa[order], (pb - pa)[order], network.stage_count, None)
+        keep = np.sort(order[kept])  # in plan order
+        return pa[keep], pb[keep]
 
-    greedy = _greedy_interval_matching(
-        delayed.photon_bins, other.photon_bins, max_delay
-    )
-    sliding = sliding_window_match(delayed, other, max_delay)
-    plan = max(survivors(greedy), survivors(sliding), key=len)
-
+    greedy = survivors(*_greedy_interval_matching(a_bins, b_bins, max_delay))
+    sliding = survivors(*_sliding_sweep(a_bins, b_bins, max_delay))
+    plan = sliding if len(sliding[0]) > len(greedy[0]) else greedy
     while True:
-        used_a = {pr.bin_a for pr in plan}
-        used_b = {pr.bin_b for pr in plan}
-        pool_a = [t for t in delayed.photon_bins if t not in used_a]
-        pool_b = [t for t in other.photon_bins if t not in used_b]
-        extra = _greedy_interval_matching(pool_a, pool_b, max_delay)
-        if not extra:
+        extra = _greedy_interval_matching(
+            np.setdiff1d(a_bins, plan[0], assume_unique=True),
+            np.setdiff1d(b_bins, plan[1], assume_unique=True),
+            max_delay,
+        )
+        if not len(extra[0]):
             break
-        candidate = survivors(plan + extra)
-        if len(candidate) <= len(plan):
+        candidate = survivors(np.r_[plan[0], extra[0]], np.r_[plan[1], extra[1]])
+        if len(candidate[0]) <= len(plan[0]):
             break
         plan = candidate
 
-    plan = survivors(plan)
-    if delayed_stream == 1:
-        plan = [MatchedPair(pr.bin_b, pr.bin_a) for pr in plan]
-    return plan
+    pa, pb = plan if delayed_stream == 0 else plan[::-1]
+    return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
 
 
 def pair_yield(pairs, bin_count: int) -> float:

@@ -58,6 +58,36 @@ def test_validate_config_rejections():
         )
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"s_values": [-1]},
+        {"s_values": [2.5]},
+        {"s_values": [21]},
+        {"s_values": [True]},
+        {"bins": 0},
+        {"bins": 2.5},
+        {"bins": "2000"},
+        {"p": 1.5},
+        {"p": -0.1},
+        {"p": "0.2"},
+        {"p": True},
+    ],
+)
+def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg_path.write_text(json.dumps({
+        "version": CONFIG_VERSION,
+        "scenario": "mux-yield",
+        "trials": 1,
+        "out": str(out),
+        "params": params,
+    }))
+    assert main(["run", str(cfg_path)]) == 2
+    assert not out.exists()
+
+
 def test_config_hash_ignores_execution_details():
     a = validate_config(good_config())
     b = validate_config(good_config(threads=8, out="elsewhere"))

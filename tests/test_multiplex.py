@@ -1,5 +1,9 @@
 """Multiplexing laws, delay-network routing, and relative-time matching."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,8 @@ from ballistic.multiplex import (
     yield_curve_csv,
 )
 from ballistic.rng import trial_rng
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def stream(bins, n=None):
@@ -130,6 +136,10 @@ def test_route_with_delays_validation_and_discard():
     s = stream([0, 2], n=4)
     with pytest.raises(SpecError):
         route_with_delays(s, {0: 9}, DelayNetwork(2))
+    with pytest.raises(SpecError):
+        route_with_delays(s, {0: 2.5}, DelayNetwork(2))
+    with pytest.raises(SpecError):
+        DelayNetwork(62)
     out, collisions = route_with_delays(s, {0: None}, DelayNetwork(2))
     assert collisions == [] and out.photon_bins == (2,)
 
@@ -176,6 +186,9 @@ def test_matching_dominates_sliding_fuzz():
         # the matched plan routes collision-free as promised
         again, coll = delivered_pairs(a, matched, net)
         assert len(again) == len(matched)
+    # a network too short for max_delay is rejected whatever the streams
+    with pytest.raises(SpecError):
+        matching_rmux(stream([0]), stream([0]), 7, network=DelayNetwork(2))
 
 
 def test_pair_yield():
@@ -206,3 +219,153 @@ def test_yield_curve_rows_and_csv():
         "S,standard_yield,sliding_yield,matching_yield,collisions"
     )
     assert len(text.splitlines()) == 4
+
+
+def oracle_route_with_delays(stream, assignments, network):
+    """Reference router: one dict of (branch, time) slots per stage.
+
+    Collision events come out stage by stage, and within a stage in the
+    order of each group's lowest input bin.
+    """
+    for b, d in assignments.items():
+        if d is None:
+            continue
+        if not 0 <= d <= network.max_delay:
+            raise SpecError(
+                f"delay {d} at bin {b} outside [0, {network.max_delay}]"
+            )
+    # (input_bin, current_time, remaining-delay bits) per live photon
+    live = {}
+    discarded = 0
+    for b in stream.photon_bins:
+        d = assignments.get(b, 0)
+        if d is None:
+            discarded += 1
+            continue
+        live[b] = (b, d)
+    collisions = []
+
+    for s in range(network.stage_count):
+        seg = 1 << s
+        occupancy = {}
+        for b, (t, d) in live.items():
+            branch = 1 if d & seg else 0
+            occupancy.setdefault((branch, t), []).append(b)
+        for (branch, t), members in occupancy.items():
+            if len(members) > 1:
+                collisions.append((f"stage-{s}-{'delay' if branch else 'pass'}",
+                                   t, tuple(sorted(members))))
+                for b in members:
+                    del live[b]
+        for b in list(live):
+            t, d = live[b]
+            if d & seg:
+                live[b] = (t + seg, d & ~seg)
+
+    out_bins = {}
+    for b, (t, _d) in live.items():
+        out_bins.setdefault(t, []).append(b)
+    for t, members in out_bins.items():
+        if len(members) > 1:
+            collisions.append(("output", t, tuple(sorted(members))))
+            for b in members:
+                del live[b]
+
+    n_out = max(
+        [stream.bin_count] + [t + 1 for t, _ in (v for v in live.values())]
+    )
+    occ = [False] * n_out
+    for _b, (t, _d) in live.items():
+        occ[t] = True
+    out = PhotonStream(tuple(occ), stream.p, stream.stream_id)
+    dropped = sum(len(m) for _lbl, _t, m in collisions)
+    assert len(stream.photon_bins) == len(live) + dropped + discarded
+    return out, collisions
+
+
+def random_routing(rng):
+    """A seeded (stream, assignments, network) case: 0-7 stages, 0-96 bins.
+
+    Each photon gets no entry (delay 0), None, the network's maximum
+    delay or a uniform delay; some cases also assign a bin holding no
+    photon, which routing must ignore.
+    """
+    stages = int(rng.integers(0, 8))
+    max_delay = (1 << stages) - 1
+    s = PhotonStream.sample(
+        int(rng.integers(0, 97)), float(rng.choice([0.1, 0.3, 0.6, 1.0])), rng
+    )
+    assignments = {}
+    for b in s.photon_bins:
+        kind = int(rng.integers(0, 5))
+        if kind == 1:
+            assignments[b] = None
+        elif kind == 2:
+            assignments[b] = max_delay
+        elif kind > 2:
+            assignments[b] = int(rng.integers(0, max_delay + 1))
+    if rng.random() < 0.2:
+        assignments[s.bin_count + 3] = int(rng.integers(0, max_delay + 1))
+    return s, assignments, DelayNetwork(stages)
+
+
+def test_route_matches_dict_oracle():
+    rng = np.random.default_rng(2017)
+    cases = [random_routing(rng) for _ in range(300)]
+    for stages in range(8):
+        net = DelayNetwork(stages)
+        full = stream(range(24))
+        cases += [
+            (stream([], n=16), {}, net),
+            (stream([5], n=8), {5: net.max_delay}, net),
+            (full, {}, net),
+            (full, {b: net.max_delay for b in range(24)}, net),
+            (full, {b: b % (net.max_delay + 1) for b in range(24)}, net),
+            (full, {b: None if b % 3 else 0 for b in range(24)}, net),
+        ]
+    for case in cases:
+        got = route_with_delays(*case)
+        want = oracle_route_with_delays(*case)
+        # repr also tells a numpy integer from a Python int
+        assert repr(got) == repr(want)
+
+
+def test_matching_delayed_stream_flag_is_a_swap():
+    for t in range(40):
+        r = trial_rng(31, t)
+        a = PhotonStream.sample(128, 0.3, r, "A")
+        b = PhotonStream.sample(128, 0.3, r, "B")
+        flipped = matching_rmux(a, b, 7, delayed_stream=1)
+        plain = matching_rmux(b, a, 7)
+        assert flipped == [MatchedPair(pr.bin_b, pr.bin_a) for pr in plain]
+
+
+def golden_yield_rows(spec):
+    return [
+        [
+            {k: repr(v) if isinstance(v, float) else v for k, v in row.items()}
+            for row in yield_curve(
+                spec["p"], spec["s_values"], spec["bins"],
+                trial_rng(spec["seed"], t),
+            )
+        ]
+        for t in range(spec["trials"])
+    ]
+
+
+def golden_routes(spec):
+    rng = np.random.default_rng(spec["seed"])
+    out_bins, digests = [], []
+    for _ in range(spec["cases"]):
+        out, collisions = route_with_delays(*random_routing(rng))
+        out_bins.append(list(out.photon_bins))
+        digests.append(hashlib.sha256(repr(collisions).encode()).hexdigest())
+    return out_bins, digests
+
+
+def test_multiplex_golden():
+    golden = json.loads((GOLDEN / "multiplex.json").read_text())
+    assert golden_yield_rows(golden["yield_curve"]) == golden["yield_curve"]["rows"]
+    out_bins, digests = golden_routes(golden["routing"])
+    assert out_bins == golden["routing"]["out_bins"]
+    assert digests == golden["routing"]["collisions_digest"]
