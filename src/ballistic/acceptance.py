@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clifford as cl
 from .builder import UnitCellSpec, WaferSpec, build_wafer
-from .dense import DenseStabilizerState, _row_mul
+from .dense import DenseStabilizerState, from_graph_register
 from .fock import (
     FockState,
     Interferometer,
@@ -62,59 +61,6 @@ class CheckResult:
 # -- oracle-comparison helpers ----------------------------------------------
 
 
-def dense_mirror(g: GraphRegister) -> DenseStabilizerState:
-    """Rebuild the graph register's state in the dense oracle."""
-    alive = sorted(g.alive_vertices())
-    idx = {v: i for i, v in enumerate(alive)}
-    d = DenseStabilizerState(len(alive))
-    for u, v in g.edges():
-        d.apply_cz(idx[u], idx[v])
-    for v in alive:
-        f = g.get_frame(v)
-        if f:
-            d.apply_clifford(idx[v], cl.PAULI_IDX[f])
-    for v in alive:
-        c = g.get_vop(v)
-        if c != cl.ID:
-            d.apply_clifford(idx[v], c)
-    return d
-
-
-def subsystem_canonical(d: DenseStabilizerState, keep) -> tuple:
-    """Canonical stabilizer rows of the group restricted to `keep` qubits."""
-    n = d.n
-    keep = sorted(keep)
-    drop = [q for q in range(n) if q not in keep]
-    work = [list(r) for r in d.rows]
-    r = 0
-    for sel in (1, 2):
-        for j in drop:
-            bit = 1 << j
-            piv = next((i for i in range(r, n) if work[i][sel] & bit), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(n):
-                if i != r and work[i][sel] & bit:
-                    work[i][:] = _row_mul(*work[r], *work[i])
-            r += 1
-    dropmask = sum(1 << j for j in drop)
-    sub = [row for row in work if not (row[1] & dropmask or row[2] & dropmask)]
-    pos = {q: i for i, q in enumerate(keep)}
-    out = []
-    for row in sub:
-        x2 = z2 = 0
-        for q in keep:
-            if row[1] & (1 << q):
-                x2 |= 1 << pos[q]
-            if row[2] & (1 << q):
-                z2 |= 1 << pos[q]
-        out.append([row[0], x2, z2])
-    dd = DenseStabilizerState(len(keep))
-    dd.rows = out[: len(keep)]
-    return dd.canonical_rows()
-
-
 def fuzz_case(seed: int, max_qubits: int = 10, ops: int = 20) -> bool:
     """One random op sequence replayed in both engines; True iff they agree."""
     rng = np.random.default_rng(seed)
@@ -143,7 +89,7 @@ def fuzz_case(seed: int, max_qubits: int = 10, ops: int = 20) -> bool:
             o = g.measure_pauli(a, basis, rng)
             d.measure(a, basis, forced=o)
             alive.remove(a)
-    return dense_mirror(g).canonical_rows() == subsystem_canonical(d, alive)
+    return from_graph_register(g).canonical_rows() == d.subsystem_canonical(alive)
 
 
 # -- individual criteria ----------------------------------------------------

@@ -16,15 +16,13 @@ Two build modes share one stream of random draws:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SpecError, VertexStateError
-from .fusion import FAILURE, LOSS_HERALD, SUCCESS, FusionParams, fuse
+from .fusion import FAILURE, SUCCESS, FusionParams, fuse
 from .graphstate import GraphRegister
 
 PRIMAL, DUAL = 0, 1
@@ -268,21 +266,8 @@ class CompLattice:
 class BuiltLattice:
     register: GraphRegister | None
     computational_vertices: dict
-    fusion_log: list
     resource_report: dict
     comp: CompLattice
-
-    def export_comp_csv(self, fileobj=None) -> str:
-        """Side table of computational vertex coordinates."""
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["x", "y", "z", "primal_id", "dual_id"])
-        for (x, y, z), (p, d) in sorted(self.computational_vertices.items()):
-            w.writerow([x, y, z, p, d])
-        text = buf.getvalue()
-        if fileobj is not None:
-            fileobj.write(text)
-        return text
 
 
 def make_ghz3(reg: GraphRegister) -> tuple[int, int, int]:
@@ -343,16 +328,15 @@ def _slot_masks(cell: UnitCellSpec, lost, kept):
 
 
 def _shift_ok(arr, off):
-    """arr value at cell + off, False outside the wafer."""
+    """arr value at cell + off (any sign per axis), False outside the wafer."""
     out = np.zeros_like(arr)
-    dx, dy, dz = off
     src = [slice(None)] * 3
     dst = [slice(None)] * 3
-    for axis, d in enumerate((dx, dy, dz)):
-        if d == 0:
-            continue
-        src[axis] = slice(d, None)
-        dst[axis] = slice(None, -d)
+    for axis, d in enumerate(off):
+        if d > 0:
+            src[axis], dst[axis] = slice(d, None), slice(None, -d)
+        elif d < 0:
+            src[axis], dst[axis] = slice(None, d), slice(-d, None)
     out[tuple(dst)] = arr[tuple(src)]
     return out
 
@@ -433,14 +417,9 @@ def _build_bond_level(spec, cell, draws) -> BuiltLattice:
     # fusion partner never arrived is dropped as lost, wounding its qubit.
     herald_damage = {primal: np.zeros(usable.shape[:3], dtype=bool),
                      dual: np.zeros(usable.shape[:3], dtype=bool)}
-    nxa, nya, nza = usable.shape[:3]
+    ones = np.ones(usable.shape[:3], dtype=bool)
     for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
-        in_range = np.zeros(usable.shape[:3], dtype=bool)
-        sl = [slice(None)] * 3
-        for axis, d in enumerate(off):
-            if d:
-                sl[axis] = slice(None, -d)
-        in_range[tuple(sl)] = True
+        in_range = _shift_ok(ones, off)
         p_remote = _shift_ok(present[rs], off)
         a_remote = _shift_ok(attached[rs], off)
         both = present[ls] & p_remote & in_range
@@ -450,15 +429,7 @@ def _build_bond_level(spec, cell, draws) -> BuiltLattice:
         herald_damage[stub_comp[ls]] |= lh_local
         # remote stub present, local missing -> remote loss herald
         lh_remote = in_range & ~present[ls] & p_remote & a_remote
-        rd = np.zeros_like(lh_remote)
-        dsl = [slice(None)] * 3
-        ssl = [slice(None)] * 3
-        for axis, d in enumerate(off):
-            if d:
-                dsl[axis] = slice(d, None)
-                ssl[axis] = slice(None, -d)
-        rd[tuple(dsl)] = lh_remote[tuple(ssl)]
-        herald_damage[stub_comp[rs]] |= rd
+        herald_damage[stub_comp[rs]] |= _shift_ok(lh_remote, [-d for d in off])
         edges.append((bond, ls, rs, off))
 
     # Raw node survival and punched survival.
@@ -488,7 +459,6 @@ def _build_bond_level(spec, cell, draws) -> BuiltLattice:
     return BuiltLattice(
         register=None,
         computational_vertices={},
-        fusion_log=[],
         resource_report=_resource_report(spec, cell),
         comp=lattice,
     )
@@ -525,7 +495,6 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
     nslots = cell.photons_per_cell
     reg = GraphRegister(0)
     base = {}
-    log = []
     primal, dual = _comp_pair(cell)
 
     def vid(x, y, z, slot):
@@ -560,11 +529,10 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
         ancilla_cost=spec.fusion_params.ancilla_cost,
     )
 
-    def attempt(a, b, params, branch, kind, where):
+    def attempt(a, b, params, branch, kind):
         alive_pair = [v for v in (a, b) if reg.is_alive(v)]
         if len(alive_pair) == 2 and usable(a) and usable(b):
-            out = fuse(reg, a, b, params, rng, forced=branch)
-            log.append((where, kind, (a, b), out.result))
+            fuse(reg, a, b, params, rng, forced=branch)
             return
         # A participant is missing or carries an unknown byproduct.
         if kind == "formation":
@@ -576,13 +544,11 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
             # Ballistic stage: no herald, survivors are dropped as lost.
             for v in alive_pair:
                 reg.remove_lost(v)
-        log.append((where, kind, (a, b), LOSS_HERALD))
 
     for (x, y, z) in coords:
         for (a, b) in cell.formation_pairs:
             attempt(
-                vid(x, y, z, a), vid(x, y, z, b),
-                forced_success, SUCCESS, "formation", (x, y, z),
+                vid(x, y, z, a), vid(x, y, z, b), forced_success, SUCCESS, "formation"
             )
     for (x, y, z) in coords:
         for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
@@ -595,10 +561,7 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
                     reg.measure_pauli(va, "Z", rng)
                 continue
             branch = SUCCESS if success[x, y, z, bi] else FAILURE
-            attempt(
-                va, vid(tx, ty, tz, rs),
-                spec.fusion_params, branch, "bond", (x, y, z),
-            )
+            attempt(va, vid(tx, ty, tz, rs), spec.fusion_params, branch, "bond")
 
     comp_vertices = {
         (x, y, z): (vid(x, y, z, primal), vid(x, y, z, dual))
@@ -608,7 +571,6 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
     return BuiltLattice(
         register=reg,
         computational_vertices=comp_vertices,
-        fusion_log=log,
         resource_report=_resource_report(spec, cell),
         comp=lattice,
     )

@@ -40,28 +40,32 @@ CONFIG_VERSION = 1
 
 
 # -- scenarios ---------------------------------------------------------------
+#
+# A SCENARIOS entry holds all that is known of its scenario: the `trial`, the
+# `defaults` (whose types are the only ones a config may use), a `check` of
+# ranges and the `figures`, each id mapped to fn(means, params) -> (cols, rows).
 
 
 def _wafer_spec(params: dict) -> WaferSpec:
     return WaferSpec(
-        int(params["nx"]),
-        int(params["ny"]),
-        int(params["nz"]),
+        params["nx"],
+        params["ny"],
+        params["nz"],
         fusion_params=FusionParams(
             kind=params["fusion_kind"],
             success_prob=float(params["success_prob"]),
         ),
         photon_loss=float(params["photon_loss"]),
         filter_fidelity=float(params["filter_fidelity"]),
-        filter_enabled=bool(params["filter_enabled"]),
+        filter_enabled=params["filter_enabled"],
     )
 
 
 def mux_yield_trial(params: dict, rng) -> dict:
     p = float(params["p"])
-    bins = int(params["bins"])
+    bins = params["bins"]
     metrics = {}
-    for row in yield_curve(p, [int(s) for s in params["s_values"]], bins, rng):
+    for row in yield_curve(p, params["s_values"], bins, rng):
         s = row["S"]
         metrics[f"standard_yield_S{s}"] = row["standard_yield"]
         metrics[f"sliding_yield_S{s}"] = row["sliding_yield"]
@@ -74,20 +78,33 @@ def mux_yield_trial(params: dict, rng) -> dict:
     return metrics
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_mux_yield(params: dict) -> None:
-    p = params["p"]
-    if not ((_is_int(p) or isinstance(p, float)) and 0 <= p <= 1):
-        raise SpecError(f"mux-yield p must be a number in [0, 1], got {p!r}")
-    if not (_is_int(params["bins"]) and params["bins"] >= 1):
-        raise SpecError(f"mux-yield bins must be an int >= 1, got {params['bins']!r}")
+    if not 0 <= params["p"] <= 1:
+        raise SpecError(f"mux-yield p must lie in [0, 1], got {params['p']!r}")
+    if params["bins"] < 1:
+        raise SpecError(f"mux-yield bins must be >= 1, got {params['bins']!r}")
     # the cap bounds the (blocks, 2^S) draw in mux_yield_trial
-    bad = [s for s in params["s_values"] if not (_is_int(s) and 0 <= s <= 20)]
+    bad = [s for s in params["s_values"] if not 0 <= s <= 20]
     if bad:
-        raise SpecError(f"mux-yield s_values must be ints in [0, 20], got {bad!r}")
+        raise SpecError(f"mux-yield s_values must lie in [0, 20], got {bad!r}")
+
+
+def _fig4_yields(means: dict, params: dict):
+    rows = [
+        [s, means[f"standard_yield_S{s}"], means[f"sliding_yield_S{s}"],
+         means[f"matching_yield_S{s}"]]
+        for s in sorted(set(params["s_values"]))
+    ]
+    return ["S", "standard", "sliding", "matching"], rows
+
+
+def _mux_law(means: dict, params: dict):
+    p = float(params["p"])
+    rows = [
+        [s, means[f"block_success_S{s}"], standard_mux_prob(p, s)]
+        for s in sorted(set(params["s_values"]))
+    ]
+    return ["S", "mc_block_success", "closed_form"], rows
 
 
 def wafer_span_trial(params: dict, rng) -> dict:
@@ -99,40 +116,73 @@ def wafer_span_trial(params: dict, rng) -> dict:
     }
 
 
+def _crazy_graph_specs(params: dict) -> list[CrazyGraphSpec]:
+    z_flip = float(params["z_flip"])
+    return [
+        CrazyGraphSpec(params["columns"], params["column_size"], float(loss), z_flip)
+        for loss in params["loss_values"]
+    ]
+
+
 def crazy_teleport_trial(params: dict, rng) -> dict:
-    batch = int(params["batch"])
     metrics = {}
-    for i, loss in enumerate(params["loss_values"]):
-        spec = CrazyGraphSpec(
-            int(params["columns"]),
-            int(params["column_size"]),
-            loss=float(loss),
-            z_flip=float(params["z_flip"]),
-        )
-        rep = simulate_teleport(spec, rng, batch)
+    for i, spec in enumerate(_crazy_graph_specs(params)):
+        rep = simulate_teleport(spec, rng, params["batch"])
         metrics[f"success_{i}"] = rep.success_rate
         metrics[f"flip_{i}"] = rep.flip_rate
         metrics[f"tie_{i}"] = rep.tie_frequency
     return metrics
 
 
+def _check_crazy_teleport(params: dict) -> None:
+    if params["batch"] < 1:
+        raise SpecError(f"crazy-teleport batch must be >= 1, got {params['batch']!r}")
+    _crazy_graph_specs(params)
+
+
+def _crazy_graph_law(means: dict, params: dict):
+    rows = [
+        [spec.loss, means[f"success_{i}"], teleport_success_prob(spec)]
+        for i, spec in enumerate(_crazy_graph_specs(params))
+    ]
+    return ["loss", "mc_success", "closed_form"], rows
+
+
+def _loss_sweep_specs(params: dict) -> list[WaferSpec]:
+    return [
+        _wafer_spec(dict(params, photon_loss=loss)) for loss in params["loss_values"]
+    ]
+
+
 def loss_sweep_trial(params: dict, rng) -> dict:
     metrics = {}
-    for i, loss in enumerate(params["loss_values"]):
-        p = dict(params, photon_loss=float(loss))
-        lat = build_wafer(_wafer_spec(p), rng=rng, graph_level=False)
+    for i, spec in enumerate(_loss_sweep_specs(params)):
+        lat = build_wafer(spec, rng=rng, graph_level=False)
         metrics[f"recovered_span_{i}"] = float(
             crossing_exists(lat, "z", punched=True)
         )
     return metrics
 
 
+def _loss_sweep_figure(means: dict, params: dict):
+    rows = [
+        [spec.photon_loss, means[f"recovered_span_{i}"]]
+        for i, spec in enumerate(_loss_sweep_specs(params))
+    ]
+    return ["loss", "recovered_spanning_rate"], rows
+
+
 def threshold_scan_trial(params: dict, rng) -> dict:
-    family = square_lattice_family(int(params["n"]))
+    family = square_lattice_family(params["n"])
     return {
         f"cross_{i}": float(family(float(p), rng))
         for i, p in enumerate(params["p_values"])
     }
+
+
+def _threshold_scan_figure(means: dict, params: dict):
+    rows = [[float(p), means[f"cross_{i}"]] for i, p in enumerate(params["p_values"])]
+    return ["p", "crossing_rate"], rows
 
 
 _WAFER_DEFAULTS = {
@@ -149,12 +199,15 @@ _WAFER_DEFAULTS = {
 SCENARIOS = {
     "mux-yield": {
         "trial": mux_yield_trial,
-        "check": _check_mux_yield,
         "defaults": {"p": 0.2, "s_values": [0, 1, 2, 3, 4, 5, 6], "bins": 2000},
+        "check": _check_mux_yield,
+        "figures": {"fig4-yields": _fig4_yields, "mux-law": _mux_law},
     },
     "wafer-span": {
         "trial": wafer_span_trial,
         "defaults": dict(_WAFER_DEFAULTS),
+        "check": _wafer_spec,
+        "figures": {},
     },
     "crazy-teleport": {
         "trial": crazy_teleport_trial,
@@ -165,6 +218,8 @@ SCENARIOS = {
             "z_flip": 0.0,
             "batch": 1000,
         },
+        "check": _check_crazy_teleport,
+        "figures": {"crazy-graph-law": _crazy_graph_law},
     },
     "loss-sweep": {
         "trial": loss_sweep_trial,
@@ -172,6 +227,8 @@ SCENARIOS = {
             _WAFER_DEFAULTS,
             loss_values=[0.005, 0.01, 0.02, 0.04, 0.06, 0.08],
         ),
+        "check": _loss_sweep_specs,
+        "figures": {"loss-sweep": _loss_sweep_figure},
     },
     "threshold-scan": {
         "trial": threshold_scan_trial,
@@ -179,22 +236,43 @@ SCENARIOS = {
             "n": 64,
             "p_values": [0.40, 0.44, 0.48, 0.50, 0.52, 0.56, 0.60],
         },
+        "check": lambda params: square_lattice_family(params["n"]),
+        "figures": {"threshold-scan": _threshold_scan_figure},
     },
 }
 
 
 # -- config handling ---------------------------------------------------------
 
+_RUN_DEFAULTS = {"seed": 0, "trials": 100, "threads": 1, "out": "results"}
 
-def load_config(path: str) -> dict:
+
+def load_config(path: str):
+    """The parsed JSON of a config file, not yet validated."""
     try:
         with open(path) as f:
-            raw = json.load(f)
+            return json.load(f)
     except OSError as exc:
         raise SpecError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"config {path} is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+
+
+def _check_type(name: str, value, default) -> None:
+    """Reject `value` unless it has the type of `default`.
+
+    An int is accepted for a float, a bool only for a bool.  A list must be
+    non-empty, and each element is checked against the default's first.
+    """
+    if isinstance(default, list):
+        if not (isinstance(value, list) and value):
+            raise SpecError(f"{name} must be a non-empty list, got {value!r}")
+        for item in value:
+            _check_type(f"{name} element", item, default[0])
+        return
+    want = (int, float) if isinstance(default, float) else type(default)
+    if not isinstance(value, want) or isinstance(value, bool) != isinstance(default, bool):
+        raise SpecError(f"{name} must be {type(default).__name__}, got {value!r}")
 
 
 def validate_config(raw: dict) -> dict:
@@ -210,34 +288,25 @@ def validate_config(raw: dict) -> dict:
         raise SpecError(
             f"unknown scenario {scenario!r}; valid: {sorted(SCENARIOS)}"
         )
-    defaults = SCENARIOS[scenario]["defaults"]
-    params = dict(defaults)
+    entry = SCENARIOS[scenario]
     user_params = raw.get("params", {})
     if not isinstance(user_params, dict):
         raise SpecError("params must be an object")
-    bad = sorted(set(user_params) - set(defaults))
+    bad = sorted(set(user_params) - set(entry["defaults"]))
     if bad:
         raise SpecError(f"unknown parameter keys for {scenario}: {bad}")
     for key, value in user_params.items():
-        want_list = isinstance(defaults[key], list)
-        if want_list != isinstance(value, list):
-            raise SpecError(f"parameter {key!r} has the wrong shape")
-        params[key] = value
-    if "check" in SCENARIOS[scenario]:
-        SCENARIOS[scenario]["check"](params)
-    cfg = {
-        "version": CONFIG_VERSION,
-        "scenario": scenario,
-        "seed": int(raw.get("seed", 0)),
-        "trials": int(raw.get("trials", 100)),
-        "threads": int(raw.get("threads", 1)),
-        "out": raw.get("out", "results"),
-        "params": params,
-    }
+        _check_type(f"parameter {key!r}", value, entry["defaults"][key])
+    cfg = {"version": CONFIG_VERSION, "scenario": scenario}
+    for key, default in _RUN_DEFAULTS.items():
+        cfg[key] = raw.get(key, default)
+        _check_type(repr(key), cfg[key], default)
+    cfg["params"] = dict(entry["defaults"], **user_params)
     if cfg["trials"] < 1:
         raise SpecError("trials must be >= 1")
     if cfg["threads"] < 1:
         raise SpecError("threads must be >= 1")
+    entry["check"](cfg["params"])
     return cfg
 
 
@@ -342,14 +411,6 @@ def _metric_means(records: list[dict]) -> dict:
     }
 
 
-def _series_by_index(means: dict, prefix: str) -> list[float]:
-    idx = []
-    for key in means:
-        if key.startswith(prefix):
-            idx.append(int(key[len(prefix):]))
-    return [means[f"{prefix}{i}"] for i in sorted(idx)]
-
-
 def svg_line_chart(series: dict, path: str, width=640, height=400) -> None:
     """Minimal dependency-free polyline chart (one color per series)."""
     pad = 50
@@ -390,76 +451,16 @@ def svg_line_chart(series: dict, path: str, width=640, height=400) -> None:
         f.write("\n".join(parts) + "\n")
 
 
-def _figure_rows(figure_id: str, header: dict, records: list[dict]):
-    means = _metric_means(records)
-    params = header["config"]["params"]
-    if figure_id == "fig4-yields":
-        s_vals = sorted(
-            int(k.split("S")[-1]) for k in means if k.startswith("standard_yield_S")
-        )
-        if not s_vals:
-            raise SpecError("results carry no yield metrics for fig4-yields")
-        cols = ["S", "standard", "sliding", "matching"]
-        rows = [
-            [s, means[f"standard_yield_S{s}"], means[f"sliding_yield_S{s}"],
-             means[f"matching_yield_S{s}"]]
-            for s in s_vals
-        ]
-    elif figure_id == "mux-law":
-        s_vals = sorted(
-            int(k.split("S")[-1]) for k in means if k.startswith("block_success_S")
-        )
-        if not s_vals:
-            raise SpecError("results carry no block metrics for mux-law")
-        p = float(params["p"])
-        cols = ["S", "mc_block_success", "closed_form"]
-        rows = [
-            [s, means[f"block_success_S{s}"], standard_mux_prob(p, s)]
-            for s in s_vals
-        ]
-    elif figure_id == "crazy-graph-law":
-        mc = _series_by_index(means, "success_")
-        if not mc:
-            raise SpecError("results carry no teleport metrics for crazy-graph-law")
-        losses = [float(x) for x in params["loss_values"]]
-        cols = ["loss", "mc_success", "closed_form"]
-        rows = [
-            [
-                loss,
-                mc[i],
-                teleport_success_prob(
-                    CrazyGraphSpec(
-                        int(params["columns"]), int(params["column_size"]), loss=loss
-                    )
-                ),
-            ]
-            for i, loss in enumerate(losses)
-        ]
-    elif figure_id == "loss-sweep":
-        mc = _series_by_index(means, "recovered_span_")
-        if not mc:
-            raise SpecError("results carry no spanning metrics for loss-sweep")
-        losses = [float(x) for x in params["loss_values"]]
-        cols = ["loss", "recovered_spanning_rate"]
-        rows = [[loss, mc[i]] for i, loss in enumerate(losses)]
-    elif figure_id == "threshold-scan":
-        mc = _series_by_index(means, "cross_")
-        if not mc:
-            raise SpecError("results carry no crossing metrics for threshold-scan")
-        ps = [float(x) for x in params["p_values"]]
-        cols = ["p", "crossing_rate"]
-        rows = [[p, mc[i]] for i, p in enumerate(ps)]
-    else:
-        raise SpecError(
-            f"unknown figure id {figure_id!r}; valid: fig4-yields, mux-law, "
-            "crazy-graph-law, loss-sweep, threshold-scan"
-        )
-    return cols, rows
-
-
 def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
     header, records = read_results(results_path)
-    cols, rows = _figure_rows(figure_id, header, records)
+    config = header["config"]
+    figures = SCENARIOS.get(config.get("scenario"), {}).get("figures", {})
+    if figure_id not in figures:
+        raise SpecError(
+            f"no figure {figure_id!r} for {config.get('scenario')!r} results; "
+            f"valid: {sorted(figures)}"
+        )
+    cols, rows = figures[figure_id](_metric_means(records), config["params"])
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{figure_id}.csv")
     with open(csv_path, "w") as f:
@@ -518,19 +519,12 @@ def determinism_check() -> tuple[bool, str]:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-        if cfg["trials"] < 1:
-            raise SpecError("trials must be >= 1")
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-        if cfg["threads"] < 1:
-            raise SpecError("threads must be >= 1")
-    if args.out is not None:
-        cfg["out"] = args.out
+    raw = load_config(args.config)
+    if isinstance(raw, dict):  # validate_config rejects any other root
+        for key in _RUN_DEFAULTS:
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
+    cfg = validate_config(raw)
     paths = run_experiment(cfg)
     print(json.dumps(paths, sort_keys=True))
     return 0

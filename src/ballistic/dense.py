@@ -246,9 +246,6 @@ class DenseStabilizerState:
                 r += 1
         return tuple(sorted((row[0], row[1], row[2]) for row in work))
 
-    def same_state(self, other: "DenseStabilizerState") -> bool:
-        return self.n == other.n and self.canonical_rows() == other.canonical_rows()
-
     def subsystem_canonical(self, keep) -> tuple:
         """Canonical stabilizer rows of the subsystem on `keep` qubits.
 

@@ -111,15 +111,29 @@ def test_resource_report_counts():
     assert rep["expected_source_attempts_per_ghz"] == 32
 
 
+# The default wiring with its x and y bonds fused from the other side, so
+# their offsets are negative.
+MIRRORED_CELL = UnitCellSpec(
+    bond_pairs=(
+        (6, 9, (0, 0, 1)),
+        (17, 14, (0, 0, 1)),
+        (12, 8, (-1, 0, 0)),
+        (15, 11, (0, -1, 0)),
+    )
+)
+
+
 def test_build_modes_agree():
-    spec = WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.02)
-    graph = build_wafer(spec, rng=trial_rng(5, 1), graph_level=True)
-    bond = build_wafer(spec, rng=trial_rng(5, 1), graph_level=False)
-    assert (graph.comp.alive == bond.comp.alive).all()
-    assert (graph.comp.alive_punched == bond.comp.alive_punched).all()
-    ge = {tuple(sorted(e)) for e in graph.comp.edges.tolist()}
-    be = {tuple(sorted(e)) for e in bond.comp.edges.tolist()}
-    assert ge == be
+    cases = [(UnitCellSpec(), 0.02, 1)] + [(MIRRORED_CELL, 0.05, t) for t in range(10)]
+    for cell, loss, trial in cases:
+        spec = WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=loss)
+        graph = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=True)
+        bond = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=False)
+        assert (graph.comp.alive == bond.comp.alive).all()
+        assert (graph.comp.alive_punched == bond.comp.alive_punched).all()
+        ge = {tuple(sorted(e)) for e in graph.comp.edges.tolist()}
+        be = {tuple(sorted(e)) for e in bond.comp.edges.tolist()}
+        assert ge == be
 
 
 def test_wafer_spanning_probabilistic():

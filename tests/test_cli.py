@@ -1,7 +1,9 @@
 """Experiment harness: config handling, runs, figures, exit codes."""
 
+import hashlib
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -15,6 +17,10 @@ from ballistic.cli import (
     validate_config,
 )
 from ballistic.errors import SpecError
+
+FIGURE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "figures.json").read_text()
+)
 
 
 def good_config(**over):
@@ -58,6 +64,21 @@ def test_validate_config_rejections():
         )
 
 
+def run_exit_and_output(tmp_path, scenario, overrides, *flags):
+    """Exit code of `ballistic run` on a one-trial config, and whether its
+    output directory exists afterwards."""
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg_path.write_text(json.dumps({
+        "version": CONFIG_VERSION,
+        "scenario": scenario,
+        "trials": 1,
+        "out": str(out),
+        **overrides,
+    }))
+    return main(["run", str(cfg_path), *flags]), out.exists()
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -75,17 +96,34 @@ def test_validate_config_rejections():
     ],
 )
 def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
-    cfg_path = tmp_path / "cfg.json"
-    out = tmp_path / "out"
-    cfg_path.write_text(json.dumps({
-        "version": CONFIG_VERSION,
-        "scenario": "mux-yield",
-        "trials": 1,
-        "out": str(out),
-        "params": params,
-    }))
-    assert main(["run", str(cfg_path)]) == 2
-    assert not out.exists()
+    assert run_exit_and_output(tmp_path, "mux-yield", {"params": params}) == (2, False)
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("wafer-span", {"params": {"nx": "abc"}}),
+        ("wafer-span", {"params": {"nx": 4.0}}),
+        ("wafer-span", {"trials": "x"}),
+        ("wafer-span", {"seed": 1.5}),
+        ("wafer-span", {"threads": 0}),
+        ("wafer-span", {"params": {"photon_loss": 1.5}}),
+        ("wafer-span", {"params": {"filter_enabled": 1}}),
+        ("wafer-span", {"params": {"fusion_kind": "nope"}}),
+        ("loss-sweep", {"params": {"loss_values": [0.01, 1.5]}}),
+        ("loss-sweep", {"params": {"loss_values": []}}),
+        ("crazy-teleport", {"params": {"column_size": 0}}),
+        ("crazy-teleport", {"params": {"batch": 0}}),
+        ("threshold-scan", {"params": {"n": 1}}),
+    ],
+)
+def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
+    assert run_exit_and_output(tmp_path, scenario, overrides) == (2, False)
+
+
+def test_bad_run_flag_exit_2_before_output(tmp_path):
+    assert run_exit_and_output(tmp_path, "wafer-span", {}, "--trials", "0") == (2, False)
+    assert run_exit_and_output(tmp_path, "wafer-span", {}, "--threads", "0") == (2, False)
 
 
 def test_config_hash_ignores_execution_details():
@@ -165,6 +203,24 @@ def test_emit_figure_requires_matching_scenario(tmp_path):
     run_experiment(cfg)
     with pytest.raises(SpecError):
         emit_figure_data(str(tmp_path / "results.jsonl"), "fig4-yields", str(tmp_path))
+
+
+def figure_digests(out_dir, figure_id, config):
+    """sha256 of the CSV and SVG that `figure_id` makes from a seeded run."""
+    cfg = validate_config(dict(config, version=CONFIG_VERSION, out=str(out_dir)))
+    results = run_experiment(cfg)["results"]
+    paths = emit_figure_data(results, figure_id, str(out_dir))
+    return {
+        kind: hashlib.sha256(pathlib.Path(paths[kind]).read_bytes()).hexdigest()
+        for kind in ("csv", "svg")
+    }
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURE_GOLDEN))
+def test_figure_golden(tmp_path, figure_id):
+    golden = FIGURE_GOLDEN[figure_id]
+    got = figure_digests(tmp_path, figure_id, golden["config"])
+    assert got == {"csv": golden["csv"], "svg": golden["svg"]}
 
 
 def test_cli_verify_single_fast_criterion(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ballistic import clifford as cl
-from ballistic.acceptance import dense_mirror, fuzz_case, subsystem_canonical
+from ballistic.acceptance import fuzz_case
 from ballistic.dense import DenseStabilizerState, from_graph_register
 from ballistic.errors import CapacityError, VertexStateError
 from ballistic.graphstate import GraphRegister, lc_equivalent, load_edges
@@ -26,14 +26,14 @@ def test_cz_twice_cancels():
     g.apply_cz(0, 1)
     g.apply_cz(0, 1)
     assert not g.has_edge(0, 1)
-    assert dense_mirror(g).canonical_rows() == DenseStabilizerState(2).canonical_rows()
+    assert from_graph_register(g).canonical_rows() == DenseStabilizerState(2).canonical_rows()
 
 
 def test_local_complement_toggles_neighborhood():
     g = GraphRegister(4)
     for v in (1, 2, 3):
         g.apply_cz(0, v)
-    before = dense_mirror(g).canonical_rows()
+    before = from_graph_register(g).canonical_rows()
     g.local_complement(0)
     for a in (1, 2, 3):
         for b in (1, 2, 3):
@@ -41,7 +41,7 @@ def test_local_complement_toggles_neighborhood():
                 assert g.has_edge(a, b)
     # local complementation is implemented with compensating single-qubit
     # Cliffords, so the physical state is unchanged
-    assert dense_mirror(g).canonical_rows() == before
+    assert from_graph_register(g).canonical_rows() == before
 
 
 def test_measure_z_removes_vertex():
@@ -84,7 +84,7 @@ def test_forced_outcome_consistency():
     out = g.measure_pauli(0, "Z", forced=-1)
     assert out == -1
     # partner collapses to |->: an X measurement is now deterministic -1
-    d = dense_mirror(g)
+    d = from_graph_register(g)
     sign, axis = d.single_qubit_stabilizer(0)
     assert axis == 1 and sign == -1
 
@@ -136,7 +136,7 @@ def test_vop_composition_matches_dense():
             c = int(r.integers(24))
             g.apply_local_clifford(v, c)
             d.apply_clifford(v, c)
-        assert dense_mirror(g).canonical_rows() == d.canonical_rows()
+        assert from_graph_register(g).canonical_rows() == d.canonical_rows()
 
 
 def test_measurement_agreement_small_fuzz():
@@ -147,11 +147,14 @@ def test_measurement_agreement_small_fuzz():
 def test_from_graph_register_orders_alive_vertices():
     g = GraphRegister(4)
     g.apply_cz(0, 1).apply_cz(1, 2).apply_cz(2, 3)
-    g.measure_pauli(1, "Z", rng())
+    g.measure_pauli(1, "Z", forced=1)
     d = from_graph_register(g)
     assert d.n == 3
-    mirror = dense_mirror(g)
-    assert d.canonical_rows() == mirror.canonical_rows()
+    # alive vertices 0, 2, 3 become qubits 0, 1, 2: |+> on qubit 0 and the
+    # edge 2-3 as a CZ between qubits 1 and 2
+    direct = DenseStabilizerState(3)
+    direct.apply_cz(1, 2)
+    assert d.canonical_rows() == direct.canonical_rows()
 
 
 def test_subsystem_canonical_matches_direct_build():
@@ -162,7 +165,13 @@ def test_subsystem_canonical_matches_direct_build():
         d.apply_cz(a, b)
     o = g.measure_pauli(2, "X", rng())
     d.measure(2, "X", forced=o)
-    assert dense_mirror(g).canonical_rows() == subsystem_canonical(d, [0, 1, 3, 4])
+    assert from_graph_register(g).canonical_rows() == d.subsystem_canonical([0, 1, 3, 4])
+    # unmeasured, qubit 2 leaves qubits 0 and 1 entangled with it: mixed
+    e = DenseStabilizerState(3)
+    e.apply_cz(0, 1)
+    e.apply_cz(1, 2)
+    with pytest.raises(ValueError):
+        e.subsystem_canonical([0, 1])
 
 
 def test_pauli_frame_tracked_after_measurement():
