@@ -38,44 +38,6 @@ _DEFAULT_BONDS = (
     (8, 12, (1, 0, 0)),
     (11, 15, (0, 1, 0)),
 )
-def _derive_stub_maps(cell: "UnitCellSpec"):
-    """(stub -> formation index, stub -> computational slot) from wiring.
-
-    Valid for the default wiring family: each formation fuses an end photon
-    of a computational source onto the middle photon of a stub source.
-    """
-    ps = cell.photons_per_source
-    if ps != 3:
-        raise SpecError("bond-level mode requires 3-photon sources")
-    stub_formation: dict[int, int] = {}
-    stub_comp: dict[int, int] = {}
-    for ls, rs, _off in cell.bond_pairs:
-        for s in (ls, rs):
-            middle = 3 * (s // 3) + 1
-            fi = next(
-                (
-                    i
-                    for i, p in enumerate(cell.formation_pairs)
-                    if middle in p
-                ),
-                None,
-            )
-            if fi is None:
-                raise SpecError(
-                    "bond-level mode: stub source middle is not fused by a"
-                    " formation pair"
-                )
-            a, b = cell.formation_pairs[fi]
-            end = a if b == middle else b
-            comp = 3 * (end // 3) + 1
-            if comp not in cell.computational_slots:
-                raise SpecError(
-                    "bond-level mode: formation does not attach the stub to"
-                    " a computational qubit"
-                )
-            stub_formation[s] = fi
-            stub_comp[s] = comp
-    return stub_formation, stub_comp
 # Default static-element layout: waveguide crossings per slot (<=1 each).
 _DEFAULT_CROSSINGS = (14, 17)
 
@@ -247,16 +209,6 @@ class CompLattice:
     def node_count(self) -> int:
         return self.nx * self.ny * self.nz * 2
 
-    def flat(self, x, y, z, parity):
-        return ((x * self.ny + y) * self.nz + z) * 2 + parity
-
-    def coords(self, i):
-        parity = i % 2
-        i //= 2
-        z = i % self.nz
-        i //= self.nz
-        return i // self.ny, i % self.ny, z, parity
-
     def alive_flat(self, punched: bool = False) -> np.ndarray:
         a = self.alive_punched if punched else self.alive
         return a.reshape(-1)
@@ -386,75 +338,80 @@ def _resource_report(spec: WaferSpec, cell: UnitCellSpec) -> dict:
     }
 
 
+def _derive_stub_maps(cell: UnitCellSpec, comp: list[int]):
+    """(stub -> formation pair, stub -> parity of its qubit) from wiring.
+
+    Valid for the default wiring family: each formation fuses an end photon
+    of a computational source onto the middle photon of a stub source.
+    `comp` lists the primal and the dual slot, so a slot's index is its parity.
+    """
+    if cell.photons_per_source != 3:
+        raise SpecError("bond-level mode requires 3-photon sources")
+    partner = {}
+    for pair in cell.formation_pairs:
+        a, b = pair
+        partner[a], partner[b] = (b, pair), (a, pair)
+    formation, parity = {}, {}
+    for ls, rs, _off in cell.bond_pairs:
+        for s in (ls, rs):
+            middle = 3 * (s // 3) + 1
+            if middle not in partner:
+                raise SpecError(
+                    "bond-level mode: stub source middle is not fused by a"
+                    " formation pair"
+                )
+            end, formation[s] = partner[middle]
+            qubit = 3 * (end // 3) + 1
+            if qubit not in comp:
+                raise SpecError(
+                    "bond-level mode: formation does not attach the stub to"
+                    " a computational qubit"
+                )
+            parity[s] = comp.index(qubit)
+    return formation, parity
+
+
 def _build_bond_level(spec, cell, draws) -> BuiltLattice:
     lost, kept, success = draws
-    usable, _damaged = _slot_masks(cell, lost, kept)
-    primal, dual = _comp_pair(cell)
-    stub_formation, stub_comp = _derive_stub_maps(cell)
+    usable, damaged = _slot_masks(cell, lost, kept)
+    comp = list(_comp_pair(cell))
+    formation, parity = _derive_stub_maps(cell, comp)
+    nx, ny, nz = spec.nx, spec.ny, spec.nz
 
-    # Raw survival of a computational qubit: not lost, passed the filter.
-    # (Frame damage from adjacent losses only matters for the punched view.)
-    comp_alive = {
-        primal: ~lost[..., primal] & kept[..., primal],
-        dual: ~lost[..., dual] & kept[..., dual],
+    # Per-qubit arrays are indexed by parity in their last axis.  Raw
+    # survival: not lost, passed the filter.  (Frame damage from adjacent
+    # losses only matters for the punched view.)
+    alive = ~lost[..., comp] & kept[..., comp]
+    # A stub is attached to its qubit iff the stub photon and both photons of
+    # its formation are usable and the qubit itself survived raw.
+    attached = {
+        s: usable[..., s] & usable[..., a] & usable[..., b] & alive[..., parity[s]]
+        for s, (a, b) in formation.items()
     }
-    formation_ok = {
-        i: usable[..., a] & usable[..., b]
-        for i, (a, b) in enumerate(cell.formation_pairs)
-    }
-    # Stub is attached to its computational qubit iff its photon is usable,
-    # its formation succeeded, and the qubit itself survived raw.
-    attached = {}
-    present = {}
-    for s, fi in stub_formation.items():
-        present[s] = usable[..., s]
-        attached[s] = (
-            present[s] & formation_ok[fi] & comp_alive[stub_comp[s]]
-        )
 
-    edges = []
     # Damage from ballistic loss heralds: a surviving attached stub whose
     # fusion partner never arrived is dropped as lost, wounding its qubit.
-    herald_damage = {primal: np.zeros(usable.shape[:3], dtype=bool),
-                     dual: np.zeros(usable.shape[:3], dtype=bool)}
-    ones = np.ones(usable.shape[:3], dtype=bool)
+    herald_damage = np.zeros_like(alive)
+    cell_id = 2 * np.arange(spec.cells).reshape(nx, ny, nz)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
-        in_range = _shift_ok(ones, off)
-        p_remote = _shift_ok(present[rs], off)
         a_remote = _shift_ok(attached[rs], off)
-        both = present[ls] & p_remote & in_range
-        bond = both & success[..., bi] & attached[ls] & a_remote
-        # local stub present, partner missing -> local loss herald
-        lh_local = in_range & present[ls] & ~p_remote & attached[ls]
-        herald_damage[stub_comp[ls]] |= lh_local
-        # remote stub present, local missing -> remote loss herald
-        lh_remote = in_range & ~present[ls] & p_remote & a_remote
-        herald_damage[stub_comp[rs]] |= _shift_ok(lh_remote, [-d for d in off])
-        edges.append((bond, ls, rs, off))
+        # local stub attached, partner missing -> local loss herald
+        herald_damage[..., parity[ls]] |= attached[ls] & _shift_ok(~usable[..., rs], off)
+        # remote stub attached, local missing -> remote loss herald
+        herald_damage[..., parity[rs]] |= _shift_ok(
+            a_remote & ~usable[..., ls], [-d for d in off]
+        )
+        local = cell_id[success[..., bi] & attached[ls] & a_remote]
+        ox, oy, oz = off
+        remote = local + 2 * ((ox * ny + oy) * nz + oz)
+        edges.append(np.stack([local + parity[ls], remote + parity[rs]], axis=1))
 
-    # Raw node survival and punched survival.
-    chain_damage = {}
-    for slot in (primal, dual):
-        src = slot // cell.photons_per_source
-        ends = (3 * src, 3 * src + 2)
-        dmg = np.zeros(usable.shape[:3], dtype=bool)
-        for e in ends:
-            dmg |= lost[..., e]
-        chain_damage[slot] = dmg
-    alive = np.stack([comp_alive[primal], comp_alive[dual]], axis=-1)
-    alive_punched = np.stack(
-        [
-            comp_alive[primal]
-            & ~chain_damage[primal]
-            & ~herald_damage[primal],
-            comp_alive[dual] & ~chain_damage[dual] & ~herald_damage[dual],
-        ],
-        axis=-1,
-    )
-
+    # Punched survival also needs both chain neighbours of the qubit and no
+    # loss herald on its stubs.
     lattice = CompLattice(
-        spec.nx, spec.ny, spec.nz, alive, alive_punched,
-        _edges_to_flat(spec, cell, edges, stub_comp),
+        nx, ny, nz, alive, alive & ~damaged[..., comp] & ~herald_damage,
+        np.concatenate(edges, axis=0),
     )
     return BuiltLattice(
         register=None,
@@ -462,29 +419,6 @@ def _build_bond_level(spec, cell, draws) -> BuiltLattice:
         resource_report=_resource_report(spec, cell),
         comp=lattice,
     )
-
-
-def _edges_to_flat(spec, cell, edges, stub_comp) -> np.ndarray:
-    nx, ny, nz = spec.nx, spec.ny, spec.nz
-    xs, ys, zs = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    flat = ((xs * ny + ys) * nz + zs) * 2
-    out = []
-    primal, _dual = _comp_pair(cell)
-    for bond, ls, rs, off in edges:
-        par_l = PRIMAL if stub_comp[ls] == primal else DUAL
-        par_r = PRIMAL if stub_comp[rs] == primal else DUAL
-        sel = np.nonzero(bond)
-        a = flat[sel] + par_l
-        bx = xs[sel] + off[0]
-        by = ys[sel] + off[1]
-        bz = zs[sel] + off[2]
-        b = ((bx * ny + by) * nz + bz) * 2 + par_r
-        out.append(np.stack([a, b], axis=1))
-    if not out:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(out, axis=0)
 
 
 def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:

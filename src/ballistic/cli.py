@@ -154,6 +154,17 @@ def _loss_sweep_specs(params: dict) -> list[WaferSpec]:
     ]
 
 
+def _check_loss_sweep(params: dict) -> None:
+    # each loss_values entry replaces photon_loss, so any other value of it
+    # would be ignored
+    if params["photon_loss"] != _WAFER_DEFAULTS["photon_loss"]:
+        raise SpecError(
+            "loss-sweep takes its losses from loss_values; photon_loss must "
+            f"stay {_WAFER_DEFAULTS['photon_loss']!r}, got {params['photon_loss']!r}"
+        )
+    _loss_sweep_specs(params)
+
+
 def loss_sweep_trial(params: dict, rng) -> dict:
     metrics = {}
     for i, spec in enumerate(_loss_sweep_specs(params)):
@@ -178,6 +189,13 @@ def threshold_scan_trial(params: dict, rng) -> dict:
         f"cross_{i}": float(family(float(p), rng))
         for i, p in enumerate(params["p_values"])
     }
+
+
+def _check_threshold_scan(params: dict) -> None:
+    bad = [p for p in params["p_values"] if not 0 <= p <= 1]
+    if bad:
+        raise SpecError(f"threshold-scan p_values must lie in [0, 1], got {bad!r}")
+    square_lattice_family(params["n"])
 
 
 def _threshold_scan_figure(means: dict, params: dict):
@@ -227,7 +245,7 @@ SCENARIOS = {
             _WAFER_DEFAULTS,
             loss_values=[0.005, 0.01, 0.02, 0.04, 0.06, 0.08],
         ),
-        "check": _loss_sweep_specs,
+        "check": _check_loss_sweep,
         "figures": {"loss-sweep": _loss_sweep_figure},
     },
     "threshold-scan": {
@@ -236,7 +254,7 @@ SCENARIOS = {
             "n": 64,
             "p_values": [0.40, 0.44, 0.48, 0.50, 0.52, 0.56, 0.60],
         },
-        "check": lambda params: square_lattice_family(params["n"]),
+        "check": _check_threshold_scan,
         "figures": {"threshold-scan": _threshold_scan_figure},
     },
 }
@@ -278,6 +296,10 @@ def _check_type(name: str, value, default) -> None:
 def validate_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise SpecError("config root must be an object")
+    valid = ["version", "scenario", "params", *_RUN_DEFAULTS]
+    bad = sorted(set(raw) - set(valid))
+    if bad:
+        raise SpecError(f"unknown top-level config keys {bad}; valid: {valid}")
     if raw.get("version") != CONFIG_VERSION:
         raise SpecError(
             f"unsupported config version {raw.get('version')!r} "
@@ -542,7 +564,14 @@ def _cmd_verify(args) -> int:
 
     criteria = None
     if args.criteria:
-        criteria = {int(x) for x in args.criteria.split(",")}
+        valid = {num for num, _name, _fn in acceptance.CHECKS}
+        parts = [x.strip() for x in args.criteria.split(",")]
+        if not all(x.isdecimal() and int(x) in valid for x in parts):
+            raise SpecError(
+                f"--criteria takes comma-separated numbers from {min(valid)} to "
+                f"{max(valid)}, got {args.criteria!r}"
+            )
+        criteria = {int(x) for x in parts}
     results = acceptance.run_all(criteria)
     worst = 0
     for res in results:

@@ -8,6 +8,8 @@ no update rules with it.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from . import clifford as cl
@@ -60,34 +62,45 @@ def _build_local_conj_table():
 def _build_cz_conj_table():
     """table[(xa,za,xb,zb)] = (d, xa', za', xb', zb') under CZ conjugation."""
     czm = np.diag([1, 1, 1, -1]).astype(complex)
+
+    def pauli_pair(xa, za, xb, zb):
+        return np.kron(_local_op(xa, za), _local_op(xb, zb))
+
     table = {}
-    for xa in (0, 1):
-        for za in (0, 1):
-            for xb in (0, 1):
-                for zb in (0, 1):
-                    m = czm @ np.kron(_local_op(xa, za), _local_op(xb, zb)) @ czm
-                    for d in range(4):
-                        done = False
-                        for xa2 in (0, 1):
-                            for za2 in (0, 1):
-                                for xb2 in (0, 1):
-                                    for zb2 in (0, 1):
-                                        t = (1j**d) * np.kron(
-                                            _local_op(xa2, za2), _local_op(xb2, zb2)
-                                        )
-                                        if np.allclose(m, t, atol=1e-9):
-                                            table[(xa, za, xb, zb)] = (d, xa2, za2, xb2, zb2)
-                                            done = True
-                                            break
-                                    if done:
-                                        break
-                                if done:
-                                    break
-                        if done:
-                            break
-                    else:  # pragma: no cover
-                        raise AssertionError("CZ conjugation left the Pauli group")
+    for key in product((0, 1), repeat=4):
+        m = czm @ pauli_pair(*key) @ czm
+        table[key] = next(
+            (d, *bits)
+            for d in range(4)
+            for bits in product((0, 1), repeat=4)
+            if np.allclose(m, (1j**d) * pauli_pair(*bits), atol=1e-9)
+        )
     return table
+
+
+def _reduce(rows: list, qubits: list | range) -> list:
+    """Phase-tracked GF(2) row reduction of a copy of `rows`.
+
+    The columns are the x parts of `qubits`, then their z parts, so
+    `qubits` is walked twice and must be a list or a range, not an iterator.
+    Afterwards each pivot column is set in its pivot row only, and is that
+    row's first set column.
+    """
+    work = [list(row) for row in rows]
+    n = len(work)
+    r = 0
+    for sel in (1, 2):  # the x part of a row, then its z part
+        for j in qubits:
+            bit = 1 << j
+            piv = next((i for i in range(r, n) if work[i][sel] & bit), None)
+            if piv is None:
+                continue
+            work[r], work[piv] = work[piv], work[r]
+            for i in range(n):
+                if i != r and work[i][sel] & bit:
+                    work[i][:] = _row_mul(*work[r], *work[i])
+            r += 1
+    return work
 
 
 _LOCAL_CONJ = _build_local_conj_table()
@@ -100,8 +113,6 @@ _BASIS_IDX = {"X": 1, "Y": 2, "Z": 3}
 
 def from_graph_register(g) -> "DenseStabilizerState":
     """Dense state of a GraphRegister's alive vertices (sorted-id order)."""
-    from . import clifford as _cl
-
     alive = sorted(g.alive_vertices())
     idx = {v: i for i, v in enumerate(alive)}
     d = DenseStabilizerState(len(alive))
@@ -110,10 +121,10 @@ def from_graph_register(g) -> "DenseStabilizerState":
     for v in alive:
         f = g.get_frame(v)
         if f:
-            d.apply_clifford(idx[v], _cl.PAULI_IDX[f])
+            d.apply_clifford(idx[v], cl.PAULI_IDX[f])
     for v in alive:
         c = g.get_vop(v)
-        if c != _cl.ID:
+        if c != cl.ID:
             d.apply_clifford(idx[v], c)
     return d
 
@@ -197,29 +208,16 @@ class DenseStabilizerState:
         return outcome
 
     def _deterministic_sign(self, rp: int, px: int, pz: int) -> int:
-        n = self.n
-        # Gaussian elimination over GF(2) on (x|z) with phase tracking.
-        work = [list(row) for row in self.rows]
-        acc = [0, 0, 0]  # accumulated product of selected rows
-        target_x, target_z = px, pz
-        cols = [("x", j) for j in range(n)] + [("z", j) for j in range(n)]
-        r = 0
-        for kind, j in cols:
-            bit = 1 << j
-            sel = 1 if kind == "x" else 2
-            piv = next((i for i in range(r, n) if work[i][sel] & bit), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(n):
-                if i != r and work[i][sel] & bit:
-                    work[i][:] = _row_mul(*work[r], *work[i])
-            if (target_x if kind == "x" else target_z) & bit:
-                acc[:] = _row_mul(*acc, *work[r])
-                target_x ^= work[r][1]
-                target_z ^= work[r][2]
-            r += 1
-        if target_x or target_z:  # pragma: no cover - caller guarantees membership
+        # +/-P is the product of the reduced rows whose pivot column is set
+        # in P; the rows commute, so their order leaves the sign alone.  A
+        # row's pivot is its first set column: its lowest x bit, else its
+        # lowest z bit.
+        acc = [0, 0, 0]
+        for row in _reduce(self.rows, range(self.n)):
+            x, z = row[1], row[2]
+            if (px & x & -x) if x else (pz & z & -z):
+                acc = _row_mul(*acc, *row)
+        if (acc[1], acc[2]) != (px, pz):  # pragma: no cover - caller guarantees membership
             raise AssertionError("operator not in stabilizer group despite commuting")
         diff = (acc[0] - rp) & 3
         assert diff in (0, 2)
@@ -229,22 +227,7 @@ class DenseStabilizerState:
 
     def canonical_rows(self) -> tuple:
         """Phase-tracked RREF of the generator matrix; equal iff same group."""
-        n = self.n
-        work = [list(row) for row in self.rows]
-        r = 0
-        for kind in ("x", "z"):
-            sel = 1 if kind == "x" else 2
-            for j in range(n):
-                bit = 1 << j
-                piv = next((i for i in range(r, n) if work[i][sel] & bit), None)
-                if piv is None:
-                    continue
-                work[r], work[piv] = work[piv], work[r]
-                for i in range(n):
-                    if i != r and work[i][sel] & bit:
-                        work[i][:] = _row_mul(*work[r], *work[i])
-                r += 1
-        return tuple(sorted((row[0], row[1], row[2]) for row in work))
+        return tuple(sorted(tuple(row) for row in _reduce(self.rows, range(self.n))))
 
     def subsystem_canonical(self, keep) -> tuple:
         """Canonical stabilizer rows of the subsystem on `keep` qubits.
@@ -253,36 +236,24 @@ class DenseStabilizerState:
         been projectively measured); raises otherwise.
         """
         keep = sorted(keep)
-        n = self.n
-        drop = [q for q in range(n) if q not in keep]
-        work = [list(r) for r in self.rows]
-        r = 0
-        for sel in (1, 2):
-            for j in drop:
-                bit = 1 << j
-                piv = next((i for i in range(r, n) if work[i][sel] & bit), None)
-                if piv is None:
-                    continue
-                work[r], work[piv] = work[piv], work[r]
-                for i in range(n):
-                    if i != r and work[i][sel] & bit:
-                        work[i][:] = _row_mul(*work[r], *work[i])
-                r += 1
+        drop = [q for q in range(self.n) if q not in keep]
         dropmask = sum(1 << j for j in drop)
+        work = _reduce(self.rows, drop)
         sub = [row for row in work if not ((row[1] | row[2]) & dropmask)]
         if len(sub) < len(keep):
             raise ValueError("kept qubits are not in a pure state")
-        pos = {q: i for i, q in enumerate(keep)}
+        # renumber the kept qubits 0, 1, ...
+        new_bit = {1 << q: 1 << i for i, q in enumerate(keep)}
         out = DenseStabilizerState(max(len(keep), 1))
         out.rows = []
-        for row in sub[: len(keep)]:
+        for r, x, z in sub[: len(keep)]:
             x2 = z2 = 0
-            for q in keep:
-                if row[1] & (1 << q):
-                    x2 |= 1 << pos[q]
-                if row[2] & (1 << q):
-                    z2 |= 1 << pos[q]
-            out.rows.append([row[0], x2, z2])
+            for old_bit, bit in new_bit.items():
+                if x & old_bit:
+                    x2 |= bit
+                if z & old_bit:
+                    z2 |= bit
+            out.rows.append([r, x2, z2])
         return out.canonical_rows()
 
     def single_qubit_stabilizer(self, q: int) -> tuple[int, int]:
@@ -292,34 +263,13 @@ class DenseStabilizerState:
         raises otherwise.
         """
         self._check(q)
-        n = self.n
-        work = [list(row) for row in self.rows]
         qbit = 1 << q
         # Eliminate on every column except q's two.
-        r = 0
-        for kind in ("x", "z"):
-            sel = 1 if kind == "x" else 2
-            for j in range(n):
-                if j == q:
-                    continue
-                bit = 1 << j
-                piv = next((i for i in range(r, n) if work[i][sel] & bit), None)
-                if piv is None:
-                    continue
-                work[r], work[piv] = work[piv], work[r]
-                for i in range(n):
-                    if i != r and work[i][sel] & bit:
-                        work[i][:] = _row_mul(*work[r], *work[i])
-                r += 1
-        for row in work:
-            others_x = row[1] & ~qbit
-            others_z = row[2] & ~qbit
-            if not others_x and not others_z and (row[1] | row[2]) & qbit:
-                xb = 1 if row[1] & qbit else 0
-                zb = 1 if row[2] & qbit else 0
-                p = {(1, 0): 1, (1, 1): 2, (0, 1): 3}[(xb, zb)]
-                rp = _PAULI_RXZ[p][0]
-                diff = (row[0] - rp) & 3
+        others = [j for j in range(self.n) if j != q]
+        for r, x, z in _reduce(self.rows, others):
+            if not (x | z) & ~qbit and (x | z) & qbit:
+                p = {(1, 0): 1, (1, 1): 2, (0, 1): 3}[(x >> q & 1, z >> q & 1)]
+                diff = (r - _PAULI_RXZ[p][0]) & 3
                 assert diff in (0, 2)
                 return (1 if diff == 0 else -1), p
         raise ValueError("qubit is entangled with the rest; no local stabilizer")

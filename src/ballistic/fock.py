@@ -47,19 +47,6 @@ class FockState:
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def tensor(self, other: "FockState") -> "FockState":
-        amps = {}
-        for o1, a1 in self.amplitudes.items():
-            for o2, a2 in other.amplitudes.items():
-                amps[o1 + o2] = amps.get(o1 + o2, 0) + a1 * a2
-        return FockState(self.mode_count + other.mode_count, amps)
-
-    def prune(self, tol: float = 1e-12) -> "FockState":
-        return FockState(
-            self.mode_count,
-            {o: a for o, a in self.amplitudes.items() if abs(a) > tol},
-        )
-
 
 class Interferometer:
     """Mode unitary composed from beamsplitter / phase-shifter elements."""
@@ -103,20 +90,6 @@ class Interferometer:
         if other.mode_count != self.mode_count:
             raise ShapeError("mode counts differ")
         return Interferometer(self.mode_count, other.unitary @ self.unitary)
-
-    @classmethod
-    def from_elements(cls, mode_count: int, elements) -> "Interferometer":
-        """Element grammar: ["bs", m1, m2, theta, phi] | ["ps", m, phi]."""
-        itf = cls(mode_count)
-        for el in elements:
-            kind = el[0]
-            if kind == "bs":
-                itf.beamsplitter(int(el[1]), int(el[2]), float(el[3]), float(el[4]))
-            elif kind == "ps":
-                itf.phase_shifter(int(el[1]), float(el[2]))
-            else:
-                raise ShapeError(f"unknown element kind {kind!r}")
-        return itf
 
 
 def apply_interferometer(state: FockState, itf: Interferometer) -> FockState:

@@ -126,9 +126,6 @@ class GraphRegister:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._adj.get(v, ())))
 
-    def neighbor_set(self, v: int) -> set[int]:
-        return self._adj.get(v, set())
-
     def degree(self, v: int) -> int:
         return len(self._adj.get(v, ()))
 

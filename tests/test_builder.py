@@ -1,5 +1,10 @@
 """Unit-cell wiring and wafer assembly."""
 
+import hashlib
+import itertools
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,7 @@ from ballistic.percolation import crossing_exists
 from ballistic.rng import trial_rng
 
 BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_default_cell_validates():
@@ -123,17 +129,81 @@ MIRRORED_CELL = UnitCellSpec(
 )
 
 
+# Every axis takes 1, 2 and 3 cells; (1, 1, 1) has no in-range bond at all.
+GRID_SHAPES = ((1, 1, 1), (1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 2, 2), (3, 3, 3))
+
+
+def spec_grid():
+    """(cell, spec) over both cells, the grid shapes, loss 0/0.05/0.3, filter
+    off/on (fidelity 0.8) and success_prob 0/0.75/1: 216 specs."""
+    for cell, shape, loss, filt, sp in itertools.product(
+        (UnitCellSpec(), MIRRORED_CELL),
+        GRID_SHAPES,
+        (0.0, 0.05, 0.3),
+        (False, True),
+        (0.0, 0.75, 1.0),
+    ):
+        yield cell, WaferSpec(
+            *shape,
+            fusion_params=FusionParams("BoostedTypeII", success_prob=sp),
+            photon_loss=loss,
+            filter_fidelity=0.8,
+            filter_enabled=filt,
+        )
+
+
 def test_build_modes_agree():
-    cases = [(UnitCellSpec(), 0.02, 1)] + [(MIRRORED_CELL, 0.05, t) for t in range(10)]
-    for cell, loss, trial in cases:
-        spec = WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=loss)
+    cases = [(UnitCellSpec(), WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.02), 1)]
+    cases += [
+        (MIRRORED_CELL, WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.05), t)
+        for t in range(10)
+    ]
+    cases += [(cell, spec, 100 + i) for i, (cell, spec) in enumerate(spec_grid())]
+    for cell, spec, trial in cases:
         graph = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=True)
         bond = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=False)
-        assert (graph.comp.alive == bond.comp.alive).all()
-        assert (graph.comp.alive_punched == bond.comp.alive_punched).all()
+        assert (graph.comp.alive == bond.comp.alive).all(), (cell, spec, trial)
+        assert (graph.comp.alive_punched == bond.comp.alive_punched).all(), (cell, spec, trial)
         ge = {tuple(sorted(e)) for e in graph.comp.edges.tolist()}
         be = {tuple(sorted(e)) for e in bond.comp.edges.tolist()}
-        assert ge == be
+        assert ge == be, (cell, spec, trial)
+
+
+def bond_build_digest(builds) -> str:
+    """sha256 over dtype, shape and bytes of alive, alive_punched and edges."""
+    h = hashlib.sha256()
+    for lat in builds:
+        for arr in (lat.comp.alive, lat.comp.alive_punched, lat.comp.edges):
+            h.update(f"{arr.dtype}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def bond_golden_digests(golden) -> dict:
+    seed = golden["seed"]
+    grid = (
+        build_wafer(spec, cell, rng=trial_rng(seed, i), graph_level=False)
+        for i, (cell, spec) in enumerate(spec_grid())
+    )
+    large = golden["large"]
+    spec = WaferSpec(
+        *large["lattice"],
+        fusion_params=FusionParams(**large["fusion"]),
+        photon_loss=large["photon_loss"],
+    )
+    return {
+        "grid_sha256": bond_build_digest(grid),
+        "large_sha256": bond_build_digest(
+            [build_wafer(spec, rng=trial_rng(seed, 0), graph_level=False)]
+        ),
+    }
+
+
+def test_bond_build_golden():
+    """Bond-level builds are byte-stable: edge order and dtype included."""
+    golden = json.loads((GOLDEN / "bond_builds.json").read_text())
+    got = bond_golden_digests(golden)
+    assert got == {k: golden[k] for k in ("grid_sha256", "large_sha256")}
 
 
 def test_wafer_spanning_probabilistic():

@@ -115,6 +115,10 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         ("crazy-teleport", {"params": {"column_size": 0}}),
         ("crazy-teleport", {"params": {"batch": 0}}),
         ("threshold-scan", {"params": {"n": 1}}),
+        ("wafer-span", {"trails": 5}),
+        ("loss-sweep", {"params": {"photon_loss": 0.5}}),
+        ("threshold-scan", {"params": {"p_values": [0.5, 1.5]}}),
+        ("threshold-scan", {"params": {"p_values": [-0.1]}}),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
@@ -227,3 +231,10 @@ def test_cli_verify_single_fast_criterion(capsys):
     assert main(["verify", "--criteria", "13"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] 13" in out
+
+
+@pytest.mark.parametrize("criteria", ["abc", "99", "0", "1,99", "3,", "-1"])
+def test_cli_verify_rejects_unknown_criteria(capsys, criteria):
+    assert main(["verify", "--criteria", criteria]) == 2
+    err = capsys.readouterr().err
+    assert "from 1 to 17" in err
