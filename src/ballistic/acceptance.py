@@ -26,6 +26,7 @@ from .fusion import FusionParams
 from .graphstate import GraphRegister
 from .losstol import (
     CrazyGraphSpec,
+    exact_flip_prob,
     simulate_teleport,
     teleport_success_prob,
     verify_ring_block_equivalence,
@@ -164,10 +165,12 @@ def check_crazy_graph_law(trials: int = 100_000) -> tuple[bool, str]:
 def check_majority_vote(trials: int = 1_000_000) -> tuple[bool, str]:
     spec = CrazyGraphSpec(1, 7, z_flip=0.1)
     rep = simulate_teleport(spec, trial_rng(1007, 0), trials)
-    exact = 0.002728
+    exact = exact_flip_prob(7, 0.0, 0.1)
     sigma = math.sqrt(exact * (1 - exact) / trials)
-    ok = abs(rep.flip_rate - exact) < 3 * sigma
-    return ok, f"flip rate {rep.flip_rate:.6f} vs binomial tail {exact}"
+    # the analytic oracle must also give the stated tail
+    ok = abs(exact - 0.002728) < 1e-6
+    ok = ok and abs(rep.flip_rate - exact) < 3 * sigma
+    return ok, f"flip rate {rep.flip_rate:.6f} vs binomial tail {exact:.6f}"
 
 
 def check_bond_threshold() -> tuple[bool, str]:

@@ -87,6 +87,10 @@ class UnitCellSpec:
         comp = set(self.computational_slots)
         if not comp or any(not 0 <= s < n for s in comp):
             raise SpecError("computational slots out of range")
+        if sorted(self.computational_slots.values()) != ["dual", "primal"]:
+            raise SpecError(
+                "computational slots must be one 'primal' and one 'dual'"
+            )
         used: list[int] = []
         for a, b in self.formation_pairs:
             used += [a, b]

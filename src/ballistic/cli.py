@@ -9,7 +9,8 @@ Config files are versioned JSON.  Each trial draws its randomness from a
 counter-based generator keyed by (seed, trial index), so outputs are
 byte-identical regardless of the parallelism degree.  Wall-clock timing
 goes to a separate metadata file that is excluded from that guarantee.
-Exit codes: 0 success, 2 configuration error, 3 numeric/convergence error.
+Exit codes: 0 success, 1 failed acceptance check (verify), 2 configuration
+error, 3 numeric/convergence error, 4 any other package error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 import numpy as np
 
 from .builder import WaferSpec, build_wafer
-from .errors import ConvergenceError, SpecError
+from .errors import BallisticError, ConvergenceError, SpecError
 from .fusion import FusionParams
 from .losstol import CrazyGraphSpec, simulate_teleport, teleport_success_prob
 from .multiplex import standard_mux_prob, yield_curve
@@ -618,6 +619,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
+    except BallisticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -220,26 +220,74 @@ def _csr_adjacency(comp: CompLattice, punched: bool):
     return indptr.tolist(), indices.tolist(), alive
 
 
-def _reach_score(indptr, indices, layer, start, z_lo, z_hi, used):
-    """Highest layer reachable from `start` inside [z_lo, z_hi]."""
-    best = layer[start]
-    seen = {start}
-    stack = [start]
+def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
+    """Highest layer reachable from `hop[-1]` inside [z_lo, z_hi], capped at
+    z_hi, and a witness path when the cap is reached.
+
+    The search never enters `used` or the hop chain `hop` (the BFS path from
+    the wire's head to the candidate, which is its last node).  Its result
+    is the top layer of the start's component in what remains, capped at
+    z_hi: a capped maximum, so neither the order of exploration nor which
+    reachable nodes are stacked first can change it.  Two shortcuts rest on
+    that.  Neighbours in a higher layer are pushed last, so they pop first.
+    And `lead`, a lattice path that begins next to the start (the previous
+    step's witness after this candidate), is stacked before the search up
+    to its first node that is already seen, used or outside the window:
+    each stacked node is joined to the start by the lead itself, so it is
+    reachable from the start and the result stays exact.
+
+    Returns (score, witness).  The witness runs from the start to a node of
+    layer z_hi, or is empty when the search ran dry below z_hi.
+    """
+    prev = hop[-1]
+    best = layer[prev]
+    if best >= z_hi:
+        return best, [prev]
+    parent = dict.fromkeys(hop)
+    stack = [prev]
+    for w in lead:
+        zw = layer[w]
+        if w in parent or w in used or not z_lo <= zw <= z_hi:
+            break
+        parent[w] = prev
+        if zw >= z_hi:
+            return zw, _chain(parent, w)
+        if zw > best:
+            best = zw
+        stack.append(w)
+        prev = w
     while stack:
         u = stack.pop()
+        zu = layer[u]
+        up = []
         for w in indices[indptr[u]:indptr[u + 1]]:
-            if w in seen or w in used:
+            if w in parent or w in used:
                 continue
             zw = layer[w]
             if not z_lo <= zw <= z_hi:
                 continue
-            if zw > best:
-                best = zw
-                if best >= z_hi:
-                    return best
-            seen.add(w)
-            stack.append(w)
-    return best
+            parent[w] = u
+            # best >= zu, so only a higher neighbour can raise it
+            if zw > zu:
+                if zw >= z_hi:
+                    return zw, _chain(parent, w)
+                if zw > best:
+                    best = zw
+                up.append(w)
+            else:
+                stack.append(w)
+        stack += up
+    return best, []
+
+
+def _chain(parent, node):
+    """The parent chain ending at `node`, root first."""
+    out = []
+    while node is not None:
+        out.append(node)
+        node = parent[node]
+    out.reverse()
+    return out
 
 
 def find_paths_windowed(
@@ -258,6 +306,11 @@ def find_paths_windowed(
     Every search visits a node's neighbours in ascending id order, which
     fixes both that tie-break and the BFS parent of each node.  Wires are
     vertex-disjoint.  A wire that spans all nz layers "sustains" nz - 1.
+
+    A score that reaches the window's top comes with a witness path; the
+    next step seeds the score of any candidate on the winner's witness with
+    the rest of it, so that search starts near the old top (see
+    `_reach_score` for why the scores stay exact).
     """
     if window < 1:
         raise SpecError("window must be >= 1")
@@ -273,14 +326,15 @@ def find_paths_windowed(
     for _wire in range(wires):
         start = None
         start_score = -1
+        witness = []
         for v in layer0:
             if v in used:
                 continue
-            score = _reach_score(
-                indptr, indices, layer, v, 0, min(window, nz - 1), used
+            score, wit = _reach_score(
+                indptr, indices, layer, [v], 0, min(window, nz - 1), used, ()
             )
             if score > start_score:
-                start, start_score = v, score
+                start, start_score, witness = v, score, wit
                 if score >= min(window, nz - 1):
                     break
         if start is None:
@@ -294,6 +348,7 @@ def find_paths_windowed(
         while z < nz - 1:
             z_hi = min(z + window, nz - 1)
             z_lo = max(0, z - window)
+            on_witness = dict(zip(witness, range(len(witness))))
             # BFS inside the window for nodes of layer z+1, keeping parents
             # so the committed hop extends the path explicitly.
             parents = {cur: None}
@@ -321,30 +376,24 @@ def find_paths_windowed(
                     # Score with the would-be hop chain excluded, so the
                     # reach cannot double back through vertices the commit
                     # is about to consume.
-                    hop_used = set(used)
-                    node = v
-                    while node is not None:
-                        hop_used.add(node)
-                        node = parents[node]
-                    score = _reach_score(
-                        indptr, indices, layer, v, z_lo, z_hi, hop_used
+                    i = on_witness.get(v)
+                    score, wit = _reach_score(
+                        indptr, indices, layer, _chain(parents, v),
+                        z_lo, z_hi, used,
+                        () if i is None else witness[i + 1:],
                     )
                     if score > best_score:
-                        best, best_score = v, score
+                        best, best_score, best_witness = v, score, wit
                         if score >= z_hi:
                             break
                 frontier = nxt
             if best is None:
                 break
-            hop = []
-            node = best
-            while node is not None and node != cur:
-                hop.append(node)
-                node = parents[node]
-            for v in reversed(hop):
-                path.append(v)
-                used.add(v)
+            hop = _chain(parents, best)[1:]
+            path += hop
+            used.update(hop)
             cur = best
+            witness = best_witness
             z += 1
         state.paths.append(path)
         state.sustained.append(z)

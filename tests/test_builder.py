@@ -54,6 +54,24 @@ def test_cell_wiring_validation_errors():
         UnitCellSpec(bond_pairs=bad_bonds).validate()
 
 
+@pytest.mark.parametrize(
+    "slots",
+    [
+        {1: "primal", 4: "primal"},
+        {1: "dual", 4: "dual"},
+        {1: "primal", 4: "bogus"},
+    ],
+)
+def test_computational_slots_need_one_primal_one_dual(slots):
+    cell = UnitCellSpec(computational_slots=slots)
+    with pytest.raises(SpecError, match="one 'primal' and one 'dual'"):
+        cell.validate()
+    cfg = UnitCellSpec().to_config()
+    cfg["computational_slots"] = {str(k): v for k, v in slots.items()}
+    with pytest.raises(SpecError, match="one 'primal' and one 'dual'"):
+        load_cell_config(json.dumps(cfg))
+
+
 def test_cell_config_round_trip():
     cell = UnitCellSpec()
     text = __import__("json").dumps(cell.to_config())

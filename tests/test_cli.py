@@ -9,6 +9,7 @@ import pytest
 
 from ballistic.cli import (
     CONFIG_VERSION,
+    SCENARIOS,
     config_hash,
     emit_figure_data,
     main,
@@ -16,7 +17,7 @@ from ballistic.cli import (
     run_experiment,
     validate_config,
 )
-from ballistic.errors import SpecError
+from ballistic.errors import CapacityError, SpecError
 
 FIGURE_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "figures.json").read_text()
@@ -128,6 +129,23 @@ def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
 def test_bad_run_flag_exit_2_before_output(tmp_path):
     assert run_exit_and_output(tmp_path, "wafer-span", {}, "--trials", "0") == (2, False)
     assert run_exit_and_output(tmp_path, "wafer-span", {}, "--threads", "0") == (2, False)
+
+
+def test_other_package_error_exits_4_without_traceback(
+    tmp_path, monkeypatch, capsys
+):
+    def trial(params, rng):
+        raise CapacityError("lattice too large")
+
+    monkeypatch.setitem(SCENARIOS["wafer-span"], "trial", trial)
+    code, _out_exists = run_exit_and_output(
+        tmp_path, "wafer-span", {"threads": 1}
+    )
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: CapacityError: lattice too large\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "results.jsonl").exists()
 
 
 def test_config_hash_ignores_execution_details():

@@ -13,6 +13,7 @@ from ballistic.fusion import FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import (
     _csr_adjacency,
+    _reach_score,
     crossing_exists,
     estimate_threshold,
     find_paths_windowed,
@@ -223,3 +224,242 @@ def test_csr_adjacency_matches_edge_list():
             assert got == _edge_list_neighbours(comp, punched), (i, punched)
             if i in edgeless:
                 assert not any(got)
+
+
+def oracle_reach_score(indptr, indices, layer, start, z_lo, z_hi, used):
+    """Reference reach score: a plain DFS in ascending neighbour order."""
+    best = layer[start]
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in indices[indptr[u]:indptr[u + 1]]:
+            if w in seen or w in used:
+                continue
+            zw = layer[w]
+            if not z_lo <= zw <= z_hi:
+                continue
+            if zw > best:
+                best = zw
+                if best >= z_hi:
+                    return best
+            seen.add(w)
+            stack.append(w)
+    return best
+
+
+def oracle_find_paths_windowed(lattice, window, wires=1, punched=False):
+    """Reference router: every candidate is scored from scratch, with `used`
+    plus its hop chain copied into one excluded set."""
+    comp = lattice.comp if hasattr(lattice, "comp") else lattice
+    indptr, indices, alive = _csr_adjacency(comp, punched)
+    nz = comp.nz
+    layer_arr = (np.arange(comp.node_count) // 2) % nz
+    layer = layer_arr.tolist()
+    used = set()
+    paths, sustained = [], []
+    layer0 = np.flatnonzero(alive & (layer_arr == 0)).tolist()
+    for _wire in range(wires):
+        start, start_score = None, -1
+        for v in layer0:
+            if v in used:
+                continue
+            score = oracle_reach_score(
+                indptr, indices, layer, v, 0, min(window, nz - 1), used
+            )
+            if score > start_score:
+                start, start_score = v, score
+                if score >= min(window, nz - 1):
+                    break
+        if start is None:
+            paths.append([])
+            sustained.append(0)
+            continue
+        path = [start]
+        used.add(start)
+        cur, z = start, 0
+        while z < nz - 1:
+            z_hi = min(z + window, nz - 1)
+            z_lo = max(0, z - window)
+            parents = {cur: None}
+            frontier = [cur]
+            best, best_score = None, -1
+            while frontier and best_score < z_hi:
+                nxt, new_candidates = [], []
+                for u in frontier:
+                    for w in indices[indptr[u]:indptr[u + 1]]:
+                        if w in parents or w in used:
+                            continue
+                        zw = layer[w]
+                        if not z_lo <= zw <= z_hi:
+                            continue
+                        parents[w] = u
+                        nxt.append(w)
+                        if zw == z + 1:
+                            new_candidates.append(w)
+                for v in sorted(new_candidates):
+                    hop_used = set(used)
+                    node = v
+                    while node is not None:
+                        hop_used.add(node)
+                        node = parents[node]
+                    score = oracle_reach_score(
+                        indptr, indices, layer, v, z_lo, z_hi, hop_used
+                    )
+                    if score > best_score:
+                        best, best_score = v, score
+                        if score >= z_hi:
+                            break
+                frontier = nxt
+            if best is None:
+                break
+            hop = []
+            node = best
+            while node is not None and node != cur:
+                hop.append(node)
+                node = parents[node]
+            for v in reversed(hop):
+                path.append(v)
+                used.add(v)
+            cur = best
+            z += 1
+        paths.append(path)
+        sustained.append(z)
+    return paths, sustained
+
+
+def random_layered_lattice(rng):
+    """A sparse random graph on a 2-10 x 1 x 6-60 lattice's node ids.
+
+    Edges join nodes at most one layer apart, as lattice bonds do, or in
+    some graphs two, with no cell structure, so dead ends, detours and
+    wires that die are common.  Each node has 1-6 edges on average, and
+    about a tenth of the nodes are dead in the punched view.
+    """
+    nx, nz = int(rng.integers(2, 11)), int(rng.integers(6, 61))
+    n = nx * nz * 2
+    reach = int(rng.choice([1, 1, 2]))
+    a = rng.integers(n, size=int(n * rng.uniform(0.5, 3)))
+    zb = (a // 2) % nz + rng.integers(-reach, reach + 1, size=len(a))
+    cell = rng.integers(nx, size=len(a))
+    b = 2 * (cell * nz + zb) + rng.integers(2, size=len(a))
+    keep = (0 <= zb) & (zb < nz) & (a != b)
+    a, b = a[keep], b[keep]
+    key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    edges = np.stack([key // n, key % n], 1)
+    alive = np.ones((nx, 1, nz, 2), dtype=bool)
+    punched = rng.random(alive.shape) > 0.1
+    return CompLattice(nx, 1, nz, alive, punched, edges)
+
+
+def random_wafer(
+    rng, i, cells=(1, 4), layers=(2, 60), loss=(0.0, 0.15),
+    success=(0.5, 0.75, 1.0),
+):
+    """A bond-level wafer with cells per x/y, nz, loss and fusion success
+    probability drawn from the given ranges and choices."""
+    nx, ny = (int(d) for d in rng.integers(cells[0], cells[1] + 1, size=2))
+    spec = WaferSpec(
+        nx, ny, int(rng.integers(layers[0], layers[1] + 1)),
+        fusion_params=FusionParams(
+            "BoostedTypeII", success_prob=float(rng.choice(success))
+        ),
+        photon_loss=float(rng.uniform(*loss)),
+    )
+    return build_wafer(spec, rng=trial_rng(61, i), graph_level=False)
+
+
+def test_router_matches_old_router():
+    """Upward-first scores with witness reuse route exactly as before.
+
+    Small wafers and random layered graphs cover edge shapes; the large
+    lossy wafers, with narrow windows and three wires, are where a
+    witness runs back through the next hop chain or below the next
+    window, so they are what tells a lead that is stacked unchecked.
+    """
+    rng = np.random.default_rng(2007)
+    cases = [
+        (random_wafer(rng, i), int(rng.integers(1, 13)),
+         int(rng.integers(1, 4)), bool(rng.integers(2)))
+        for i in range(300)
+    ]
+    cases += [
+        (random_layered_lattice(rng), int(rng.integers(1, 11)), 3,
+         bool(rng.integers(2)))
+        for _ in range(600)
+    ]
+    cases += [
+        (random_wafer(rng, i, (6, 12), (100, 200), (0.02, 0.06), [0.75]),
+         int(rng.integers(3, 8)), 3, True)
+        for i in range(300, 340)
+    ]
+    cases += [
+        (chain_lattice(nz, broken), window, 2, False)
+        for nz, broken in [(1, None), (2, None), (2, 0), (7, None), (7, 0),
+                           (7, 5)]
+        for window in (1, 3, 9)
+    ]
+    for i, (lat, window, wires, punched) in enumerate(cases):
+        state = find_paths_windowed(
+            lat, window=window, wires=wires, punched=punched
+        )
+        want = oracle_find_paths_windowed(lat, window, wires, punched)
+        # repr also tells a numpy integer from a Python int
+        assert repr((state.paths, state.sustained)) == repr(want), i
+
+
+def _random_path(rng, indptr, indices, start, steps):
+    """A self-avoiding random walk from `start`, without `start` itself."""
+    path, u = [], start
+    for _ in range(steps):
+        ns = [w for w in indices[indptr[u]:indptr[u + 1]]
+              if w != start and w not in path]
+        if not ns:
+            break
+        u = ns[int(rng.integers(len(ns)))]
+        path.append(u)
+    return path
+
+
+def test_reach_score_matches_old_on_any_lead():
+    """Scores equal the plain DFS's whatever lead is stacked, and a witness
+    is a path from the start to layer z_hi through allowed nodes only.
+
+    Each lead is a random path from the start that may enter used or hop
+    nodes or leave the window, so the lead's validation is what keeps the
+    score exact.
+    """
+    rng = np.random.default_rng(2015)
+    cases = 0
+    for _ in range(300):
+        comp = random_layered_lattice(rng)
+        indptr, indices, alive = _csr_adjacency(comp, False)
+        layer = ((np.arange(comp.node_count) // 2) % comp.nz).tolist()
+        nodes = rng.permutation(comp.node_count).tolist()
+        for _ in range(5):
+            start = nodes.pop()
+            hop = nodes[:int(rng.integers(0, 4))] + [start]
+            used = set(rng.choice(nodes, size=len(nodes) // 8).tolist())
+            z_lo = int(rng.integers(0, layer[start] + 1))
+            z_hi = int(rng.integers(layer[start], comp.nz))
+            lead = _random_path(
+                rng, indptr, indices, start, int(rng.integers(0, 16))
+            )
+            score, witness = _reach_score(
+                indptr, indices, layer, hop, z_lo, z_hi, used, lead
+            )
+            want = oracle_reach_score(
+                indptr, indices, layer, start, z_lo, z_hi, used | set(hop)
+            )
+            assert score == want
+            if score < z_hi:
+                assert witness == []
+                continue
+            cases += 1
+            assert witness[0] == start and layer[witness[-1]] == z_hi
+            assert len(set(witness)) == len(witness)
+            for u, w in zip(witness, witness[1:]):
+                assert w in indices[indptr[u]:indptr[u + 1]]
+                assert w not in used and w not in hop
+                assert z_lo <= layer[w] <= z_hi
+    assert cases >= 300
