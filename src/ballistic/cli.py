@@ -353,8 +353,10 @@ def _worker(args):
 
 
 def run_experiment(cfg: dict) -> dict:
-    """Execute all trials and write results; returns output paths."""
-    os.makedirs(cfg["out"], exist_ok=True)
+    """Execute all trials and write results; returns output paths.
+
+    The output directory is created only once every trial has returned, so a
+    run that fails leaves no directory behind."""
     h = config_hash(cfg)
     t0 = time.perf_counter()
     jobs = [(cfg["scenario"], cfg["params"], cfg["seed"], t) for t in range(cfg["trials"])]
@@ -366,6 +368,7 @@ def run_experiment(cfg: dict) -> dict:
     results.sort(key=lambda r: r[0])
     wall = time.perf_counter() - t0
 
+    os.makedirs(cfg["out"], exist_ok=True)
     jsonl_path = os.path.join(cfg["out"], "results.jsonl")
     with open(jsonl_path, "w") as f:
         header = {

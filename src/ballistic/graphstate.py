@@ -38,6 +38,17 @@ Z_DIAG = cl.Z_DIAGONAL
 _CZ_TABLES: tuple[dict, dict] | None = None
 
 
+def _phase_keys(ops: np.ndarray) -> list[bytes]:
+    """One hashable key per operator in an (n, 4, d) stack, equal for any two
+    operators that differ by a unit phase: divide each by the phase of its
+    first entry with |.| > 1e-9, round real and imaginary parts at 1e-6."""
+    flat = ops.reshape(len(ops), -1)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
+    flat = flat * (np.abs(lead) / lead)[:, None]
+    ints = np.rint(np.stack([flat.real, flat.imag], axis=-1) * 1e6).astype(np.int64)
+    return [row.tobytes() for row in ints]
+
+
 def _build_cz_tables():
     """CZ update tables for the irreducible case.
 
@@ -53,6 +64,13 @@ def _build_cz_tables():
     |+> x C^2 when only a is pinned (table "a"), C^2 x |+> when only b is
     pinned (table "b"), and the single vector |+>|+> when both vops are
     non-diagonal (both vertices then isolated as a pair).
+
+    The 1152 candidates k = (e', va', vb') are indexed, per subspace w, by
+    `_phase_keys` of their restricted operator m2[k] w, keeping the lowest k
+    per key; each target CZ m1 w is then looked up under its own key (a
+    missing key raises KeyError).  This equals a scan for the lowest k with
+    m2[k]^dag CZ m1 w = lam w: m2[k] is unitary, so that holds exactly when
+    CZ m1 w = lam m2[k] w, and both sides then have the same key.
     """
     czm = np.diag([1.0, 1, 1, -1]).astype(complex)
     s2 = 1 / np.sqrt(2)
@@ -70,21 +88,22 @@ def _build_cz_tables():
                 triples.append((e, va, vb))
                 mats.append(m @ czm if e else m)
     m2 = np.stack(mats)  # (1152, 4, 4)
-    m2h = m2.conj().transpose(0, 2, 1)
 
-    def solve(m1, w):
-        c = (m2h @ (czm @ m1)) @ w
-        lam = np.einsum("i,ni->n", w[:, 0].conj(), c[:, :, 0])
-        resid = np.abs(c - lam[:, None, None] * w).max(axis=(1, 2))
-        k = int(np.argmax(resid < 1e-8))
-        assert resid[k] < 1e-8
-        return triples[k]
+    def solver(w):
+        """k -> solution triple for input m1 = m2[k] on subspace w."""
+        restricted = m2 @ w
+        lowest: dict[bytes, int] = {}
+        for k, key in enumerate(_phase_keys(restricted)):
+            lowest.setdefault(key, k)
+        targets = _phase_keys(czm @ restricted)
+        return lambda k: triples[lowest[targets[k]]]
 
+    on_a, on_b, on_pair = solver(wa), solver(wb_), solver(plus2)
     table_a, table_b = {}, {}
-    for triple, m1 in zip(triples, mats):
+    for k, triple in enumerate(triples):
         _, va, vb = triple
-        table_a[triple] = solve(m1, wa if vb in Z_DIAG else plus2)
-        table_b[triple] = solve(m1, wb_ if va in Z_DIAG else plus2)
+        table_a[triple] = (on_a if vb in Z_DIAG else on_pair)(k)
+        table_b[triple] = (on_b if va in Z_DIAG else on_pair)(k)
     return table_a, table_b
 
 

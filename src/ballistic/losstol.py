@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.stats import binom
 
 from .dense import from_graph_register
 from .errors import CapacityError, GadgetRejectedError, SpecError
@@ -125,11 +124,12 @@ def exact_flip_prob(L: int, loss: float, z_flip: float) -> float:
     total = 0.0
     for s in range(1, L + 1):
         p_s = math.comb(L, s) * (1 - loss) ** s * loss ** (L - s)
-        flip = 1.0 - binom.cdf(s // 2, s, z_flip)
+        pmf = [math.comb(s, j) * z_flip**j * (1 - z_flip) ** (s - j) for j in range(s + 1)]
+        flip = sum(pmf[s // 2 + 1 :])
         if s % 2 == 0:
-            flip += 0.5 * binom.pmf(s // 2, s, z_flip)
+            flip += 0.5 * pmf[s // 2]
         total += p_s * flip
-    return total / norm
+    return float(total / norm)
 
 
 # -- spliceable gadgets -----------------------------------------------------

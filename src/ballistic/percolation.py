@@ -293,7 +293,6 @@ def _chain(parent, node):
 def find_paths_windowed(
     lattice,
     window: int,
-    rng=None,
     wires: int = 1,
     punched: bool = False,
 ) -> PathfindingState:

@@ -138,14 +138,14 @@ def test_other_package_error_exits_4_without_traceback(
         raise CapacityError("lattice too large")
 
     monkeypatch.setitem(SCENARIOS["wafer-span"], "trial", trial)
-    code, _out_exists = run_exit_and_output(
+    code, out_exists = run_exit_and_output(
         tmp_path, "wafer-span", {"threads": 1}
     )
     err = capsys.readouterr().err
     assert code == 4
     assert err == "error: CapacityError: lattice too large\n"
     assert "Traceback" not in err
-    assert not (tmp_path / "out" / "results.jsonl").exists()
+    assert not out_exists
 
 
 def test_config_hash_ignores_execution_details():

@@ -1,5 +1,9 @@
 """Graph-state engine: unit behavior plus dense-oracle agreement."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,11 @@ from ballistic import clifford as cl
 from ballistic.acceptance import fuzz_case
 from ballistic.dense import DenseStabilizerState, from_graph_register
 from ballistic.errors import CapacityError, VertexStateError
-from ballistic.graphstate import GraphRegister, lc_equivalent, load_edges
+from ballistic.graphstate import GraphRegister, _build_cz_tables, lc_equivalent, load_edges
+
+CZ_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cz_tables.json").read_text()
+)
 
 
 def rng():
@@ -186,3 +194,14 @@ def test_pauli_frame_tracked_after_measurement():
 def test_clifford_group_tables():
     assert cl.ID == 0 or isinstance(cl.ID, int)
     assert len(set(cl.PAULI_IDX)) == 4
+
+
+def cz_table_digest(table: dict) -> str:
+    rows = [[list(k), list(v)] for k, v in sorted(table.items())]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_cz_tables_golden():
+    tables = _build_cz_tables()
+    assert [len(t) for t in tables] == CZ_GOLDEN["entries"]
+    assert [cz_table_digest(t) for t in tables] == CZ_GOLDEN["sha256"]

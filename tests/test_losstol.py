@@ -1,10 +1,14 @@
 """Loss-tolerant encoded wires and spliceable gadgets."""
 
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ballistic
 from ballistic.errors import CapacityError, GadgetRejectedError, SpecError
 from ballistic.graphstate import lc_equivalent
 from ballistic.losstol import (
@@ -73,6 +77,44 @@ def test_exact_flip_prob_lossless_is_binomial_tail():
     )
     assert exact_flip_prob(7, 0.0, 0.1) == pytest.approx(tail)
     assert tail == pytest.approx(0.002728, abs=1e-6)
+
+
+def scipy_flip_prob(L: int, loss: float, z_flip: float) -> float:
+    """`exact_flip_prob` with its binomial terms from scipy.stats."""
+    from scipy.stats import binom
+
+    norm = 1.0 - loss**L
+    if norm == 0.0:
+        return 0.0
+    total = 0.0
+    for s in range(1, L + 1):
+        p_s = math.comb(L, s) * (1 - loss) ** s * loss ** (L - s)
+        flip = binom.sf(s // 2, s, z_flip)
+        if s % 2 == 0:
+            flip += 0.5 * binom.pmf(s // 2, s, z_flip)
+        total += p_s * flip
+    return total / norm
+
+
+@pytest.mark.parametrize("L", range(1, 16))
+def test_exact_flip_prob_matches_scipy_binom(L):
+    for loss in (0.0, 0.2, 0.5, 0.9, 1.0):
+        for z_flip in (0.0, 0.1, 0.5, 0.9):
+            got = exact_flip_prob(L, loss, z_flip)
+            assert type(got) is float
+            assert got == pytest.approx(scipy_flip_prob(L, loss, z_flip), rel=1e-12, abs=0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, ballistic; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=pathlib.Path(ballistic.__file__).parents[1],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_even_columns_produce_ties():
