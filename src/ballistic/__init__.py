@@ -22,7 +22,7 @@ from .errors import (
     SpecError,
     VertexStateError,
 )
-from .graphstate import GraphRegister, lc_equivalent, load_edges
+from .graphstate import GraphRegister, lc_equivalent
 from .dense import DenseStabilizerState, from_graph_register
 from .fock import (
     FockState,
@@ -31,14 +31,12 @@ from .fock import (
     detection_probability,
     type2_fusion_success_probability,
 )
-from .fusion import FusionOutcome, FusionParams, expected_bond_probability, fuse
+from .fusion import FusionOutcome, FusionParams, fuse
 from .builder import (
     BuiltLattice,
     UnitCellSpec,
     WaferSpec,
-    apply_plus_filter,
     build_wafer,
-    db_to_probability,
     optical_depth_report,
 )
 from .percolation import (
@@ -47,7 +45,6 @@ from .percolation import (
     estimate_threshold,
     find_paths_windowed,
     largest_component_fraction,
-    punch_out,
     square_lattice_family,
     sustained_layers,
 )
@@ -56,7 +53,6 @@ from .multiplex import (
     DtpParams,
     MatchedPair,
     PhotonStream,
-    SwitchModel,
     delivered_pairs,
     dtp_success_prob,
     extinction_to_z_error,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import UnitCellSpec, WaferSpec, build_wafer
+from .builder import WaferSpec, build_wafer
 from .dense import DenseStabilizerState, from_graph_register
 from .fock import (
     FockState,

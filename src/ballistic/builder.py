@@ -16,12 +16,11 @@ Two build modes share one stream of random draws:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, VertexStateError
+from .errors import SpecError
 from .fusion import FAILURE, SUCCESS, FusionParams, fuse
 from .graphstate import GraphRegister
 
@@ -112,57 +111,6 @@ class UnitCellSpec:
         if 2 * self.intra_fusions + self.boundary_fusions != n - len(comp):
             raise SpecError("intra/boundary fusion counts inconsistent")
 
-    # -- config round-trip -------------------------------------------------
-
-    def to_config(self) -> dict:
-        return {
-            "schema": "cellspec v1",
-            "sources_per_cell": self.sources_per_cell,
-            "photons_per_source": self.photons_per_source,
-            "computational_slots": {
-                str(k): v for k, v in self.computational_slots.items()
-            },
-            "formation_pairs": [list(p) for p in self.formation_pairs],
-            "bond_pairs": [
-                [ls, rs, list(off)] for ls, rs, off in self.bond_pairs
-            ],
-            "crossing_slots": list(self.crossing_slots),
-            "ghz_source_success_prob": self.ghz_source_success_prob,
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "UnitCellSpec":
-        if cfg.get("schema") != "cellspec v1":
-            raise SpecError(
-                f"unsupported cell schema {cfg.get('schema')!r}"
-            )
-        try:
-            spec = cls(
-                sources_per_cell=int(cfg["sources_per_cell"]),
-                photons_per_source=int(cfg["photons_per_source"]),
-                computational_slots={
-                    int(k): str(v)
-                    for k, v in cfg["computational_slots"].items()
-                },
-                formation_pairs=tuple(
-                    (int(a), int(b)) for a, b in cfg["formation_pairs"]
-                ),
-                bond_pairs=tuple(
-                    (int(ls), int(rs), tuple(int(x) for x in off))
-                    for ls, rs, off in cfg["bond_pairs"]
-                ),
-                crossing_slots=tuple(
-                    int(s) for s in cfg.get("crossing_slots", ())
-                ),
-                ghz_source_success_prob=float(
-                    cfg.get("ghz_source_success_prob", 1.0 / 32.0)
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed cell config: {exc}") from exc
-        spec.validate()
-        return spec
-
 
 @dataclass(frozen=True)
 class WaferSpec:
@@ -232,16 +180,6 @@ def make_ghz3(reg: GraphRegister) -> tuple[int, int, int]:
     reg.apply_cz(a, b)
     reg.apply_cz(b, c)
     return a, b, c
-
-
-def apply_plus_filter(reg: GraphRegister, vertex: int, fidelity: float, rng) -> bool:
-    """Filter an imperfect qubit: keep (ideal thereafter) or Z-measure out."""
-    if not reg.is_alive(vertex):
-        raise VertexStateError(f"vertex {vertex} is dead")
-    if rng.random() < fidelity:
-        return True
-    reg.measure_pauli(vertex, "Z", rng)
-    return False
 
 
 # -- shared draw sampling ---------------------------------------------------
@@ -572,24 +510,3 @@ def optical_depth_report(cell: UnitCellSpec) -> dict:
         "max": max(depths),
         "mean": sum(depths) / len(depths),
     }
-
-
-def db_to_probability(db: float) -> float:
-    """Attenuation in dB (<= 0) to transmission probability."""
-    if db > 0:
-        raise SpecError("attenuation must be expressed as dB <= 0")
-    return 10.0 ** (db / 10.0)
-
-
-def probability_to_db(p: float) -> float:
-    if not 0.0 < p <= 1.0:
-        raise SpecError("transmission probability must be in (0, 1]")
-    return 10.0 * np.log10(p)
-
-
-def load_cell_config(text: str) -> UnitCellSpec:
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"cell config is not valid JSON: {exc}") from exc
-    return UnitCellSpec.from_config(cfg)

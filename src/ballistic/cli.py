@@ -19,7 +19,6 @@ import argparse
 import concurrent.futures
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -264,6 +263,9 @@ SCENARIOS = {
 # -- config handling ---------------------------------------------------------
 
 _RUN_DEFAULTS = {"seed": 0, "trials": 100, "threads": 1, "out": "results"}
+# A pool forks all its workers at once, so the worker count is capped; a
+# constant, not a reading of this machine, so a valid config is valid anywhere.
+MAX_THREADS = 256
 
 
 def load_config(path: str):
@@ -327,8 +329,10 @@ def validate_config(raw: dict) -> dict:
     cfg["params"] = dict(entry["defaults"], **user_params)
     if cfg["trials"] < 1:
         raise SpecError("trials must be >= 1")
-    if cfg["threads"] < 1:
-        raise SpecError("threads must be >= 1")
+    if not 1 <= cfg["threads"] <= MAX_THREADS:
+        raise SpecError(f"threads must be in [1, {MAX_THREADS}], got {cfg['threads']}")
+    if not 0 <= cfg["seed"] < 2**64:
+        raise SpecError(f"seed must be in [0, 2**64), got {cfg['seed']}")
     entry["check"](cfg["params"])
     return cfg
 
@@ -413,17 +417,26 @@ def _write_summary(fileobj, metric_rows: list[dict]) -> None:
 def read_results(path: str) -> tuple[dict, list[dict]]:
     try:
         with open(path) as f:
-            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+            lines = f.read().splitlines()
     except OSError as exc:
         raise SpecError(f"cannot read results {path}: {exc}") from exc
-    if not lines:
+    parsed = []
+    for number, ln in enumerate(lines, 1):
+        if not ln.strip():
+            continue
+        try:
+            parsed.append(json.loads(ln))
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"results file {path} line {number} is not JSON: {exc}") from exc
+    if not parsed:
         raise SpecError(f"results file {path} is empty")
-    header = json.loads(lines[0])
-    if "config" not in header:
+    header, records = parsed[0], parsed[1:]
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
         raise SpecError(f"results file {path} has no config header")
-    records = [json.loads(ln) for ln in lines[1:]]
     if not records:
         raise SpecError(f"results file {path} contains no trial records")
+    if not all(isinstance(r, dict) and isinstance(r.get("metrics"), dict) for r in records):
+        raise SpecError(f"results file {path} has a trial record without metrics")
     return header, records
 
 
@@ -431,7 +444,8 @@ def read_results(path: str) -> tuple[dict, list[dict]]:
 
 
 def _metric_means(records: list[dict]) -> dict:
-    keys = records[0]["metrics"].keys()
+    """Mean of each metric that every record holds."""
+    keys = set.intersection(*(set(r["metrics"]) for r in records))
     return {
         k: float(np.mean([r["metrics"][k] for r in records])) for k in keys
     }
@@ -486,7 +500,14 @@ def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
             f"no figure {figure_id!r} for {config.get('scenario')!r} results; "
             f"valid: {sorted(figures)}"
         )
-    cols, rows = figures[figure_id](_metric_means(records), config["params"])
+    means = _metric_means(records)
+    try:
+        cols, rows = figures[figure_id](means, config["params"])
+    except KeyError as exc:
+        raise SpecError(
+            f"results file {results_path} has no {exc.args[0]!r}, "
+            f"which figure {figure_id!r} needs"
+        ) from exc
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{figure_id}.csv")
     with open(csv_path, "w") as f:

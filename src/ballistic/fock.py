@@ -86,11 +86,6 @@ class Interferometer:
         self.unitary = e @ self.unitary
         return self
 
-    def then(self, other: "Interferometer") -> "Interferometer":
-        if other.mode_count != self.mode_count:
-            raise ShapeError("mode counts differ")
-        return Interferometer(self.mode_count, other.unitary @ self.unitary)
-
 
 def apply_interferometer(state: FockState, itf: Interferometer) -> FockState:
     """Transform creation operators a_i^dag -> sum_j U_ji a_j^dag."""

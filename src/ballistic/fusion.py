@@ -10,7 +10,7 @@ parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import SpecError
@@ -113,8 +113,3 @@ def fuse(
         if u != v and reg.is_alive(u) and reg.is_alive(v):
             reg.toggle_edge(u, v)
     return FusionOutcome(SUCCESS, (a, b), ancillas)
-
-
-def expected_bond_probability(params: FusionParams) -> float:
-    """Per-bond retention probability fed to percolation predictions."""
-    return params.transmission**2 * params.success_prob

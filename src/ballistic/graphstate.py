@@ -17,8 +17,6 @@ vops/frames are sparse maps holding only non-identity entries.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from . import clifford as cl
@@ -144,9 +142,6 @@ class GraphRegister:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._adj.get(v, ())))
-
-    def degree(self, v: int) -> int:
-        return len(self._adj.get(v, ()))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, ())
@@ -412,29 +407,6 @@ class GraphRegister:
             self._frame_unknown.add(b)
         self._kill(a)
         return self
-
-    # -- serialization -----------------------------------------------------
-
-    def export_edges(self, fileobj=None) -> str:
-        """Edge-list text: header `graphstate v1 <n>`, then `u v` (u<v) lines."""
-        out = fileobj or io.StringIO()
-        out.write(f"graphstate v1 {self.vertex_count}\n")
-        for u, v in sorted(self.edges()):
-            out.write(f"{u} {v}\n")
-        return out.getvalue() if fileobj is None else ""
-
-
-def load_edges(text: str) -> GraphRegister:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if head[:2] != ["graphstate", "v1"]:
-        raise ValueError(f"unsupported edge-list header: {lines[0]!r}")
-    g = GraphRegister(int(head[2]))
-    for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        g._add_edge(u, v)
-    return g
-
 
 # -- local-complementation equivalence ------------------------------------
 

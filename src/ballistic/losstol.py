@@ -12,16 +12,14 @@ whose two X measurements produce a complete-bipartite column block.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .dense import from_graph_register
 from .errors import CapacityError, GadgetRejectedError, SpecError
-from .graphstate import GraphRegister, lc_equivalent, load_edges
+from .graphstate import GraphRegister, lc_equivalent
 
 
 # -- encoded wire -----------------------------------------------------------
@@ -149,31 +147,6 @@ class GadgetGraph:
     outputs: tuple[int, ...]
     premeasure: tuple[tuple[int, str], ...] = ()
 
-    def to_text(self) -> str:
-        out = io.StringIO()
-        out.write(self.register.export_edges())
-        for v in self.inputs:
-            out.write(f"# in: {v}\n")
-        for v in self.outputs:
-            out.write(f"# out: {v}\n")
-        for v, basis in self.premeasure:
-            out.write(f"# premeasure: {v} {basis}\n")
-        return out.getvalue()
-
-    @staticmethod
-    def from_text(text: str) -> "GadgetGraph":
-        reg = load_edges(text)
-        ins, outs, pre = [], [], []
-        for ln in text.splitlines():
-            if ln.startswith("# in:"):
-                ins.append(int(ln.split(":")[1]))
-            elif ln.startswith("# out:"):
-                outs.append(int(ln.split(":")[1]))
-            elif ln.startswith("# premeasure:"):
-                v, basis = ln.split(":")[1].split()
-                pre.append((int(v), basis))
-        return GadgetGraph(reg, tuple(ins), tuple(outs), tuple(pre))
-
 
 def build_s_gadget(L: int) -> GadgetGraph:
     """Phase-gate gadget: three columns of width L plus a central Y qubit.
@@ -183,30 +156,13 @@ def build_s_gadget(L: int) -> GadgetGraph:
     column so that teleporting through the piece applies S to the logical
     qubit.  The first/last columns are the splice points.
     """
-    if L < 1:
-        raise SpecError("column width must be >= 1")
-    cols = [list(range(c * L, (c + 1) * L)) for c in range(3)]
-    central = 3 * L
-    g = GraphRegister(3 * L + 1)
-    for c in range(2):
-        for i in cols[c]:
-            for j in cols[c + 1]:
-                g.apply_cz(i, j)
-    for i in cols[1]:
+    g = build_crazy_graph(CrazyGraphSpec(3, L))
+    (central,) = g.add_vertices(1)
+    for i in range(L, 2 * L):
         g.apply_cz(central, i)
     return GadgetGraph(
-        g, tuple(cols[0]), tuple(cols[2]), ((central, "Y"),)
+        g, tuple(range(L)), tuple(range(2 * L, 3 * L)), ((central, "Y"),)
     )
-
-
-def load_s_gadget(L: int) -> GadgetGraph:
-    """Load the shipped phase-gate gadget template for width L."""
-    path = resources.files("ballistic").joinpath(f"data/s_gadget_{L}.txt")
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise SpecError(f"no shipped gadget for width {L}") from exc
-    return GadgetGraph.from_text(text)
 
 
 def prepare_gadget(gadget: GadgetGraph, rng) -> GraphRegister:

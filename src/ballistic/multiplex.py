@@ -9,9 +9,7 @@ worst-case Pauli-Z rate.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -50,20 +48,6 @@ class PhotonStream:
 
 
 @dataclass(frozen=True)
-class SwitchModel:
-    """Per-pass cost figures of a 2x2 optical switch."""
-
-    loss_db_per_pass: float = 0.0
-    extinction_db: float = -50.0
-
-    def __post_init__(self):
-        if self.loss_db_per_pass < 0:
-            raise SpecError("switch loss must be >= 0 dB")
-        if self.extinction_db > 0:
-            raise SpecError("extinction ratio must be <= 0 dB")
-
-
-@dataclass(frozen=True)
 class DelayNetwork:
     """Cascade of switched delay lines of length 1, 2, 4, ..., 2^(S-1).
 
@@ -72,7 +56,6 @@ class DelayNetwork:
     """
 
     stage_count: int
-    switch_model: SwitchModel = field(default_factory=SwitchModel)
 
     def __post_init__(self):
         # routing keeps times and 2 * time + branch keys in int64
@@ -80,22 +63,8 @@ class DelayNetwork:
             raise SpecError("stage count must be in [0, 61]")
 
     @property
-    def stage_delays(self) -> tuple[int, ...]:
-        return tuple(1 << s for s in range(self.stage_count))
-
-    @property
     def max_delay(self) -> int:
         return (1 << self.stage_count) - 1
-
-    @property
-    def switch_passes(self) -> int:
-        """Switches traversed end to end (one per stage plus the output)."""
-        return self.stage_count + 1
-
-    def transmission(self) -> float:
-        """End-to-end intensity transmission through all switch passes."""
-        total_db = self.switch_model.loss_db_per_pass * self.switch_passes
-        return 10.0 ** (-total_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -147,12 +116,6 @@ def standard_mux_prob(p: float, S: int) -> float:
 def standard_mux_pair_yield(p: float, S: int) -> float:
     """Per-input-bin rate of blocks where both streams deliver a photon."""
     return standard_mux_prob(p, S) ** 2 / (1 << S)
-
-
-def dtp_herald_prob(params: DtpParams) -> float:
-    """Probability that at least one crystal heralds an emission."""
-    q, K = params.per_crystal_emission, params.crystal_count
-    return 1.0 - (1.0 - q) ** K
 
 
 def dtp_success_prob(params: DtpParams) -> float:
@@ -401,47 +364,6 @@ def pair_yield(pairs, bin_count: int) -> float:
     return len(pairs) / bin_count
 
 
-# -- stream serialization ---------------------------------------------------
-
-
-def stream_to_rle(stream: PhotonStream) -> str:
-    """Run-length-encoded text form, stable for golden tests."""
-    runs = []
-    occ = stream.occupancy
-    i = 0
-    while i < len(occ):
-        j = i
-        while j < len(occ) and occ[j] == occ[i]:
-            j += 1
-        runs.append(f"{int(occ[i])}x{j - i}")
-        i = j
-    header = (
-        f"photonstream v1 {stream.stream_id} {stream.bin_count} {stream.p!r}"
-    )
-    return header + "\n" + " ".join(runs) + "\n"
-
-
-def stream_from_rle(text: str) -> PhotonStream:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise SpecError("empty stream text")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "photonstream" or head[1] != "v1":
-        raise SpecError(f"bad stream header: {lines[0]!r}")
-    stream_id, bin_count, p = head[2], int(head[3]), float(head[4])
-    occ: list[bool] = []
-    for token in " ".join(lines[1:]).split():
-        val, _, cnt = token.partition("x")
-        if val not in ("0", "1") or not cnt.isdigit():
-            raise SpecError(f"bad run token {token!r}")
-        occ.extend([val == "1"] * int(cnt))
-    if len(occ) != bin_count:
-        raise SpecError(
-            f"run lengths sum to {len(occ)}, header says {bin_count}"
-        )
-    return PhotonStream(tuple(occ), p, stream_id)
-
-
 # -- yield curves -----------------------------------------------------------
 
 
@@ -472,22 +394,3 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
             }
         )
     return rows
-
-
-def yield_curve_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=[
-            "S",
-            "standard_yield",
-            "sliding_yield",
-            "matching_yield",
-            "collisions",
-        ],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()

@@ -1,8 +1,8 @@
 """Connectivity analytics on built lattices.
 
-Crossing/spanning checks, bond-threshold estimation by bisection, punch-out
-loss recovery, and windowed pathfinding of logical wires through the layered
-lattice.
+Crossing/spanning checks on the raw or punched-out lattice, bond-threshold
+estimation by bisection, and windowed pathfinding of logical wires through
+the layered lattice.
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .builder import BuiltLattice, CompLattice
 from .errors import ConvergenceError, SpecError
-from .graphstate import GraphRegister
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-
-
-def standard_error(p_hat: float, trials: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
 
 
 def _comp_of(lattice) -> CompLattice:
@@ -75,25 +70,6 @@ def largest_component_fraction(lattice, punched: bool = False) -> float:
         return 0.0
     counts = np.bincount(labels[labels >= 0])
     return float(counts.max()) / total
-
-
-def punch_out(reg: GraphRegister, lost=None, rng=None) -> GraphRegister:
-    """Excise loss damage: Z-measure every alive neighbor of a lost vertex.
-
-    `lost` defaults to everything in the register's loss log; neighbor sets
-    are the ones recorded at the moment of loss.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if lost is None:
-        targets = [ns for _v, ns in reg.loss_log]
-    else:
-        lost = set(lost)
-        targets = [ns for v, ns in reg.loss_log if v in lost]
-    for ns in targets:
-        for u in ns:
-            if reg.is_alive(u):
-                reg.measure_pauli(u, "Z", rng)
-    return reg
 
 
 # -- threshold estimation ---------------------------------------------------

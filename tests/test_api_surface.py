@@ -1,0 +1,53 @@
+"""Every public module-level function and class in the package is read.
+
+A public name that no module of `ballistic` references (other than its own
+definition and the `__init__` re-export) is API that nothing in the model
+uses: either use it where the model does the same thing inline, or delete
+it with its tests.  Names kept on purpose go in KEEP with a reason.
+"""
+
+import ast
+from pathlib import Path
+
+import ballistic
+
+SRC = Path(ballistic.__file__).parent
+
+KEEP = {
+    # README promises optical-depth reports; the report states the claim
+    # that each photon passes a small, constant number of components.
+    "optical_depth_report",
+}
+
+
+def _names_read(node):
+    """Names read as `name` or `x.name` anywhere below `node`."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_is_read_by_the_package():
+    top_level = [
+        (p.stem, node, _names_read(node))
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+        for node in ast.parse(p.read_text(), filename=str(p)).body
+    ]
+    public = [
+        (module, node)
+        for module, node, _refs in top_level
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    unread = [
+        f"{module}.{node.name}"
+        for module, node in public
+        if node.name not in KEEP
+        and not any(node.name in refs for _m, other, refs in top_level if other is not node)
+    ]
+    stale = KEEP - {node.name for _m, node in public}
+    assert not stale, f"stale KEEP entries: {sorted(stale)}"
+    assert not unread, f"public API that nothing in src/ballistic reads: {unread}"

@@ -11,13 +11,9 @@ import pytest
 from ballistic.builder import (
     UnitCellSpec,
     WaferSpec,
-    apply_plus_filter,
     build_wafer,
-    db_to_probability,
-    load_cell_config,
     make_ghz3,
     optical_depth_report,
-    probability_to_db,
 )
 from ballistic.errors import SpecError
 from ballistic.fusion import FusionParams
@@ -66,17 +62,6 @@ def test_computational_slots_need_one_primal_one_dual(slots):
     cell = UnitCellSpec(computational_slots=slots)
     with pytest.raises(SpecError, match="one 'primal' and one 'dual'"):
         cell.validate()
-    cfg = UnitCellSpec().to_config()
-    cfg["computational_slots"] = {str(k): v for k, v in slots.items()}
-    with pytest.raises(SpecError, match="one 'primal' and one 'dual'"):
-        load_cell_config(json.dumps(cfg))
-
-
-def test_cell_config_round_trip():
-    cell = UnitCellSpec()
-    text = __import__("json").dumps(cell.to_config())
-    back = load_cell_config(text)
-    assert back == cell
 
 
 def test_make_ghz3_is_linear_cluster():
@@ -242,13 +227,17 @@ def test_zero_success_prob_gives_no_bonds():
 
 
 def test_filter_limits():
-    rng = trial_rng(4, 0)
-    g = GraphRegister(2)
-    g.apply_cz(0, 1)
-    assert apply_plus_filter(g, 0, 1.0, rng) is True
-    assert g.is_alive(0)
-    assert apply_plus_filter(g, 1, 0.0, rng) is False
-    assert not g.is_alive(1)
+    # The builders' inline |+> filter keeps every photon at fidelity 1 and
+    # Z-measures every one out at fidelity 0.
+    for fidelity, survives in ((1.0, True), (0.0, False)):
+        spec = WaferSpec(
+            2, 2, 2, fusion_params=BOOSTED,
+            filter_fidelity=fidelity, filter_enabled=True,
+        )
+        for graph_level in (False, True):
+            lat = build_wafer(spec, rng=trial_rng(4, 0), graph_level=graph_level)
+            assert (lat.comp.alive == survives).all()
+            assert survives or len(lat.comp.edges) == 0
 
 
 def test_filter_reduces_alive_fraction():
@@ -269,14 +258,6 @@ def test_optical_depth_report():
         s for s, e in rep["per_slot"].items() if e["phase_shifter"] == 1
     }
     assert shifters == {1, 4}
-
-
-def test_db_conversions():
-    assert db_to_probability(0.0) == pytest.approx(1.0)
-    assert db_to_probability(-10.0) == pytest.approx(0.1)
-    assert probability_to_db(db_to_probability(-0.5)) == pytest.approx(-0.5)
-    with pytest.raises(SpecError):
-        db_to_probability(1.0)
 
 
 def test_invalid_wafer_spec():

@@ -9,6 +9,7 @@ import pytest
 
 from ballistic.cli import (
     CONFIG_VERSION,
+    MAX_THREADS,
     SCENARIOS,
     config_hash,
     emit_figure_data,
@@ -41,6 +42,12 @@ def test_validate_config_fills_defaults():
     assert cfg["params"]["fusion_kind"] == "BoostedTypeII"
     assert cfg["params"]["nx"] == 4
     assert cfg["threads"] == 1
+
+
+def test_validate_config_accepts_range_ends():
+    assert validate_config(good_config(seed=0))["seed"] == 0
+    assert validate_config(good_config(seed=2**64 - 1))["seed"] == 2**64 - 1
+    assert validate_config(good_config(threads=MAX_THREADS))["threads"] == MAX_THREADS
 
 
 def test_validate_config_rejections():
@@ -120,6 +127,10 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         ("loss-sweep", {"params": {"photon_loss": 0.5}}),
         ("threshold-scan", {"params": {"p_values": [0.5, 1.5]}}),
         ("threshold-scan", {"params": {"p_values": [-0.1]}}),
+        # validation fails before any pool exists, so no process starts
+        ("wafer-span", {"threads": 10**6}),
+        ("wafer-span", {"seed": -1}),
+        ("wafer-span", {"seed": 2**64}),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
@@ -218,6 +229,37 @@ def test_read_results_errors(tmp_path):
     headerless.write_text('{"trial": 0}\n')
     with pytest.raises(SpecError):
         read_results(str(headerless))
+    garbled = tmp_path / "garbled.jsonl"
+    garbled.write_text('{"config": {}}\n\n{"metrics": \n')
+    with pytest.raises(SpecError, match=r"garbled\.jsonl line 3 is not JSON"):
+        read_results(str(garbled))
+    metricless = tmp_path / "metricless.jsonl"
+    metricless.write_text('{"config": {}}\n{"trial": 0}\n')
+    with pytest.raises(SpecError, match="without metrics"):
+        read_results(str(metricless))
+
+
+def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys):
+    cfg = validate_config(good_config(
+        scenario="mux-yield", trials=2, out=str(tmp_path),
+        params={"bins": 200, "s_values": [0, 1]},
+    ))
+    results = pathlib.Path(run_experiment(cfg)["results"])
+    header, *records = results.read_text().splitlines()
+    trimmed = []
+    for line in records:
+        rec = json.loads(line)
+        del rec["metrics"]["block_success_S1"]
+        trimmed.append(json.dumps(rec))
+    results.write_text("\n".join([header, *trimmed]) + "\n")
+    assert main(["figure", str(results), "fig4-yields"]) == 0
+    assert main(["figure", str(results), "mux-law"]) == 2
+    err = capsys.readouterr().err
+    assert "'block_success_S1'" in err and "Traceback" not in err
+    results.write_text(header + "\n{not json\n")
+    assert main(["figure", str(results), "mux-law"]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "Traceback" not in err
 
 
 def test_emit_figure_requires_matching_scenario(tmp_path):

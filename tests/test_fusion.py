@@ -9,7 +9,6 @@ from ballistic.fusion import (
     LOSS_HERALD,
     SUCCESS,
     FusionParams,
-    expected_bond_probability,
     fuse,
 )
 from ballistic.graphstate import GraphRegister
@@ -105,10 +104,3 @@ def test_type1_keeps_one_photon():
     assert out.result == SUCCESS
     assert g.is_alive(2) and not g.is_alive(3)
     assert g.has_edge(2, 4)
-
-
-def test_expected_bond_probability():
-    assert expected_bond_probability(FusionParams("BoostedTypeII")) == 0.75
-    assert expected_bond_probability(
-        FusionParams("TypeII", transmission=0.9)
-    ) == pytest.approx(0.81 * 0.5)

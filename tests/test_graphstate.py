@@ -11,7 +11,7 @@ from ballistic import clifford as cl
 from ballistic.acceptance import fuzz_case
 from ballistic.dense import DenseStabilizerState, from_graph_register
 from ballistic.errors import CapacityError, VertexStateError
-from ballistic.graphstate import GraphRegister, _build_cz_tables, lc_equivalent, load_edges
+from ballistic.graphstate import GraphRegister, _build_cz_tables, lc_equivalent
 
 CZ_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "cz_tables.json").read_text()
@@ -95,15 +95,6 @@ def test_forced_outcome_consistency():
     d = from_graph_register(g)
     sign, axis = d.single_qubit_stabilizer(0)
     assert axis == 1 and sign == -1
-
-
-def test_edge_list_round_trip():
-    g = GraphRegister(5)
-    g.apply_cz(0, 4).apply_cz(2, 3).apply_cz(0, 2)
-    text = g.export_edges()
-    assert text.splitlines()[0] == "graphstate v1 5"
-    g2 = load_edges(text)
-    assert sorted(g2.edges()) == sorted(g.edges())
 
 
 def test_lc_equivalent_examples():

@@ -13,13 +13,11 @@ from ballistic.errors import CapacityError, GadgetRejectedError, SpecError
 from ballistic.graphstate import lc_equivalent
 from ballistic.losstol import (
     CrazyGraphSpec,
-    GadgetGraph,
     build_crazy_graph,
     build_ring_block,
     build_s_gadget,
     column_block,
     exact_flip_prob,
-    load_s_gadget,
     prepare_gadget,
     simulate_teleport,
     teleport_success_prob,
@@ -129,23 +127,21 @@ def test_simulate_validation():
         simulate_teleport(CrazyGraphSpec(2, 2), trial_rng(0, 0), 0)
 
 
-def test_s_gadget_structure_and_round_trip():
-    for L in (1, 2, 3):
+def test_s_gadget_structure():
+    for L in (1, 2, 3, 4):
         gadget = build_s_gadget(L)
-        assert len(gadget.inputs) == L and len(gadget.outputs) == L
+        assert gadget.inputs == tuple(range(L))
+        assert gadget.outputs == tuple(range(2 * L, 3 * L))
         assert gadget.premeasure == ((3 * L, "Y"),)
-        back = GadgetGraph.from_text(gadget.to_text())
-        assert back.inputs == gadget.inputs
-        assert back.outputs == gadget.outputs
-        assert back.premeasure == gadget.premeasure
-        assert sorted(back.register.edges()) == sorted(gadget.register.edges())
-
-
-def test_shipped_gadgets_match_builder():
-    for L in (1, 2, 3):
-        assert load_s_gadget(L).to_text() == build_s_gadget(L).to_text()
+        reg = gadget.register
+        assert reg.vertex_count == 3 * L + 1
+        assert all(reg.get_vop(v) == 0 for v in range(3 * L + 1))
+        cols = [range(c * L, (c + 1) * L) for c in range(3)]
+        expected = {(i, j) for c in (0, 1) for i in cols[c] for j in cols[c + 1]}
+        expected |= {(i, 3 * L) for i in cols[1]}
+        assert set(reg.edges()) == expected
     with pytest.raises(SpecError):
-        load_s_gadget(9)
+        build_s_gadget(0)
 
 
 def test_prepare_gadget_consumes_premeasured_vertex():

@@ -18,9 +18,7 @@ from ballistic.percolation import (
     estimate_threshold,
     find_paths_windowed,
     largest_component_fraction,
-    punch_out,
     square_lattice_family,
-    standard_error,
     sustained_layers,
     wilson_interval,
 )
@@ -62,23 +60,14 @@ def test_largest_component_fraction():
 
 
 def test_punch_out_removes_damaged_neighbors():
+    # A loss leaves its neighbours' byproduct frames unknown; the graph-level
+    # builder drops exactly those qubits from the punched view.
     g = GraphRegister(5)
     g.apply_cz(0, 1).apply_cz(0, 2).apply_cz(3, 4)
     g.remove_lost(0)
-    punch_out(g, rng=np.random.default_rng(0))
-    assert not g.is_alive(1) and not g.is_alive(2)
-    assert g.is_alive(3) and g.is_alive(4)
+    assert [g.frame_is_known(v) for v in (1, 2, 3, 4)] == [False, False, True, True]
+    assert g.is_alive(1) and g.is_alive(2)
     assert g.has_edge(3, 4)
-
-
-def test_punch_out_with_explicit_subset():
-    g = GraphRegister(4)
-    g.apply_cz(0, 1).apply_cz(2, 3)
-    g.remove_lost(0)
-    g.remove_lost(2)
-    punch_out(g, lost=[0], rng=np.random.default_rng(0))
-    assert not g.is_alive(1)
-    assert g.is_alive(3)
 
 
 def test_wilson_interval_basics():
@@ -87,11 +76,6 @@ def test_wilson_interval_basics():
     assert lo < 0.5 < hi
     lo, hi = wilson_interval(100, 100)
     assert hi <= 1.0 and lo > 0.8
-
-
-def test_standard_error():
-    assert standard_error(0.5, 100) == pytest.approx(0.05)
-    assert standard_error(0.0, 100) == 0.0
 
 
 def test_square_lattice_threshold_small():
