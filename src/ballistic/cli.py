@@ -87,13 +87,16 @@ def _check_mux_yield(params: dict) -> None:
     bad = [s for s in params["s_values"] if not 0 <= s <= 20]
     if bad:
         raise SpecError(f"mux-yield s_values must lie in [0, 20], got {bad!r}")
+    # one row per S: a repeat would overwrite the earlier S's metrics
+    if len(set(params["s_values"])) < len(params["s_values"]):
+        raise SpecError(f"mux-yield s_values must not repeat, got {params['s_values']!r}")
 
 
 def _fig4_yields(means: dict, params: dict):
     rows = [
         [s, means[f"standard_yield_S{s}"], means[f"sliding_yield_S{s}"],
          means[f"matching_yield_S{s}"]]
-        for s in sorted(set(params["s_values"]))
+        for s in sorted(params["s_values"])
     ]
     return ["S", "standard", "sliding", "matching"], rows
 
@@ -102,7 +105,7 @@ def _mux_law(means: dict, params: dict):
     p = float(params["p"])
     rows = [
         [s, means[f"block_success_S{s}"], standard_mux_prob(p, s)]
-        for s in sorted(set(params["s_values"]))
+        for s in sorted(params["s_values"])
     ]
     return ["S", "mc_block_success", "closed_form"], rows
 

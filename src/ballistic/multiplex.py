@@ -305,6 +305,42 @@ def _greedy_interval_matching(a_bins, b_bins, max_delay):
     return a_bins[ia], b_bins[ib]
 
 
+def _deliverable(pa, pb, stage_count: int):
+    """The pairs of a plan whose delayed photons route collision-free."""
+    order = np.argsort(pa)
+    kept, _ = _route(pa[order], (pb - pa)[order], stage_count, None)
+    keep = np.sort(order[kept])  # in plan order
+    return pa[keep], pb[keep]
+
+
+def _regrow(a_bins, b_bins, max_delay: int, stage_count: int, sliding):
+    """Grow a collision-free pair plan of (delayed, undelayed) bin arrays.
+
+    Start from whichever of `sliding` (the sliding-window plan, already
+    pruned to the pairs that route) or the greedy maximum matching delivers
+    more after collision pruning, then greedily re-match the still-unpaired
+    photons and keep any additions that survive routing.
+    """
+    greedy = _deliverable(
+        *_greedy_interval_matching(a_bins, b_bins, max_delay), stage_count
+    )
+    plan = sliding if len(sliding[0]) > len(greedy[0]) else greedy
+    while True:
+        extra = _greedy_interval_matching(
+            np.setdiff1d(a_bins, plan[0], assume_unique=True),
+            np.setdiff1d(b_bins, plan[1], assume_unique=True),
+            max_delay,
+        )
+        if not len(extra[0]):
+            return plan
+        candidate = _deliverable(
+            np.r_[plan[0], extra[0]], np.r_[plan[1], extra[1]], stage_count
+        )
+        if len(candidate[0]) <= len(plan[0]):
+            return plan
+        plan = candidate
+
+
 def matching_rmux(
     stream_a: PhotonStream,
     stream_b: PhotonStream,
@@ -329,30 +365,9 @@ def matching_rmux(
         network = DelayNetwork(max(max_delay.bit_length(), 0))
     elif max_delay > network.max_delay:
         raise SpecError(f"max_delay exceeds the network's {network.max_delay}")
-
-    def survivors(pa, pb):
-        """The pairs of a plan whose delayed photons route collision-free."""
-        order = np.argsort(pa)
-        kept, _ = _route(pa[order], (pb - pa)[order], network.stage_count, None)
-        keep = np.sort(order[kept])  # in plan order
-        return pa[keep], pb[keep]
-
-    greedy = survivors(*_greedy_interval_matching(a_bins, b_bins, max_delay))
-    sliding = survivors(*_sliding_sweep(a_bins, b_bins, max_delay))
-    plan = sliding if len(sliding[0]) > len(greedy[0]) else greedy
-    while True:
-        extra = _greedy_interval_matching(
-            np.setdiff1d(a_bins, plan[0], assume_unique=True),
-            np.setdiff1d(b_bins, plan[1], assume_unique=True),
-            max_delay,
-        )
-        if not len(extra[0]):
-            break
-        candidate = survivors(np.r_[plan[0], extra[0]], np.r_[plan[1], extra[1]])
-        if len(candidate[0]) <= len(plan[0]):
-            break
-        plan = candidate
-
+    S = network.stage_count
+    sliding = _deliverable(*_sliding_sweep(a_bins, b_bins, max_delay), S)
+    plan = _regrow(a_bins, b_bins, max_delay, S, sliding)
     pa, pb = plan if delayed_stream == 0 else plan[::-1]
     return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
 
@@ -372,23 +387,28 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
 
     One row per S with the closed-form standard yield and Monte Carlo
     delivered sliding-window / matching yields at max delay 2^S - 1, plus
-    the collision events hit while routing the sliding assignment (the
-    matching pair set is collision-free by construction).
+    the number of collision events hit while routing the sliding assignment
+    (the matching pair set is collision-free by construction).  Each row
+    draws streams A then B as `PhotonStream.sample` would, sweeps and routes
+    the sliding plan once, and seeds the matcher's regrow with the sliding
+    pairs that survived routing; it equals composing `sliding_window_match`,
+    `delivered_pairs` and `matching_rmux` on those streams.
     """
     rows = []
     for S in s_values:
-        a = PhotonStream.sample(bin_count, p, rng, "A")
-        b = PhotonStream.sample(bin_count, p, rng, "B")
-        D = (1 << S) - 1
-        network = DelayNetwork(S)
-        sliding = sliding_window_match(a, b, D)
-        sliding_kept, collisions = delivered_pairs(a, sliding, network)
-        matched = matching_rmux(a, b, D, network=network)
+        D = DelayNetwork(S).max_delay
+        a = np.flatnonzero(rng.random(bin_count) < p)
+        b = np.flatnonzero(rng.random(bin_count) < p)
+        pa, pb = _sliding_sweep(a, b, D)
+        collisions = []
+        kept, _times = _route(pa, pb - pa, S, collisions)
+        assert len(pa) == len(kept) + sum(len(m) for _lbl, _t, m in collisions)
+        matched, _ = _regrow(a, b, D, S, (pa[kept], pb[kept]))
         rows.append(
             {
                 "S": S,
                 "standard_yield": standard_mux_pair_yield(p, S),
-                "sliding_yield": pair_yield(sliding_kept, bin_count),
+                "sliding_yield": pair_yield(kept, bin_count),
                 "matching_yield": pair_yield(matched, bin_count),
                 "collisions": len(collisions),
             }

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .builder import BuiltLattice, CompLattice
 from .errors import ConvergenceError, SpecError
@@ -29,6 +27,10 @@ def _comp_of(lattice) -> CompLattice:
 
 
 def _labels(comp: CompLattice, punched: bool):
+    # imported here so that `import ballistic` does not load scipy.sparse
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     alive = comp.alive_flat(punched)
     n = comp.node_count
     e = comp.edges
@@ -142,6 +144,9 @@ def square_lattice_family(n: int):
     """
     if n < 2:
         raise SpecError("degenerate lattice family (need n >= 2 sites)")
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     idx = np.arange(n * n).reshape(n, n)
     h_a = idx[:, :-1].ravel()
     h_b = idx[:, 1:].ravel()

@@ -131,6 +131,7 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         ("wafer-span", {"threads": 10**6}),
         ("wafer-span", {"seed": -1}),
         ("wafer-span", {"seed": 2**64}),
+        ("mux-yield", {"params": {"s_values": [1, 1]}}),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):

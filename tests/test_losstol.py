@@ -104,7 +104,10 @@ def test_exact_flip_prob_matches_scipy_binom(L):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, ballistic; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, ballistic; "
+        "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         cwd=pathlib.Path(ballistic.__file__).parents[1],
@@ -112,7 +115,7 @@ def test_import_leaves_scipy_stats_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"
 
 
 def test_even_columns_produce_ties():

@@ -191,6 +191,39 @@ def test_yield_curve_rows():
         assert r["matching_yield"] >= r["sliding_yield"]
 
 
+def reference_yield_curve(p, s_values, bin_count, rng):
+    """`yield_curve` composed from the public pair-list functions."""
+    rows = []
+    for S in s_values:
+        a = PhotonStream.sample(bin_count, p, rng, "A")
+        b = PhotonStream.sample(bin_count, p, rng, "B")
+        D = (1 << S) - 1
+        network = DelayNetwork(S)
+        sliding = sliding_window_match(a, b, D)
+        sliding_kept, collisions = delivered_pairs(a, sliding, network)
+        matched = matching_rmux(a, b, D, network=network)
+        rows.append(
+            {
+                "S": S,
+                "standard_yield": standard_mux_pair_yield(p, S),
+                "sliding_yield": pair_yield(sliding_kept, bin_count),
+                "matching_yield": pair_yield(matched, bin_count),
+                "collisions": len(collisions),
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.2, 0.5, 1.0])
+@pytest.mark.parametrize("bins", [1, 2, 17, 256, 2000])
+def test_yield_curve_matches_pair_list_pipeline(p, bins):
+    # S runs to 10, so the delay budget exceeds the stream at small bins
+    for seed in range(4):
+        got = yield_curve(p, range(11), bins, trial_rng(41, seed))
+        want = reference_yield_curve(p, range(11), bins, trial_rng(41, seed))
+        assert repr(got) == repr(want)
+
+
 def oracle_route_with_delays(stream, assignments, network):
     """Reference router: one dict of (branch, time) slots per stage.
 
