@@ -47,7 +47,7 @@ CONFIG_VERSION = 1
 
 
 def _wafer_spec(params: dict) -> WaferSpec:
-    return WaferSpec(
+    spec = WaferSpec(
         params["nx"],
         params["ny"],
         params["nz"],
@@ -59,6 +59,8 @@ def _wafer_spec(params: dict) -> WaferSpec:
         filter_fidelity=float(params["filter_fidelity"]),
         filter_enabled=params["filter_enabled"],
     )
+    _check_cap("nx * ny * nz", spec.cells, MAX_WAFER_CELLS)
+    return spec
 
 
 def mux_yield_trial(params: dict, rng) -> dict:
@@ -83,6 +85,7 @@ def _check_mux_yield(params: dict) -> None:
         raise SpecError(f"mux-yield p must lie in [0, 1], got {params['p']!r}")
     if params["bins"] < 1:
         raise SpecError(f"mux-yield bins must be >= 1, got {params['bins']!r}")
+    _check_cap("mux-yield bins", params["bins"], MAX_MUX_BINS)
     # the cap bounds the (blocks, 2^S) draw in mux_yield_trial
     bad = [s for s in params["s_values"] if not 0 <= s <= 20]
     if bad:
@@ -141,6 +144,11 @@ def _check_crazy_teleport(params: dict) -> None:
     if params["batch"] < 1:
         raise SpecError(f"crazy-teleport batch must be >= 1, got {params['batch']!r}")
     _crazy_graph_specs(params)
+    _check_cap(
+        "crazy-teleport batch * columns * column_size",
+        params["batch"] * params["columns"] * params["column_size"],
+        MAX_TELEPORT_DRAWS,
+    )
 
 
 def _crazy_graph_law(means: dict, params: dict):
@@ -198,6 +206,8 @@ def _check_threshold_scan(params: dict) -> None:
     bad = [p for p in params["p_values"] if not 0 <= p <= 1]
     if bad:
         raise SpecError(f"threshold-scan p_values must lie in [0, 1], got {bad!r}")
+    # before the family, which allocates its n * n lattice
+    _check_cap("threshold-scan n", params["n"], MAX_SQUARE_SIDE)
     square_lattice_family(params["n"])
 
 
@@ -269,6 +279,22 @@ _RUN_DEFAULTS = {"seed": 0, "trials": 100, "threads": 1, "out": "results"}
 # A pool forks all its workers at once, so the worker count is capped; a
 # constant, not a reading of this machine, so a valid config is valid anywhere.
 MAX_THREADS = 256
+# Size caps, so that a config whose trial would run out of memory fails
+# validation instead; constants for the same reason.  Peak RSS growth of one
+# trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 250 B per wafer
+# cell in wafer-span and 420 B in loss-sweep (a bond-level build plus
+# crossing checks), 105 B per threshold-scan site, 66 B per mux-yield bin
+# and 127 B per crazy-teleport qubit draw, so each cap holds a trial under
+# ~2 GiB.
+MAX_WAFER_CELLS = 2**22  # nx * ny * nz
+MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites
+MAX_MUX_BINS = 2**24
+MAX_TELEPORT_DRAWS = 2**24  # batch * columns * column_size
+
+
+def _check_cap(what: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise SpecError(f"{what} must be <= {cap}, got {size}")
 
 
 def load_config(path: str):

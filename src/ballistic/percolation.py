@@ -8,6 +8,7 @@ the layered lattice.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,22 +184,34 @@ class PathfindingState:
 
 
 def _csr_adjacency(comp: CompLattice, punched: bool):
-    """Neighbours of the alive subgraph as CSR lists, each slice ascending.
+    """Neighbours of the alive subgraph in CSR form, each slice ascending.
 
     Node u's neighbours are indices[indptr[u]:indptr[u + 1]].  Both come
-    back as Python lists: the searches index them once per visit, where a
-    numpy scalar lookup costs more than a list one.
+    back as `array("q")`: reading an item or slice of one costs about what
+    a list's does, where a numpy scalar lookup costs more, and unlike
+    `tolist()` it builds no int object per entry up front, most of which
+    a search never reads.
     """
     alive = comp.alive_flat(punched)
     n = comp.node_count
     e = np.asarray(comp.edges, dtype=np.int64).reshape(-1, 2)
-    e = e[alive[e[:, 0]] & alive[e[:, 1]]]
+    keep = alive[e[:, 0]] & alive[e[:, 1]]
+    if not keep.all():
+        e = e[keep]
     a, b = e[:, 0], e[:, 1]
     # Sorting the keys source * n + target orders by source, then target.
-    indices = np.sort(np.concatenate([a * n + b, b * n + a])) % n
+    # Each edge gives one key per direction, written into one array.
+    m = len(e)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(a, n, out=keys[:m])
+    keys[:m] += b
+    np.multiply(b, n, out=keys[m:])
+    keys[m:] += a
+    keys.sort()
+    keys %= n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
-    return indptr.tolist(), indices.tolist(), alive
+    return array("q", indptr.tobytes()), array("q", keys.tobytes()), alive
 
 
 def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
@@ -209,13 +222,22 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
     the wire's head to the candidate, which is its last node).  Its result
     is the top layer of the start's component in what remains, capped at
     z_hi: a capped maximum, so neither the order of exploration nor which
-    reachable nodes are stacked first can change it.  Two shortcuts rest on
-    that.  Neighbours in a higher layer are pushed last, so they pop first.
-    And `lead`, a lattice path that begins next to the start (the previous
-    step's witness after this candidate), is stacked before the search up
-    to its first node that is already seen, used or outside the window:
-    each stacked node is joined to the start by the lead itself, so it is
-    reachable from the start and the result stays exact.
+    reachable nodes are queued first can change it.  Two shortcuts rest on
+    that.
+
+    `lead`, a lattice path that begins next to the start (the previous
+    step's witness after this candidate), is stacked before the search,
+    each node's parent being the one before it, so each stacked node is
+    reachable from the start.  When no node of the lead repeats, lies in
+    `used` or the hop chain, or leaves the window, the whole lead is
+    stacked at once; otherwise it is stacked up to its first such node.
+
+    The search then expands the last stacked node (the lead's tip, or the
+    start), which after a lead often has a neighbour in layer z_hi.  If
+    not, it goes best-first: it always expands a queued node of the
+    highest layer, from buckets indexed by layer - z_lo that are built only
+    then.  So it climbs wherever the component climbs, rather than diving
+    down from a blocked tip.
 
     Returns (score, witness).  The witness runs from the start to a node of
     layer z_hi, or is empty when the search ran dry below z_hi.
@@ -226,21 +248,58 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
         return best, [prev]
     parent = dict.fromkeys(hop)
     stack = [prev]
-    for w in lead:
+    if lead:
+        zs = list(map(layer.__getitem__, lead))
+        nodes = set(lead)
+        z_max = max(zs)
+        if (
+            len(nodes) == len(lead)
+            and nodes.isdisjoint(parent)
+            and nodes.isdisjoint(used)
+            and z_lo <= min(zs)
+            and z_max <= z_hi
+        ):
+            if z_max >= z_hi:
+                return z_max, [prev, *lead[:zs.index(z_max) + 1]]
+            parent.update(zip(lead, [prev, *lead]))
+            stack += lead
+            best = max(best, z_max)
+        else:
+            for w in lead:
+                zw = layer[w]
+                if w in parent or w in used or not z_lo <= zw <= z_hi:
+                    break
+                parent[w] = prev
+                if zw >= z_hi:
+                    return zw, _chain(parent, w)
+                if zw > best:
+                    best = zw
+                stack.append(w)
+                prev = w
+    u = stack.pop()
+    for w in indices[indptr[u]:indptr[u + 1]]:
+        if w in parent or w in used:
+            continue
         zw = layer[w]
-        if w in parent or w in used or not z_lo <= zw <= z_hi:
-            break
-        parent[w] = prev
+        if not z_lo <= zw <= z_hi:
+            continue
+        parent[w] = u
         if zw >= z_hi:
             return zw, _chain(parent, w)
         if zw > best:
             best = zw
         stack.append(w)
-        prev = w
-    while stack:
-        u = stack.pop()
-        zu = layer[u]
-        up = []
+    # Every queued node lies below z_hi, and none above best.
+    buckets = [[] for _ in range(z_lo, z_hi)]
+    for w in stack:
+        buckets[layer[w] - z_lo].append(w)
+    top = best - z_lo
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        u = bucket.pop()
         for w in indices[indptr[u]:indptr[u + 1]]:
             if w in parent or w in used:
                 continue
@@ -248,16 +307,14 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
             if not z_lo <= zw <= z_hi:
                 continue
             parent[w] = u
-            # best >= zu, so only a higher neighbour can raise it
-            if zw > zu:
-                if zw >= z_hi:
-                    return zw, _chain(parent, w)
+            if zw >= z_hi:
+                return zw, _chain(parent, w)
+            k = zw - z_lo
+            buckets[k].append(w)
+            if k > top:
+                top = k
                 if zw > best:
                     best = zw
-                up.append(w)
-            else:
-                stack.append(w)
-        stack += up
     return best, []
 
 
@@ -287,22 +344,26 @@ def find_paths_windowed(
     fixes both that tie-break and the BFS parent of each node.  Wires are
     vertex-disjoint.  A wire that spans all nz layers "sustains" nz - 1.
 
-    A score that reaches the window's top comes with a witness path; the
-    next step seeds the score of any candidate on the winner's witness with
-    the rest of it, so that search starts near the old top (see
-    `_reach_score` for why the scores stay exact).
+    A score that reaches the window's top comes with a witness path.  The
+    next step finds a candidate on the winner's witness with
+    `witness.index` and hands the rest of the witness to `_reach_score` as
+    its lead, which stacks it whole when it checks out, so that search
+    starts near the old top and climbs best-first (see `_reach_score` for
+    why the scores, and so the routes, stay exact).
     """
-    if window < 1:
-        raise SpecError("window must be >= 1")
+    for name, value in (("window", window), ("wires", wires)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise SpecError(f"{name} must be an int >= 1, got {value!r}")
     comp = _comp_of(lattice)
     indptr, indices, alive = _csr_adjacency(comp, punched)
     nz = comp.nz
-    layer_arr = (np.arange(comp.node_count) // 2) % nz
-    layer = layer_arr.tolist()
+    # node id ((x * ny + y) * nz + z) * 2 + parity lies in layer z
+    layer = [z for z in range(nz) for _ in (0, 1)] * (comp.nx * comp.ny)
+    ids0 = np.arange(comp.node_count).reshape(-1, nz, 2)[:, 0].ravel()
+    layer0 = ids0[alive[ids0]].tolist()
     used: set[int] = set()
     state = PathfindingState(window=window)
 
-    layer0 = np.flatnonzero(alive & (layer_arr == 0)).tolist()
     for _wire in range(wires):
         start = None
         start_score = -1
@@ -328,7 +389,6 @@ def find_paths_windowed(
         while z < nz - 1:
             z_hi = min(z + window, nz - 1)
             z_lo = max(0, z - window)
-            on_witness = dict(zip(witness, range(len(witness))))
             # BFS inside the window for nodes of layer z+1, keeping parents
             # so the committed hop extends the path explicitly.
             parents = {cur: None}
@@ -356,11 +416,10 @@ def find_paths_windowed(
                     # Score with the would-be hop chain excluded, so the
                     # reach cannot double back through vertices the commit
                     # is about to consume.
-                    i = on_witness.get(v)
                     score, wit = _reach_score(
                         indptr, indices, layer, _chain(parents, v),
                         z_lo, z_hi, used,
-                        () if i is None else witness[i + 1:],
+                        witness[witness.index(v) + 1:] if v in witness else (),
                     )
                     if score > best_score:
                         best, best_score, best_witness = v, score, wit

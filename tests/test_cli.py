@@ -9,7 +9,11 @@ import pytest
 
 from ballistic.cli import (
     CONFIG_VERSION,
+    MAX_MUX_BINS,
+    MAX_SQUARE_SIDE,
+    MAX_TELEPORT_DRAWS,
     MAX_THREADS,
+    MAX_WAFER_CELLS,
     SCENARIOS,
     config_hash,
     emit_figure_data,
@@ -48,6 +52,18 @@ def test_validate_config_accepts_range_ends():
     assert validate_config(good_config(seed=0))["seed"] == 0
     assert validate_config(good_config(seed=2**64 - 1))["seed"] == 2**64 - 1
     assert validate_config(good_config(threads=MAX_THREADS))["threads"] == MAX_THREADS
+    # each size cap is inclusive; threshold-scan n is left out, because its
+    # check builds the n x n lattice family
+    at_cap = [
+        ("wafer-span", {"nx": MAX_WAFER_CELLS // 4, "ny": 2, "nz": 2}),
+        ("loss-sweep", {"nx": 1, "ny": 1, "nz": MAX_WAFER_CELLS}),
+        ("mux-yield", {"bins": MAX_MUX_BINS}),
+        ("crazy-teleport",
+         {"batch": MAX_TELEPORT_DRAWS // 2, "columns": 2, "column_size": 1}),
+    ]
+    for scenario, params in at_cap:
+        cfg = validate_config(good_config(scenario=scenario, params=params))
+        assert cfg["params"] == dict(SCENARIOS[scenario]["defaults"], **params)
 
 
 def test_validate_config_rejections():
@@ -132,10 +148,32 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         ("wafer-span", {"seed": -1}),
         ("wafer-span", {"seed": 2**64}),
         ("mux-yield", {"params": {"s_values": [1, 1]}}),
+        # one past a size cap, and sizes that would exhaust memory mid-run
+        ("wafer-span", {"params": {"nx": MAX_WAFER_CELLS + 1, "ny": 1, "nz": 1}}),
+        ("wafer-span", {"params": {"nx": 100000, "ny": 100000, "nz": 100000}}),
+        ("loss-sweep", {"params": {"nx": 2048, "ny": 2048, "nz": 2}}),
+        ("mux-yield", {"params": {"bins": MAX_MUX_BINS + 1}}),
+        ("mux-yield", {"params": {"bins": 10**12}}),
+        ("threshold-scan", {"params": {"n": MAX_SQUARE_SIDE + 1}}),
+        ("threshold-scan", {"params": {"n": 10**6}}),
+        # the default 50 columns of 3
+        ("crazy-teleport", {"params": {"batch": MAX_TELEPORT_DRAWS // 150 + 1}}),
+        ("crazy-teleport", {"params": {"batch": 10**9}}),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
     assert run_exit_and_output(tmp_path, scenario, overrides) == (2, False)
+
+
+def test_size_cap_message_names_the_cap(tmp_path, capsys):
+    code, out_exists = run_exit_and_output(
+        tmp_path, "threshold-scan", {"params": {"n": 10**6}}
+    )
+    assert (code, out_exists) == (2, False)
+    assert capsys.readouterr().err == (
+        f"config error: threshold-scan n must be <= {MAX_SQUARE_SIDE}, "
+        "got 1000000\n"
+    )
 
 
 def test_bad_run_flag_exit_2_before_output(tmp_path):

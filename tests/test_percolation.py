@@ -113,8 +113,21 @@ def test_windowed_pathfinding_stops_at_break():
 
 
 def test_windowed_pathfinding_window_validation():
-    with pytest.raises(SpecError):
-        find_paths_windowed(chain_lattice(4), window=0)
+    bad = [
+        {"window": 0},
+        {"window": -2},
+        {"window": 2.5},
+        {"window": 3.0},
+        {"window": True},
+        {"window": "3"},
+        {"window": 3, "wires": 0},
+        {"window": 3, "wires": -3},
+        {"window": 3, "wires": 1.5},
+        {"window": 3, "wires": True},
+    ]
+    for args in bad:
+        with pytest.raises(SpecError):
+            find_paths_windowed(chain_lattice(4), **args)
 
 
 def test_wires_are_vertex_disjoint():
@@ -189,6 +202,18 @@ def test_csr_adjacency_matches_edge_list():
                 filter_enabled=bool(rng.integers(2)),
             )
         )
+    # lossless and unfiltered: every node is alive in both views, so the
+    # alive-edge filter is skipped
+    for _ in range(20):
+        nx, ny, nz = (int(d) for d in rng.integers(1, 4, size=3))
+        specs.append(
+            WaferSpec(
+                nx, ny, nz,
+                fusion_params=FusionParams(
+                    "BoostedTypeII", success_prob=float(rng.uniform(0.3, 1))
+                ),
+            )
+        )
     comps = [
         build_wafer(spec, rng=trial_rng(16, i), graph_level=False).comp
         for i, spec in enumerate(specs)
@@ -198,11 +223,16 @@ def test_csr_adjacency_matches_edge_list():
     comps.append(chain_lattice(1))
     edgeless = {0, 1, len(comps) - 1}
     assert sum(len(comp.edges) > 0 for comp in comps) >= 50
+    all_alive = [
+        len(comp.edges) > 0 and comp.alive.all() and comp.alive_punched.all()
+        for comp in comps
+    ]
+    assert sum(all_alive[-21:-1]) >= 15
     for i, comp in enumerate(comps):
         for punched in (False, True):
             indptr, indices, _alive = _csr_adjacency(comp, punched)
             got = [
-                indices[indptr[v]:indptr[v + 1]]
+                indices[indptr[v]:indptr[v + 1]].tolist()
                 for v in range(comp.node_count)
             ]
             assert got == _edge_list_neighbours(comp, punched), (i, punched)
@@ -405,6 +435,29 @@ def _random_path(rng, indptr, indices, start, steps):
     return path
 
 
+def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
+    """`_reach_score`'s score, after checking it against the plain DFS and
+    its witness for a path from the start to layer z_hi through allowed
+    nodes only (or empty, when the score stays below z_hi)."""
+    score, witness = _reach_score(
+        indptr, indices, layer, hop, z_lo, z_hi, used, lead
+    )
+    start = hop[-1]
+    assert score == oracle_reach_score(
+        indptr, indices, layer, start, z_lo, z_hi, used | set(hop)
+    )
+    if score < z_hi:
+        assert witness == []
+        return score
+    assert witness[0] == start and layer[witness[-1]] == z_hi
+    assert len(set(witness)) == len(witness)
+    for u, w in zip(witness, witness[1:]):
+        assert w in indices[indptr[u]:indptr[u + 1]]
+        assert w not in used and w not in hop
+        assert z_lo <= layer[w] <= z_hi
+    return score
+
+
 def test_reach_score_matches_old_on_any_lead():
     """Scores equal the plain DFS's whatever lead is stacked, and a witness
     is a path from the start to layer z_hi through allowed nodes only.
@@ -429,21 +482,56 @@ def test_reach_score_matches_old_on_any_lead():
             lead = _random_path(
                 rng, indptr, indices, start, int(rng.integers(0, 16))
             )
-            score, witness = _reach_score(
+            score = check_reach(
                 indptr, indices, layer, hop, z_lo, z_hi, used, lead
             )
-            want = oracle_reach_score(
-                indptr, indices, layer, start, z_lo, z_hi, used | set(hop)
-            )
-            assert score == want
-            if score < z_hi:
-                assert witness == []
-                continue
-            cases += 1
-            assert witness[0] == start and layer[witness[-1]] == z_hi
-            assert len(set(witness)) == len(witness)
-            for u, w in zip(witness, witness[1:]):
-                assert w in indices[indptr[u]:indptr[u + 1]]
-                assert w not in used and w not in hop
-                assert z_lo <= layer[w] <= z_hi
+            cases += score >= z_hi
     assert cases >= 300
+
+
+def ladder(nz):
+    """Two primal columns A and B of nz layers, joined at every layer."""
+    a = [2 * z for z in range(nz)]
+    b = [2 * (nz + z) for z in range(nz)]
+    edges = [(a[z], a[z + 1]) for z in range(nz - 1)]
+    edges += [(b[z], b[z + 1]) for z in range(nz - 1)]
+    edges += list(zip(a, b))
+    alive = np.ones((2, 1, nz, 2), dtype=bool)
+    comp = CompLattice(2, 1, nz, alive, alive.copy(), np.array(edges))
+    return comp, a, b
+
+
+def test_reach_score_lead_checks_and_best_first_search():
+    """One lead per check that keeps a lead from being stacked whole, and
+    a tip that forces the best-first search.  Each lead is a lattice path
+    that starts next to the start, as a witness's rest is."""
+    comp, A, B = ladder(8)
+    indptr, indices, _alive = _csr_adjacency(comp, False)
+    layer = [z for z in range(8) for _ in (0, 1)] * 2
+    cases = {
+        # (hop, z_lo, z_hi, used, lead): score
+        "repeats a node": (
+            [A[0]], 0, 3, set(), [A[1], B[1], A[1], A[2], A[3]], 3),
+        # B2 is on the hop chain, which also cuts A1 off from B
+        "enters the hop chain": (
+            [A[3], B[3], B[2], B[1], A[1]], 0, 4, set(),
+            [A[2], B[2], B[3], B[4]], 2),
+        "enters used": (
+            [A[1]], 0, 4, {A[3], B[2]}, [A[2], B[2], B[3], B[4]], 2),
+        "dips below z_lo": (
+            [A[2]], 2, 4, set(), [A[1], B[1], B[2], B[3], B[4]], 4),
+        "leaves the window above z_hi": (
+            [A[2]], 0, 4, set(), [A[3], A[4], A[5]], 4),
+        "reaches z_hi before its end": (
+            [A[0]], 0, 3, set(), [A[1], A[2], A[3], B[3]], 3),
+        "tip steps into z_hi": ([A[0]], 0, 4, set(), [A[1], A[2], A[3]], 4),
+        # B2's only unseen neighbour is B1, below the queued A2
+        "tip is blocked": ([A[0]], 0, 4, {B[3]}, [A[1], A[2], B[2]], 4),
+        "tip is a dead end": ([A[0]], 0, 5, {A[3], B[3]}, [A[1], A[2]], 2),
+        "no lead": ([A[0]], 0, 5, {A[2]}, (), 5),
+    }
+    for name, (hop, z_lo, z_hi, used, lead, want) in cases.items():
+        score = check_reach(
+            indptr, indices, layer, hop, z_lo, z_hi, used, lead
+        )
+        assert score == want, name
