@@ -124,10 +124,16 @@ def test_windowed_pathfinding_window_validation():
         {"window": 3, "wires": -3},
         {"window": 3, "wires": 1.5},
         {"window": 3, "wires": True},
+        {"window": np.bool_(True)},
     ]
     for args in bad:
         with pytest.raises(SpecError):
             find_paths_windowed(chain_lattice(4), **args)
+    # Any integral type is accepted and routes as the equal int does.
+    want = find_paths_windowed(chain_lattice(4), window=3, wires=2)
+    got = find_paths_windowed(chain_lattice(4), window=np.int64(3), wires=np.int32(2))
+    assert (got.paths, got.sustained, got.window) == (want.paths, want.sustained, 3)
+    assert type(got.window) is int
 
 
 def test_wires_are_vertex_disjoint():
@@ -502,7 +508,7 @@ def ladder(nz):
 
 
 def test_reach_score_lead_checks_and_best_first_search():
-    """One lead per check that keeps a lead from being stacked whole, and
+    """One lead per check that keeps a lead from being queued, and
     a tip that forces the best-first search.  Each lead is a lattice path
     that starts next to the start, as a witness's rest is."""
     comp, A, B = ladder(8)
