@@ -5,7 +5,7 @@ Modules:
   dense       — brute-force stabilizer oracle for <= 12 qubits
   clifford    — the 24 single-qubit Clifford operators and their tables
   fock        — small-photon-number linear-optics oracle
-  fusion      — probabilistic fusion operations on graph states
+  fusion      — heralded Type-II fusion on graph states
   builder     — unit-cell wiring and wafer assembly into a 3D lattice
   percolation — crossing checks, threshold estimation, windowed pathfinding
   multiplex   — photon streams, delay networks, matching and yields
@@ -31,7 +31,7 @@ from .fock import (
     detection_probability,
     type2_fusion_success_probability,
 )
-from .fusion import FusionOutcome, FusionParams, fuse
+from .fusion import FusionParams, fuse
 from .builder import (
     BuiltLattice,
     UnitCellSpec,

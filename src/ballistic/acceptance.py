@@ -74,18 +74,19 @@ def fuzz_case(seed: int, max_qubits: int = 10, ops: int = 20) -> bool:
             break
         r = rng.random()
         if r < 0.35 and len(alive) >= 2:
-            a, b = rng.choice(alive, size=2, replace=False)
-            g.apply_cz(int(a), int(b))
-            d.apply_cz(int(a), int(b))
+            i, j = rng.choice(len(alive), 2, replace=False)
+            a, b = alive[i], alive[j]
+            g.apply_cz(a, b)
+            d.apply_cz(a, b)
         elif r < 0.50:
-            g.local_complement(int(rng.choice(alive)))
+            g.local_complement(alive[int(rng.integers(len(alive)))])
         elif r < 0.80:
-            a = int(rng.choice(alive))
+            a = alive[int(rng.integers(len(alive)))]
             c = int(rng.integers(24))
             g.apply_local_clifford(a, c)
             d.apply_clifford(a, c)
         else:
-            a = int(rng.choice(alive))
+            a = alive[int(rng.integers(len(alive)))]
             basis = "XYZ"[int(rng.integers(3))]
             o = g.measure_pauli(a, basis, rng)
             d.measure(a, basis, forced=o)
@@ -204,6 +205,28 @@ def check_wafer_spanning(trials: int = 100) -> tuple[bool, str]:
     return ok, f"z-crossing in {frac:.0%} of {trials} trials"
 
 
+def _bisect_half_spanning(frac, lo, hi, seed, rising, what, found):
+    """Five bisection steps for where `frac(x, seed)` crosses 0.5 in [lo, hi].
+
+    `rising` says whether the spanning fraction grows with x.  The ends are
+    probed with seeds `seed` and `seed + 1`, step k with `seed + 2 + k`.
+    `what` names the fraction if the ends do not bracket 0.5; `found` formats
+    the midpoint of the final bracket.
+    """
+    f_lo, f_hi = frac(lo, seed), frac(hi, seed + 1)
+    if not ((f_lo < 0.5 < f_hi) if rising else (f_lo > 0.5 > f_hi)):
+        return False, f"no bracket: {what} {f_lo:.2f}@{lo}, {f_hi:.2f}@{hi}"
+    a, b = lo, hi
+    for k in range(5):
+        mid = 0.5 * (a + b)
+        if (frac(mid, seed + 2 + k) >= 0.5) == rising:
+            b = mid
+        else:
+            a = mid
+    crit = 0.5 * (a + b)
+    return lo <= crit <= hi, found.format(crit)
+
+
 def check_filter_critical(trials: int = 60) -> tuple[bool, str]:
     def frac(f, seed):
         spec = WaferSpec(
@@ -214,19 +237,10 @@ def check_filter_critical(trials: int = 60) -> tuple[bool, str]:
         )
         return _spanning_fraction(spec, trials, seed)
 
-    lo, hi = 0.90, 0.99
-    f_lo, f_hi = frac(lo, 1010), frac(hi, 1011)
-    if not (f_lo < 0.5 < f_hi):
-        return False, f"no bracket: spanning {f_lo:.2f}@{lo}, {f_hi:.2f}@{hi}"
-    for k in range(5):
-        mid = 0.5 * (lo + hi)
-        if frac(mid, 1012 + k) >= 0.5:
-            hi = mid
-        else:
-            lo = mid
-    crit = 0.5 * (lo + hi)
-    ok = 0.90 <= crit <= 0.99
-    return ok, f"critical filter fidelity = {crit:.3f}"
+    return _bisect_half_spanning(
+        frac, 0.90, 0.99, 1010, True,
+        "spanning", "critical filter fidelity = {:.3f}",
+    )
 
 
 def check_punchout_threshold(trials: int = 60) -> tuple[bool, str]:
@@ -234,19 +248,10 @@ def check_punchout_threshold(trials: int = 60) -> tuple[bool, str]:
         spec = WaferSpec(12, 6, 50, fusion_params=_BOOSTED, photon_loss=eps)
         return _spanning_fraction(spec, trials, seed, punched=True)
 
-    lo, hi = 0.005, 0.08
-    f_lo, f_hi = frac(lo, 1020), frac(hi, 1021)
-    if not (f_lo > 0.5 > f_hi):
-        return False, f"no bracket: recovered spanning {f_lo:.2f}@{lo}, {f_hi:.2f}@{hi}"
-    for k in range(5):
-        mid = 0.5 * (lo + hi)
-        if frac(mid, 1022 + k) >= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    crit = 0.5 * (lo + hi)
-    ok = 0.005 <= crit <= 0.08
-    return ok, f"recovered-spanning loss threshold = {crit:.4f}"
+    return _bisect_half_spanning(
+        frac, 0.005, 0.08, 1020, False,
+        "recovered spanning", "recovered-spanning loss threshold = {:.4f}",
+    )
 
 
 def check_dtp(trials: int = 100_000) -> tuple[bool, str]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecError
-from .fusion import FAILURE, SUCCESS, FusionParams, fuse
+from .fusion import FusionParams, fuse
 from .graphstate import GraphRegister
 
 PRIMAL, DUAL = 0, 1
@@ -43,8 +43,10 @@ _DEFAULT_CROSSINGS = (14, 17)
 
 @dataclass(frozen=True)
 class UnitCellSpec:
+    """Wiring of one cell of 3-photon sources; slot 3k + j is photon j of
+    source k's linear cluster (see `make_ghz3`)."""
+
     sources_per_cell: int = 6
-    photons_per_source: int = 3
     computational_slots: dict = field(
         default_factory=lambda: dict(_DEFAULT_COMP)
     )
@@ -55,7 +57,7 @@ class UnitCellSpec:
 
     @property
     def photons_per_cell(self) -> int:
-        return self.sources_per_cell * self.photons_per_source
+        return 3 * self.sources_per_cell
 
     @property
     def delayed_slots(self) -> tuple:
@@ -129,13 +131,6 @@ class WaferSpec:
             raise SpecError("photon_loss outside [0, 1)")
         if not 0.0 <= self.filter_fidelity <= 1.0:
             raise SpecError("filter_fidelity outside [0, 1]")
-        if self.fusion_params.transmission != 1.0:
-            # build_wafer draws fusion outcomes from success_prob alone;
-            # photon loss enters through photon_loss.
-            raise SpecError(
-                "fusion transmission != 1 is not modelled by build_wafer; "
-                "set photon_loss instead"
-            )
 
     @property
     def cells(self) -> int:
@@ -210,7 +205,7 @@ def _slot_masks(cell: UnitCellSpec, lost, kept):
     n = cell.photons_per_cell
     damaged = np.zeros_like(lost)
     for s in range(n):
-        src, pos = divmod(s, cell.photons_per_source)
+        src, pos = divmod(s, 3)
         if pos == 1:  # chain middle: damaged if either end is lost
             mates = (3 * src, 3 * src + 2)
         else:  # chain end: damaged if the middle is lost
@@ -287,8 +282,6 @@ def _derive_stub_maps(cell: UnitCellSpec, comp: list[int]):
     of a computational source onto the middle photon of a stub source.
     `comp` lists the primal and the dual slot, so a slot's index is its parity.
     """
-    if cell.photons_per_source != 3:
-        raise SpecError("bond-level mode requires 3-photon sources")
     partner = {}
     for pair in cell.formation_pairs:
         a, b = pair
@@ -399,16 +392,10 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
             if reg.is_alive(v) and not kept[x, y, z, s]:
                 reg.measure_pauli(v, "Z", rng)
 
-    forced_success = FusionParams(
-        kind=spec.fusion_params.kind,
-        success_prob=1.0,
-        ancilla_cost=spec.fusion_params.ancilla_cost,
-    )
-
-    def attempt(a, b, params, branch, kind):
+    def attempt(a, b, success, kind):
         alive_pair = [v for v in (a, b) if reg.is_alive(v)]
         if len(alive_pair) == 2 and usable(a) and usable(b):
-            fuse(reg, a, b, params, rng, forced=branch)
+            fuse(reg, a, b, success, rng)
             return
         # A participant is missing or carries an unknown byproduct.
         if kind == "formation":
@@ -423,9 +410,7 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
 
     for (x, y, z) in coords:
         for (a, b) in cell.formation_pairs:
-            attempt(
-                vid(x, y, z, a), vid(x, y, z, b), forced_success, SUCCESS, "formation"
-            )
+            attempt(vid(x, y, z, a), vid(x, y, z, b), True, "formation")
     for (x, y, z) in coords:
         for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
             tx, ty, tz = x + off[0], y + off[1], z + off[2]
@@ -436,8 +421,7 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
                 if reg.is_alive(va):
                     reg.measure_pauli(va, "Z", rng)
                 continue
-            branch = SUCCESS if success[x, y, z, bi] else FAILURE
-            attempt(va, vid(tx, ty, tz, rs), spec.fusion_params, branch, "bond")
+            attempt(va, vid(tx, ty, tz, rs), success[x, y, z, bi], "bond")
 
     comp_vertices = {
         (x, y, z): (vid(x, y, z, primal), vid(x, y, z, dual))

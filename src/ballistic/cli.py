@@ -47,6 +47,13 @@ CONFIG_VERSION = 1
 
 
 def _wafer_spec(params: dict) -> WaferSpec:
+    # success_prob sets every fusion outcome and no scenario reports
+    # ancillas, so any other kind would be ignored
+    if params["fusion_kind"] != _WAFER_DEFAULTS["fusion_kind"]:
+        raise SpecError(
+            f"fusion_kind must stay {_WAFER_DEFAULTS['fusion_kind']!r}, got "
+            f"{params['fusion_kind']!r}; vary success_prob instead"
+        )
     spec = WaferSpec(
         params["nx"],
         params["ny"],
@@ -206,9 +213,9 @@ def _check_threshold_scan(params: dict) -> None:
     bad = [p for p in params["p_values"] if not 0 <= p <= 1]
     if bad:
         raise SpecError(f"threshold-scan p_values must lie in [0, 1], got {bad!r}")
-    # before the family, which allocates its n * n lattice
+    if params["n"] < 2:
+        raise SpecError(f"threshold-scan n must be >= 2, got {params['n']!r}")
     _check_cap("threshold-scan n", params["n"], MAX_SQUARE_SIDE)
-    square_lattice_family(params["n"])
 
 
 def _threshold_scan_figure(means: dict, params: dict):

