@@ -7,7 +7,7 @@ Modules:
   fock        — small-photon-number linear-optics oracle
   fusion      — heralded Type-II fusion on graph states
   builder     — unit-cell wiring and wafer assembly into a 3D lattice
-  percolation — crossing checks, threshold estimation, windowed pathfinding
+  percolation — crossing checks, square-lattice crossing, windowed pathfinding
   multiplex   — photon streams, delay networks, matching and yields
   losstol     — loss-tolerant encoded wires and spliceable gadgets
   cli         — seeded, parallel, deterministic experiment harness
@@ -16,7 +16,6 @@ Modules:
 from .errors import (
     BallisticError,
     CapacityError,
-    ConvergenceError,
     GadgetRejectedError,
     ShapeError,
     SpecError,
@@ -42,10 +41,9 @@ from .builder import (
 from .percolation import (
     PathfindingState,
     crossing_exists,
-    estimate_threshold,
     find_paths_windowed,
     largest_component_fraction,
-    square_lattice_family,
+    square_lattice_crosses,
     sustained_layers,
 )
 from .multiplex import (

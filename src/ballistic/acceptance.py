@@ -7,6 +7,7 @@ command and the acceptance test module.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -42,9 +43,8 @@ from .multiplex import (
 )
 from .percolation import (
     crossing_exists,
-    estimate_threshold,
     find_paths_windowed,
-    square_lattice_family,
+    square_lattice_crosses,
     sustained_layers,
 )
 from .rng import run_rng, trial_rng
@@ -174,12 +174,42 @@ def check_majority_vote(trials: int = 1_000_000) -> tuple[bool, str]:
     return ok, f"flip rate {rep.flip_rate:.6f} vs binomial tail {exact:.6f}"
 
 
+def _bisect_half(frac, lo, hi, rising):
+    """Five bisection steps for where `frac` crosses 1/2 in [lo, hi].
+
+    `rising` says whether the fraction grows with x.  `frac(x, i)` is told
+    the probe's ordinal i: 0 for lo, 1 for hi, 2 + k for step k.  Returns
+    the final bracket (a, b), or None when the ends do not bracket 1/2.
+    """
+    f_lo, f_hi = frac(lo, 0), frac(hi, 1)
+    if not ((f_lo < 0.5 < f_hi) if rising else (f_lo > 0.5 > f_hi)):
+        return None
+    a, b = lo, hi
+    for k in range(5):
+        mid = 0.5 * (a + b)
+        if (frac(mid, 2 + k) >= 0.5) == rising:
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
+def _no_bracket(what, frac, lo, hi) -> str:
+    # `frac` is cached, so this reads the end probes back without redrawing
+    return f"no bracket: {what} {frac(lo, 0):.2f}@{lo}, {frac(hi, 1):.2f}@{hi}"
+
+
 def check_bond_threshold() -> tuple[bool, str]:
-    family = square_lattice_family(128)
     rng = run_rng(1008)
-    lo, hi = estimate_threshold(
-        family, rng, trials=400, tolerance=0.02, lo=0.3, hi=0.7
-    )
+
+    @functools.cache
+    def frac(p, _i):
+        return sum(square_lattice_crosses(128, p, rng) for _ in range(400)) / 400
+
+    found = _bisect_half(frac, 0.3, 0.7, True)
+    if found is None:
+        return False, _no_bracket("crossing", frac, 0.3, 0.7)
+    lo, hi = found
     mid = 0.5 * (lo + hi)
     ok = 0.48 <= mid <= 0.52
     return ok, f"threshold bracket [{lo:.4f}, {hi:.4f}], midpoint {mid:.4f}"
@@ -205,53 +235,33 @@ def check_wafer_spanning(trials: int = 100) -> tuple[bool, str]:
     return ok, f"z-crossing in {frac:.0%} of {trials} trials"
 
 
-def _bisect_half_spanning(frac, lo, hi, seed, rising, what, found):
-    """Five bisection steps for where `frac(x, seed)` crosses 0.5 in [lo, hi].
-
-    `rising` says whether the spanning fraction grows with x.  The ends are
-    probed with seeds `seed` and `seed + 1`, step k with `seed + 2 + k`.
-    `what` names the fraction if the ends do not bracket 0.5; `found` formats
-    the midpoint of the final bracket.
-    """
-    f_lo, f_hi = frac(lo, seed), frac(hi, seed + 1)
-    if not ((f_lo < 0.5 < f_hi) if rising else (f_lo > 0.5 > f_hi)):
-        return False, f"no bracket: {what} {f_lo:.2f}@{lo}, {f_hi:.2f}@{hi}"
-    a, b = lo, hi
-    for k in range(5):
-        mid = 0.5 * (a + b)
-        if (frac(mid, seed + 2 + k) >= 0.5) == rising:
-            b = mid
-        else:
-            a = mid
-    crit = 0.5 * (a + b)
-    return lo <= crit <= hi, found.format(crit)
-
-
 def check_filter_critical(trials: int = 60) -> tuple[bool, str]:
-    def frac(f, seed):
+    @functools.cache
+    def frac(f, i):
         spec = WaferSpec(
             12, 6, 50,
             fusion_params=_BOOSTED,
             filter_fidelity=f,
             filter_enabled=True,
         )
-        return _spanning_fraction(spec, trials, seed)
+        return _spanning_fraction(spec, trials, 1010 + i)
 
-    return _bisect_half_spanning(
-        frac, 0.90, 0.99, 1010, True,
-        "spanning", "critical filter fidelity = {:.3f}",
-    )
+    found = _bisect_half(frac, 0.90, 0.99, True)
+    if found is None:
+        return False, _no_bracket("spanning", frac, 0.90, 0.99)
+    return True, f"critical filter fidelity = {0.5 * sum(found):.3f}"
 
 
 def check_punchout_threshold(trials: int = 60) -> tuple[bool, str]:
-    def frac(eps, seed):
+    @functools.cache
+    def frac(eps, i):
         spec = WaferSpec(12, 6, 50, fusion_params=_BOOSTED, photon_loss=eps)
-        return _spanning_fraction(spec, trials, seed, punched=True)
+        return _spanning_fraction(spec, trials, 1020 + i, punched=True)
 
-    return _bisect_half_spanning(
-        frac, 0.005, 0.08, 1020, False,
-        "recovered spanning", "recovered-spanning loss threshold = {:.4f}",
-    )
+    found = _bisect_half(frac, 0.005, 0.08, False)
+    if found is None:
+        return False, _no_bracket("recovered spanning", frac, 0.005, 0.08)
+    return True, f"recovered-spanning loss threshold = {0.5 * sum(found):.4f}"
 
 
 def check_dtp(trials: int = 100_000) -> tuple[bool, str]:

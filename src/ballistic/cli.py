@@ -10,7 +10,7 @@ counter-based generator keyed by (seed, trial index), so outputs are
 byte-identical regardless of the parallelism degree.  Wall-clock timing
 goes to a separate metadata file that is excluded from that guarantee.
 Exit codes: 0 success, 1 failed acceptance check (verify), 2 configuration
-error, 3 numeric/convergence error, 4 any other package error.
+error, 4 any other package error.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ import time
 import numpy as np
 
 from .builder import WaferSpec, build_wafer
-from .errors import BallisticError, ConvergenceError, SpecError
+from .errors import BallisticError, SpecError
 from .fusion import FusionParams
 from .losstol import CrazyGraphSpec, simulate_teleport, teleport_success_prob
 from .multiplex import standard_mux_prob, yield_curve
-from .percolation import crossing_exists, largest_component_fraction, square_lattice_family
+from .percolation import crossing_exists, largest_component_fraction, square_lattice_crosses
 from .rng import trial_rng
 
 CONFIG_VERSION = 1
@@ -202,9 +202,8 @@ def _loss_sweep_figure(means: dict, params: dict):
 
 
 def threshold_scan_trial(params: dict, rng) -> dict:
-    family = square_lattice_family(params["n"])
     return {
-        f"cross_{i}": float(family(float(p), rng))
+        f"cross_{i}": float(square_lattice_crosses(params["n"], float(p), rng))
         for i, p in enumerate(params["p_values"])
     }
 
@@ -290,7 +289,7 @@ MAX_THREADS = 256
 # validation instead; constants for the same reason.  Peak RSS growth of one
 # trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 250 B per wafer
 # cell in wafer-span and 420 B in loss-sweep (a bond-level build plus
-# crossing checks), 105 B per threshold-scan site, 66 B per mux-yield bin
+# crossing checks), 25 B per threshold-scan site, 66 B per mux-yield bin
 # and 127 B per crazy-teleport qubit draw, so each cap holds a trial under
 # ~2 GiB.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
@@ -676,9 +675,6 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return 3
     except BallisticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

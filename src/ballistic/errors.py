@@ -21,13 +21,5 @@ class SpecError(BallisticError):
     """Invalid configuration or wiring specification."""
 
 
-class ConvergenceError(BallisticError):
-    """Iterative numeric procedure failed to converge."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-
 class GadgetRejectedError(BallisticError):
     """A pre-built gadget failed its pre-attachment check (e.g. lost central photon)."""

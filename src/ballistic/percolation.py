@@ -1,13 +1,12 @@
 """Connectivity analytics on built lattices.
 
-Crossing/spanning checks on the raw or punched-out lattice, bond-threshold
-estimation by bisection, and windowed pathfinding of logical wires through
-the layered lattice.
+Crossing/spanning checks on the raw or punched-out lattice, left-right
+crossing of square-lattice bond samples, and windowed pathfinding of logical
+wires through the layered lattice.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builder import BuiltLattice, CompLattice
-from .errors import ConvergenceError, SpecError
+from .errors import SpecError
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -76,102 +75,33 @@ def largest_component_fraction(lattice, punched: bool = False) -> float:
     return float(counts.max()) / total
 
 
-# -- threshold estimation ---------------------------------------------------
+# -- square-lattice bond percolation ---------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = 2.5758):
-    """Wilson score interval (default 99% two-sided)."""
-    if trials == 0:
-        return 0.0, 1.0
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-        / denom
-    )
-    return center - half, center + half
+def square_lattice_crosses(n: int, p: float, rng) -> bool:
+    """Whether one n x n square-lattice bond sample at bond probability p
+    has an open left-right crossing.  The exact threshold is 1/2 by
+    self-duality.
 
-
-def estimate_threshold(
-    family,
-    rng,
-    trials: int = 1000,
-    tolerance: float = 0.02,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    max_iterations: int = 40,
-):
-    """Bisect the bond probability at which crossing probability is 1/2.
-
-    `family(p, rng)` samples one lattice at bond probability p and returns
-    whether it crosses.  Returns (lo, hi) of width <= tolerance whose probe
-    estimates bracket 1/2 (Wilson-interval test at the final bracket).
-    """
-    def probe(p):
-        hits = sum(bool(family(p, rng)) for _ in range(trials))
-        return hits, wilson_interval(hits, trials)
-
-    hits_lo, w_lo = probe(lo)
-    hits_hi, w_hi = probe(hi)
-    diagnostics = {"probes": [(lo, hits_lo), (hi, hits_hi)]}
-    if w_lo[0] > 0.5 or w_hi[1] < 0.5:
-        raise ConvergenceError(
-            "family does not bracket crossing probability 1/2",
-            diagnostics=diagnostics,
-        )
-    it = 0
-    while hi - lo > tolerance:
-        it += 1
-        if it > max_iterations:
-            raise ConvergenceError(
-                "bisection did not converge", diagnostics=diagnostics
-            )
-        mid = 0.5 * (lo + hi)
-        hits, _w = probe(mid)
-        diagnostics["probes"].append((mid, hits))
-        if hits / trials >= 0.5:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def square_lattice_family(n: int):
-    """2D n x n square-lattice bond percolation, left-right crossing.
-
-    Returns a callable (p, rng) -> bool for estimate_threshold.  The exact
-    threshold is 1/2 by self-duality.
+    The 2m bonds, m = n(n - 1), are drawn as `rng.random(2m) < p`: the
+    horizontal ones row by row, then the vertical ones.  Bond connectivity
+    is site connectivity on a (2n - 1)^2 grid whose even-even cells are the
+    sites (always open), whose cells between two sites are their bonds and
+    whose odd-odd cells are closed, labelled with 4-connectivity.
     """
     if n < 2:
-        raise SpecError("degenerate lattice family (need n >= 2 sites)")
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+        raise SpecError("degenerate square lattice (need n >= 2 sites)")
+    # imported here so that `import ballistic` does not load scipy.ndimage
+    from scipy.ndimage import label
 
-    idx = np.arange(n * n).reshape(n, n)
-    h_a = idx[:, :-1].ravel()
-    h_b = idx[:, 1:].ravel()
-    v_a = idx[:-1, :].ravel()
-    v_b = idx[1:, :].ravel()
-    ea = np.concatenate([h_a, v_a])
-    eb = np.concatenate([h_b, v_b])
-
-    def sample(p, rng):
-        keep = rng.random(len(ea)) < p
-        m = coo_matrix(
-            (
-                np.ones(int(keep.sum()), dtype=np.int8),
-                (ea[keep], eb[keep]),
-            ),
-            shape=(n * n, n * n),
-        )
-        _, labels = connected_components(m, directed=False)
-        left = labels[idx[:, 0]]
-        right = labels[idx[:, -1]]
-        return bool(np.isin(left, right).any())
-
-    return sample
+    m = n * (n - 1)
+    keep = rng.random(2 * m) < p
+    grid = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[::2, 1::2] = keep[:m].reshape(n, n - 1)
+    grid[1::2, ::2] = keep[m:].reshape(n - 1, n)
+    lab, _ = label(grid)
+    return bool(np.isin(lab[::2, 0], lab[::2, -1]).any())
 
 
 # -- windowed pathfinding ---------------------------------------------------

@@ -106,7 +106,8 @@ def test_exact_flip_prob_matches_scipy_binom(L):
 def test_import_leaves_scipy_stats_unloaded():
     code = (
         "import sys, ballistic; "
-        "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)"
+        "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules, "
+        "'scipy.ndimage' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -115,7 +116,7 @@ def test_import_leaves_scipy_stats_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout == "False False\n"
+    assert out.stdout == "False False False\n"
 
 
 def test_even_columns_produce_ties():

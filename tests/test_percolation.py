@@ -1,26 +1,28 @@
 """Connectivity analytics: crossing, thresholds, punch-out, pathfinding."""
 
 import hashlib
+import itertools
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from ballistic import acceptance
+from ballistic.acceptance import _bisect_half
 from ballistic.builder import CompLattice, WaferSpec, build_wafer
-from ballistic.errors import ConvergenceError, SpecError
+from ballistic.errors import SpecError
 from ballistic.fusion import FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import (
     _csr_adjacency,
     _reach_score,
     crossing_exists,
-    estimate_threshold,
     find_paths_windowed,
     largest_component_fraction,
-    square_lattice_family,
+    square_lattice_crosses,
     sustained_layers,
-    wilson_interval,
 )
 from ballistic.rng import trial_rng
 
@@ -70,33 +72,241 @@ def test_punch_out_removes_damaged_neighbors():
     assert g.has_edge(3, 4)
 
 
-def test_wilson_interval_basics():
-    assert wilson_interval(0, 0) == (0.0, 1.0)
-    lo, hi = wilson_interval(50, 100)
-    assert lo < 0.5 < hi
-    lo, hi = wilson_interval(100, 100)
-    assert hi <= 1.0 and lo > 0.8
+# -- square-lattice crossing and the threshold bisection -------------------
+
+
+def old_square_lattice_family(n):
+    """The coo_matrix sampler that `square_lattice_crosses` replaced, kept
+    as its reference: (p, rng) -> whether a left-right crossing exists."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    idx = np.arange(n * n).reshape(n, n)
+    ea = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    eb = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+
+    def sample(p, rng):
+        keep = rng.random(len(ea)) < p
+        m = coo_matrix(
+            (np.ones(int(keep.sum()), dtype=np.int8), (ea[keep], eb[keep])),
+            shape=(n * n, n * n),
+        )
+        _, labels = connected_components(m, directed=False)
+        return bool(np.isin(labels[idx[:, 0]], labels[idx[:, -1]]).any())
+
+    return sample
+
+
+def test_square_lattice_crosses_matches_old_family():
+    # seed 0 draws at p = 0, seed 1 at p = 1, later seeds at random p; the
+    # trial index is the side n, so each (seed, trial) stream is used once
+    # and fresh on both sides
+    olds = {n: old_square_lattice_family(n) for n in range(2, 41)}
+    outcomes = []
+    for seed in range(60):
+        ps = np.random.default_rng(seed).random(41)
+        for n in range(2, 41):
+            p = (0.0, 1.0)[seed] if seed < 2 else float(ps[n])
+            got = square_lattice_crosses(n, p, trial_rng(seed, n))
+            assert type(got) is bool
+            assert got == olds[n](p, trial_rng(seed, n)), (seed, n, p)
+            outcomes.append(got)
+    assert len(outcomes) >= 2000
+    assert not any(outcomes[:39]) and all(outcomes[39:78])
+    assert 0.2 < np.mean(outcomes[78:]) < 0.8
+
+
+def test_square_lattice_crosses_validation():
+    with pytest.raises(SpecError):
+        square_lattice_crosses(1, 0.5, trial_rng(0, 0))
 
 
 def test_square_lattice_threshold_small():
-    fam = square_lattice_family(24)
-    lo, hi = estimate_threshold(
-        fam, trial_rng(2, 0), trials=300, tolerance=0.05, lo=0.25, hi=0.75
-    )
+    rng = trial_rng(2, 0)
+
+    def frac(p, _i):
+        return sum(square_lattice_crosses(24, p, rng) for _ in range(300)) / 300
+
+    lo, hi = _bisect_half(frac, 0.25, 0.75, True)
     assert hi - lo <= 0.05
     assert 0.42 <= 0.5 * (lo + hi) <= 0.58
 
 
-def test_estimate_threshold_no_bracket_raises():
-    with pytest.raises(ConvergenceError):
-        estimate_threshold(
-            lambda p, rng: True, trial_rng(0, 0), trials=50, lo=0.0, hi=1.0
+class OldConvergenceError(Exception):
+    pass
+
+
+def old_wilson_interval(successes, trials, z=2.5758):
+    if trials == 0:
+        return 0.0, 1.0
+    p = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = (
+        z
+        * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
+        / denom
+    )
+    return center - half, center + half
+
+
+def old_estimate_threshold(
+    family, rng, trials=1000, tolerance=0.02, lo=0.0, hi=1.0, max_iterations=40
+):
+    """The bisection C08 used before `_bisect_half`, kept as its reference."""
+    def probe(p):
+        hits = sum(bool(family(p, rng)) for _ in range(trials))
+        return hits, old_wilson_interval(hits, trials)
+
+    _hits_lo, w_lo = probe(lo)
+    _hits_hi, w_hi = probe(hi)
+    if w_lo[0] > 0.5 or w_hi[1] < 0.5:
+        raise OldConvergenceError("family does not bracket crossing probability 1/2")
+    it = 0
+    while hi - lo > tolerance:
+        it += 1
+        if it > max_iterations:
+            raise OldConvergenceError("bisection did not converge")
+        mid = 0.5 * (lo + hi)
+        hits, _w = probe(mid)
+        if hits / trials >= 0.5:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def old_bisect_half_spanning(frac, lo, hi, seed, rising, what, found):
+    """The bisection C10 and C11 used before `_bisect_half`, kept as its
+    reference."""
+    f_lo, f_hi = frac(lo, seed), frac(hi, seed + 1)
+    if not ((f_lo < 0.5 < f_hi) if rising else (f_lo > 0.5 > f_hi)):
+        return False, f"no bracket: {what} {f_lo:.2f}@{lo}, {f_hi:.2f}@{hi}"
+    a, b = lo, hi
+    for k in range(5):
+        mid = 0.5 * (a + b)
+        if (frac(mid, seed + 2 + k) >= 0.5) == rising:
+            b = mid
+        else:
+            a = mid
+    crit = 0.5 * (a + b)
+    return lo <= crit <= hi, found.format(crit)
+
+
+def _sigmoid_step(c, width, rising=True):
+    def prob(x):
+        return 1 / (1 + math.exp((c - x) / width if rising else (x - c) / width))
+    return prob
+
+
+def _half_band(c1, c2):
+    # each probe makes an even number of calls, so half of them are True
+    calls = itertools.count()
+    return lambda p, rng: p >= c2 or (p >= c1 and next(calls) % 2 == 0)
+
+
+def test_bisect_half_matches_old_estimate_threshold():
+    # C08's bracket: lo 0.3, hi 0.7, tolerance 0.02, which took five steps
+    trials = 50
+    stubs = {
+        "constant 0": lambda p, rng: False,
+        "constant 1": lambda p, rng: True,
+        **{
+            f"step at {c}": (lambda c: lambda p, rng: p >= c)(c)
+            for c in (0.3, 0.31, 0.4, 0.45, 0.5, 0.5125, 0.6, 0.6875, 0.7, 0.71)
+        },
+        **{
+            f"noisy step at {c}": (lambda prob: lambda p, rng: rng.random() < prob(p))(
+                _sigmoid_step(c, 0.03)
+            )
+            for c in (0.41, 0.47, 0.5, 0.56)
+        },
+        "exactly half in [0.45, 0.55)": _half_band(0.45, 0.55),
+    }
+    bracketed = 0
+    for seed, (name, family) in enumerate(stubs.items()):
+        old_probes = []
+
+        def logged(p, rng):
+            old_probes.append(p)
+            return family(p, rng)
+
+        try:
+            want = old_estimate_threshold(
+                logged, trial_rng(seed, 0), trials=trials, tolerance=0.02, lo=0.3, hi=0.7
+            )
+        except OldConvergenceError:
+            want = None
+        new_probes = []
+        rng = trial_rng(seed, 0)
+
+        def frac(p, i):
+            new_probes.append((p, i))
+            return sum(bool(family(p, rng)) for _ in range(trials)) / trials
+
+        got = _bisect_half(frac, 0.3, 0.7, True)
+        assert got == want, name
+        assert [p for p, _i in new_probes] == old_probes[::trials], name
+        assert [i for _p, i in new_probes] == list(range(len(new_probes))), name
+        bracketed += got is not None
+    assert bracketed == 13
+
+
+def test_bisect_half_matches_old_spanning_bisection():
+    # C10's rising range and C11's falling one, each with its base seed
+    bracketed = 0
+    for lo, hi, base, rising in ((0.90, 0.99, 1010, True), (0.005, 0.08, 1020, False)):
+        stubs = [lambda x, seed: 0.0, lambda x, seed: 0.5, lambda x, seed: 1.0]
+        # exactly 1/2 around the first midpoint, where >= 0.5 decides
+        mid, q = 0.5 * (lo + hi), (hi - lo) / 10
+        stubs.append(
+            lambda x, seed: 0.5 if abs(x - mid) < q else float((x > mid) == rising)
         )
+        for c in np.linspace(lo, hi, 9).tolist():
+            stubs.append((lambda c: lambda x, seed: float((x >= c) == rising))(c))
+            prob = _sigmoid_step(c, (hi - lo) / 20, rising)
+            stubs.append(
+                (lambda prob: lambda x, seed: float(
+                    np.mean(np.random.default_rng(seed).random(60) < prob(x))
+                ))(prob)
+            )
+        for frac in stubs:
+            old_calls, new_calls = [], []
+
+            def old_frac(x, seed):
+                old_calls.append((x, seed))
+                return frac(x, seed)
+
+            def new_frac(x, i):
+                new_calls.append((x, base + i))
+                return frac(x, base + i)
+
+            ok, details = old_bisect_half_spanning(
+                old_frac, lo, hi, base, rising, "spanning", "{!r}"
+            )
+            got = _bisect_half(new_frac, lo, hi, rising)
+            assert new_calls == old_calls, (lo, old_calls)
+            if details.startswith("no bracket"):
+                assert (ok, got) == (False, None), (lo, details)
+            else:
+                assert ok and 0.5 * (got[0] + got[1]) == float(details), (lo, details)
+                bracketed += 1
+    assert bracketed >= 20
 
 
-def test_square_lattice_family_validation():
-    with pytest.raises(SpecError):
-        square_lattice_family(1)
+def test_checks_report_no_bracket(monkeypatch):
+    # the details are those of the bisection the checks used before
+    monkeypatch.setattr(acceptance, "_spanning_fraction", lambda *a, **k: 0.0)
+    assert acceptance.check_filter_critical() == old_bisect_half_spanning(
+        lambda x, seed: 0.0, 0.90, 0.99, 1010, True, "spanning", ""
+    ) == (False, "no bracket: spanning 0.00@0.9, 0.00@0.99")
+    assert acceptance.check_punchout_threshold() == old_bisect_half_spanning(
+        lambda x, seed: 0.0, 0.005, 0.08, 1020, False, "recovered spanning", ""
+    )
+    monkeypatch.setattr(acceptance, "square_lattice_crosses", lambda n, p, rng: True)
+    assert acceptance.check_bond_threshold() == (
+        False, "no bracket: crossing 1.00@0.3, 1.00@0.7"
+    )
 
 
 def test_windowed_pathfinding_sustains_full_chain():
