@@ -23,6 +23,7 @@ import numpy as np
 from .errors import SpecError
 from .fusion import FusionParams, fuse
 from .graphstate import GraphRegister
+from .rng import bernoulli
 
 PRIMAL, DUAL = 0, 1
 
@@ -184,18 +185,20 @@ def _sample_draws(spec: WaferSpec, cell: UnitCellSpec, rng):
     """All structured randomness of one build, in a fixed order.
 
     Both build modes consume exactly these arrays, so their lattices agree
-    draw-for-draw.
+    draw-for-draw.  Each draw is `rng.random(shape) < p`; where p is 0 or 1
+    (no loss, filter fidelity 1, deterministic fusion) `bernoulli` skips the
+    stream past the uniforms instead, so the arrays and the stream position
+    that later draws start from are the same as with sampling.
     """
     shape = (spec.nx, spec.ny, spec.nz)
     nslots = cell.photons_per_cell
-    lost = rng.random(shape + (nslots,)) < spec.photon_loss
+    lost = bernoulli(rng, shape + (nslots,), spec.photon_loss)
     if spec.filter_enabled:
-        kept = rng.random(shape + (nslots,)) < spec.filter_fidelity
+        kept = bernoulli(rng, shape + (nslots,), spec.filter_fidelity)
     else:
         kept = np.ones(shape + (nslots,), dtype=bool)
-    success = (
-        rng.random(shape + (len(cell.bond_pairs),))
-        < spec.fusion_params.success_prob
+    success = bernoulli(
+        rng, shape + (len(cell.bond_pairs),), spec.fusion_params.success_prob
     )
     return lost, kept, success
 

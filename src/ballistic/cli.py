@@ -54,6 +54,12 @@ def _wafer_spec(params: dict) -> WaferSpec:
             f"fusion_kind must stay {_WAFER_DEFAULTS['fusion_kind']!r}, got "
             f"{params['fusion_kind']!r}; vary success_prob instead"
         )
+    # a disabled filter keeps every photon, so any other fidelity is ignored
+    if not params["filter_enabled"] and float(params["filter_fidelity"]) != 1.0:
+        raise SpecError(
+            "filter_fidelity applies only with filter_enabled true, got "
+            f"{params['filter_fidelity']!r} with the filter off"
+        )
     spec = WaferSpec(
         params["nx"],
         params["ny"],

@@ -20,6 +20,7 @@ import numpy as np
 from .dense import from_graph_register
 from .errors import CapacityError, GadgetRejectedError, SpecError
 from .graphstate import GraphRegister, lc_equivalent
+from .rng import bernoulli
 
 
 # -- encoded wire -----------------------------------------------------------
@@ -86,10 +87,10 @@ def simulate_teleport(
     if trials < 1:
         raise SpecError("trials must be >= 1")
     N, L = spec.columns, spec.column_size
-    lost = rng.random((trials, N, L)) < spec.loss
+    lost = bernoulli(rng, (trials, N, L), spec.loss)
     survivors = (~lost).sum(axis=2)
     success = (survivors > 0).all(axis=1)
-    flips = ((rng.random((trials, N, L)) < spec.z_flip) & ~lost).sum(axis=2)
+    flips = (bernoulli(rng, (trials, N, L), spec.z_flip) & ~lost).sum(axis=2)
     wrong = 2 * flips > survivors
     tie = (2 * flips == survivors) & (survivors > 0)
     coin = rng.random((trials, N)) < 0.5

@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from ballistic import builder
 from ballistic.builder import (
     UnitCellSpec,
     WaferSpec,
@@ -19,7 +20,7 @@ from ballistic.errors import SpecError
 from ballistic.fusion import KINDS, FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import crossing_exists
-from ballistic.rng import trial_rng
+from ballistic.rng import bernoulli, trial_rng
 
 BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -155,6 +156,19 @@ def spec_grid():
         )
 
 
+# Lossless, filter on at fidelity 1, fusion never or always succeeding:
+# every one of their draws has a fixed outcome.
+FIXED_OUTCOME_SPECS = tuple(
+    WaferSpec(
+        2, 3, 3,
+        fusion_params=FusionParams("BoostedTypeII", success_prob=sp),
+        filter_fidelity=1.0,
+        filter_enabled=True,
+    )
+    for sp in (0.0, 1.0)
+)
+
+
 def test_build_modes_agree():
     cases = [(UnitCellSpec(), WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.02), 1)]
     cases += [
@@ -167,6 +181,12 @@ def test_build_modes_agree():
         (UnitCellSpec(), WaferSpec(2, 2, 3, fusion_params=FusionParams(kind)), 0)
         for kind in KINDS
     ]
+    # every draw skipped: the graph-level build draws on from wherever
+    # _sample_draws leaves the stream
+    cases += [
+        (cell, spec, 400 + i) for i, spec in enumerate(FIXED_OUTCOME_SPECS)
+        for cell in (UnitCellSpec(), MIRRORED_CELL)
+    ]
     for cell, spec, trial in cases:
         graph = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=True)
         bond = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=False)
@@ -175,6 +195,85 @@ def test_build_modes_agree():
         ge = {tuple(sorted(e)) for e in graph.comp.edges.tolist()}
         be = {tuple(sorted(e)) for e in bond.comp.edges.tolist()}
         assert ge == be, (cell, spec, trial)
+
+
+def test_bernoulli_matches_plain_draws():
+    """Same array and same stream position as `gen.random(shape) < p`, after
+    0-7 prior draws, for short lengths, every draw of the golden grid and
+    the C16 loss draw."""
+    shapes = {(k,) for k in range(10)} | {(12, 6, 600, 18)}
+    for cell, spec in spec_grid():
+        cells = (spec.nx, spec.ny, spec.nz)
+        shapes |= {cells + (cell.photons_per_cell,), cells + (len(cell.bond_pairs),)}
+    for shape, p, prior in itertools.product(
+        sorted(shapes), (0.0, 1.0, 0.3), range(8)
+    ):
+        fast, plain = trial_rng(11, prior), trial_rng(11, prior)
+        fast.random(prior)
+        plain.random(prior)
+        got, want = bernoulli(fast, shape, p), plain.random(shape) < p
+        assert got.dtype == want.dtype and got.shape == want.shape, (shape, p)
+        assert (got == want).all(), (shape, p, prior)
+        assert (fast.random(64) == plain.random(64)).all(), (shape, p, prior)
+
+
+def _half_word_philox():
+    gen = trial_rng(2, 0)
+    gen.integers(0, 7, dtype=np.uint32)
+    assert gen.bit_generator.state["has_uint32"]
+    return gen
+
+
+def test_bernoulli_falls_back_to_plain_draws():
+    # advance() would drop a Philox's spare 32-bit half word; PCG64 has no
+    # block buffer to finish
+    for make in (_half_word_philox, lambda: np.random.default_rng(0)):
+        for p in (0.0, 1.0):
+            fast, plain = make(), make()
+            assert (bernoulli(fast, (3, 7), p) == (plain.random((3, 7)) < p)).all()
+            assert (
+                fast.integers(0, 2**32, 8, dtype=np.uint32)
+                == plain.integers(0, 2**32, 8, dtype=np.uint32)
+            ).all()
+            assert (fast.random(64) == plain.random(64)).all()
+
+
+def _plain_sample_draws(spec, cell, rng):
+    """`builder._sample_draws` as it was before any draw was skipped."""
+    shape = (spec.nx, spec.ny, spec.nz)
+    nslots = cell.photons_per_cell
+    lost = rng.random(shape + (nslots,)) < spec.photon_loss
+    if spec.filter_enabled:
+        kept = rng.random(shape + (nslots,)) < spec.filter_fidelity
+    else:
+        kept = np.ones(shape + (nslots,), dtype=bool)
+    success = (
+        rng.random(shape + (len(cell.bond_pairs),))
+        < spec.fusion_params.success_prob
+    )
+    return lost, kept, success
+
+
+def _two_builds(spec, graph_level):
+    """Two consecutive builds from one generator, then its next 64 draws."""
+    rng = trial_rng(8, 0)
+    builds = [
+        build_wafer(spec, rng=rng, graph_level=graph_level) for _ in range(2)
+    ]
+    return bond_build_digest(builds), rng.random(64).tobytes()
+
+
+def test_consecutive_builds_match_plain_draws(monkeypatch):
+    specs = FIXED_OUTCOME_SPECS + (
+        WaferSpec(2, 3, 3, fusion_params=BOOSTED),
+        WaferSpec(2, 3, 3, fusion_params=BOOSTED, photon_loss=0.05),
+    )
+    for spec, graph_level in itertools.product(specs, (False, True)):
+        fast = _two_builds(spec, graph_level)
+        with monkeypatch.context() as m:
+            m.setattr(builder, "_sample_draws", _plain_sample_draws)
+            plain = _two_builds(spec, graph_level)
+        assert fast == plain, (spec, graph_level)
 
 
 def bond_build_digest(builds) -> str:

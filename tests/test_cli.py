@@ -164,6 +164,9 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         ("wafer-span", {"params": {"fusion_kind": "TypeII"}}),
         ("wafer-span", {"params": {"fusion_kind": "TypeI"}}),
         ("loss-sweep", {"params": {"fusion_kind": "TypeII"}}),
+        # a disabled filter would ignore its fidelity
+        ("wafer-span", {"params": {"filter_fidelity": 0.5}}),
+        ("loss-sweep", {"params": {"filter_fidelity": 0.5}}),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
