@@ -36,11 +36,13 @@ from .builder import (
     UnitCellSpec,
     WaferSpec,
     build_wafer,
+    build_wafers,
     optical_depth_report,
 )
 from .percolation import (
     PathfindingState,
     crossing_exists,
+    crossings,
     find_paths_windowed,
     largest_component_fraction,
     square_lattice_crosses,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import WaferSpec, build_wafer
+from .builder import WaferSpec, batches, build_wafer, build_wafers
 from .dense import DenseStabilizerState, from_graph_register
 from .fock import (
     FockState,
@@ -42,7 +42,7 @@ from .multiplex import (
     yield_curve,
 )
 from .percolation import (
-    crossing_exists,
+    crossings,
     find_paths_windowed,
     square_lattice_crosses,
     sustained_layers,
@@ -221,10 +221,11 @@ _BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
 def _spanning_fraction(
     spec: WaferSpec, trials: int, seed: int, punched: bool = False
 ) -> float:
+    specs = [spec] * trials
     hits = 0
-    for t in range(trials):
-        lat = build_wafer(spec, rng=trial_rng(seed, t), graph_level=False)
-        hits += crossing_exists(lat, "z", punched=punched)
+    for part in batches(specs):
+        rngs = [trial_rng(seed, t) for t in range(trials)[part]]
+        hits += sum(crossings(build_wafers(specs[part], rngs), "z", punched))
     return hits / trials
 
 

@@ -10,8 +10,8 @@ Two build modes share one stream of random draws:
   * graph mode — every photon is a GraphRegister vertex and every fusion a
     register operation (exact, used for validation and small lattices);
   * bond mode  — the computational-qubit lattice is derived directly from
-    the draws with vectorized boolean algebra (identical distribution,
-    desk-scale fast).
+    the draws with vectorized boolean algebra, for a batch of same-shape
+    wafers at once (identical distribution, desk-scale fast).
 """
 
 from __future__ import annotations
@@ -203,28 +203,31 @@ def _sample_draws(spec: WaferSpec, cell: UnitCellSpec, rng):
     return lost, kept, success
 
 
-def _slot_masks(cell: UnitCellSpec, lost, kept):
-    """Per-slot survival / damage / usability from the emission draws."""
-    n = cell.photons_per_cell
-    damaged = np.zeros_like(lost)
-    for s in range(n):
-        src, pos = divmod(s, 3)
-        if pos == 1:  # chain middle: damaged if either end is lost
-            mates = (3 * src, 3 * src + 2)
-        else:  # chain end: damaged if the middle is lost
-            mates = (3 * src + 1,)
-        for m in mates:
-            damaged[..., s] |= lost[..., m]
-    usable = ~lost & kept & ~damaged
+def _slot_masks(lost, kept):
+    """Per-slot usability and damage from the emission draws.
+
+    Slot 3k + j is photon j of source k's chain, so viewed as (..., k, j)
+    the middle photon is damaged when either end is lost and each end when
+    the middle is.
+    """
+    trio = lost.reshape(lost.shape[:-1] + (-1, 3))
+    damaged = np.empty_like(trio)
+    np.logical_or(trio[..., 0], trio[..., 2], out=damaged[..., 1])
+    damaged[..., 0] = trio[..., 1]
+    damaged[..., 2] = trio[..., 1]
+    damaged = damaged.reshape(lost.shape)
+    usable = ~(lost | damaged)
+    usable &= kept
     return usable, damaged
 
 
 def _shift_ok(arr, off):
-    """arr value at cell + off (any sign per axis), False outside the wafer."""
+    """arr value at cell + off (any sign per axis) over its last three axes,
+    False outside the wafer."""
     out = np.zeros_like(arr)
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    for axis, d in enumerate(off):
+    src = [slice(None)] * arr.ndim
+    dst = [slice(None)] * arr.ndim
+    for axis, d in enumerate(off, start=arr.ndim - 3):
         if d > 0:
             src[axis], dst[axis] = slice(d, None), slice(None, -d)
         elif d < 0:
@@ -239,12 +242,67 @@ def build_wafer(
     rng=None,
     graph_level: bool = True,
 ) -> BuiltLattice:
+    if not graph_level:
+        return build_wafers([spec], [rng], cell)[0]
     cell = cell or UnitCellSpec()
     cell.validate()
-    draws = _sample_draws(spec, cell, rng)
-    if graph_level:
-        return _build_graph_level(spec, cell, draws, rng)
-    return _build_bond_level(spec, cell, draws)
+    return _build_graph_level(spec, cell, _sample_draws(spec, cell, rng), rng)
+
+
+# Cells built together: a batch's arrays stay near this size (a larger
+# lattice is a batch of its own), so a list of lattices, such as one
+# loss-sweep trial's, takes about the memory of one capped lattice.
+BATCH_CELLS = 2**18
+
+
+def batches(specs) -> list[slice]:
+    """Consecutive runs of `specs` of at most BATCH_CELLS cells in all, or
+    one spec alone where it is larger: the lists to pass to `build_wafers`."""
+    out, start, cells = [], 0, 0
+    for i, spec in enumerate(specs):
+        if i > start and cells + spec.cells > BATCH_CELLS:
+            out.append(slice(start, i))
+            start, cells = i, 0
+        cells += spec.cells
+    if specs:
+        out.append(slice(start, len(specs)))
+    return out
+
+
+def build_wafers(specs, rngs, cell: UnitCellSpec | None = None) -> list[BuiltLattice]:
+    """Bond-level builds of same-shape wafers, derived in one array pass.
+
+    Wafer i takes its draws from rngs[i], in list order, so a generator
+    shared by several wafers ends where one `build_wafer` call each would
+    leave it.  Every array of the batch is held at once: keep a list to one
+    of `batches(specs)`.
+    """
+    cell = cell or UnitCellSpec()
+    cell.validate()
+    if len(rngs) != len(specs):
+        raise SpecError(f"{len(specs)} wafer specs but {len(rngs)} generators")
+    if len({(s.nx, s.ny, s.nz) for s in specs}) > 1:
+        raise SpecError("build_wafers needs wafers of one shape")
+    if not specs:
+        return []
+    comp = list(_comp_pair(cell))
+    formation, parity = _derive_stub_maps(cell, comp)
+    # the stacked draws and every temporary of the derivation are freed
+    # before the edges are listed
+    alive, punched, bonded = _bond_masks(
+        cell, comp, formation, parity, *_sample_batch(specs, cell, rngs)
+    )
+    edges = _bond_edges(cell, parity, specs[0], bonded)
+    nx, ny, nz = specs[0].nx, specs[0].ny, specs[0].nz
+    return [
+        BuiltLattice(
+            register=None,
+            computational_vertices={},
+            resource_report=_resource_report(spec, cell),
+            comp=CompLattice(nx, ny, nz, alive[i], punched[i], edges[i]),
+        )
+        for i, spec in enumerate(specs)
+    ]
 
 
 def _comp_pair(cell: UnitCellSpec) -> tuple[int, int]:
@@ -309,29 +367,36 @@ def _derive_stub_maps(cell: UnitCellSpec, comp: list[int]):
     return formation, parity
 
 
-def _build_bond_level(spec, cell, draws) -> BuiltLattice:
-    lost, kept, success = draws
-    usable, damaged = _slot_masks(cell, lost, kept)
-    comp = list(_comp_pair(cell))
-    formation, parity = _derive_stub_maps(cell, comp)
-    nx, ny, nz = spec.nx, spec.ny, spec.nz
+def _sample_batch(specs, cell, rngs):
+    """Each wafer's `_sample_draws`, in list order, stacked on a leading
+    axis (a view for one wafer)."""
+    draws = [_sample_draws(spec, cell, rng) for spec, rng in zip(specs, rngs)]
+    return [a[0][None] if len(a) == 1 else np.stack(a) for a in zip(*draws)]
 
-    # Per-qubit arrays are indexed by parity in their last axis.  Raw
-    # survival: not lost, passed the filter.  (Frame damage from adjacent
-    # losses only matters for the punched view.)
+
+def _bond_masks(cell, comp, formation, parity, lost, kept, success):
+    """Raw and punched survival per qubit, and which bonds fused, from a
+    batch's stacked draws.  Arrays are indexed by wafer, then cell; per-qubit
+    ones by parity in their last axis, `bonded` by bond in its second."""
+    usable, damaged = _slot_masks(lost, kept)
+
+    # Raw survival: not lost, passed the filter.  (Frame damage from
+    # adjacent losses only matters for the punched view.)
     alive = ~lost[..., comp] & kept[..., comp]
     # A stub is attached to its qubit iff the stub photon and both photons of
     # its formation are usable and the qubit itself survived raw.
-    attached = {
-        s: usable[..., s] & usable[..., a] & usable[..., b] & alive[..., parity[s]]
-        for s, (a, b) in formation.items()
-    }
+    stubs = list(formation)
+    a, b = map(list, zip(*formation.values()))
+    by_slot = np.moveaxis(usable, -1, 0)
+    attached = dict(zip(stubs, (
+        by_slot[stubs] & by_slot[a] & by_slot[b]
+        & np.moveaxis(alive, -1, 0)[[parity[s] for s in stubs]]
+    )))
 
     # Damage from ballistic loss heralds: a surviving attached stub whose
     # fusion partner never arrived is dropped as lost, wounding its qubit.
     herald_damage = np.zeros_like(alive)
-    cell_id = 2 * np.arange(spec.cells).reshape(nx, ny, nz)
-    edges = [np.zeros((0, 2), dtype=np.int64)]
+    bonded = np.empty((len(lost), len(cell.bond_pairs)) + lost.shape[1:4], dtype=bool)
     for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
         a_remote = _shift_ok(attached[rs], off)
         # local stub attached, partner missing -> local loss herald
@@ -340,23 +405,34 @@ def _build_bond_level(spec, cell, draws) -> BuiltLattice:
         herald_damage[..., parity[rs]] |= _shift_ok(
             a_remote & ~usable[..., ls], [-d for d in off]
         )
-        local = cell_id[success[..., bi] & attached[ls] & a_remote]
-        ox, oy, oz = off
-        remote = local + 2 * ((ox * ny + oy) * nz + oz)
-        edges.append(np.stack([local + parity[ls], remote + parity[rs]], axis=1))
+        np.logical_and(success[..., bi], attached[ls] & a_remote, out=bonded[:, bi])
 
     # Punched survival also needs both chain neighbours of the qubit and no
     # loss herald on its stubs.
-    lattice = CompLattice(
-        nx, ny, nz, alive, alive & ~damaged[..., comp] & ~herald_damage,
-        np.concatenate(edges, axis=0),
-    )
-    return BuiltLattice(
-        register=None,
-        computational_vertices={},
-        resource_report=_resource_report(spec, cell),
-        comp=lattice,
-    )
+    return alive, alive & ~damaged[..., comp] & ~herald_damage, bonded
+
+
+def _bond_edges(cell, parity, spec, bonded):
+    """Each wafer's (m, 2) int64 edges, by bond, then cell.
+
+    Node ids are 2 * cell + parity.  Hit h of `bonded` is bond h // cells
+    % nb at cell h % cells, so in flat order the hits come out by wafer,
+    then bond, then cell.
+    """
+    wafers, nb = bonded.shape[:2]
+    cells = spec.cells
+    hits = np.flatnonzero(bonded)
+    row = hits // cells
+    first = np.tile([parity[ls] for ls, _rs, _off in cell.bond_pairs], wafers)
+    jump = np.tile([
+        2 * ((ox * spec.ny + oy) * spec.nz + oz) + parity[rs] - parity[ls]
+        for ls, rs, (ox, oy, oz) in cell.bond_pairs
+    ], wafers)
+    edges = np.empty((len(hits), 2), dtype=np.int64)
+    np.multiply(hits, 2, out=edges[:, 0])
+    edges[:, 0] += (first - 2 * cells * np.arange(wafers * nb))[row]
+    np.add(edges[:, 0], jump[row], out=edges[:, 1])
+    return np.split(edges, np.searchsorted(row, np.arange(nb, wafers * nb, nb)))
 
 
 def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:

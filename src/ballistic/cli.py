@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -28,12 +29,17 @@ import time
 
 import numpy as np
 
-from .builder import WaferSpec, build_wafer
+from .builder import WaferSpec, batches, build_wafer, build_wafers
 from .errors import BallisticError, SpecError
 from .fusion import FusionParams
 from .losstol import CrazyGraphSpec, simulate_teleport, teleport_success_prob
 from .multiplex import standard_mux_prob, yield_curve
-from .percolation import crossing_exists, largest_component_fraction, square_lattice_crosses
+from .percolation import (
+    crossing_exists,
+    crossings,
+    largest_component_fraction,
+    square_lattice_crosses,
+)
 from .rng import trial_rng
 
 CONFIG_VERSION = 1
@@ -190,13 +196,12 @@ def _check_loss_sweep(params: dict) -> None:
 
 
 def loss_sweep_trial(params: dict, rng) -> dict:
-    metrics = {}
-    for i, spec in enumerate(_loss_sweep_specs(params)):
-        lat = build_wafer(spec, rng=rng, graph_level=False)
-        metrics[f"recovered_span_{i}"] = float(
-            crossing_exists(lat, "z", punched=True)
-        )
-    return metrics
+    specs = _loss_sweep_specs(params)
+    spans = []
+    for part in batches(specs):
+        lats = build_wafers(specs[part], [rng] * len(specs[part]))
+        spans += crossings(lats, "z", punched=True)
+    return {f"recovered_span_{i}": float(span) for i, span in enumerate(spans)}
 
 
 def _loss_sweep_figure(means: dict, params: dict):
@@ -294,9 +299,11 @@ MAX_THREADS = 256
 # Size caps, so that a config whose trial would run out of memory fails
 # validation instead; constants for the same reason.  Peak RSS growth of one
 # trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 250 B per wafer
-# cell in wafer-span and 420 B in loss-sweep (a bond-level build plus
-# crossing checks), 25 B per threshold-scan site, 66 B per mux-yield bin
-# and 127 B per crazy-teleport qubit draw, so each cap holds a trial under
+# cell in wafer-span, 250-365 B per cell in loss-sweep for a lattice that is
+# a build batch of its own (2^18-2^21 cells; smaller lattices are built and
+# labelled in batches of at most builder.BATCH_CELLS cells, under 200 B per
+# batch cell), 25 B per threshold-scan site, 66 B per mux-yield bin and
+# 127 B per crazy-teleport qubit draw, so each cap holds a trial under
 # ~2 GiB.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
 MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites
@@ -414,30 +421,44 @@ def run_experiment(cfg: dict) -> dict:
     wall = time.perf_counter() - t0
 
     os.makedirs(cfg["out"], exist_ok=True)
-    jsonl_path = os.path.join(cfg["out"], "results.jsonl")
-    with open(jsonl_path, "w") as f:
-        header = {
-            "config": {k: cfg[k] for k in ("version", "scenario", "seed", "trials", "params")},
-            "config_hash": h,
-        }
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for trial, metrics in results:
-            rec = {"config_hash": h, "seed": cfg["seed"], "trial": trial, "metrics": metrics}
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    csv_path = os.path.join(cfg["out"], "summary.csv")
-    with open(csv_path, "w") as f:
-        _write_summary(f, [m for _, m in results])
-
-    meta_path = os.path.join(cfg["out"], "run_meta.json")
-    with open(meta_path, "w") as f:
-        json.dump(
-            {"config_hash": h, "wall_seconds": wall, "threads": cfg["threads"]},
-            f,
-            sort_keys=True,
+    paths = {
+        key: os.path.join(cfg["out"], name)
+        for key, name in (
+            ("results", "results.jsonl"),
+            ("summary", "summary.csv"),
+            ("meta", "run_meta.json"),
         )
-        f.write("\n")
-    return {"results": jsonl_path, "summary": csv_path, "meta": meta_path}
+    }
+    # Each file is written beside its target and all three are moved into
+    # place once written, so a failure leaves no partial file and no new
+    # results.jsonl next to an old summary.csv.
+    tmp = {key: f"{path}.{os.getpid()}.tmp" for key, path in paths.items()}
+    try:
+        with open(tmp["results"], "w") as f:
+            header = {
+                "config": {k: cfg[k] for k in ("version", "scenario", "seed", "trials", "params")},
+                "config_hash": h,
+            }
+            f.write(json.dumps(header, sort_keys=True) + "\n")
+            for trial, metrics in results:
+                rec = {"config_hash": h, "seed": cfg["seed"], "trial": trial, "metrics": metrics}
+                f.write(json.dumps(rec, sort_keys=True) + "\n")
+        with open(tmp["summary"], "w") as f:
+            _write_summary(f, [m for _, m in results])
+        with open(tmp["meta"], "w") as f:
+            json.dump(
+                {"config_hash": h, "wall_seconds": wall, "threads": cfg["threads"]},
+                f,
+                sort_keys=True,
+            )
+            f.write("\n")
+        for key, path in paths.items():
+            os.replace(tmp[key], path)
+    finally:
+        for path in tmp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+    return paths
 
 
 def _write_summary(fileobj, metric_rows: list[dict]) -> None:

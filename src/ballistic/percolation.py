@@ -27,52 +27,65 @@ def _comp_of(lattice) -> CompLattice:
     raise SpecError("expected a BuiltLattice or CompLattice")
 
 
-def _labels(comp: CompLattice, punched: bool):
+def _labels(comps: list[CompLattice], punched: bool):
+    """Component labels of the disjoint union of same-shape lattices, and
+    its alive mask: node v of comps[i] is node i * node_count + v.
+
+    One labelling serves the whole list.  Edges with a dead end are left
+    out, so a dead node is a component of its own and only alive nodes'
+    labels mean anything.
+    """
     # imported here so that `import ballistic` does not load scipy.sparse
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    alive = comp.alive_flat(punched)
-    n = comp.node_count
-    e = comp.edges
-    if len(e):
-        keep = alive[e[:, 0]] & alive[e[:, 1]]
-        e = e[keep]
-    if len(e):
-        m = coo_matrix(
-            (np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])),
-            shape=(n, n),
-        )
-        _, labels = connected_components(m, directed=False)
+    if len({(c.nx, c.ny, c.nz) for c in comps}) > 1:
+        raise SpecError("lattices labelled together must share one shape")
+    n = comps[0].node_count
+    edges = [np.asarray(c.edges, dtype=np.int64).reshape(-1, 2) for c in comps]
+    if len(comps) == 1:
+        alive, e = comps[0].alive_flat(punched), edges[0]
     else:
-        labels = np.arange(n)
-    labels = labels.copy()
-    labels[~alive] = -1
-    return labels, alive
+        alive = np.concatenate([c.alive_flat(punched) for c in comps])
+        e = np.concatenate([ei + i * n for i, ei in enumerate(edges)])
+    e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
+    if not len(e):
+        return np.arange(len(alive)), alive
+    # float64 entries, which the labelling would otherwise convert to
+    m = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(len(alive),) * 2)
+    return connected_components(m, directed=False)[1], alive
+
+
+def crossings(lattices, axis: str, punched: bool = False) -> list[bool]:
+    """Whether each lattice has a path of alive nodes between its two faces
+    normal to `axis`.  The lattices must share one shape; one labelling
+    answers them all, since no component spans two of them."""
+    if axis not in _AXES:
+        raise SpecError(f"unknown axis {axis!r}")
+    comps = [_comp_of(lat) for lat in lattices]
+    if not comps:
+        return []
+    labels, alive = _labels(comps, punched)
+    c = comps[0]
+    shape = (len(comps), c.nx, c.ny, c.nz, 2)
+    ax = _AXES[axis] + 1
+    lab = np.moveaxis(labels.reshape(shape), ax, 1)
+    top = lab[:, -1][np.moveaxis(alive.reshape(shape), ax, 1)[:, -1]]
+    # a dead node is a component of its own, so it matches no alive label
+    crossed = np.isin(lab[:, 0], top)
+    return crossed.reshape(len(comps), -1).any(axis=1).tolist()
 
 
 def crossing_exists(lattice, axis: str, punched: bool = False) -> bool:
-    comp = _comp_of(lattice)
-    if axis not in _AXES:
-        raise SpecError(f"unknown axis {axis!r}")
-    labels, _alive = _labels(comp, punched)
-    lab = labels.reshape(comp.nx, comp.ny, comp.nz, 2)
-    ax = _AXES[axis]
-    lo = np.moveaxis(lab, ax, 0)[0]
-    hi = np.moveaxis(lab, ax, 0)[-1]
-    lo_set = set(lo[lo >= 0].ravel().tolist())
-    hi_set = set(hi[hi >= 0].ravel().tolist())
-    return bool(lo_set & hi_set)
+    return crossings([lattice], axis, punched)[0]
 
 
 def largest_component_fraction(lattice, punched: bool = False) -> float:
-    comp = _comp_of(lattice)
-    labels, alive = _labels(comp, punched)
+    labels, alive = _labels([_comp_of(lattice)], punched)
     total = int(alive.sum())
     if total == 0:
         return 0.0
-    counts = np.bincount(labels[labels >= 0])
-    return float(counts.max()) / total
+    return float(np.bincount(labels[alive]).max()) / total
 
 
 # -- square-lattice bond percolation ---------------------------------------

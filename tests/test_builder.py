@@ -8,18 +8,20 @@ import pathlib
 import numpy as np
 import pytest
 
-from ballistic import builder
+from ballistic import acceptance, builder, cli
 from ballistic.builder import (
     UnitCellSpec,
     WaferSpec,
+    batches,
     build_wafer,
+    build_wafers,
     make_ghz3,
     optical_depth_report,
 )
 from ballistic.errors import SpecError
 from ballistic.fusion import KINDS, FusionParams
 from ballistic.graphstate import GraphRegister
-from ballistic.percolation import crossing_exists
+from ballistic.percolation import crossing_exists, crossings
 from ballistic.rng import bernoulli, trial_rng
 
 BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
@@ -311,6 +313,89 @@ def test_bond_build_golden():
     golden = json.loads((GOLDEN / "bond_builds.json").read_text())
     got = bond_golden_digests(golden)
     assert got == {k: golden[k] for k in ("grid_sha256", "large_sha256")}
+
+
+def _grid_batches():
+    """spec_grid() as one list per cell and shape: what build_wafers takes."""
+    for (cell, _shape), group in itertools.groupby(
+        spec_grid(), key=lambda cs: (cs[0], (cs[1].nx, cs[1].ny, cs[1].nz))
+    ):
+        yield cell, [spec for _cell, spec in group]
+
+
+def test_build_wafers_matches_sequential_builds():
+    """A batch per cell and shape of the golden grid, from one shared
+    generator and from one generator per wafer, against one bond-level
+    `build_wafer` call per wafer in turn: the same arrays, edge order and
+    dtype, reports, and generators left at the same place."""
+    for k, (cell, specs) in enumerate(_grid_batches()):
+        for shared in (True, False):
+            def gens():
+                if shared:
+                    return [trial_rng(12, k)] * len(specs)
+                return [trial_rng(13, 100 * k + i) for i in range(len(specs))]
+
+            batch_rngs, seq_rngs = gens(), gens()
+            got = build_wafers(specs, batch_rngs, cell)
+            want = [
+                build_wafer(spec, cell, rng=rng, graph_level=False)
+                for spec, rng in zip(specs, seq_rngs)
+            ]
+            assert len(got) == len(specs)
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert bond_build_digest([g]) == bond_build_digest([w]), (k, shared, i)
+                assert g.resource_report == w.resource_report
+            for a, b in zip(batch_rngs, seq_rngs):
+                assert (a.random(64) == b.random(64)).all(), (k, shared)
+
+
+def test_build_wafers_rejects_mixed_shapes():
+    rng = trial_rng(0, 0)
+    with pytest.raises(SpecError, match="one shape"):
+        build_wafers([WaferSpec(2, 2, 2), WaferSpec(2, 2, 3)], [rng, rng])
+    with pytest.raises(SpecError, match="generators"):
+        build_wafers([WaferSpec(2, 2, 2)] * 2, [rng])
+    assert build_wafers([], []) == []
+
+
+def test_batches_keep_to_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(builder, "BATCH_CELLS", 16)
+    specs = [WaferSpec(2, 2, 2)] * 5 + [WaferSpec(3, 3, 3), WaferSpec(1, 1, 1)]
+    # 8 + 8 cells fill a batch, a third wafer would not fit; the 27-cell
+    # wafer is a batch of its own
+    assert batches(specs) == [
+        slice(0, 2), slice(2, 4), slice(4, 5), slice(5, 6), slice(6, 7)
+    ]
+    assert batches([]) == []
+
+
+def test_small_batch_budget_gives_same_results(monkeypatch):
+    """Lattices, crossings, loss-sweep metrics and spanning fractions do
+    not depend on how the lattices are batched."""
+    params = cli.validate_config(
+        {"version": 1, "scenario": "loss-sweep", "params": {"nz": 20}}
+    )["params"]
+    specs = cli._loss_sweep_specs(params)
+
+    def run():
+        rng, lats = trial_rng(3, 0), []
+        for part in batches(specs):
+            lats += build_wafers(specs[part], [rng] * len(specs[part]))
+        return (
+            len(batches(specs)),
+            bond_build_digest(lats),
+            crossings(lats, "z", punched=True),
+            cli.loss_sweep_trial(params, trial_rng(3, 1)),
+            acceptance._spanning_fraction(specs[3], 10, 5, punched=True),
+        )
+
+    whole = run()
+    assert whole[0] == 1
+    for budget, parts in ((1, 6), (3 * specs[0].cells, 2)):
+        monkeypatch.setattr(builder, "BATCH_CELLS", budget)
+        got = run()
+        assert got[0] == parts
+        assert got[1:] == whole[1:]
 
 
 def test_wafer_spanning_probabilistic():

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from ballistic import cli
 from ballistic.cli import (
     CONFIG_VERSION,
     MAX_MUX_BINS,
@@ -252,6 +253,24 @@ def test_run_outputs_are_reproducible(tmp_path):
     assert [r["trial"] for r in records] == [0, 1, 2]
     assert all(set(r["metrics"]) == {"span", "span_punched", "largest_fraction"}
                for r in records)
+
+
+def test_failed_write_leaves_old_outputs(tmp_path, monkeypatch):
+    """A run that fails while writing leaves a reused output directory's
+    files as they were, and no temporary file."""
+    out = tmp_path / "out"
+    run_experiment(validate_config(good_config(out=str(out))))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"results.jsonl", "summary.csv", "run_meta.json"}
+
+    def fail(fileobj, rows):
+        fileobj.write("metric,mean\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_summary", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(validate_config(good_config(seed=8, out=str(out))))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_run_and_figure_round_trip(tmp_path):

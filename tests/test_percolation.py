@@ -11,7 +11,7 @@ import pytest
 
 from ballistic import acceptance
 from ballistic.acceptance import _bisect_half
-from ballistic.builder import CompLattice, WaferSpec, build_wafer
+from ballistic.builder import CompLattice, WaferSpec, build_wafer, build_wafers
 from ballistic.errors import SpecError
 from ballistic.fusion import FusionParams
 from ballistic.graphstate import GraphRegister
@@ -19,6 +19,7 @@ from ballistic.percolation import (
     _csr_adjacency,
     _reach_score,
     crossing_exists,
+    crossings,
     find_paths_windowed,
     largest_component_fraction,
     square_lattice_crosses,
@@ -59,6 +60,102 @@ def test_largest_component_fraction():
     empty = chain_lattice(2)
     empty.alive[:] = False
     assert largest_component_fraction(empty) == 0.0
+
+
+def _old_labels(comp, punched):
+    """`percolation._labels` as it was: one `coo_matrix` per lattice, dead
+    nodes labelled -1."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    alive = comp.alive_flat(punched)
+    n = comp.node_count
+    e = comp.edges
+    if len(e):
+        keep = alive[e[:, 0]] & alive[e[:, 1]]
+        e = e[keep]
+    if len(e):
+        m = coo_matrix(
+            (np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])), shape=(n, n)
+        )
+        _, labels = connected_components(m, directed=False)
+    else:
+        labels = np.arange(n)
+    labels = labels.copy()
+    labels[~alive] = -1
+    return labels, alive
+
+
+def _old_crossing_exists(comp, axis, punched):
+    labels, _alive = _old_labels(comp, punched)
+    lab = labels.reshape(comp.nx, comp.ny, comp.nz, 2)
+    ax = {"x": 0, "y": 1, "z": 2}[axis]
+    lo = np.moveaxis(lab, ax, 0)[0]
+    hi = np.moveaxis(lab, ax, 0)[-1]
+    return bool(set(lo[lo >= 0].ravel().tolist()) & set(hi[hi >= 0].ravel().tolist()))
+
+
+def _old_largest_component_fraction(comp, punched):
+    labels, alive = _old_labels(comp, punched)
+    total = int(alive.sum())
+    if total == 0:
+        return 0.0
+    return float(np.bincount(labels[labels >= 0]).max()) / total
+
+
+def _labelling_cases():
+    """Lists of same-shape lattices: 240 seeded wafers over five shapes,
+    loss 0-0.3 and success_prob 0-1 (those at 0 have no edge), one with no
+    alive node per shape, and hand-made chains."""
+    for k, shape in enumerate(((1, 1, 1), (2, 3, 4), (4, 4, 4), (3, 5, 2), (6, 3, 8))):
+        specs = [
+            WaferSpec(
+                *shape,
+                fusion_params=FusionParams("BoostedTypeII", success_prob=sp),
+                photon_loss=loss,
+            )
+            for loss, sp, _trial in itertools.product(
+                (0.0, 0.05, 0.15, 0.3), (0.0, 0.5, 0.75, 1.0), range(3)
+            )
+        ]
+        specs.append(
+            WaferSpec(*shape, filter_fidelity=0.0, filter_enabled=True)
+        )
+        rngs = [trial_rng(31, 1000 * k + i) for i in range(len(specs))]
+        yield [lat.comp for lat in build_wafers(specs, rngs)]
+    punched = chain_lattice(4)
+    punched.alive_punched[0, 0, 2, 0] = False
+    dead = chain_lattice(4)
+    dead.alive[:] = False
+    no_edges = CompLattice(
+        1, 1, 4, np.ones((1, 1, 4, 2), bool), np.ones((1, 1, 4, 2), bool),
+        np.zeros((0, 2), dtype=np.int64),
+    )
+    yield [chain_lattice(4), chain_lattice(4, broken_at=1), punched, dead, no_edges]
+
+
+def test_crossings_match_old_labelling():
+    """One labelling of each list answers as one old `coo_matrix` labelling
+    per lattice, on every axis, raw and punched."""
+    cases = list(_labelling_cases())
+    assert sum(map(len, cases)) >= 200
+    for comps, axis, punched in itertools.product(cases, "xyz", (False, True)):
+        want = [_old_crossing_exists(c, axis, punched) for c in comps]
+        assert crossings(comps, axis, punched) == want, (comps[0].nx, axis, punched)
+        assert [crossing_exists(c, axis, punched) for c in comps] == want
+    for comps, punched in itertools.product(cases, (False, True)):
+        for c in comps:
+            assert largest_component_fraction(c, punched) == (
+                _old_largest_component_fraction(c, punched)
+            )
+
+
+def test_crossings_reject_mixed_shapes():
+    with pytest.raises(SpecError, match="one shape"):
+        crossings([chain_lattice(4), chain_lattice(5)], "z")
+    with pytest.raises(SpecError):
+        crossings([chain_lattice(4)], "w")
+    assert crossings([], "z") == []
 
 
 def test_punch_out_removes_damaged_neighbors():
