@@ -21,44 +21,63 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecError
-from .fusion import FusionParams, fuse
+from .fusion import ANCILLA_COST, FusionParams, fuse
 from .graphstate import GraphRegister
 from .rng import bernoulli
 
 PRIMAL, DUAL = 0, 1
 
-_DEFAULT_COMP = {1: "primal", 4: "dual"}
-_DEFAULT_FORMATION = ((0, 7), (2, 13), (3, 10), (5, 16))
-# (local slot, remote slot, cell offset): the local slot fuses with the
-# remote slot of the cell at +offset.  z offsets are realized by delaying
-# the local photon one layer.
-_DEFAULT_BONDS = (
-    (6, 9, (0, 0, 1)),
-    (17, 14, (0, 0, 1)),
-    (8, 12, (1, 0, 0)),
-    (11, 15, (0, 1, 0)),
-)
-# Default static-element layout: waveguide crossings per slot (<=1 each).
-_DEFAULT_CROSSINGS = (14, 17)
+# The one cell design (Gimeno-Segovia et al., PRL 115, 020502 (2015)): slot
+# 3k + j is photon j of source k's linear cluster (see `make_ghz3`).
+SOURCES_PER_CELL = 6
+PHOTONS_PER_CELL = 3 * SOURCES_PER_CELL
+# The middle photons of sources 0 and 1, (primal, dual): a slot's index is
+# its parity.
+COMPUTATIONAL_SLOTS = (1, 4)
+# Each multiplexed formation fuses an end photon of a computational source
+# onto the middle photon of a stub source, whose two end photons become
+# stubs of that qubit for the ballistic bonds.
+FORMATION_PAIRS = ((0, 7), (2, 13), (3, 10), (5, 16))
+# Static-element layout: waveguide crossings per slot (<=1 each).
+CROSSING_SLOTS = (14, 17)
+# Chance that one attempt of a heralded 3-photon source succeeds.
+GHZ_SOURCE_SUCCESS_PROB = 1.0 / 32.0
+
+# stub slot -> its formation pair, and -> the parity of its qubit
+_STUBS = {
+    3 * (b // 3) + end: (a, b) for a, b in FORMATION_PAIRS for end in (0, 2)
+}
+_PARITY = {
+    s: COMPUTATIONAL_SLOTS.index(3 * (a // 3) + 1) for s, (a, _b) in _STUBS.items()
+}
 
 
 @dataclass(frozen=True)
 class UnitCellSpec:
-    """Wiring of one cell of 3-photon sources; slot 3k + j is photon j of
-    source k's linear cluster (see `make_ghz3`)."""
+    """The cell's ballistic bonds, each (local stub, remote stub, cell
+    offset): the local stub fuses with the remote stub of the cell at
+    +offset.  z offsets are realized by delaying the local photon one layer.
+    Every stub is fused exactly once."""
 
-    sources_per_cell: int = 6
-    computational_slots: dict = field(
-        default_factory=lambda: dict(_DEFAULT_COMP)
+    bond_pairs: tuple = (
+        (6, 9, (0, 0, 1)),
+        (17, 14, (0, 0, 1)),
+        (8, 12, (1, 0, 0)),
+        (11, 15, (0, 1, 0)),
     )
-    formation_pairs: tuple = _DEFAULT_FORMATION
-    bond_pairs: tuple = _DEFAULT_BONDS
-    crossing_slots: tuple = _DEFAULT_CROSSINGS
-    ghz_source_success_prob: float = 1.0 / 32.0
 
-    @property
-    def photons_per_cell(self) -> int:
-        return 3 * self.sources_per_cell
+    def __post_init__(self):
+        for _ls, _rs, off in self.bond_pairs:
+            if off == (0, 0, 0):
+                raise SpecError("bond pair with zero offset")
+            if off[2] not in (0, 1):
+                raise SpecError("z bonds must target the next layer")
+        slots = sorted(s for ls, rs, _off in self.bond_pairs for s in (ls, rs))
+        if slots != sorted(_STUBS):
+            raise SpecError(
+                f"bonds must fuse each stub slot {sorted(_STUBS)} exactly"
+                f" once, got slots {slots}"
+            )
 
     @property
     def delayed_slots(self) -> tuple:
@@ -67,52 +86,8 @@ class UnitCellSpec:
         )
 
     @property
-    def intra_fusions(self) -> int:
-        """Fusion pairs both of whose slots the cell owns (z via delay)."""
-        return len(self.formation_pairs) + sum(
-            1 for _ls, _rs, off in self.bond_pairs if off[2] != 0
-        )
-
-    @property
-    def boundary_fusions(self) -> int:
-        """Slots given to fusions shared with x/y neighbor cells."""
-        return 2 * sum(
-            1 for _ls, _rs, off in self.bond_pairs if off[2] == 0
-        )
-
-    @property
     def fusions_per_cell(self) -> int:
-        return len(self.formation_pairs) + len(self.bond_pairs)
-
-    def validate(self) -> None:
-        n = self.photons_per_cell
-        comp = set(self.computational_slots)
-        if not comp or any(not 0 <= s < n for s in comp):
-            raise SpecError("computational slots out of range")
-        if sorted(self.computational_slots.values()) != ["dual", "primal"]:
-            raise SpecError(
-                "computational slots must be one 'primal' and one 'dual'"
-            )
-        used: list[int] = []
-        for a, b in self.formation_pairs:
-            used += [a, b]
-        for ls, rs, off in self.bond_pairs:
-            used += [ls, rs]
-            if off == (0, 0, 0):
-                raise SpecError("bond pair with zero offset")
-            if off[2] not in (0, 1):
-                raise SpecError("z bonds must target the next layer")
-        if any(not 0 <= s < n for s in used):
-            raise SpecError("wiring slot out of range")
-        if comp & set(used):
-            raise SpecError("computational slots must not be fused")
-        if len(used) != len(set(used)):
-            raise SpecError("a slot appears in more than one fusion pair")
-        if set(used) | comp != set(range(n)):
-            missing = sorted(set(range(n)) - set(used) - comp)
-            raise SpecError(f"slots not covered by wiring: {missing}")
-        if 2 * self.intra_fusions + self.boundary_fusions != n - len(comp):
-            raise SpecError("intra/boundary fusion counts inconsistent")
+        return len(FORMATION_PAIRS) + len(self.bond_pairs)
 
 
 @dataclass(frozen=True)
@@ -191,12 +166,12 @@ def _sample_draws(spec: WaferSpec, cell: UnitCellSpec, rng):
     that later draws start from are the same as with sampling.
     """
     shape = (spec.nx, spec.ny, spec.nz)
-    nslots = cell.photons_per_cell
-    lost = bernoulli(rng, shape + (nslots,), spec.photon_loss)
+    slots = shape + (PHOTONS_PER_CELL,)
+    lost = bernoulli(rng, slots, spec.photon_loss)
     if spec.filter_enabled:
-        kept = bernoulli(rng, shape + (nslots,), spec.filter_fidelity)
+        kept = bernoulli(rng, slots, spec.filter_fidelity)
     else:
-        kept = np.ones(shape + (nslots,), dtype=bool)
+        kept = np.ones(slots, dtype=bool)
     success = bernoulli(
         rng, shape + (len(cell.bond_pairs),), spec.fusion_params.success_prob
     )
@@ -238,14 +213,13 @@ def _shift_ok(arr, off):
 
 def build_wafer(
     spec: WaferSpec,
-    cell: UnitCellSpec | None = None,
-    rng=None,
+    cell: UnitCellSpec = UnitCellSpec(),
+    *,
+    rng,
     graph_level: bool = True,
 ) -> BuiltLattice:
     if not graph_level:
         return build_wafers([spec], [rng], cell)[0]
-    cell = cell or UnitCellSpec()
-    cell.validate()
     return _build_graph_level(spec, cell, _sample_draws(spec, cell, rng), rng)
 
 
@@ -269,7 +243,7 @@ def batches(specs) -> list[slice]:
     return out
 
 
-def build_wafers(specs, rngs, cell: UnitCellSpec | None = None) -> list[BuiltLattice]:
+def build_wafers(specs, rngs, cell: UnitCellSpec = UnitCellSpec()) -> list[BuiltLattice]:
     """Bond-level builds of same-shape wafers, derived in one array pass.
 
     Wafer i takes its draws from rngs[i], in list order, so a generator
@@ -277,22 +251,16 @@ def build_wafers(specs, rngs, cell: UnitCellSpec | None = None) -> list[BuiltLat
     leave it.  Every array of the batch is held at once: keep a list to one
     of `batches(specs)`.
     """
-    cell = cell or UnitCellSpec()
-    cell.validate()
     if len(rngs) != len(specs):
         raise SpecError(f"{len(specs)} wafer specs but {len(rngs)} generators")
     if len({(s.nx, s.ny, s.nz) for s in specs}) > 1:
         raise SpecError("build_wafers needs wafers of one shape")
     if not specs:
         return []
-    comp = list(_comp_pair(cell))
-    formation, parity = _derive_stub_maps(cell, comp)
     # the stacked draws and every temporary of the derivation are freed
     # before the edges are listed
-    alive, punched, bonded = _bond_masks(
-        cell, comp, formation, parity, *_sample_batch(specs, cell, rngs)
-    )
-    edges = _bond_edges(cell, parity, specs[0], bonded)
+    alive, punched, bonded = _bond_masks(cell, *_sample_batch(specs, cell, rngs))
+    edges = _bond_edges(cell, specs[0], bonded)
     nx, ny, nz = specs[0].nx, specs[0].ny, specs[0].nz
     return [
         BuiltLattice(
@@ -305,20 +273,13 @@ def build_wafers(specs, rngs, cell: UnitCellSpec | None = None) -> list[BuiltLat
     ]
 
 
-def _comp_pair(cell: UnitCellSpec) -> tuple[int, int]:
-    items = sorted(cell.computational_slots.items())
-    primal = next(s for s, t in items if t == "primal")
-    dual = next(s for s, t in items if t == "dual")
-    return primal, dual
-
-
 def _resource_report(spec: WaferSpec, cell: UnitCellSpec) -> dict:
     cells = spec.cells
-    photons = cells * cell.photons_per_cell
+    photons = cells * PHOTONS_PER_CELL
     fusions = cells * cell.fusions_per_cell
     ancillas = fusions * spec.fusion_params.ancillas_per_fusion
-    comp_qubits = cells * len(cell.computational_slots)
-    boosted_ancillas = fusions * spec.fusion_params.ancilla_cost
+    comp_qubits = cells * len(COMPUTATIONAL_SLOTS)
+    boosted_ancillas = fusions * ANCILLA_COST
     return {
         "cells": cells,
         "photons_emitted": photons,
@@ -330,41 +291,8 @@ def _resource_report(spec: WaferSpec, cell: UnitCellSpec) -> dict:
         "photons_per_computational_with_ancilla": (
             (photons + boosted_ancillas) / comp_qubits
         ),
-        "expected_source_attempts_per_ghz": (
-            1.0 / cell.ghz_source_success_prob
-        ),
+        "expected_source_attempts_per_ghz": 1.0 / GHZ_SOURCE_SUCCESS_PROB,
     }
-
-
-def _derive_stub_maps(cell: UnitCellSpec, comp: list[int]):
-    """(stub -> formation pair, stub -> parity of its qubit) from wiring.
-
-    Valid for the default wiring family: each formation fuses an end photon
-    of a computational source onto the middle photon of a stub source.
-    `comp` lists the primal and the dual slot, so a slot's index is its parity.
-    """
-    partner = {}
-    for pair in cell.formation_pairs:
-        a, b = pair
-        partner[a], partner[b] = (b, pair), (a, pair)
-    formation, parity = {}, {}
-    for ls, rs, _off in cell.bond_pairs:
-        for s in (ls, rs):
-            middle = 3 * (s // 3) + 1
-            if middle not in partner:
-                raise SpecError(
-                    "bond-level mode: stub source middle is not fused by a"
-                    " formation pair"
-                )
-            end, formation[s] = partner[middle]
-            qubit = 3 * (end // 3) + 1
-            if qubit not in comp:
-                raise SpecError(
-                    "bond-level mode: formation does not attach the stub to"
-                    " a computational qubit"
-                )
-            parity[s] = comp.index(qubit)
-    return formation, parity
 
 
 def _sample_batch(specs, cell, rngs):
@@ -374,7 +302,7 @@ def _sample_batch(specs, cell, rngs):
     return [a[0][None] if len(a) == 1 else np.stack(a) for a in zip(*draws)]
 
 
-def _bond_masks(cell, comp, formation, parity, lost, kept, success):
+def _bond_masks(cell, lost, kept, success):
     """Raw and punched survival per qubit, and which bonds fused, from a
     batch's stacked draws.  Arrays are indexed by wafer, then cell; per-qubit
     ones by parity in their last axis, `bonded` by bond in its second."""
@@ -382,15 +310,16 @@ def _bond_masks(cell, comp, formation, parity, lost, kept, success):
 
     # Raw survival: not lost, passed the filter.  (Frame damage from
     # adjacent losses only matters for the punched view.)
+    comp = list(COMPUTATIONAL_SLOTS)
     alive = ~lost[..., comp] & kept[..., comp]
     # A stub is attached to its qubit iff the stub photon and both photons of
     # its formation are usable and the qubit itself survived raw.
-    stubs = list(formation)
-    a, b = map(list, zip(*formation.values()))
+    stubs = list(_STUBS)
+    a, b = map(list, zip(*_STUBS.values()))
     by_slot = np.moveaxis(usable, -1, 0)
     attached = dict(zip(stubs, (
         by_slot[stubs] & by_slot[a] & by_slot[b]
-        & np.moveaxis(alive, -1, 0)[[parity[s] for s in stubs]]
+        & np.moveaxis(alive, -1, 0)[[_PARITY[s] for s in stubs]]
     )))
 
     # Damage from ballistic loss heralds: a surviving attached stub whose
@@ -400,9 +329,9 @@ def _bond_masks(cell, comp, formation, parity, lost, kept, success):
     for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
         a_remote = _shift_ok(attached[rs], off)
         # local stub attached, partner missing -> local loss herald
-        herald_damage[..., parity[ls]] |= attached[ls] & _shift_ok(~usable[..., rs], off)
+        herald_damage[..., _PARITY[ls]] |= attached[ls] & _shift_ok(~usable[..., rs], off)
         # remote stub attached, local missing -> remote loss herald
-        herald_damage[..., parity[rs]] |= _shift_ok(
+        herald_damage[..., _PARITY[rs]] |= _shift_ok(
             a_remote & ~usable[..., ls], [-d for d in off]
         )
         np.logical_and(success[..., bi], attached[ls] & a_remote, out=bonded[:, bi])
@@ -412,7 +341,7 @@ def _bond_masks(cell, comp, formation, parity, lost, kept, success):
     return alive, alive & ~damaged[..., comp] & ~herald_damage, bonded
 
 
-def _bond_edges(cell, parity, spec, bonded):
+def _bond_edges(cell, spec, bonded):
     """Each wafer's (m, 2) int64 edges, by bond, then cell.
 
     Node ids are 2 * cell + parity.  Hit h of `bonded` is bond h // cells
@@ -423,9 +352,9 @@ def _bond_edges(cell, parity, spec, bonded):
     cells = spec.cells
     hits = np.flatnonzero(bonded)
     row = hits // cells
-    first = np.tile([parity[ls] for ls, _rs, _off in cell.bond_pairs], wafers)
+    first = np.tile([_PARITY[ls] for ls, _rs, _off in cell.bond_pairs], wafers)
     jump = np.tile([
-        2 * ((ox * spec.ny + oy) * spec.nz + oz) + parity[rs] - parity[ls]
+        2 * ((ox * spec.ny + oy) * spec.nz + oz) + _PARITY[rs] - _PARITY[ls]
         for ls, rs, (ox, oy, oz) in cell.bond_pairs
     ], wafers)
     edges = np.empty((len(hits), 2), dtype=np.int64)
@@ -437,13 +366,10 @@ def _bond_edges(cell, parity, spec, bonded):
 
 def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
     lost, kept, success = draws
-    if rng is None:  # pragma: no cover - defensive
-        raise SpecError("graph-level build requires an rng")
     nx, ny, nz = spec.nx, spec.ny, spec.nz
-    nslots = cell.photons_per_cell
     reg = GraphRegister(0)
     base = {}
-    primal, dual = _comp_pair(cell)
+    primal, dual = COMPUTATIONAL_SLOTS
 
     def vid(x, y, z, slot):
         return base[(x, y, z)] + slot
@@ -460,13 +386,13 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
     for (x, y, z) in coords:
         start = reg.vertex_count
         base[(x, y, z)] = start
-        for _ in range(cell.sources_per_cell):
+        for _ in range(SOURCES_PER_CELL):
             make_ghz3(reg)
         # Emission-time loss, then the |+> filter on the survivors.
-        for s in range(nslots):
+        for s in range(PHOTONS_PER_CELL):
             if lost[x, y, z, s]:
                 reg.remove_lost(start + s)
-        for s in range(nslots):
+        for s in range(PHOTONS_PER_CELL):
             v = start + s
             if reg.is_alive(v) and not kept[x, y, z, s]:
                 reg.measure_pauli(v, "Z", rng)
@@ -488,7 +414,7 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
                 reg.remove_lost(v)
 
     for (x, y, z) in coords:
-        for (a, b) in cell.formation_pairs:
+        for (a, b) in FORMATION_PAIRS:
             attempt(vid(x, y, z, a), vid(x, y, z, b), True, "formation")
     for (x, y, z) in coords:
         for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
@@ -506,7 +432,7 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
         (x, y, z): (vid(x, y, z, primal), vid(x, y, z, dual))
         for (x, y, z) in coords
     }
-    lattice = _comp_from_register(spec, cell, reg, comp_vertices)
+    lattice = _comp_from_register(spec, reg, comp_vertices)
     return BuiltLattice(
         register=reg,
         computational_vertices=comp_vertices,
@@ -515,7 +441,7 @@ def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
     )
 
 
-def _comp_from_register(spec, cell, reg, comp_vertices) -> CompLattice:
+def _comp_from_register(spec, reg, comp_vertices) -> CompLattice:
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     alive = np.zeros((nx, ny, nz, 2), dtype=bool)
     punched = np.zeros((nx, ny, nz, 2), dtype=bool)
@@ -546,17 +472,16 @@ _DETECTOR_ELEMENTS = 1
 
 
 def optical_depth_report(cell: UnitCellSpec) -> dict:
-    cell.validate()
     fused = set()
-    for a, b in cell.formation_pairs:
+    for a, b in FORMATION_PAIRS:
         fused |= {a, b}
     for ls, rs, _off in cell.bond_pairs:
         fused |= {ls, rs}
     delayed = set(cell.delayed_slots)
-    crossings = set(cell.crossing_slots)
+    crossings = set(CROSSING_SLOTS)
     per_slot = {}
-    for s in range(cell.photons_per_cell):
-        comp = s in cell.computational_slots
+    for s in range(PHOTONS_PER_CELL):
+        comp = s in COMPUTATIONAL_SLOTS
         elements = {
             "source": _SOURCE_ELEMENTS,
             "fusion": _FUSION_ELEMENTS if s in fused else 0,

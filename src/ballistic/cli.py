@@ -513,9 +513,9 @@ def _metric_means(records: list[dict]) -> dict:
     }
 
 
-def svg_line_chart(series: dict, path: str, width=640, height=400) -> None:
+def svg_line_chart(series: dict, path: str) -> None:
     """Minimal dependency-free polyline chart (one color per series)."""
-    pad = 50
+    width, height, pad = 640, 400, 50
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
     x_lo, x_hi = min(xs_all), max(xs_all)

@@ -18,13 +18,14 @@ from .graphstate import GraphRegister
 
 KINDS = ("TypeII", "BoostedTypeII")
 _DEFAULT_SUCCESS = {"TypeII": 0.5, "BoostedTypeII": 0.75}
+# Ancilla photons a boosted fusion consumes per attempt.
+ANCILLA_COST = 2
 
 
 @dataclass(frozen=True)
 class FusionParams:
     kind: str = "TypeII"
     success_prob: float | None = None
-    ancilla_cost: int = 2
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -35,13 +36,11 @@ class FusionParams:
             )
         if not 0.0 <= self.success_prob <= 1.0:
             raise SpecError("success_prob outside [0, 1]")
-        if self.ancilla_cost < 0:
-            raise SpecError("ancilla_cost must be >= 0")
 
     @property
     def ancillas_per_fusion(self) -> int:
         """Ancilla photons consumed per attempt (boosting only)."""
-        return self.ancilla_cost if self.kind == "BoostedTypeII" else 0
+        return ANCILLA_COST if self.kind == "BoostedTypeII" else 0
 
 
 def fuse(reg: GraphRegister, a: int, b: int, success: bool, rng) -> None:

@@ -141,7 +141,7 @@ def _csr_adjacency(comp: CompLattice, punched: bool):
     e = np.asarray(comp.edges, dtype=np.int64).reshape(-1, 2)
     keep = alive[e[:, 0]] & alive[e[:, 1]]
     if not keep.all():
-        e = e[keep]
+        e = e.compress(keep, axis=0)
     a, b = e[:, 0], e[:, 1]
     # Sorting the keys source * n + target orders by source, then target.
     # Each edge gives one key per direction, written into one array.
@@ -274,13 +274,17 @@ def find_paths_windowed(
 ) -> PathfindingState:
     """Route logical wires layer by layer with a bounded lookahead.
 
-    Each wire starts at the lowest-id usable node of layer 0 and advances one
-    layer at a time.  The step choice uses only layers <= current + window:
-    among the layer-(t+1) nodes reachable inside the window, take the one
-    whose window component reaches the farthest layer (ties: lowest id).
-    Every search visits a node's neighbours in ascending id order, which
-    fixes both that tie-break and the BFS parent of each node.  Wires are
-    vertex-disjoint.  A wire that spans all nz layers "sustains" nz - 1.
+    Each wire starts at the usable layer-0 node whose window component
+    reaches the farthest layer (ties: lowest id) and advances one layer at
+    a time.  The step choice uses only layers <= current + window: among
+    the layer-(t+1) nodes reachable inside the window, take the one whose
+    window component reaches the farthest layer.  Candidates are scored in
+    BFS order, depth by depth, and only a strictly higher score replaces
+    the best so far, so a tie goes to the earliest BFS depth, then to the
+    lowest id within it.  Every search visits a node's neighbours in
+    ascending id order, which fixes both that tie-break and the BFS parent
+    of each node.  Wires are vertex-disjoint.  A wire that spans all nz
+    layers "sustains" nz - 1.
 
     A score that reaches the window's top comes with a witness path.  The
     next step finds a candidate on the winner's witness with

@@ -29,42 +29,48 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_default_cell_validates():
-    cell = UnitCellSpec()
-    cell.validate()
-    assert cell.photons_per_cell == 18
-    assert cell.intra_fusions == 6
-    assert cell.boundary_fusions == 4
-    assert cell.fusions_per_cell == 8
-    assert len(cell.delayed_slots) == 2
+    # the default and the mirrored wiring both construct
+    for cell in (UnitCellSpec(), UnitCellSpec(bond_pairs=MIRRORED_CELL.bond_pairs)):
+        assert cell.fusions_per_cell == 8
+        assert cell.delayed_slots == (6, 17)
+
+
+def _rewired(index, bond):
+    """The default bonds with bond `index` replaced."""
+    pairs = list(UnitCellSpec().bond_pairs)
+    pairs[index] = bond
+    return tuple(pairs)
+
+
+BAD_BONDS = (
+    # zero offset
+    (_rewired(0, (6, 9, (0, 0, 0))), "zero offset"),
+    # z offsets outside {0, 1}
+    (_rewired(0, (6, 9, (0, 0, 2))), "next layer"),
+    (_rewired(0, (6, 9, (0, 0, -1))), "next layer"),
+    # stub 6 used twice: in one bond, and in two
+    (_rewired(0, (6, 6, (0, 0, 1))), "exactly once"),
+    (_rewired(1, (6, 14, (0, 0, 1))), "exactly once"),
+    # a computational slot, a formation slot, a slot outside the cell
+    (_rewired(0, (1, 9, (0, 0, 1))), "exactly once"),
+    (_rewired(0, (7, 9, (0, 0, 1))), "exactly once"),
+    (_rewired(0, (18, 9, (0, 0, 1))), "exactly once"),
+    # stubs 11 and 15 left out
+    (UnitCellSpec().bond_pairs[:3], "exactly once"),
+    # every stub in a bond, but 6 and 15 each fused with themselves
+    (
+        ((6, 6, (1, 0, 0)), (15, 15, (1, 0, 0)), (9, 17, (0, 0, 1)),
+         (14, 8, (0, 1, 0)), (12, 11, (1, 0, 0))),
+        "exactly once",
+    ),
+)
 
 
 def test_cell_wiring_validation_errors():
-    with pytest.raises(SpecError):
-        UnitCellSpec(computational_slots={0: "primal", 4: "dual"}).validate()
-    with pytest.raises(SpecError):
-        UnitCellSpec(formation_pairs=((0, 7), (0, 13), (3, 10), (5, 16))).validate()
-    bad_bonds = (
-        (6, 9, (0, 0, 0)),
-        (17, 14, (0, 0, 1)),
-        (8, 12, (1, 0, 0)),
-        (11, 15, (0, 1, 0)),
-    )
-    with pytest.raises(SpecError):
-        UnitCellSpec(bond_pairs=bad_bonds).validate()
-
-
-@pytest.mark.parametrize(
-    "slots",
-    [
-        {1: "primal", 4: "primal"},
-        {1: "dual", 4: "dual"},
-        {1: "primal", 4: "bogus"},
-    ],
-)
-def test_computational_slots_need_one_primal_one_dual(slots):
-    cell = UnitCellSpec(computational_slots=slots)
-    with pytest.raises(SpecError, match="one 'primal' and one 'dual'"):
-        cell.validate()
+    """An invalid bond wiring cannot be constructed."""
+    for bonds, match in BAD_BONDS:
+        with pytest.raises(SpecError, match=match):
+            UnitCellSpec(bond_pairs=bonds)
 
 
 def test_make_ghz3_is_linear_cluster():
@@ -206,7 +212,7 @@ def test_bernoulli_matches_plain_draws():
     shapes = {(k,) for k in range(10)} | {(12, 6, 600, 18)}
     for cell, spec in spec_grid():
         cells = (spec.nx, spec.ny, spec.nz)
-        shapes |= {cells + (cell.photons_per_cell,), cells + (len(cell.bond_pairs),)}
+        shapes |= {cells + (builder.PHOTONS_PER_CELL,), cells + (len(cell.bond_pairs),)}
     for shape, p, prior in itertools.product(
         sorted(shapes), (0.0, 1.0, 0.3), range(8)
     ):
@@ -243,7 +249,7 @@ def test_bernoulli_falls_back_to_plain_draws():
 def _plain_sample_draws(spec, cell, rng):
     """`builder._sample_draws` as it was before any draw was skipped."""
     shape = (spec.nx, spec.ny, spec.nz)
-    nslots = cell.photons_per_cell
+    nslots = builder.PHOTONS_PER_CELL
     lost = rng.random(shape + (nslots,)) < spec.photon_loss
     if spec.filter_enabled:
         kept = rng.random(shape + (nslots,)) < spec.filter_fidelity
@@ -447,6 +453,11 @@ def test_optical_depth_report():
         s for s, e in rep["per_slot"].items() if e["phase_shifter"] == 1
     }
     assert shifters == {1, 4}
+
+
+def test_build_needs_a_generator():
+    with pytest.raises(TypeError, match="rng"):
+        build_wafer(WaferSpec(1, 1, 1))
 
 
 def test_invalid_wafer_spec():
