@@ -5,7 +5,7 @@ Modules:
   dense       — brute-force stabilizer oracle for <= 12 qubits
   clifford    — the 24 single-qubit Clifford operators and their tables
   fock        — small-photon-number linear-optics oracle
-  fusion      — heralded Type-II fusion on graph states
+  fusion      — heralded Type-II fusion parameters and ancilla cost
   builder     — unit-cell wiring and wafer assembly into a 3D lattice
   percolation — crossing checks, square-lattice crossing, windowed pathfinding
   multiplex   — photon streams, delay networks, matching and yields
@@ -30,7 +30,7 @@ from .fock import (
     detection_probability,
     type2_fusion_success_probability,
 )
-from .fusion import FusionParams, fuse
+from .fusion import FusionParams
 from .builder import (
     BuiltLattice,
     UnitCellSpec,

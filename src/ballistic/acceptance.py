@@ -291,11 +291,8 @@ def check_extinction() -> tuple[bool, str]:
 
 
 def check_resource_report() -> tuple[bool, str]:
-    lat = build_wafer(
-        WaferSpec(1, 1, 1, fusion_params=_BOOSTED),
-        rng=trial_rng(1014, 0),
-        graph_level=False,
-    )
+    spec = WaferSpec(1, 1, 1, fusion_params=_BOOSTED)
+    lat = build_wafer(spec, rng=trial_rng(1014, 0))
     rep = lat.resource_report
     no_anc = rep["photons_per_computational_no_ancilla"]
     with_anc = rep["photons_per_computational_with_ancilla"]
@@ -313,7 +310,7 @@ def check_gadgets() -> tuple[bool, str]:
 
 def pathfinding_trial(trial: int, seed: int = 1016) -> int:
     spec = WaferSpec(12, 6, 600, fusion_params=_BOOSTED)
-    lat = build_wafer(spec, rng=trial_rng(seed, trial), graph_level=False)
+    lat = build_wafer(spec, rng=trial_rng(seed, trial))
     state = find_paths_windowed(lat, window=15, wires=1)
     return sustained_layers(state)
 
@@ -366,6 +363,6 @@ def run_all(criteria=None) -> list[CheckResult]:
         except Exception as exc:  # surface, don't hide, broken checks
             passed, details = False, f"raised {type(exc).__name__}: {exc}"
         results.append(
-            CheckResult(num, name, passed, details, time.perf_counter() - t0)
+            CheckResult(num, name, bool(passed), details, time.perf_counter() - t0)
         )
     return results

@@ -6,12 +6,11 @@ A unit cell holds 6 three-photon sources (18 photon slots).  Four multiplexed
 tie cells together in x, y and (via two delayed photons) z.  The surviving
 bonds form the percolated 3D lattice consumed by the percolation module.
 
-Two build modes share one stream of random draws:
-  * graph mode — every photon is a GraphRegister vertex and every fusion a
-    register operation (exact, used for validation and small lattices);
-  * bond mode  — the computational-qubit lattice is derived directly from
-    the draws with vectorized boolean algebra, for a batch of same-shape
-    wafers at once (identical distribution, desk-scale fast).
+The build is bond-level: the computational-qubit lattice is derived
+directly from the random draws with vectorized boolean algebra, for a batch
+of same-shape wafers at once.  The photon-by-photon graph-state build that
+it reproduces draw for draw is the exact oracle the tests compare it with
+(`tests/graph_oracle.py`).
 """
 
 from __future__ import annotations
@@ -21,14 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecError
-from .fusion import ANCILLA_COST, FusionParams, fuse
-from .graphstate import GraphRegister
+from .fusion import FusionParams
 from .rng import bernoulli
 
-PRIMAL, DUAL = 0, 1
-
 # The one cell design (Gimeno-Segovia et al., PRL 115, 020502 (2015)): slot
-# 3k + j is photon j of source k's linear cluster (see `make_ghz3`).
+# 3k + j is photon j of source k's linear cluster a-b-c.
 SOURCES_PER_CELL = 6
 PHOTONS_PER_CELL = 3 * SOURCES_PER_CELL
 # The middle photons of sources 0 and 1, (primal, dual): a slot's index is
@@ -139,18 +135,8 @@ class CompLattice:
 
 @dataclass
 class BuiltLattice:
-    register: GraphRegister | None
-    computational_vertices: dict
     resource_report: dict
     comp: CompLattice
-
-
-def make_ghz3(reg: GraphRegister) -> tuple[int, int, int]:
-    """Append one 3-photon resource as a linear cluster a-b-c."""
-    a, b, c = reg.add_vertices(3)
-    reg.apply_cz(a, b)
-    reg.apply_cz(b, c)
-    return a, b, c
 
 
 # -- shared draw sampling ---------------------------------------------------
@@ -159,11 +145,12 @@ def make_ghz3(reg: GraphRegister) -> tuple[int, int, int]:
 def _sample_draws(spec: WaferSpec, cell: UnitCellSpec, rng):
     """All structured randomness of one build, in a fixed order.
 
-    Both build modes consume exactly these arrays, so their lattices agree
-    draw-for-draw.  Each draw is `rng.random(shape) < p`; where p is 0 or 1
-    (no loss, filter fidelity 1, deterministic fusion) `bernoulli` skips the
-    stream past the uniforms instead, so the arrays and the stream position
-    that later draws start from are the same as with sampling.
+    The graph-level oracle consumes exactly these arrays too, so the two
+    builds agree draw for draw.  Each draw is `rng.random(shape) < p`; where
+    p is 0 or 1 (no loss, filter fidelity 1, deterministic fusion)
+    `bernoulli` skips the stream past the uniforms instead, so the arrays
+    and the stream position that later draws start from are the same as
+    with sampling.
     """
     shape = (spec.nx, spec.ny, spec.nz)
     slots = shape + (PHOTONS_PER_CELL,)
@@ -216,11 +203,20 @@ def build_wafer(
     cell: UnitCellSpec = UnitCellSpec(),
     *,
     rng,
-    graph_level: bool = True,
+    graph_level: bool = False,
 ) -> BuiltLattice:
-    if not graph_level:
-        return build_wafers([spec], [rng], cell)[0]
-    return _build_graph_level(spec, cell, _sample_draws(spec, cell, rng), rng)
+    """One wafer's bond-level build: `build_wafers([spec], [rng], cell)[0]`.
+
+    `graph_level` exists only because the benchmark's workloads
+    (`perfbench/workloads.py`) pass `graph_level=False`.  True is rejected:
+    the graph-level build is the test oracle in `tests/graph_oracle.py`.
+    """
+    if graph_level:
+        raise SpecError(
+            "the graph-level build is the test oracle tests/graph_oracle.py;"
+            " build_wafer builds bond-level only"
+        )
+    return build_wafers([spec], [rng], cell)[0]
 
 
 # Cells built together: a batch's arrays stay near this size (a larger
@@ -264,8 +260,6 @@ def build_wafers(specs, rngs, cell: UnitCellSpec = UnitCellSpec()) -> list[Built
     nx, ny, nz = specs[0].nx, specs[0].ny, specs[0].nz
     return [
         BuiltLattice(
-            register=None,
-            computational_vertices={},
             resource_report=_resource_report(spec, cell),
             comp=CompLattice(nx, ny, nz, alive[i], punched[i], edges[i]),
         )
@@ -279,7 +273,6 @@ def _resource_report(spec: WaferSpec, cell: UnitCellSpec) -> dict:
     fusions = cells * cell.fusions_per_cell
     ancillas = fusions * spec.fusion_params.ancillas_per_fusion
     comp_qubits = cells * len(COMPUTATIONAL_SLOTS)
-    boosted_ancillas = fusions * ANCILLA_COST
     return {
         "cells": cells,
         "photons_emitted": photons,
@@ -288,9 +281,7 @@ def _resource_report(spec: WaferSpec, cell: UnitCellSpec) -> dict:
         "photons_emitted_total": photons + ancillas,
         "computational_qubits": comp_qubits,
         "photons_per_computational_no_ancilla": photons / comp_qubits,
-        "photons_per_computational_with_ancilla": (
-            (photons + boosted_ancillas) / comp_qubits
-        ),
+        "photons_per_computational_with_ancilla": (photons + ancillas) / comp_qubits,
         "expected_source_attempts_per_ghz": 1.0 / GHZ_SOURCE_SUCCESS_PROB,
     }
 
@@ -362,106 +353,6 @@ def _bond_edges(cell, spec, bonded):
     edges[:, 0] += (first - 2 * cells * np.arange(wafers * nb))[row]
     np.add(edges[:, 0], jump[row], out=edges[:, 1])
     return np.split(edges, np.searchsorted(row, np.arange(nb, wafers * nb, nb)))
-
-
-def _build_graph_level(spec, cell, draws, rng) -> BuiltLattice:
-    lost, kept, success = draws
-    nx, ny, nz = spec.nx, spec.ny, spec.nz
-    reg = GraphRegister(0)
-    base = {}
-    primal, dual = COMPUTATIONAL_SLOTS
-
-    def vid(x, y, z, slot):
-        return base[(x, y, z)] + slot
-
-    def usable(v):
-        return reg.is_alive(v) and reg.frame_is_known(v)
-
-    coords = [
-        (x, y, z)
-        for z in range(nz)
-        for x in range(nx)
-        for y in range(ny)
-    ]
-    for (x, y, z) in coords:
-        start = reg.vertex_count
-        base[(x, y, z)] = start
-        for _ in range(SOURCES_PER_CELL):
-            make_ghz3(reg)
-        # Emission-time loss, then the |+> filter on the survivors.
-        for s in range(PHOTONS_PER_CELL):
-            if lost[x, y, z, s]:
-                reg.remove_lost(start + s)
-        for s in range(PHOTONS_PER_CELL):
-            v = start + s
-            if reg.is_alive(v) and not kept[x, y, z, s]:
-                reg.measure_pauli(v, "Z", rng)
-
-    def attempt(a, b, success, kind):
-        alive_pair = [v for v in (a, b) if reg.is_alive(v)]
-        if len(alive_pair) == 2 and usable(a) and usable(b):
-            fuse(reg, a, b, success, rng)
-            return
-        # A participant is missing or carries an unknown byproduct.
-        if kind == "formation":
-            # Multiplexed stage: absence is heralded, survivors are cleanly
-            # switched out (Z-measured).
-            for v in alive_pair:
-                reg.measure_pauli(v, "Z", rng)
-        else:
-            # Ballistic stage: no herald, survivors are dropped as lost.
-            for v in alive_pair:
-                reg.remove_lost(v)
-
-    for (x, y, z) in coords:
-        for (a, b) in FORMATION_PAIRS:
-            attempt(vid(x, y, z, a), vid(x, y, z, b), True, "formation")
-    for (x, y, z) in coords:
-        for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
-            tx, ty, tz = x + off[0], y + off[1], z + off[2]
-            va = vid(x, y, z, ls)
-            if not (0 <= tx < nx and 0 <= ty < ny and 0 <= tz < nz):
-                # Wafer edge: the photon meets no partner and is measured
-                # out at a monitor detector.
-                if reg.is_alive(va):
-                    reg.measure_pauli(va, "Z", rng)
-                continue
-            attempt(va, vid(tx, ty, tz, rs), success[x, y, z, bi], "bond")
-
-    comp_vertices = {
-        (x, y, z): (vid(x, y, z, primal), vid(x, y, z, dual))
-        for (x, y, z) in coords
-    }
-    lattice = _comp_from_register(spec, reg, comp_vertices)
-    return BuiltLattice(
-        register=reg,
-        computational_vertices=comp_vertices,
-        resource_report=_resource_report(spec, cell),
-        comp=lattice,
-    )
-
-
-def _comp_from_register(spec, reg, comp_vertices) -> CompLattice:
-    nx, ny, nz = spec.nx, spec.ny, spec.nz
-    alive = np.zeros((nx, ny, nz, 2), dtype=bool)
-    punched = np.zeros((nx, ny, nz, 2), dtype=bool)
-    vert_to_node = {}
-    for (x, y, z), (p, d) in comp_vertices.items():
-        for parity, v in ((PRIMAL, p), (DUAL, d)):
-            a = reg.is_alive(v)
-            alive[x, y, z, parity] = a
-            punched[x, y, z, parity] = a and reg.frame_is_known(v)
-            vert_to_node[v] = ((x * ny + y) * nz + z) * 2 + parity
-    edges = []
-    for u, v in reg.edges():
-        if u in vert_to_node and v in vert_to_node:
-            edges.append((vert_to_node[u], vert_to_node[v]))
-    arr = (
-        np.array(sorted(edges), dtype=np.int64)
-        if edges
-        else np.zeros((0, 2), dtype=np.int64)
-    )
-    return CompLattice(nx, ny, nz, alive, punched, arr)
 
 
 # -- static optics accounting ----------------------------------------------

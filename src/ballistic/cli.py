@@ -133,7 +133,7 @@ def _mux_law(means: dict, params: dict):
 
 
 def wafer_span_trial(params: dict, rng) -> dict:
-    lat = build_wafer(_wafer_spec(params), rng=rng, graph_level=False)
+    lat = build_wafer(_wafer_spec(params), rng=rng)
     return {
         "span": float(crossing_exists(lat, "z")),
         "span_punched": float(crossing_exists(lat, "z", punched=True)),

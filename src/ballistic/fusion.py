@@ -1,20 +1,17 @@
-"""Graph-level heralded Type-II fusion of photonic cluster fragments.
+"""Heralded Type-II fusion: its kind, success probability and ancilla cost.
 
 A fusion is a destructive two-photon measurement that either succeeds or
-fails, and says which.  At the graph level a success joins the
-neighbourhoods of the two consumed photons (biadjacency complement); a
-failure Z-measures both photons out.  Photon loss is a separate per-photon
-draw made by the builder.  The interferometric justification of the
-success probability lives in the fock module; here it is a parameter.
+fails, and says which; the builder draws each outcome with the success
+probability.  Photon loss is a separate per-photon draw made by the
+builder.  The interferometric justification of the success probability
+lives in the fock module; here it is a parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import SpecError
-from .graphstate import GraphRegister
 
 KINDS = ("TypeII", "BoostedTypeII")
 _DEFAULT_SUCCESS = {"TypeII": 0.5, "BoostedTypeII": 0.75}
@@ -41,21 +38,3 @@ class FusionParams:
     def ancillas_per_fusion(self) -> int:
         """Ancilla photons consumed per attempt (boosting only)."""
         return ANCILLA_COST if self.kind == "BoostedTypeII" else 0
-
-
-def fuse(reg: GraphRegister, a: int, b: int, success: bool, rng) -> None:
-    """Fuse photons `a` and `b` in place, with the heralded outcome `success`.
-
-    Both photons are Z-measured, `a` first; on success every edge between
-    N(a)\\{b} and N(b)\\{a} is then toggled.
-    """
-    if a == b:
-        raise SpecError("fusion needs two distinct photons")
-    na = [v for v in reg.neighbors(a) if v != b]
-    nb = [v for v in reg.neighbors(b) if v != a]
-    reg.measure_pauli(a, "Z", rng)
-    reg.measure_pauli(b, "Z", rng)
-    if success:
-        for u, v in product(na, nb):
-            if u != v and reg.is_alive(u) and reg.is_alive(v):
-                reg.toggle_edge(u, v)

@@ -73,6 +73,15 @@ def test_c14_photon_resource_counts():
     run(acceptance.check_resource_report)
 
 
+def test_run_all_stores_plain_bools():
+    # `verify` can report results as JSON, which rejects numpy's bool
+    results = acceptance.run_all({1, 2, 4, 13, 14})
+    assert [r.criterion for r in results] == [1, 2, 4, 13, 14]
+    for r in results:
+        assert type(r.passed) is bool and r.passed, (r.criterion, type(r.passed))
+        assert json.loads(json.dumps(r.passed)) is True
+
+
 def test_c15_gadget_verifications():
     run(acceptance.check_gadgets)
 

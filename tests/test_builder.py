@@ -15,7 +15,6 @@ from ballistic.builder import (
     batches,
     build_wafer,
     build_wafers,
-    make_ghz3,
     optical_depth_report,
 )
 from ballistic.errors import SpecError
@@ -23,6 +22,7 @@ from ballistic.fusion import KINDS, FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import crossing_exists, crossings
 from ballistic.rng import bernoulli, trial_rng
+from graph_oracle import build_graph_level, make_ghz3
 
 BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -94,7 +94,7 @@ def test_deterministic_limit_joins_layers():
     # the z bond fuses one layer's primal qubit to the next layer's dual
     # qubit (and vice versa), so each fragment spans both layers
     spec = WaferSpec(1, 1, 2, fusion_params=FusionParams("TypeII", success_prob=1.0))
-    lat = build_wafer(spec, rng=trial_rng(0, 0), graph_level=True)
+    lat = build_graph_level(spec, rng=trial_rng(0, 0))
     reg = lat.register
     p0, d0 = lat.computational_vertices[(0, 0, 0)]
     p1, d1 = lat.computational_vertices[(0, 0, 1)]
@@ -105,7 +105,7 @@ def test_deterministic_limit_joins_layers():
 
 def test_single_cell_deterministic_limit():
     spec = WaferSpec(1, 1, 1, fusion_params=FusionParams("TypeII", success_prob=1.0))
-    lat = build_wafer(spec, rng=trial_rng(0, 0), graph_level=True)
+    lat = build_graph_level(spec, rng=trial_rng(0, 0))
     comp_ids = next(iter(lat.computational_vertices.values()))
     reg = lat.register
     assert all(reg.is_alive(v) for v in comp_ids)
@@ -115,11 +115,7 @@ def test_single_cell_deterministic_limit():
 
 
 def test_resource_report_counts():
-    lat = build_wafer(
-        WaferSpec(2, 2, 2, fusion_params=BOOSTED),
-        rng=trial_rng(1, 0),
-        graph_level=False,
-    )
+    lat = build_wafer(WaferSpec(2, 2, 2, fusion_params=BOOSTED), rng=trial_rng(1, 0))
     rep = lat.resource_report
     assert rep["cells"] == 8
     assert rep["photons_emitted"] == 8 * 18
@@ -127,6 +123,15 @@ def test_resource_report_counts():
     assert rep["photons_per_computational_with_ancilla"] == 17
     assert rep["photons_per_computational_with_ancilla"] <= 20
     assert rep["expected_source_attempts_per_ghz"] == 32
+
+
+def test_with_ancilla_figure_counts_only_consumed_ancillas():
+    # only a boosted fusion consumes ancillas, ANCILLA_COST = 2 per attempt
+    for kind, want in (("TypeII", 9.0), ("BoostedTypeII", 17.0)):
+        spec = WaferSpec(2, 2, 2, fusion_params=FusionParams(kind))
+        rep = build_wafer(spec, rng=trial_rng(1, 0)).resource_report
+        assert rep["photons_per_computational_with_ancilla"] == want, kind
+        assert want == rep["photons_emitted_total"] / rep["computational_qubits"]
 
 
 # The default wiring with its x and y bonds fused from the other side, so
@@ -196,8 +201,8 @@ def test_build_modes_agree():
         for cell in (UnitCellSpec(), MIRRORED_CELL)
     ]
     for cell, spec, trial in cases:
-        graph = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=True)
-        bond = build_wafer(spec, cell, rng=trial_rng(5, trial), graph_level=False)
+        graph = build_graph_level(spec, cell, rng=trial_rng(5, trial))
+        bond = build_wafer(spec, cell, rng=trial_rng(5, trial))
         assert (graph.comp.alive == bond.comp.alive).all(), (cell, spec, trial)
         assert (graph.comp.alive_punched == bond.comp.alive_punched).all(), (cell, spec, trial)
         ge = {tuple(sorted(e)) for e in graph.comp.edges.tolist()}
@@ -262,12 +267,10 @@ def _plain_sample_draws(spec, cell, rng):
     return lost, kept, success
 
 
-def _two_builds(spec, graph_level):
+def _two_builds(spec, build):
     """Two consecutive builds from one generator, then its next 64 draws."""
     rng = trial_rng(8, 0)
-    builds = [
-        build_wafer(spec, rng=rng, graph_level=graph_level) for _ in range(2)
-    ]
+    builds = [build(spec, rng=rng) for _ in range(2)]
     return bond_build_digest(builds), rng.random(64).tobytes()
 
 
@@ -276,12 +279,12 @@ def test_consecutive_builds_match_plain_draws(monkeypatch):
         WaferSpec(2, 3, 3, fusion_params=BOOSTED),
         WaferSpec(2, 3, 3, fusion_params=BOOSTED, photon_loss=0.05),
     )
-    for spec, graph_level in itertools.product(specs, (False, True)):
-        fast = _two_builds(spec, graph_level)
+    for spec, build in itertools.product(specs, (build_wafer, build_graph_level)):
+        fast = _two_builds(spec, build)
         with monkeypatch.context() as m:
             m.setattr(builder, "_sample_draws", _plain_sample_draws)
-            plain = _two_builds(spec, graph_level)
-        assert fast == plain, (spec, graph_level)
+            plain = _two_builds(spec, build)
+        assert fast == plain, (spec, build.__name__)
 
 
 def bond_build_digest(builds) -> str:
@@ -297,7 +300,7 @@ def bond_build_digest(builds) -> str:
 def bond_golden_digests(golden) -> dict:
     seed = golden["seed"]
     grid = (
-        build_wafer(spec, cell, rng=trial_rng(seed, i), graph_level=False)
+        build_wafer(spec, cell, rng=trial_rng(seed, i))
         for i, (cell, spec) in enumerate(spec_grid())
     )
     large = golden["large"]
@@ -309,7 +312,7 @@ def bond_golden_digests(golden) -> dict:
     return {
         "grid_sha256": bond_build_digest(grid),
         "large_sha256": bond_build_digest(
-            [build_wafer(spec, rng=trial_rng(seed, 0), graph_level=False)]
+            [build_wafer(spec, rng=trial_rng(seed, 0))]
         ),
     }
 
@@ -344,7 +347,7 @@ def test_build_wafers_matches_sequential_builds():
             batch_rngs, seq_rngs = gens(), gens()
             got = build_wafers(specs, batch_rngs, cell)
             want = [
-                build_wafer(spec, cell, rng=rng, graph_level=False)
+                build_wafer(spec, cell, rng=rng)
                 for spec, rng in zip(specs, seq_rngs)
             ]
             assert len(got) == len(specs)
@@ -407,9 +410,7 @@ def test_small_batch_budget_gives_same_results(monkeypatch):
 def test_wafer_spanning_probabilistic():
     spec = WaferSpec(12, 6, 20, fusion_params=BOOSTED)
     hits = sum(
-        crossing_exists(
-            build_wafer(spec, rng=trial_rng(9, t), graph_level=False), "z"
-        )
+        crossing_exists(build_wafer(spec, rng=trial_rng(9, t)), "z")
         for t in range(20)
     )
     assert hits == 20
@@ -417,7 +418,7 @@ def test_wafer_spanning_probabilistic():
 
 def test_zero_success_prob_gives_no_bonds():
     spec = WaferSpec(2, 2, 2, fusion_params=FusionParams("TypeII", success_prob=0.0))
-    lat = build_wafer(spec, rng=trial_rng(3, 0), graph_level=False)
+    lat = build_wafer(spec, rng=trial_rng(3, 0))
     assert len(lat.comp.edges) == 0
 
 
@@ -429,8 +430,8 @@ def test_filter_limits():
             2, 2, 2, fusion_params=BOOSTED,
             filter_fidelity=fidelity, filter_enabled=True,
         )
-        for graph_level in (False, True):
-            lat = build_wafer(spec, rng=trial_rng(4, 0), graph_level=graph_level)
+        for build in (build_wafer, build_graph_level):
+            lat = build(spec, rng=trial_rng(4, 0))
             assert (lat.comp.alive == survives).all()
             assert survives or len(lat.comp.edges) == 0
 
@@ -440,8 +441,8 @@ def test_filter_reduces_alive_fraction():
     filt = WaferSpec(
         4, 4, 4, fusion_params=BOOSTED, filter_fidelity=0.8, filter_enabled=True
     )
-    a = build_wafer(base, rng=trial_rng(6, 0), graph_level=False).comp.alive.mean()
-    b = build_wafer(filt, rng=trial_rng(6, 0), graph_level=False).comp.alive.mean()
+    a = build_wafer(base, rng=trial_rng(6, 0)).comp.alive.mean()
+    b = build_wafer(filt, rng=trial_rng(6, 0)).comp.alive.mean()
     assert b < a
 
 
@@ -458,6 +459,24 @@ def test_optical_depth_report():
 def test_build_needs_a_generator():
     with pytest.raises(TypeError, match="rng"):
         build_wafer(WaferSpec(1, 1, 1))
+
+
+def test_graph_level_build_is_rejected():
+    with pytest.raises(SpecError, match="tests/graph_oracle.py"):
+        build_wafer(WaferSpec(1, 1, 1), rng=trial_rng(0, 0), graph_level=True)
+
+
+def test_build_wafer_is_a_batch_of_one():
+    """A default `build_wafer` call gives `build_wafers([spec], [rng])[0]`'s
+    arrays and report, and leaves the generator where that call does."""
+    for i, (cell, spec) in enumerate(spec_grid()):
+        if cell != UnitCellSpec():
+            continue
+        one, batch = trial_rng(21, i), trial_rng(21, i)
+        got, want = build_wafer(spec, rng=one), build_wafers([spec], [batch])[0]
+        assert bond_build_digest([got]) == bond_build_digest([want]), spec
+        assert got.resource_report == want.resource_report, spec
+        assert (one.random(64) == batch.random(64)).all(), spec
 
 
 def test_invalid_wafer_spec():

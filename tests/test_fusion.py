@@ -1,11 +1,12 @@
-"""Graph-level fusion operations."""
+"""Fusion parameters, and the graph-level fusion of the test oracle."""
 
 import numpy as np
 import pytest
 
 from ballistic.errors import SpecError
-from ballistic.fusion import KINDS, FusionParams, fuse
+from ballistic.fusion import KINDS, FusionParams
 from ballistic.graphstate import GraphRegister
+from graph_oracle import fuse
 
 
 def rng():

@@ -447,7 +447,7 @@ def test_wires_are_vertex_disjoint():
     spec = WaferSpec(
         6, 6, 12, fusion_params=FusionParams("BoostedTypeII", success_prob=0.75)
     )
-    lat = build_wafer(spec, rng=trial_rng(8, 0), graph_level=False)
+    lat = build_wafer(spec, rng=trial_rng(8, 0))
     state = find_paths_windowed(lat, window=5, wires=3)
     seen = set()
     for path in state.paths:
@@ -469,9 +469,7 @@ def test_lossy_pathfinding_golden():
     )
     sustained, digests = [], []
     for t in range(golden["trials"]):
-        lat = build_wafer(
-            spec, rng=trial_rng(golden["seed"], t), graph_level=False
-        )
+        lat = build_wafer(spec, rng=trial_rng(golden["seed"], t))
         state = find_paths_windowed(
             lat,
             window=golden["window"],
@@ -528,7 +526,7 @@ def test_csr_adjacency_matches_edge_list():
             )
         )
     comps = [
-        build_wafer(spec, rng=trial_rng(16, i), graph_level=False).comp
+        build_wafer(spec, rng=trial_rng(16, i)).comp
         for i, spec in enumerate(specs)
     ]
     # the two edgeless specs above, and a hand lattice whose edge array is
@@ -693,7 +691,7 @@ def random_wafer(
         ),
         photon_loss=float(rng.uniform(*loss)),
     )
-    return build_wafer(spec, rng=trial_rng(61, i), graph_level=False)
+    return build_wafer(spec, rng=trial_rng(61, i))
 
 
 def test_router_matches_old_router():
