@@ -6,20 +6,19 @@ with the pytest node ids that must fail once it is applied.  For each mutant
 directory, applies the replacement there and runs pytest on the named ids.
 The repository itself is never written.
 
-A mutant is killed when pytest exits 1 and every named test failed (a name
-without a parameter id stands for all its parametrized cases).  It survives
-when pytest exits 0, or exits 1 with a named test passing.  Anything else
-means the check is broken, not that a test is weak, and stops `run.py`
-with exit code 2: old text missing from its file or found more than once,
-a test id pytest cannot find or a mutant that breaks collection (pytest
-exit 4 or 2), a pytest run past TIMEOUT seconds, or the named tests
-failing before any mutant is applied.
+A mutant is killed when pytest exits 1 and every named test failed.  A name
+without a parameter id counts as failed when at least one of its
+parametrized cases failed.  A mutant survives when pytest exits 0, or exits
+1 with a named test passing.  Anything else means the check is broken, not
+that a test is weak, and stops `run.py` with exit code 2: old text missing
+from its file or found more than once, a test id pytest cannot find or a
+mutant that breaks collection (pytest exit 4 or 2), a pytest run past
+TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
 Run from the repository root (standard library only; the 33 mutants take
-about 25 s on two cores):
+about 25 s on two cores, with one pytest run per usable core at a time):
 
-    python3 mutants/run.py                 # every mutant
-    python3 mutants/run.py NAME [NAME ...] # the named mutants (see MUTANTS)
+    python3 mutants/run.py
 
 Exit codes: 0 every mutant killed, 1 some survived, 2 the check is broken.
 Its own tests: python3 -m pytest -q mutants/tests
@@ -41,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT = 600  # seconds per pytest run
+JOBS = len(os.sched_getaffinity(0))  # pytest runs at a time
 
 
 @dataclass(frozen=True)
@@ -366,27 +366,19 @@ def run_one(m: Mutant, root: Path = ROOT) -> Result:
     return Result(m.name, False, "still passing: " + ", ".join(passed), seconds)
 
 
-def run(mutants=MUTANTS, root: Path = ROOT, jobs: int = 2):
+def run(mutants=MUTANTS, root: Path = ROOT):
     """Each mutant's Result, in order; raises BrokenCheck if the check is broken."""
     check_anchors(mutants, root)
     baseline(mutants, root)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         return list(pool.map(lambda m: run_one(m, root), mutants))
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = ap.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        print(f"mutants: error: unknown mutants {unknown}", file=sys.stderr)
-        return 2
-    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     t0 = time.perf_counter()
     try:
-        results = run(chosen)
+        results = run()
     except BrokenCheck as exc:
         print(f"mutants: error: {exc}", file=sys.stderr)
         return 2

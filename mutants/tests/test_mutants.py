@@ -44,14 +44,14 @@ def toy(tmp_path):
 
 
 def toy_run(toy, *mutants):
-    return runner.run(list(mutants), root=toy, jobs=1)
+    return runner.run(list(mutants), root=toy)
 
 
 def test_mutant_that_breaks_a_named_test_is_killed(toy):
     [r] = toy_run(toy, Mutant("minus", "src/toy.py", "a + b", "a - b", (ADD,)))
     assert r.killed and r.name == "minus"
-    # a name without a parameter id stands for every case
-    [r] = toy_run(toy, Mutant("minus", "src/toy.py", "a + b", "a - b",
+    # a name without a parameter id fails when one of its cases fails
+    [r] = toy_run(toy, Mutant("b2", "src/toy.py", "a + b", "a + b - (b == 2)",
                               ("tests/test_toy.py::test_cases",)))
     assert r.killed
     # the repository copy was mutated, never the project itself
@@ -97,10 +97,9 @@ def test_failing_baseline_stops_the_run(toy):
 
 
 def test_main_exit_codes(monkeypatch, capsys):
-    assert runner.main(["no-such-mutant"]) == 2
     survivor = [runner.Result("m", False, "", 0.1)]
     monkeypatch.setattr(runner, "run", lambda *a, **k: survivor)
-    assert runner.main(["herald-local-partner"]) == 1
+    assert runner.main([]) == 1
     assert "SURVIVED" in capsys.readouterr().out
 
     def broken(*a, **k):

@@ -336,7 +336,8 @@ def test_build_wafers_matches_sequential_builds():
     """A batch per cell and shape of the golden grid, from one shared
     generator and from one generator per wafer, against one bond-level
     `build_wafer` call per wafer in turn: the same arrays, edge order and
-    dtype, reports, and generators left at the same place."""
+    dtype, reports, and generators left at the same place.  This is the
+    check that `build_wafer` is `build_wafers` over one wafer."""
     for k, (cell, specs) in enumerate(_grid_batches()):
         for shared in (True, False):
             def gens():
@@ -464,19 +465,6 @@ def test_build_needs_a_generator():
 def test_graph_level_build_is_rejected():
     with pytest.raises(SpecError, match="tests/graph_oracle.py"):
         build_wafer(WaferSpec(1, 1, 1), rng=trial_rng(0, 0), graph_level=True)
-
-
-def test_build_wafer_is_a_batch_of_one():
-    """A default `build_wafer` call gives `build_wafers([spec], [rng])[0]`'s
-    arrays and report, and leaves the generator where that call does."""
-    for i, (cell, spec) in enumerate(spec_grid()):
-        if cell != UnitCellSpec():
-            continue
-        one, batch = trial_rng(21, i), trial_rng(21, i)
-        got, want = build_wafer(spec, rng=one), build_wafers([spec], [batch])[0]
-        assert bond_build_digest([got]) == bond_build_digest([want]), spec
-        assert got.resource_report == want.resource_report, spec
-        assert (one.random(64) == batch.random(64)).all(), spec
 
 
 def test_invalid_wafer_spec():
