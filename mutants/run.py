@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 33 mutants take
-about 25 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 37 mutants take
+about 36 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -184,14 +184,14 @@ MUTANTS = (
     ),
     Mutant(
         "crossings-dead-top-kept", "src/ballistic/percolation.py",
-        "top = lab[:, -1][np.moveaxis(alive.reshape(shape), ax, 1)[:, -1]]",
-        "top = lab[:, -1]",
+        "top = lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]",
+        "top = lab[:, :, :, -1]",
         ("tests/test_percolation.py::test_crossings_match_old_labelling",),
     ),
     Mutant(
         "crossings-wrong-face", "src/ballistic/percolation.py",
-        "crossed = np.isin(lab[:, 0], top)",
-        "crossed = np.isin(lab[:, -1], top)",
+        "crossed = np.isin(lab[:, :, :, 0], top)",
+        "crossed = np.isin(lab[:, :, :, -1], top)",
         ("tests/test_percolation.py::test_crossings_match_old_labelling",),
     ),
     # -- rng: skipping fixed-outcome draws
@@ -213,18 +213,26 @@ MUTANTS = (
         "np.full(shape, p > 1)",
         ("tests/test_builder.py::test_bernoulli_matches_plain_draws",),
     ),
-    # -- multiplex: the window matcher behind the yield curves
+    # -- multiplex: the window matcher behind the yield curves, and the
+    #    range check on a sampled stream's generation probability
     Mutant(
         "window-match-slot-reused", "src/ballistic/multiplex.py",
         "            matched_slots.append(x)\n            x += 1\n",
         "            matched_slots.append(x)\n",
-        ("tests/test_multiplex.py::test_multiplex_golden",),
+        ("tests/test_multiplex.py::test_multiplex_golden",
+         "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
     ),
     Mutant(
         "window-match-high-exclusive", "src/ballistic/multiplex.py",
         'np.searchsorted(slots, items + high, "right")',
         "np.searchsorted(slots, items + high)",
         ("tests/test_multiplex.py::test_sliding_window_match_examples",),
+    ),
+    Mutant(
+        "sample-p-unchecked", "src/ballistic/multiplex.py",
+        "        if not 0.0 <= p <= 1.0:\n            raise SpecError(\"generation",
+        "        if not -1.0 <= p <= 2.0:\n            raise SpecError(\"generation",
+        ("tests/test_multiplex.py::test_photon_stream_sampling",),
     ),
     # -- acceptance: the one threshold bisection
     Mutant(
@@ -270,6 +278,25 @@ MUTANTS = (
         "if not (isinstance(value, list) and value):",
         "if not isinstance(value, list):",
         ("tests/test_cli.py::test_bad_config_exit_2_before_output",),
+    ),
+    Mutant(
+        "empty-out-accepted", "src/ballistic/cli.py",
+        '    if not cfg["out"]:\n',
+        '    if cfg["out"] is None:\n',
+        ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",),
+    ),
+    Mutant(
+        "run-write-error-escapes", "src/ballistic/cli.py",
+        "    except OSError as exc:\n        raise SpecError(f\"cannot write outputs",
+        "    except KeyError as exc:\n        raise SpecError(f\"cannot write outputs",
+        ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",
+         "tests/test_cli.py::test_failed_write_leaves_old_outputs"),
+    ),
+    Mutant(
+        "figure-write-error-escapes", "src/ballistic/cli.py",
+        "    except OSError as exc:\n        raise SpecError(f\"cannot write figure",
+        "    except KeyError as exc:\n        raise SpecError(f\"cannot write figure",
+        ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",),
     ),
     Mutant(
         "outputs-written-in-place", "src/ballistic/cli.py",

@@ -1,20 +1,23 @@
 """Acceptance checks: one function per shipped guarantee.
 
-Each check is self-seeded and deterministic; `run_all` executes the suite
-and returns structured results.  The same functions back the CLI `verify`
-command and the acceptance test module.
+Each check is self-seeded, runs a fixed workload and is deterministic;
+`run_all` executes the suite and returns structured results.  The same
+functions back the CLI `verify` command and the acceptance test module.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .builder import WaferSpec, batches, build_wafer, build_wafers
+from .cli import CONFIG_VERSION, run_experiment, validate_config
 from .dense import DenseStabilizerState, from_graph_register
 from .fock import (
     FockState,
@@ -62,14 +65,15 @@ class CheckResult:
 # -- oracle-comparison helpers ----------------------------------------------
 
 
-def fuzz_case(seed: int, max_qubits: int = 10, ops: int = 20) -> bool:
-    """One random op sequence replayed in both engines; True iff they agree."""
+def fuzz_case(seed: int) -> bool:
+    """One random op sequence (2-10 qubits, up to 20 ops) replayed in both
+    engines; True iff they agree."""
     rng = np.random.default_rng(seed)
-    nq = int(rng.integers(2, max_qubits + 1))
+    nq = int(rng.integers(2, 11))
     g = GraphRegister(nq)
     d = DenseStabilizerState(nq)
     alive = list(range(nq))
-    for _ in range(ops):
+    for _ in range(20):
         if len(alive) <= 1:
             break
         r = rng.random()
@@ -112,13 +116,14 @@ def check_fusion_oracle() -> tuple[bool, str]:
     return ok, f"indistinguishable {p:.12f}, distinguishable {pd:.12f}"
 
 
-def check_engine_fuzz(cases: int = 10_000) -> tuple[bool, str]:
+def check_engine_fuzz() -> tuple[bool, str]:
+    cases = 10_000
     failures = [s for s in range(cases) if not fuzz_case(s)]
     return not failures, f"{cases} sequences, {len(failures)} disagreements"
 
 
-def check_mux_block_mc(blocks: int = 1_000_000) -> tuple[bool, str]:
-    p, S = 0.2, 3
+def check_mux_block_mc() -> tuple[bool, str]:
+    p, S, blocks = 0.2, 3, 1_000_000
     rng = trial_rng(1004, 0)
     hits = (rng.random((blocks, 1 << S)) < p).any(axis=1).mean()
     exact = standard_mux_prob(p, S)
@@ -127,7 +132,8 @@ def check_mux_block_mc(blocks: int = 1_000_000) -> tuple[bool, str]:
     return ok, f"MC {hits:.5f} vs closed form {exact:.5f} (3s = {3*sigma:.5f})"
 
 
-def check_yield_curve(bins: int = 100_000) -> tuple[bool, str]:
+def check_yield_curve() -> tuple[bool, str]:
+    bins = 100_000
     stated = [0.0400, 0.0648, 0.0872, 0.0866, 0.0590]
     closed = [standard_mux_pair_yield(0.2, S) for S in range(5)]
     if any(abs(c - s) > 1e-4 for c, s in zip(closed, stated)):
@@ -144,7 +150,8 @@ def check_yield_curve(bins: int = 100_000) -> tuple[bool, str]:
     return True, f"closed {closed}; MC dominance over S=0..6 holds"
 
 
-def check_crazy_graph_law(trials: int = 100_000) -> tuple[bool, str]:
+def check_crazy_graph_law() -> tuple[bool, str]:
+    trials = 100_000
     spec = CrazyGraphSpec(50, 3, loss=0.1)
     rep = simulate_teleport(spec, trial_rng(1006, 0), trials)
     exact = teleport_success_prob(spec)
@@ -163,7 +170,8 @@ def check_crazy_graph_law(trials: int = 100_000) -> tuple[bool, str]:
     return True, f"headline {rep.success_rate:.5f} vs {exact:.5f}; 3x3 grid within 3s"
 
 
-def check_majority_vote(trials: int = 1_000_000) -> tuple[bool, str]:
+def check_majority_vote() -> tuple[bool, str]:
+    trials = 1_000_000
     spec = CrazyGraphSpec(1, 7, z_flip=0.1)
     rep = simulate_teleport(spec, trial_rng(1007, 0), trials)
     exact = exact_flip_prob(7, 0.0, 0.1)
@@ -225,18 +233,19 @@ def _spanning_fraction(
     hits = 0
     for part in batches(specs):
         rngs = [trial_rng(seed, t) for t in range(trials)[part]]
-        hits += sum(crossings(build_wafers(specs[part], rngs), "z", punched))
+        hits += sum(crossings(build_wafers(specs[part], rngs), punched))
     return hits / trials
 
 
-def check_wafer_spanning(trials: int = 100) -> tuple[bool, str]:
+def check_wafer_spanning() -> tuple[bool, str]:
+    trials = 100
     spec = WaferSpec(12, 6, 50, fusion_params=_BOOSTED)
     frac = _spanning_fraction(spec, trials, 1009)
     ok = frac >= 0.99
     return ok, f"z-crossing in {frac:.0%} of {trials} trials"
 
 
-def check_filter_critical(trials: int = 60) -> tuple[bool, str]:
+def check_filter_critical() -> tuple[bool, str]:
     @functools.cache
     def frac(f, i):
         spec = WaferSpec(
@@ -245,7 +254,7 @@ def check_filter_critical(trials: int = 60) -> tuple[bool, str]:
             filter_fidelity=f,
             filter_enabled=True,
         )
-        return _spanning_fraction(spec, trials, 1010 + i)
+        return _spanning_fraction(spec, 60, 1010 + i)
 
     found = _bisect_half(frac, 0.90, 0.99, True)
     if found is None:
@@ -253,11 +262,11 @@ def check_filter_critical(trials: int = 60) -> tuple[bool, str]:
     return True, f"critical filter fidelity = {0.5 * sum(found):.3f}"
 
 
-def check_punchout_threshold(trials: int = 60) -> tuple[bool, str]:
+def check_punchout_threshold() -> tuple[bool, str]:
     @functools.cache
     def frac(eps, i):
         spec = WaferSpec(12, 6, 50, fusion_params=_BOOSTED, photon_loss=eps)
-        return _spanning_fraction(spec, trials, 1020 + i, punched=True)
+        return _spanning_fraction(spec, 60, 1020 + i, punched=True)
 
     found = _bisect_half(frac, 0.005, 0.08, False)
     if found is None:
@@ -265,7 +274,8 @@ def check_punchout_threshold(trials: int = 60) -> tuple[bool, str]:
     return True, f"recovered-spanning loss threshold = {0.5 * sum(found):.4f}"
 
 
-def check_dtp(trials: int = 100_000) -> tuple[bool, str]:
+def check_dtp() -> tuple[bool, str]:
+    trials = 100_000
     vals = {}
     for K, stated in ((5, 0.67232), (6, 0.73786)):
         params = DtpParams(per_crystal_emission=0.2, crystal_count=K)
@@ -308,14 +318,15 @@ def check_gadgets() -> tuple[bool, str]:
     return ok, f"phase gadget L=1..3: {s_ok}; ring block L=2..4: {r_ok}"
 
 
-def pathfinding_trial(trial: int, seed: int = 1016) -> int:
+def pathfinding_trial(trial: int) -> int:
     spec = WaferSpec(12, 6, 600, fusion_params=_BOOSTED)
-    lat = build_wafer(spec, rng=trial_rng(seed, trial))
+    lat = build_wafer(spec, rng=trial_rng(1016, trial))
     state = find_paths_windowed(lat, window=15, wires=1)
     return sustained_layers(state)
 
 
-def check_pathfinding(trials: int = 100) -> tuple[bool, str]:
+def check_pathfinding() -> tuple[bool, str]:
+    trials = 100
     sustained = [pathfinding_trial(t) for t in range(trials)]
     good = sum(s >= 500 for s in sustained)
     ok = good >= 0.95 * trials
@@ -326,9 +337,36 @@ def check_pathfinding(trials: int = 100) -> tuple[bool, str]:
 
 
 def check_determinism() -> tuple[bool, str]:
-    from . import cli  # deferred: cli imports this module for `verify`
-
-    return cli.determinism_check()
+    """Same config at 1 vs 8 workers must give byte-identical outputs."""
+    configs = [
+        {"scenario": "mux-yield", "trials": 16, "params": {"bins": 400}},
+        {"scenario": "wafer-span", "trials": 16, "params": {"nz": 10}},
+        {"scenario": "crazy-teleport", "trials": 16, "params": {"batch": 200}},
+        {"scenario": "loss-sweep", "trials": 8, "params": {"nz": 10}},
+        {"scenario": "threshold-scan", "trials": 8, "params": {"n": 32}},
+    ]
+    for base in configs:
+        digests = []
+        for threads in (1, 8):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = validate_config(
+                    {
+                        "version": CONFIG_VERSION,
+                        "seed": 123,
+                        "out": tmp,
+                        "threads": threads,
+                        **base,
+                    }
+                )
+                paths = run_experiment(cfg)
+                h = hashlib.sha256()
+                for key in ("results", "summary"):
+                    with open(paths[key], "rb") as f:
+                        h.update(f.read())
+                digests.append(h.hexdigest())
+        if digests[0] != digests[1]:
+            return False, f"scenario {base['scenario']}: outputs differ across parallelism"
+    return True, f"{len(configs)} scenarios byte-identical at 1 vs 8 workers"
 
 
 CHECKS = [

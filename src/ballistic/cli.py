@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -135,8 +134,8 @@ def _mux_law(means: dict, params: dict):
 def wafer_span_trial(params: dict, rng) -> dict:
     lat = build_wafer(_wafer_spec(params), rng=rng)
     return {
-        "span": float(crossing_exists(lat, "z")),
-        "span_punched": float(crossing_exists(lat, "z", punched=True)),
+        "span": float(crossing_exists(lat)),
+        "span_punched": float(crossing_exists(lat, punched=True)),
         "largest_fraction": largest_component_fraction(lat),
     }
 
@@ -200,7 +199,7 @@ def loss_sweep_trial(params: dict, rng) -> dict:
     spans = []
     for part in batches(specs):
         lats = build_wafers(specs[part], [rng] * len(specs[part]))
-        spans += crossings(lats, "z", punched=True)
+        spans += crossings(lats, punched=True)
     return {f"recovered_span_{i}": float(span) for i, span in enumerate(spans)}
 
 
@@ -381,6 +380,8 @@ def validate_config(raw: dict) -> dict:
         raise SpecError(f"threads must be in [1, {MAX_THREADS}], got {cfg['threads']}")
     if not 0 <= cfg["seed"] < 2**64:
         raise SpecError(f"seed must be in [0, 2**64), got {cfg['seed']}")
+    if not cfg["out"]:
+        raise SpecError("out must name a directory, got an empty string")
     entry["check"](cfg["params"])
     return cfg
 
@@ -408,7 +409,8 @@ def run_experiment(cfg: dict) -> dict:
     """Execute all trials and write results; returns output paths.
 
     The output directory is created only once every trial has returned, so a
-    run that fails leaves no directory behind."""
+    run that fails leaves no directory behind.  Outputs that cannot be
+    written raise SpecError."""
     h = config_hash(cfg)
     t0 = time.perf_counter()
     jobs = [(cfg["scenario"], cfg["params"], cfg["seed"], t) for t in range(cfg["trials"])]
@@ -420,7 +422,6 @@ def run_experiment(cfg: dict) -> dict:
     results.sort(key=lambda r: r[0])
     wall = time.perf_counter() - t0
 
-    os.makedirs(cfg["out"], exist_ok=True)
     paths = {
         key: os.path.join(cfg["out"], name)
         for key, name in (
@@ -434,6 +435,7 @@ def run_experiment(cfg: dict) -> dict:
     # results.jsonl next to an old summary.csv.
     tmp = {key: f"{path}.{os.getpid()}.tmp" for key, path in paths.items()}
     try:
+        os.makedirs(cfg["out"], exist_ok=True)
         with open(tmp["results"], "w") as f:
             header = {
                 "config": {k: cfg[k] for k in ("version", "scenario", "seed", "trials", "params")},
@@ -454,9 +456,12 @@ def run_experiment(cfg: dict) -> dict:
             f.write("\n")
         for key, path in paths.items():
             os.replace(tmp[key], path)
+    except OSError as exc:
+        raise SpecError(f"cannot write outputs to {cfg['out']!r}: {exc}") from exc
     finally:
         for path in tmp.values():
-            with contextlib.suppress(FileNotFoundError):
+            # not written, or `out` is not a directory
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
                 os.remove(path)
     return paths
 
@@ -570,58 +575,25 @@ def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
             f"results file {results_path} has no {exc.args[0]!r}, "
             f"which figure {figure_id!r} needs"
         ) from exc
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{figure_id}.csv")
-    with open(csv_path, "w") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow(
-                [row[0]] + [f"{v:.10g}" for v in row[1:]]
-            )
+    svg_path = os.path.join(out_dir, f"{figure_id}.svg")
     xs = [float(r[0]) for r in rows]
     series = {
         cols[i]: (xs, [float(r[i]) for r in rows]) for i in range(1, len(cols))
     }
-    svg_path = os.path.join(out_dir, f"{figure_id}.svg")
-    svg_line_chart(series, svg_path)
-    return {"csv": csv_path, "svg": svg_path}
-
-
-# -- determinism -------------------------------------------------------------
-
-
-def determinism_check() -> tuple[bool, str]:
-    """Same config at 1 vs 8 workers must give byte-identical outputs."""
-    configs = [
-        {"scenario": "mux-yield", "trials": 16, "params": {"bins": 400}},
-        {"scenario": "wafer-span", "trials": 16, "params": {"nz": 10}},
-        {"scenario": "crazy-teleport", "trials": 16, "params": {"batch": 200}},
-        {"scenario": "loss-sweep", "trials": 8, "params": {"nz": 10}},
-        {"scenario": "threshold-scan", "trials": 8, "params": {"n": 32}},
-    ]
-    for base in configs:
-        digests = []
-        for threads in (1, 8):
-            with tempfile.TemporaryDirectory() as tmp:
-                cfg = validate_config(
-                    {
-                        "version": CONFIG_VERSION,
-                        "seed": 123,
-                        "out": tmp,
-                        "threads": threads,
-                        **base,
-                    }
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(csv_path, "w") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(cols)
+            for row in rows:
+                writer.writerow(
+                    [row[0]] + [f"{v:.10g}" for v in row[1:]]
                 )
-                paths = run_experiment(cfg)
-                h = hashlib.sha256()
-                for key in ("results", "summary"):
-                    with open(paths[key], "rb") as f:
-                        h.update(f.read())
-                digests.append(h.hexdigest())
-        if digests[0] != digests[1]:
-            return False, f"scenario {base['scenario']}: outputs differ across parallelism"
-    return True, f"{len(configs)} scenarios byte-identical at 1 vs 8 workers"
+        svg_line_chart(series, svg_path)
+    except OSError as exc:
+        raise SpecError(f"cannot write figure files to {out_dir!r}: {exc}") from exc
+    return {"csv": csv_path, "svg": svg_path}
 
 
 # -- entry point -------------------------------------------------------------

@@ -102,9 +102,6 @@ MUL, ADJ, CONJ_P, CONJ_S = _build_tables()
 
 # Named elements.
 ID = clifford_index(I2)
-H = clifford_index(_H)
-S = clifford_index(_S)
-SDG = clifford_index(_S.conj().T)
 X = clifford_index(PAULI["X"])
 Y = clifford_index(PAULI["Y"])
 Z = clifford_index(PAULI["Z"])
@@ -116,9 +113,9 @@ def _sqrt(sign: int, p: str) -> int:
     return clifford_index((I2 + sign * 1j * PAULI[p]) / np.sqrt(2))
 
 
-SQRT_IX, SQRT_MIX = _sqrt(+1, "X"), _sqrt(-1, "X")
-SQRT_IY, SQRT_MIY = _sqrt(+1, "Y"), _sqrt(-1, "Y")
-SQRT_IZ, SQRT_MIZ = _sqrt(+1, "Z"), _sqrt(-1, "Z")
+SQRT_IX = _sqrt(+1, "X")
+SQRT_IY = _sqrt(+1, "Y")
+SQRT_MIZ = _sqrt(-1, "Z")
 
 #: Cliffords mapping Z to +/-Z under conjugation; CZ commutes with these up to
 #: a Z byproduct on the partner qubit.

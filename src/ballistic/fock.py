@@ -5,8 +5,8 @@ fusion success rate) independently of the graph-level machinery.
 
 Beamsplitter convention: symmetric, i on reflection —
 
-    U(theta, phi) = [[cos t,            i e^{-i phi} sin t],
-                     [i e^{i phi} sin t, cos t           ]]
+    U(theta) = [[cos t,   i sin t],
+                [i sin t, cos t  ]]
 
 All phases quoted in examples are relative to this choice; only probabilities
 are contract.
@@ -44,38 +44,25 @@ class FockState:
         occ = tuple(int(x) for x in occupation)
         return cls(len(occ), {occ: 1.0 + 0j})
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
 
 class Interferometer:
-    """Mode unitary composed from beamsplitter / phase-shifter elements."""
+    """Mode unitary composed from beamsplitters and waveguide crossings."""
 
-    def __init__(self, mode_count: int, unitary: np.ndarray | None = None):
+    def __init__(self, mode_count: int):
         if mode_count > MAX_MODES:
             raise CapacityError(f"at most {MAX_MODES} modes")
         self.mode_count = mode_count
-        self.unitary = (
-            np.eye(mode_count, dtype=complex) if unitary is None else np.asarray(unitary)
-        )
-        if self.unitary.shape != (mode_count, mode_count):
-            raise ShapeError("unitary shape does not match mode count")
+        self.unitary = np.eye(mode_count, dtype=complex)
 
-    def beamsplitter(self, m1: int, m2: int, theta: float, phi: float = 0.0):
+    def beamsplitter(self, m1: int, m2: int, theta: float):
         u2 = np.array(
             [
-                [math.cos(theta), 1j * np.exp(-1j * phi) * math.sin(theta)],
-                [1j * np.exp(1j * phi) * math.sin(theta), math.cos(theta)],
+                [math.cos(theta), 1j * math.sin(theta)],
+                [1j * math.sin(theta), math.cos(theta)],
             ]
         )
         e = np.eye(self.mode_count, dtype=complex)
         e[np.ix_([m1, m2], [m1, m2])] = u2
-        self.unitary = e @ self.unitary
-        return self
-
-    def phase_shifter(self, m: int, phi: float):
-        e = np.eye(self.mode_count, dtype=complex)
-        e[m, m] = np.exp(1j * phi)
         self.unitary = e @ self.unitary
         return self
 
@@ -124,22 +111,12 @@ def apply_interferometer(state: FockState, itf: Interferometer) -> FockState:
 def detection_probability(state: FockState, pattern: dict) -> float:
     """Born probability of a count pattern.
 
-    `pattern` maps mode index -> required count, or the string "any" for a
-    non-number-resolving click (>= 1).  Unlisted modes are unconstrained.
+    `pattern` maps mode index -> required photon count.  Unlisted modes are
+    unconstrained.
     """
     total = 0.0
     for occ, amp in state.amplitudes.items():
-        ok = True
-        for mode, want in pattern.items():
-            n = occ[mode]
-            if want == "any":
-                if n < 1:
-                    ok = False
-                    break
-            elif n != want:
-                ok = False
-                break
-        if ok:
+        if all(occ[mode] == want for mode, want in pattern.items()):
             total += abs(amp) ** 2
     return total
 

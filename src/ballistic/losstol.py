@@ -197,21 +197,21 @@ _EIGENSTATE_VOPS = {
 _S_AXIS = {1: 2, 2: 1, 3: 3}
 
 
-def verify_s_gadget(L: int, rng=None, trials: int = 8) -> bool:
+def verify_s_gadget(L: int, rng) -> bool:
     """Check the gadget teleports each Pauli eigenstate to S(state).
 
     Splices the pre-measured gadget into a single-qubit wire (input qubit
     CZ-attached to the first column, output to the last), X-measures the
     input and all columns, and verifies in the dense oracle that the output
-    is the S image of the input axis up to the tracked Pauli frame (sign).
+    is the S image of the input axis up to the tracked Pauli frame (sign),
+    eight times per eigenstate.
     """
     n = 3 * L + 3
     if n > 12:
         raise CapacityError("gadget exceeds the dense-oracle bound")
-    rng = rng if rng is not None else np.random.default_rng(0)
     gadget = build_s_gadget(L)
     for (sign, axis), vop in _EIGENSTATE_VOPS.items():
-        for _ in range(trials):
+        for _ in range(8):
             reg = prepare_gadget(gadget, rng)
             base = reg.vertex_count
             u, v = base, base + 1
@@ -277,10 +277,9 @@ def column_block(L: int) -> GraphRegister:
     return g
 
 
-def verify_ring_block_equivalence(L: int, rng=None) -> bool:
+def verify_ring_block_equivalence(L: int, rng) -> bool:
     """X-measure the indicated ring pair; check the remainder is locally
     equivalent (by local complementations) to the K_{L,L} column block."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     g, (x1, x2) = build_ring_block(L)
     g.measure_pauli(x1, "X", rng)
     g.measure_pauli(x2, "X", rng)

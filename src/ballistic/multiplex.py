@@ -26,12 +26,6 @@ class PhotonStream:
     """A clocked stream of time bins, each holding at most one photon."""
 
     occupancy: tuple[bool, ...]
-    p: float = 0.0
-    stream_id: str = "A"
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise SpecError("generation probability outside [0, 1]")
 
     @property
     def bin_count(self) -> int:
@@ -42,9 +36,11 @@ class PhotonStream:
         return tuple(compress(range(len(self.occupancy)), self.occupancy))
 
     @staticmethod
-    def sample(bin_count: int, p: float, rng, stream_id: str = "A"):
+    def sample(bin_count: int, p: float, rng):
+        if not 0.0 <= p <= 1.0:
+            raise SpecError("generation probability outside [0, 1]")
         occ = rng.random(bin_count) < p
-        return PhotonStream(tuple(occ.tolist()), p, stream_id)
+        return PhotonStream(tuple(occ.tolist()))
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,7 @@ def route_with_delays(stream: PhotonStream, assignments, network: DelayNetwork):
     survivors, times = _route(bins, delays, network.stage_count, collisions)
     occ = np.zeros(max(stream.bin_count, times.max(initial=-1) + 1), dtype=bool)
     occ[times] = True
-    out = PhotonStream(tuple(occ.tolist()), stream.p, stream.stream_id)
+    out = PhotonStream(tuple(occ.tolist()))
     dropped = sum(len(m) for _lbl, _t, m in collisions)
     assert len(bins) == len(survivors) + dropped
     return out, collisions
@@ -212,14 +208,10 @@ def route_with_delays(stream: PhotonStream, assignments, network: DelayNetwork):
 # -- relative-time multiplexing ---------------------------------------------
 
 
-def _matcher_bins(stream_a, stream_b, max_delay, delayed_stream):
-    """Check a matcher's arguments; returns (delayed, undelayed) photon bins."""
+def _matcher_bins(stream_a, stream_b, max_delay):
+    """Check a matcher's max_delay; returns both streams' photon bins."""
     if max_delay < 0:
         raise SpecError("max_delay must be >= 0")
-    if delayed_stream not in (0, 1):
-        raise SpecError("delayed_stream must be 0 or 1")
-    if delayed_stream == 1:
-        stream_a, stream_b = stream_b, stream_a
     return (np.array(stream_a.photon_bins, dtype=np.int64),
             np.array(stream_b.photon_bins, dtype=np.int64))
 
@@ -249,40 +241,29 @@ def _sliding_sweep(a, b, max_delay):
 
 
 def sliding_window_match(
-    stream_a: PhotonStream,
-    stream_b: PhotonStream,
-    max_delay: int,
-    delayed_stream: int = 0,
+    stream_a: PhotonStream, stream_b: PhotonStream, max_delay: int
 ) -> list[MatchedPair]:
     """Pair photons by repeatedly taking the earliest unmatched one.
 
-    Only the designated stream carries a delay network, so a pair needs its
-    photon to arrive no later than the partner and at most `max_delay` bins
+    Only stream A carries a delay network, so a pair needs its A photon to
+    arrive no later than the B partner and at most `max_delay` bins
     earlier.  The earliest unmatched photon overall is paired with the
     earliest in-range partner if one exists, otherwise discarded; photons
-    of the undelayed stream that come up first have no one left to meet
-    them and are discarded in turn.
+    of stream B that come up first have no one left to meet them and are
+    discarded in turn.
     """
-    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay, delayed_stream)
+    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay)
     pa, pb = _sliding_sweep(a_bins, b_bins, max_delay)
-    if delayed_stream == 1:
-        pa, pb = pb, pa
     return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
 
 
-def delivered_pairs(
-    delayed: PhotonStream,
-    pairs,
-    network: DelayNetwork,
-    delayed_stream: int = 0,
-):
+def delivered_pairs(delayed: PhotonStream, pairs, network: DelayNetwork):
     """Route a pair set's delays and drop pairs destroyed by collisions.
 
-    The pair list stores the delayed photon's bin in `bin_a` when
-    delayed_stream is 0, in `bin_b` otherwise.  Returns the surviving pairs
-    and the collision events.
+    The pair list stores the delayed photon's bin in `bin_a`.  Returns the
+    surviving pairs and the collision events.
     """
-    keys = [pr.bin_b if delayed_stream else pr.bin_a for pr in pairs]
+    keys = [pr.bin_a for pr in pairs]
     assignments: dict[int, int | None] = dict.fromkeys(delayed.photon_bins)
     assignments.update(zip(keys, [pr.delay for pr in pairs]))
     _out, collisions = route_with_delays(delayed, assignments, network)
@@ -342,16 +323,13 @@ def _regrow(a_bins, b_bins, max_delay: int, stage_count: int, sliding):
 
 
 def matching_rmux(
-    stream_a: PhotonStream,
-    stream_b: PhotonStream,
-    max_delay: int,
-    delayed_stream: int = 0,
-    network: DelayNetwork | None = None,
+    stream_a: PhotonStream, stream_b: PhotonStream, max_delay: int
 ) -> list[MatchedPair]:
-    """Maximum matching with delays on one designated stream only.
+    """Maximum matching with delays on stream A only.
 
-    A photon of the delayed stream at t_a may pair with an undelayed photon
-    at t_b iff 0 <= t_b - t_a <= max_delay.  Collisions are a planning
+    A photon of stream A at t_a may pair with a photon of stream B at t_b
+    iff 0 <= t_b - t_a <= max_delay, routed through a delay network of
+    `max_delay.bit_length()` stages.  Collisions are a planning
     problem here — the matcher controls every switch before any photon is
     sent — so the pair plan is pruned and regrown until it routes
     collision-free: start from whichever of the greedy maximum matching or
@@ -360,15 +338,11 @@ def matching_rmux(
     that survive routing.  The returned set is deliverable as-is and never
     smaller than the delivered sliding-window set.
     """
-    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay, delayed_stream)
-    if network is None:
-        network = DelayNetwork(max(max_delay.bit_length(), 0))
-    elif max_delay > network.max_delay:
-        raise SpecError(f"max_delay exceeds the network's {network.max_delay}")
-    S = network.stage_count
+    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay)
+    # the network rejects more stages than routing's int64 times allow
+    S = DelayNetwork(max_delay.bit_length()).stage_count
     sliding = _deliverable(*_sliding_sweep(a_bins, b_bins, max_delay), S)
-    plan = _regrow(a_bins, b_bins, max_delay, S, sliding)
-    pa, pb = plan if delayed_stream == 0 else plan[::-1]
+    pa, pb = _regrow(a_bins, b_bins, max_delay, S, sliding)
     return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
 
 

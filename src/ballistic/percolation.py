@@ -1,6 +1,6 @@
 """Connectivity analytics on built lattices.
 
-Crossing/spanning checks on the raw or punched-out lattice, left-right
+z-crossing checks on the raw or punched-out lattice, left-right
 crossing of square-lattice bond samples, and windowed pathfinding of logical
 wires through the layered lattice.
 """
@@ -15,8 +15,6 @@ import numpy as np
 
 from .builder import BuiltLattice, CompLattice
 from .errors import SpecError
-
-_AXES = {"x": 0, "y": 1, "z": 2}
 
 
 def _comp_of(lattice) -> CompLattice:
@@ -56,32 +54,29 @@ def _labels(comps: list[CompLattice], punched: bool):
     return connected_components(m, directed=False)[1], alive
 
 
-def crossings(lattices, axis: str, punched: bool = False) -> list[bool]:
-    """Whether each lattice has a path of alive nodes between its two faces
-    normal to `axis`.  The lattices must share one shape; one labelling
-    answers them all, since no component spans two of them."""
-    if axis not in _AXES:
-        raise SpecError(f"unknown axis {axis!r}")
+def crossings(lattices, punched: bool = False) -> list[bool]:
+    """Whether each lattice has a path of alive nodes from layer 0 to layer
+    nz - 1.  The lattices must share one shape; one labelling answers them
+    all, since no component spans two of them."""
     comps = [_comp_of(lat) for lat in lattices]
     if not comps:
         return []
     labels, alive = _labels(comps, punched)
     c = comps[0]
     shape = (len(comps), c.nx, c.ny, c.nz, 2)
-    ax = _AXES[axis] + 1
-    lab = np.moveaxis(labels.reshape(shape), ax, 1)
-    top = lab[:, -1][np.moveaxis(alive.reshape(shape), ax, 1)[:, -1]]
+    lab = labels.reshape(shape)
+    top = lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]
     # a dead node is a component of its own, so it matches no alive label
-    crossed = np.isin(lab[:, 0], top)
+    crossed = np.isin(lab[:, :, :, 0], top)
     return crossed.reshape(len(comps), -1).any(axis=1).tolist()
 
 
-def crossing_exists(lattice, axis: str, punched: bool = False) -> bool:
-    return crossings([lattice], axis, punched)[0]
+def crossing_exists(lattice, punched: bool = False) -> bool:
+    return crossings([lattice], punched)[0]
 
 
-def largest_component_fraction(lattice, punched: bool = False) -> float:
-    labels, alive = _labels([_comp_of(lattice)], punched)
+def largest_component_fraction(lattice) -> float:
+    labels, alive = _labels([_comp_of(lattice)], False)
     total = int(alive.sum())
     if total == 0:
         return 0.0
@@ -386,6 +381,6 @@ def find_paths_windowed(
     return state
 
 
-def sustained_layers(state: PathfindingState, wire: int = 0) -> int:
-    """Number of layer steps the wire survived (nz-1 when it spans)."""
-    return state.sustained[wire]
+def sustained_layers(state: PathfindingState) -> int:
+    """Number of layer steps the first wire survived (nz-1 when it spans)."""
+    return state.sustained[0]

@@ -394,7 +394,7 @@ def test_small_batch_budget_gives_same_results(monkeypatch):
         return (
             len(batches(specs)),
             bond_build_digest(lats),
-            crossings(lats, "z", punched=True),
+            crossings(lats, punched=True),
             cli.loss_sweep_trial(params, trial_rng(3, 1)),
             acceptance._spanning_fraction(specs[3], 10, 5, punched=True),
         )
@@ -411,7 +411,7 @@ def test_small_batch_budget_gives_same_results(monkeypatch):
 def test_wafer_spanning_probabilistic():
     spec = WaferSpec(12, 6, 20, fusion_params=BOOSTED)
     hits = sum(
-        crossing_exists(build_wafer(spec, rng=trial_rng(9, t)), "z")
+        crossing_exists(build_wafer(spec, rng=trial_rng(9, t)))
         for t in range(20)
     )
     assert hits == 20

@@ -268,7 +268,7 @@ def test_failed_write_leaves_old_outputs(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "_write_summary", fail)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(SpecError, match="disk full"):
         run_experiment(validate_config(good_config(seed=8, out=str(out))))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -300,6 +300,33 @@ def test_cli_error_exit_codes(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps(good_config(scenario="nope")))
     assert main(["run", str(unknown)]) == 2
+
+
+def test_bad_output_path_exits_2_with_one_line(tmp_path, capsys):
+    """An empty `out`, or an output path naming a file, is a config error
+    for `run` and `figure` alike, reported in one line."""
+    assert run_exit_and_output(tmp_path, "wafer-span", {"out": ""}) == (2, False)
+    assert capsys.readouterr().err == (
+        "config error: out must name a directory, got an empty string\n"
+    )
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg_path = tmp_path / "mux.json"
+    cfg_path.write_text(json.dumps({
+        "version": CONFIG_VERSION,
+        "scenario": "mux-yield",
+        "trials": 1,
+        "params": {"bins": 200, "s_values": [0, 1]},
+        "out": str(tmp_path / "run"),
+    }))
+    assert main(["run", str(cfg_path)]) == 0
+    results = str(tmp_path / "run" / "results.jsonl")
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--out", str(blocker)]) == 2
+    assert main(["figure", results, "fig4-yields", "--out", str(blocker)]) == 2
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2 and all(e.startswith("config error: cannot write") for e in errs)
+    assert blocker.read_text() == ""
 
 
 def test_cli_unknown_figure_id(tmp_path):

@@ -137,11 +137,6 @@ def test_vop_composition_matches_dense():
         assert from_graph_register(g).canonical_rows() == d.canonical_rows()
 
 
-def test_measurement_agreement_small_fuzz():
-    bad = [s for s in range(500) if not fuzz_case(s, max_qubits=6, ops=15)]
-    assert bad == []
-
-
 class RecordingRegister(GraphRegister):
     """A GraphRegister that appends every operation and outcome to `log`."""
 

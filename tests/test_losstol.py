@@ -165,9 +165,9 @@ def test_prepare_gadget_rejects_lost_piece():
 
 def test_verify_s_gadget():
     for L in (1, 2, 3):
-        assert verify_s_gadget(L, trials=4)
+        assert verify_s_gadget(L, np.random.default_rng(0))
     with pytest.raises(CapacityError):
-        verify_s_gadget(4)
+        verify_s_gadget(4, np.random.default_rng(0))
 
 
 def test_ring_block_degrees_are_bounded():
@@ -182,7 +182,7 @@ def test_ring_block_degrees_are_bounded():
 
 def test_ring_block_unpacks_to_column_block():
     for L in (2, 3, 4):
-        assert verify_ring_block_equivalence(L)
+        assert verify_ring_block_equivalence(L, np.random.default_rng(0))
 
 
 def test_column_block_is_complete_bipartite():

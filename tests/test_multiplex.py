@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def stream(bins, n=None):
     occ = [False] * n
     for b in bins:
         occ[b] = True
-    return PhotonStream(tuple(occ), 0.2)
+    return PhotonStream(tuple(occ))
 
 
 def test_standard_mux_prob():
@@ -88,8 +89,9 @@ def test_photon_stream_sampling():
     s = PhotonStream.sample(1000, 0.3, trial_rng(1, 0))
     assert s.bin_count == 1000
     assert 200 < len(s.photon_bins) < 400
-    with pytest.raises(SpecError):
-        PhotonStream((True,), p=1.5)
+    for p in (-0.1, 1.5):
+        with pytest.raises(SpecError):
+            PhotonStream.sample(4, p, trial_rng(1, 0))
 
 
 def test_route_with_delays_no_collision():
@@ -138,13 +140,6 @@ def test_sliding_window_match_examples():
         sliding_window_match(stream([0]), stream([0]), -1)
 
 
-def test_sliding_window_delayed_stream_flag():
-    a, b = stream([2], n=6), stream([0, 3], n=6)
-    pairs = sliding_window_match(a, b, 2, delayed_stream=1)
-    # now b carries the delay network: b's 0 can wait for a's 2
-    assert pairs == [MatchedPair(2, 0)]
-
-
 def test_matched_pair_delay():
     assert MatchedPair(3, 7).delay == 4
 
@@ -157,22 +152,42 @@ def test_delivered_pairs_prunes_collisions():
     assert kept == [] and collisions
 
 
+def plain_sliding_match(a_bins, b_bins, max_delay):
+    """The rule of `sliding_window_match`'s docstring, photon by photon.
+
+    Take the earliest unmatched photon, an A photon before a B photon in
+    the same bin.  An A photon pairs with the earliest B photon at most
+    `max_delay` bins later, or is discarded; a B photon is discarded.
+    """
+    a, b = deque(a_bins), deque(b_bins)
+    pairs = []
+    while a and b:
+        if b[0] < a[0]:
+            b.popleft()
+        elif b[0] <= a[0] + max_delay:
+            pairs.append(MatchedPair(a.popleft(), b.popleft()))
+        else:
+            a.popleft()
+    return pairs
+
+
 def test_matching_dominates_sliding_fuzz():
     net = DelayNetwork(3)
     for t in range(30):
         r = trial_rng(13, t)
-        a = PhotonStream.sample(64, 0.2, r, "A")
-        b = PhotonStream.sample(64, 0.2, r, "B")
+        a = PhotonStream.sample(64, 0.2, r)
+        b = PhotonStream.sample(64, 0.2, r)
         sliding = sliding_window_match(a, b, 7)
+        assert sliding == plain_sliding_match(a.photon_bins, b.photon_bins, 7)
         kept, _ = delivered_pairs(a, sliding, net)
-        matched = matching_rmux(a, b, 7, network=net)
+        matched = matching_rmux(a, b, 7)
         assert len(matched) >= len(kept)
         # the matched plan routes collision-free as promised
         again, coll = delivered_pairs(a, matched, net)
         assert len(again) == len(matched)
-    # a network too short for max_delay is rejected whatever the streams
+    # more stages than routing's int64 times allow are rejected
     with pytest.raises(SpecError):
-        matching_rmux(stream([0]), stream([0]), 7, network=DelayNetwork(2))
+        matching_rmux(stream([0]), stream([0]), 2**62)
 
 
 def test_pair_yield():
@@ -192,16 +207,16 @@ def test_yield_curve_rows():
 
 
 def reference_yield_curve(p, s_values, bin_count, rng):
-    """`yield_curve` composed from the public pair-list functions."""
+    """`yield_curve` composed from the plain sliding matcher and the public
+    pair-list functions."""
     rows = []
     for S in s_values:
-        a = PhotonStream.sample(bin_count, p, rng, "A")
-        b = PhotonStream.sample(bin_count, p, rng, "B")
+        a = PhotonStream.sample(bin_count, p, rng)
+        b = PhotonStream.sample(bin_count, p, rng)
         D = (1 << S) - 1
-        network = DelayNetwork(S)
-        sliding = sliding_window_match(a, b, D)
-        sliding_kept, collisions = delivered_pairs(a, sliding, network)
-        matched = matching_rmux(a, b, D, network=network)
+        sliding = plain_sliding_match(a.photon_bins, b.photon_bins, D)
+        sliding_kept, collisions = delivered_pairs(a, sliding, DelayNetwork(S))
+        matched = matching_rmux(a, b, D)
         rows.append(
             {
                 "S": S,
@@ -280,7 +295,7 @@ def oracle_route_with_delays(stream, assignments, network):
     occ = [False] * n_out
     for _b, (t, _d) in live.items():
         occ[t] = True
-    out = PhotonStream(tuple(occ), stream.p, stream.stream_id)
+    out = PhotonStream(tuple(occ))
     dropped = sum(len(m) for _lbl, _t, m in collisions)
     assert len(stream.photon_bins) == len(live) + dropped + discarded
     return out, collisions
@@ -331,16 +346,6 @@ def test_route_matches_dict_oracle():
         want = oracle_route_with_delays(*case)
         # repr also tells a numpy integer from a Python int
         assert repr(got) == repr(want)
-
-
-def test_matching_delayed_stream_flag_is_a_swap():
-    for t in range(40):
-        r = trial_rng(31, t)
-        a = PhotonStream.sample(128, 0.3, r, "A")
-        b = PhotonStream.sample(128, 0.3, r, "B")
-        flipped = matching_rmux(a, b, 7, delayed_stream=1)
-        plain = matching_rmux(b, a, 7)
-        assert flipped == [MatchedPair(pr.bin_b, pr.bin_a) for pr in plain]
 
 
 def golden_yield_rows(spec):

@@ -40,17 +40,15 @@ def chain_lattice(nz, broken_at=None):
 
 
 def test_crossing_on_hand_lattice():
-    assert crossing_exists(chain_lattice(4), "z")
-    assert not crossing_exists(chain_lattice(4, broken_at=1), "z")
-    with pytest.raises(SpecError):
-        crossing_exists(chain_lattice(4), "w")
+    assert crossing_exists(chain_lattice(4))
+    assert not crossing_exists(chain_lattice(4, broken_at=1))
 
 
 def test_crossing_respects_punched_flags():
     lat = chain_lattice(4)
     lat.alive_punched[0, 0, 2, 0] = False
-    assert crossing_exists(lat, "z", punched=False)
-    assert not crossing_exists(lat, "z", punched=True)
+    assert crossing_exists(lat, punched=False)
+    assert not crossing_exists(lat, punched=True)
 
 
 def test_largest_component_fraction():
@@ -136,26 +134,24 @@ def _labelling_cases():
 
 def test_crossings_match_old_labelling():
     """One labelling of each list answers as one old `coo_matrix` labelling
-    per lattice, on every axis, raw and punched."""
+    per lattice, along z, raw and punched."""
     cases = list(_labelling_cases())
     assert sum(map(len, cases)) >= 200
-    for comps, axis, punched in itertools.product(cases, "xyz", (False, True)):
-        want = [_old_crossing_exists(c, axis, punched) for c in comps]
-        assert crossings(comps, axis, punched) == want, (comps[0].nx, axis, punched)
-        assert [crossing_exists(c, axis, punched) for c in comps] == want
     for comps, punched in itertools.product(cases, (False, True)):
+        want = [_old_crossing_exists(c, "z", punched) for c in comps]
+        assert crossings(comps, punched) == want, (comps[0].nx, punched)
+        assert [crossing_exists(c, punched) for c in comps] == want
+    for comps in cases:
         for c in comps:
-            assert largest_component_fraction(c, punched) == (
-                _old_largest_component_fraction(c, punched)
+            assert largest_component_fraction(c) == (
+                _old_largest_component_fraction(c, False)
             )
 
 
 def test_crossings_reject_mixed_shapes():
     with pytest.raises(SpecError, match="one shape"):
-        crossings([chain_lattice(4), chain_lattice(5)], "z")
-    with pytest.raises(SpecError):
-        crossings([chain_lattice(4)], "w")
-    assert crossings([], "z") == []
+        crossings([chain_lattice(4), chain_lattice(5)])
+    assert crossings([]) == []
 
 
 def test_punch_out_removes_damaged_neighbors():
