@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 37 mutants take
-about 36 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 39 mutants take
+about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -122,8 +122,16 @@ MUTANTS = (
     #    of dropped as lost, so no loss herald damages its qubit
     Mutant(
         "oracle-bond-survivor-kept", "tests/graph_oracle.py",
-        "            for v in alive_pair:\n                reg.remove_lost(v)",
+        "            for v in alive_pair:\n                lose(reg, v, unknown)",
         '            for v in alive_pair:\n                reg.measure_pauli(v, "Z", rng)',
+        (ORACLE_AGREES,),
+    ),
+    # -- the oracle's loss rule: a lost photon's neighbours keep their
+    #    byproduct frames known, so they stay in the punched view
+    Mutant(
+        "oracle-loss-frame-kept", "tests/graph_oracle.py",
+        "    unknown.update(reg.neighbors(v))\n",
+        "",
         (ORACLE_AGREES,),
     ),
     # -- the rest of the build
@@ -260,11 +268,13 @@ MUTANTS = (
         "            for i in range(r + 1, n):\n                if i != r and",
         ("tests/test_dense.py::test_dense_oracle_golden",),
     ),
+    # a public method that nothing in the package calls
     Mutant(
-        "graphstate-loss-frame-kept", "src/ballistic/graphstate.py",
-        "self._frame_unknown.update(self._adj.get(a, ()))",
-        "self._frame_unknown.update(())",
-        (ORACLE_AGREES,),
+        "graphstate-unread-method", "src/ballistic/graphstate.py",
+        '    def copy(self) -> "GraphRegister":\n',
+        '    def unread(self) -> None:\n        pass\n\n'
+        '    def copy(self) -> "GraphRegister":\n',
+        ("tests/test_api_surface.py::test_every_public_name_is_read_by_the_package",),
     ),
     # -- cli: config checks and atomic writes
     Mutant(
@@ -283,6 +293,12 @@ MUTANTS = (
         "empty-out-accepted", "src/ballistic/cli.py",
         '    if not cfg["out"]:\n',
         '    if cfg["out"] is None:\n',
+        ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",),
+    ),
+    Mutant(
+        "file-out-accepted", "src/ballistic/cli.py",
+        'if os.path.exists(cfg["out"]) and not os.path.isdir(cfg["out"]):',
+        'if os.path.isdir(cfg["out"]) and not os.path.isdir(cfg["out"]):',
         ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",),
     ),
     Mutant(

@@ -16,7 +16,6 @@ Modules:
 from .errors import (
     BallisticError,
     CapacityError,
-    GadgetRejectedError,
     ShapeError,
     SpecError,
     VertexStateError,
@@ -65,11 +64,9 @@ from .multiplex import (
 )
 from .losstol import (
     CrazyGraphSpec,
-    GadgetGraph,
     build_crazy_graph,
     build_ring_block,
     build_s_gadget,
-    prepare_gadget,
     simulate_teleport,
     teleport_success_prob,
     verify_ring_block_equivalence,

@@ -382,6 +382,8 @@ def validate_config(raw: dict) -> dict:
         raise SpecError(f"seed must be in [0, 2**64), got {cfg['seed']}")
     if not cfg["out"]:
         raise SpecError("out must name a directory, got an empty string")
+    if os.path.exists(cfg["out"]) and not os.path.isdir(cfg["out"]):
+        raise SpecError(f"out {cfg['out']!r} exists and is not a directory")
     entry["check"](cfg["params"])
     return cfg
 

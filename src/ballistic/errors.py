@@ -19,7 +19,3 @@ class ShapeError(BallisticError):
 
 class SpecError(BallisticError):
     """Invalid configuration or wiring specification."""
-
-
-class GadgetRejectedError(BallisticError):
-    """A pre-built gadget failed its pre-attachment check (e.g. lost central photon)."""

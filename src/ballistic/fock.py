@@ -128,14 +128,14 @@ def detection_probability(state: FockState, pattern: dict) -> float:
 _FUSION_MODES = (2, 3, 4, 5)
 
 
-def _bell_pair(q1_modes, q2_modes, total_modes=8) -> FockState:
+def _bell_pair(q1_modes, q2_modes) -> FockState:
     amps = {}
     for bit in (0, 1):
-        occ = [0] * total_modes
+        occ = [0] * 8
         occ[q1_modes[bit]] = 1
         occ[q2_modes[bit]] = 1
         amps[tuple(occ)] = 1 / math.sqrt(2)
-    return FockState(total_modes, amps)
+    return FockState(8, amps)
 
 
 def _fusion_network() -> Interferometer:

@@ -31,8 +31,6 @@ _LC_A = cl.SQRT_IX
 _LC_B = cl.SQRT_MIZ
 _WORDS = cl.factor_words(_LC_A, _LC_B)
 
-Z_DIAG = cl.Z_DIAGONAL
-
 _CZ_TABLES: tuple[dict, dict] | None = None
 
 
@@ -100,8 +98,8 @@ def _build_cz_tables():
     table_a, table_b = {}, {}
     for k, triple in enumerate(triples):
         _, va, vb = triple
-        table_a[triple] = (on_a if vb in Z_DIAG else on_pair)(k)
-        table_b[triple] = (on_b if va in Z_DIAG else on_pair)(k)
+        table_a[triple] = (on_a if vb in cl.Z_DIAGONAL else on_pair)(k)
+        table_b[triple] = (on_b if va in cl.Z_DIAGONAL else on_pair)(k)
     return table_a, table_b
 
 
@@ -113,7 +111,6 @@ class GraphRegister:
         self._adj: dict[int, set[int]] = {}
         self._vop: dict[int, int] = {}  # non-identity entries only
         self._frame: dict[int, int] = {}  # non-identity entries only; 1=X 2=Y 3=Z
-        self._frame_unknown: set[int] = set()
 
     # -- basic structure ---------------------------------------------------
 
@@ -158,16 +155,12 @@ class GraphRegister:
         """Byproduct Pauli index (0=I,1=X,2=Y,3=Z), sign not tracked."""
         return self._frame.get(v, 0)
 
-    def frame_is_known(self, v: int) -> bool:
-        return v not in self._frame_unknown
-
     def copy(self) -> "GraphRegister":
         g = GraphRegister.__new__(GraphRegister)
         g._status = bytearray(self._status)
         g._adj = {v: set(nb) for v, nb in self._adj.items()}
         g._vop = dict(self._vop)
         g._frame = dict(self._frame)
-        g._frame_unknown = set(self._frame_unknown)
         return g
 
     # -- internal edge/vop/frame plumbing ----------------------------------
@@ -189,19 +182,6 @@ class GraphRegister:
             self._del_edge(u, v)
         else:
             self._add_edge(u, v)
-
-    def toggle_edge(self, u: int, v: int) -> "GraphRegister":
-        """Direct edge toggle between alive vertices.
-
-        Used by fusion transformations, whose post-state is defined at the
-        adjacency level (the fused photons' measurement record is classical).
-        """
-        self._require_alive(u)
-        self._require_alive(v)
-        if u == v:
-            raise VertexStateError("cannot toggle a self-loop")
-        self._toggle_edge(u, v)
-        return self
 
     def _isolate(self, v: int):
         for b in list(self._adj.get(v, ())):
@@ -321,7 +301,7 @@ class GraphRegister:
             _CZ_TABLES = _build_cz_tables()
         self._fold_frame_into_vop(a)
         self._fold_frame_into_vop(b)
-        table = _CZ_TABLES[0] if self.get_vop(a) not in Z_DIAG else _CZ_TABLES[1]
+        table = _CZ_TABLES[0] if self.get_vop(a) not in cl.Z_DIAGONAL else _CZ_TABLES[1]
         e = 1 if self.has_edge(a, b) else 0
         e2, va2, vb2 = table[(e, self.get_vop(a), self.get_vop(b))]
         if e2 != e:
@@ -390,18 +370,7 @@ class GraphRegister:
         self._status[a] = 1
         self._vop.pop(a, None)
         self._frame.pop(a, None)
-        self._frame_unknown.discard(a)
 
-    def remove_lost(self, a: int) -> "GraphRegister":
-        """Erase a lost vertex: Z-measurement with unrecorded outcome.
-
-        Neighbors keep the right graph but their byproduct frame becomes
-        unknown (`frame_is_known`), which is what punch-out reads.
-        """
-        self._require_alive(a)
-        self._frame_unknown.update(self._adj.get(a, ()))
-        self._kill(a)
-        return self
 
 # -- local-complementation equivalence ------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import from_graph_register
-from .errors import CapacityError, GadgetRejectedError, SpecError
+from .errors import CapacityError, SpecError
 from .graphstate import GraphRegister, lc_equivalent
 from .rng import bernoulli
 
@@ -65,7 +65,6 @@ def teleport_success_prob(spec: CrazyGraphSpec) -> float:
 
 @dataclass(frozen=True)
 class TeleportReport:
-    trials: int
     success_rate: float
     flip_rate: float
     tie_frequency: float
@@ -97,11 +96,10 @@ def simulate_teleport(
     col_wrong = wrong | (tie & coin)
     n_success = int(success.sum())
     if n_success == 0:
-        return TeleportReport(trials, 0.0, 0.0, 0.0)
+        return TeleportReport(0.0, 0.0, 0.0)
     flip = col_wrong.any(axis=1) & success
     tied = tie.any(axis=1) & success
     return TeleportReport(
-        trials,
         n_success / trials,
         int(flip.sum()) / n_success,
         int(tied.sum()) / n_success,
@@ -134,53 +132,20 @@ def exact_flip_prob(L: int, loss: float, z_flip: float) -> float:
 # -- spliceable gadgets -----------------------------------------------------
 
 
-@dataclass
-class GadgetGraph:
-    """A pre-built cluster fragment with splice points and pre-measurements.
-
-    `inputs`/`outputs` are the vertices fused or CZ-attached to the
-    surrounding wire; `premeasure` lists (vertex, basis) measurements to
-    perform before attachment (their loss is heralded early).
-    """
-
-    register: GraphRegister
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-    premeasure: tuple[tuple[int, str], ...] = ()
-
-
-def build_s_gadget(L: int) -> GadgetGraph:
+def build_s_gadget(L: int) -> tuple[GraphRegister, int]:
     """Phase-gate gadget: three columns of width L plus a central Y qubit.
 
-    The central qubit attaches to every qubit of the middle column; its Y
-    measurement (performed before splicing) bakes the S correction into the
-    column so that teleporting through the piece applies S to the logical
-    qubit.  The first/last columns are the splice points.
+    Returns the register and the central qubit.  The central qubit attaches
+    to every qubit of the middle column; its Y measurement (performed before
+    splicing) bakes the S correction into the column so that teleporting
+    through the piece applies S to the logical qubit.  The first column
+    (qubits 0 .. L-1) and the last (2L .. 3L-1) are the splice points.
     """
     g = build_crazy_graph(CrazyGraphSpec(3, L))
     (central,) = g.add_vertices(1)
     for i in range(L, 2 * L):
         g.apply_cz(central, i)
-    return GadgetGraph(
-        g, tuple(range(L)), tuple(range(2 * L, 3 * L)), ((central, "Y"),)
-    )
-
-
-def prepare_gadget(gadget: GadgetGraph, rng) -> GraphRegister:
-    """Apply the gadget's pre-measurements on a copy of its template.
-
-    Raises GadgetRejectedError if any pre-measured vertex is dead (e.g.
-    marked lost): the whole piece is discarded before attachment.
-    """
-    for v, _basis in gadget.premeasure:
-        if not gadget.register.is_alive(v):
-            raise GadgetRejectedError(
-                f"pre-measured vertex {v} is lost; gadget discarded"
-            )
-    reg = gadget.register.copy()
-    for v, basis in gadget.premeasure:
-        reg.measure_pauli(v, basis, rng)
-    return reg
+    return g, central
 
 
 # Single-qubit local Cliffords preparing the six Pauli eigenstates from |+>.
@@ -209,17 +174,18 @@ def verify_s_gadget(L: int, rng) -> bool:
     n = 3 * L + 3
     if n > 12:
         raise CapacityError("gadget exceeds the dense-oracle bound")
-    gadget = build_s_gadget(L)
+    gadget, central = build_s_gadget(L)
     for (sign, axis), vop in _EIGENSTATE_VOPS.items():
         for _ in range(8):
-            reg = prepare_gadget(gadget, rng)
+            reg = gadget.copy()
+            reg.measure_pauli(central, "Y", rng)
             base = reg.vertex_count
             u, v = base, base + 1
             reg.add_vertices(2)
             reg.apply_local_clifford(u, vop)
-            for i in gadget.inputs:
+            for i in range(L):
                 reg.apply_cz(u, i)
-            for i in gadget.outputs:
+            for i in range(2 * L, 3 * L):
                 reg.apply_cz(i, v)
             reg.measure_pauli(u, "X", rng)
             for i in range(3 * L):

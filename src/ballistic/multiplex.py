@@ -69,18 +69,15 @@ class DtpParams:
 
     A pump passes K crystals in sequence; each emits (and heralds) with
     probability q, and an emitted photon transits the remaining crystals
-    with per-crystal transmission t.
+    without loss.
     """
 
     per_crystal_emission: float
     crystal_count: int
-    per_crystal_pass_transmission: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.per_crystal_emission <= 1.0:
             raise SpecError("emission probability outside [0, 1]")
-        if not 0.0 <= self.per_crystal_pass_transmission <= 1.0:
-            raise SpecError("pass transmission outside [0, 1]")
         if self.crystal_count < 1:
             raise SpecError("need at least one crystal")
 
@@ -115,16 +112,9 @@ def standard_mux_pair_yield(p: float, S: int) -> float:
 
 
 def dtp_success_prob(params: DtpParams) -> float:
-    """Probability a heralded photon is emitted and survives transit.
-
-    The first crystal to emit is crystal k with probability q(1-q)^(k-1);
-    its photon then passes the remaining K-k crystals, each with
-    transmission t.
-    """
-    q = params.per_crystal_emission
-    K = params.crystal_count
-    t = params.per_crystal_pass_transmission
-    return sum(q * (1.0 - q) ** (k - 1) * t ** (K - k) for k in range(1, K + 1))
+    """Probability that one of the K crystals emits a heralded photon,
+    1 - (1 - q)^K; transit through the later crystals is lossless."""
+    return 1.0 - (1.0 - params.per_crystal_emission) ** params.crystal_count
 
 
 def extinction_to_z_error(extinction_db: float) -> float:

@@ -13,16 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import BuiltLattice, CompLattice
+from .builder import CompLattice
 from .errors import SpecError
-
-
-def _comp_of(lattice) -> CompLattice:
-    if isinstance(lattice, BuiltLattice):
-        return lattice.comp
-    if isinstance(lattice, CompLattice):
-        return lattice
-    raise SpecError("expected a BuiltLattice or CompLattice")
 
 
 def _labels(comps: list[CompLattice], punched: bool):
@@ -58,7 +50,7 @@ def crossings(lattices, punched: bool = False) -> list[bool]:
     """Whether each lattice has a path of alive nodes from layer 0 to layer
     nz - 1.  The lattices must share one shape; one labelling answers them
     all, since no component spans two of them."""
-    comps = [_comp_of(lat) for lat in lattices]
+    comps = [lat.comp for lat in lattices]
     if not comps:
         return []
     labels, alive = _labels(comps, punched)
@@ -76,7 +68,7 @@ def crossing_exists(lattice, punched: bool = False) -> bool:
 
 
 def largest_component_fraction(lattice) -> float:
-    labels, alive = _labels([_comp_of(lattice)], False)
+    labels, alive = _labels([lattice.comp], False)
     total = int(alive.sum())
     if total == 0:
         return 0.0
@@ -117,7 +109,6 @@ def square_lattice_crosses(n: int, p: float, rng) -> bool:
 
 @dataclass
 class PathfindingState:
-    window: int
     paths: list = field(default_factory=list)
     sustained: list = field(default_factory=list)
 
@@ -296,7 +287,7 @@ def find_paths_windowed(
         ):
             raise SpecError(f"{name} must be an int >= 1, got {value!r}")
     window, wires = int(window), int(wires)
-    comp = _comp_of(lattice)
+    comp = lattice.comp
     indptr, indices, alive = _csr_adjacency(comp, punched)
     nz = comp.nz
     # node id ((x * ny + y) * nz + z) * 2 + parity lies in layer z
@@ -304,7 +295,7 @@ def find_paths_windowed(
     ids0 = np.arange(comp.node_count).reshape(-1, nz, 2)[:, 0].ravel()
     layer0 = ids0[alive[ids0]].tolist()
     used: set[int] = set()
-    state = PathfindingState(window=window)
+    state = PathfindingState()
 
     for _wire in range(wires):
         start = None

@@ -48,7 +48,8 @@ def fuse(reg: GraphRegister, a: int, b: int, success: bool, rng) -> None:
     """Fuse photons `a` and `b` in place, with the heralded outcome `success`.
 
     Both photons are Z-measured, `a` first; on success every edge between
-    N(a)\\{b} and N(b)\\{a} is then toggled.
+    N(a)\\{b} and N(b)\\{a} is then toggled by a CZ, a bare edge toggle
+    here: oracle vertices keep the identity vop and a Z-or-identity frame.
     """
     if a == b:
         raise SpecError("fusion needs two distinct photons")
@@ -59,13 +60,21 @@ def fuse(reg: GraphRegister, a: int, b: int, success: bool, rng) -> None:
     if success:
         for u, v in product(na, nb):
             if u != v and reg.is_alive(u) and reg.is_alive(v):
-                reg.toggle_edge(u, v)
+                reg.apply_cz(u, v)
+
+
+def lose(reg: GraphRegister, v: int, unknown: set) -> None:
+    """Drop lost photon `v` as a Z measurement with an unrecorded outcome
+    (fixed, so nothing is drawn); its neighbours' frames become `unknown`."""
+    unknown.update(reg.neighbors(v))
+    reg.measure_pauli(v, "Z", forced=1)
 
 
 def build_graph_level(spec, cell: UnitCellSpec = UnitCellSpec(), *, rng) -> GraphBuild:
     lost, kept, success = builder._sample_draws(spec, cell, rng)
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     reg = GraphRegister(0)
+    unknown: set[int] = set()  # vertices whose byproduct frame is unknown
     base = {}
     primal, dual = COMPUTATIONAL_SLOTS
 
@@ -73,7 +82,7 @@ def build_graph_level(spec, cell: UnitCellSpec = UnitCellSpec(), *, rng) -> Grap
         return base[(x, y, z)] + slot
 
     def usable(v):
-        return reg.is_alive(v) and reg.frame_is_known(v)
+        return reg.is_alive(v) and v not in unknown
 
     coords = [
         (x, y, z)
@@ -89,7 +98,7 @@ def build_graph_level(spec, cell: UnitCellSpec = UnitCellSpec(), *, rng) -> Grap
         # Emission-time loss, then the |+> filter on the survivors.
         for s in range(PHOTONS_PER_CELL):
             if lost[x, y, z, s]:
-                reg.remove_lost(start + s)
+                lose(reg, start + s, unknown)
         for s in range(PHOTONS_PER_CELL):
             v = start + s
             if reg.is_alive(v) and not kept[x, y, z, s]:
@@ -109,7 +118,7 @@ def build_graph_level(spec, cell: UnitCellSpec = UnitCellSpec(), *, rng) -> Grap
         else:
             # Ballistic stage: no herald, survivors are dropped as lost.
             for v in alive_pair:
-                reg.remove_lost(v)
+                lose(reg, v, unknown)
 
     for (x, y, z) in coords:
         for (a, b) in FORMATION_PAIRS:
@@ -130,10 +139,11 @@ def build_graph_level(spec, cell: UnitCellSpec = UnitCellSpec(), *, rng) -> Grap
         (x, y, z): (vid(x, y, z, primal), vid(x, y, z, dual))
         for (x, y, z) in coords
     }
-    return GraphBuild(reg, comp_vertices, _comp_from_register(spec, reg, comp_vertices))
+    comp = _comp_from_register(spec, reg, comp_vertices, unknown)
+    return GraphBuild(reg, comp_vertices, comp)
 
 
-def _comp_from_register(spec, reg, comp_vertices) -> CompLattice:
+def _comp_from_register(spec, reg, comp_vertices, unknown) -> CompLattice:
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     alive = np.zeros((nx, ny, nz, 2), dtype=bool)
     punched = np.zeros((nx, ny, nz, 2), dtype=bool)
@@ -142,7 +152,7 @@ def _comp_from_register(spec, reg, comp_vertices) -> CompLattice:
         for parity, v in enumerate(pair):
             a = reg.is_alive(v)
             alive[x, y, z, parity] = a
-            punched[x, y, z, parity] = a and reg.frame_is_known(v)
+            punched[x, y, z, parity] = a and v not in unknown
             vert_to_node[v] = ((x * ny + y) * nz + z) * 2 + parity
     edges = []
     for u, v in reg.edges():

@@ -302,9 +302,10 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["run", str(unknown)]) == 2
 
 
-def test_bad_output_path_exits_2_with_one_line(tmp_path, capsys):
-    """An empty `out`, or an output path naming a file, is a config error
-    for `run` and `figure` alike, reported in one line."""
+def test_bad_output_path_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """An empty `out`, or an output path naming or below a file, is a
+    config error for `run` and `figure` alike, reported in one line; `run`
+    reports an `out` that is a file before any trial runs."""
     assert run_exit_and_output(tmp_path, "wafer-span", {"out": ""}) == (2, False)
     assert capsys.readouterr().err == (
         "config error: out must name a directory, got an empty string\n"
@@ -322,10 +323,21 @@ def test_bad_output_path_exits_2_with_one_line(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == 0
     results = str(tmp_path / "run" / "results.jsonl")
     capsys.readouterr()
+    # below a file, `out` does not exist yet and fails only when written
+    assert main(["run", str(cfg_path), "--out", str(blocker / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write outputs") and err.count("\n") == 1
+
+    def no_trial(params, rng):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(SCENARIOS["mux-yield"], "trial", no_trial)
     assert main(["run", str(cfg_path), "--out", str(blocker)]) == 2
     assert main(["figure", results, "fig4-yields", "--out", str(blocker)]) == 2
     errs = capsys.readouterr().err.splitlines()
-    assert len(errs) == 2 and all(e.startswith("config error: cannot write") for e in errs)
+    assert len(errs) == 2
+    assert errs[0] == f"config error: out {str(blocker)!r} exists and is not a directory"
+    assert errs[1].startswith("config error: cannot write figure files")
     assert blocker.read_text() == ""
 
 

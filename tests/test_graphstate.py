@@ -69,22 +69,6 @@ def test_measure_dead_vertex_raises():
         g.measure_pauli(0, "X", rng())
 
 
-def test_lose_degree0_vertex_keeps_adjacency():
-    g = GraphRegister(3)
-    g.apply_cz(0, 1)
-    g.remove_lost(2)
-    assert sorted(g.edges()) == [(0, 1)]
-
-
-def test_lose_star_center_isolates_leaves():
-    g = GraphRegister(6)
-    for v in range(1, 6):
-        g.apply_cz(0, v)
-    g.remove_lost(0)
-    assert list(g.edges()) == []
-    assert g.alive_count() == 5
-
-
 def test_forced_outcome_consistency():
     g = GraphRegister(2)
     g.apply_cz(0, 1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ballistic
-from ballistic.errors import CapacityError, GadgetRejectedError, SpecError
+from ballistic.errors import CapacityError, SpecError
 from ballistic.graphstate import lc_equivalent
 from ballistic.losstol import (
     CrazyGraphSpec,
@@ -18,7 +18,6 @@ from ballistic.losstol import (
     build_s_gadget,
     column_block,
     exact_flip_prob,
-    prepare_gadget,
     simulate_teleport,
     teleport_success_prob,
     verify_ring_block_equivalence,
@@ -133,11 +132,8 @@ def test_simulate_validation():
 
 def test_s_gadget_structure():
     for L in (1, 2, 3, 4):
-        gadget = build_s_gadget(L)
-        assert gadget.inputs == tuple(range(L))
-        assert gadget.outputs == tuple(range(2 * L, 3 * L))
-        assert gadget.premeasure == ((3 * L, "Y"),)
-        reg = gadget.register
+        reg, central = build_s_gadget(L)
+        assert central == 3 * L
         assert reg.vertex_count == 3 * L + 1
         assert all(reg.get_vop(v) == 0 for v in range(3 * L + 1))
         cols = [range(c * L, (c + 1) * L) for c in range(3)]
@@ -146,21 +142,6 @@ def test_s_gadget_structure():
         assert set(reg.edges()) == expected
     with pytest.raises(SpecError):
         build_s_gadget(0)
-
-
-def test_prepare_gadget_consumes_premeasured_vertex():
-    gadget = build_s_gadget(2)
-    reg = prepare_gadget(gadget, np.random.default_rng(0))
-    assert not reg.is_alive(6)
-    # template untouched
-    assert gadget.register.is_alive(6)
-
-
-def test_prepare_gadget_rejects_lost_piece():
-    gadget = build_s_gadget(2)
-    gadget.register.remove_lost(6)
-    with pytest.raises(GadgetRejectedError):
-        prepare_gadget(gadget, np.random.default_rng(0))
 
 
 def test_verify_s_gadget():

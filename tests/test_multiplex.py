@@ -58,12 +58,6 @@ def test_standard_pair_yield_curve_values():
 def test_dtp_closed_forms():
     assert dtp_success_prob(DtpParams(0.2, 5)) == pytest.approx(0.67232, abs=1e-15)
     assert dtp_success_prob(DtpParams(0.2, 6)) == pytest.approx(0.737856, abs=1e-15)
-    # with unit pass transmission, success equals the herald probability
-    p = DtpParams(0.2, 5)
-    assert dtp_success_prob(p) == pytest.approx(1 - (1 - 0.2) ** 5)
-    # lossy transit strictly reduces delivery
-    lossy = DtpParams(0.2, 5, per_crystal_pass_transmission=0.9)
-    assert dtp_success_prob(lossy) < dtp_success_prob(p)
 
 
 def test_dtp_validation():

@@ -11,7 +11,13 @@ import pytest
 
 from ballistic import acceptance
 from ballistic.acceptance import _bisect_half
-from ballistic.builder import CompLattice, WaferSpec, build_wafer, build_wafers
+from ballistic.builder import (
+    BuiltLattice,
+    CompLattice,
+    WaferSpec,
+    build_wafer,
+    build_wafers,
+)
 from ballistic.errors import SpecError
 from ballistic.fusion import FusionParams
 from ballistic.graphstate import GraphRegister
@@ -26,8 +32,14 @@ from ballistic.percolation import (
     sustained_layers,
 )
 from ballistic.rng import trial_rng
+from graph_oracle import _comp_from_register, lose
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def built(comp):
+    """A hand-made lattice in the form every analysis takes."""
+    return BuiltLattice({}, comp)
 
 
 def chain_lattice(nz, broken_at=None):
@@ -36,7 +48,7 @@ def chain_lattice(nz, broken_at=None):
     edges = [(2 * z, 2 * (z + 1)) for z in range(nz - 1)]
     if broken_at is not None:
         edges.pop(broken_at)
-    return CompLattice(1, 1, nz, alive, alive.copy(), np.array(edges))
+    return built(CompLattice(1, 1, nz, alive, alive.copy(), np.array(edges)))
 
 
 def test_crossing_on_hand_lattice():
@@ -46,7 +58,7 @@ def test_crossing_on_hand_lattice():
 
 def test_crossing_respects_punched_flags():
     lat = chain_lattice(4)
-    lat.alive_punched[0, 0, 2, 0] = False
+    lat.comp.alive_punched[0, 0, 2, 0] = False
     assert crossing_exists(lat, punched=False)
     assert not crossing_exists(lat, punched=True)
 
@@ -56,7 +68,7 @@ def test_largest_component_fraction():
     # alive: 8 nodes; the larger primal fragment has 2 nodes
     assert largest_component_fraction(lat) == pytest.approx(2 / 8)
     empty = chain_lattice(2)
-    empty.alive[:] = False
+    empty.comp.alive[:] = False
     assert largest_component_fraction(empty) == 0.0
 
 
@@ -120,15 +132,15 @@ def _labelling_cases():
             WaferSpec(*shape, filter_fidelity=0.0, filter_enabled=True)
         )
         rngs = [trial_rng(31, 1000 * k + i) for i in range(len(specs))]
-        yield [lat.comp for lat in build_wafers(specs, rngs)]
+        yield build_wafers(specs, rngs)
     punched = chain_lattice(4)
-    punched.alive_punched[0, 0, 2, 0] = False
+    punched.comp.alive_punched[0, 0, 2, 0] = False
     dead = chain_lattice(4)
-    dead.alive[:] = False
-    no_edges = CompLattice(
+    dead.comp.alive[:] = False
+    no_edges = built(CompLattice(
         1, 1, 4, np.ones((1, 1, 4, 2), bool), np.ones((1, 1, 4, 2), bool),
         np.zeros((0, 2), dtype=np.int64),
-    )
+    ))
     yield [chain_lattice(4), chain_lattice(4, broken_at=1), punched, dead, no_edges]
 
 
@@ -137,14 +149,14 @@ def test_crossings_match_old_labelling():
     per lattice, along z, raw and punched."""
     cases = list(_labelling_cases())
     assert sum(map(len, cases)) >= 200
-    for comps, punched in itertools.product(cases, (False, True)):
-        want = [_old_crossing_exists(c, "z", punched) for c in comps]
-        assert crossings(comps, punched) == want, (comps[0].nx, punched)
-        assert [crossing_exists(c, punched) for c in comps] == want
-    for comps in cases:
-        for c in comps:
-            assert largest_component_fraction(c) == (
-                _old_largest_component_fraction(c, False)
+    for lats, punched in itertools.product(cases, (False, True)):
+        want = [_old_crossing_exists(lat.comp, "z", punched) for lat in lats]
+        assert crossings(lats, punched) == want, (lats[0].comp.nx, punched)
+        assert [crossing_exists(lat, punched) for lat in lats] == want
+    for lats in cases:
+        for lat in lats:
+            assert largest_component_fraction(lat) == (
+                _old_largest_component_fraction(lat.comp, False)
             )
 
 
@@ -156,13 +168,16 @@ def test_crossings_reject_mixed_shapes():
 
 def test_punch_out_removes_damaged_neighbors():
     # A loss leaves its neighbours' byproduct frames unknown; the graph-level
-    # builder drops exactly those qubits from the punched view.
+    # oracle drops exactly those qubits from the punched view.
     g = GraphRegister(5)
     g.apply_cz(0, 1).apply_cz(0, 2).apply_cz(3, 4)
-    g.remove_lost(0)
-    assert [g.frame_is_known(v) for v in (1, 2, 3, 4)] == [False, False, True, True]
-    assert g.is_alive(1) and g.is_alive(2)
-    assert g.has_edge(3, 4)
+    unknown = set()
+    lose(g, 0, unknown)
+    cells = {(0, 0, 0): (1, 2), (0, 0, 1): (3, 4)}
+    comp = _comp_from_register(WaferSpec(1, 1, 2), g, cells, unknown)
+    assert comp.alive.all()
+    assert comp.alive_punched.ravel().tolist() == [False, False, True, True]
+    assert comp.edges.tolist() == [[2, 3]]
 
 
 # -- square-lattice crossing and the threshold bisection -------------------
@@ -435,8 +450,7 @@ def test_windowed_pathfinding_window_validation():
     # Any integral type is accepted and routes as the equal int does.
     want = find_paths_windowed(chain_lattice(4), window=3, wires=2)
     got = find_paths_windowed(chain_lattice(4), window=np.int64(3), wires=np.int32(2))
-    assert (got.paths, got.sustained, got.window) == (want.paths, want.sustained, 3)
-    assert type(got.window) is int
+    assert (got.paths, got.sustained) == (want.paths, want.sustained)
 
 
 def test_wires_are_vertex_disjoint():
@@ -527,7 +541,7 @@ def test_csr_adjacency_matches_edge_list():
     ]
     # the two edgeless specs above, and a hand lattice whose edge array is
     # 1-D and empty
-    comps.append(chain_lattice(1))
+    comps.append(chain_lattice(1).comp)
     edgeless = {0, 1, len(comps) - 1}
     assert sum(len(comp.edges) > 0 for comp in comps) >= 50
     all_alive = [
@@ -572,7 +586,7 @@ def oracle_reach_score(indptr, indices, layer, start, z_lo, z_hi, used):
 def oracle_find_paths_windowed(lattice, window, wires=1, punched=False):
     """Reference router: every candidate is scored from scratch, with `used`
     plus its hop chain copied into one excluded set."""
-    comp = lattice.comp if hasattr(lattice, "comp") else lattice
+    comp = lattice.comp
     indptr, indices, alive = _csr_adjacency(comp, punched)
     nz = comp.nz
     layer_arr = (np.arange(comp.node_count) // 2) % nz
@@ -670,7 +684,7 @@ def random_layered_lattice(rng):
     edges = np.stack([key // n, key % n], 1)
     alive = np.ones((nx, 1, nz, 2), dtype=bool)
     punched = rng.random(alive.shape) > 0.1
-    return CompLattice(nx, 1, nz, alive, punched, edges)
+    return built(CompLattice(nx, 1, nz, alive, punched, edges))
 
 
 def random_wafer(
@@ -776,7 +790,7 @@ def test_reach_score_matches_old_on_any_lead():
     rng = np.random.default_rng(2015)
     cases = 0
     for _ in range(300):
-        comp = random_layered_lattice(rng)
+        comp = random_layered_lattice(rng).comp
         indptr, indices, alive = _csr_adjacency(comp, False)
         layer = ((np.arange(comp.node_count) // 2) % comp.nz).tolist()
         nodes = rng.permutation(comp.node_count).tolist()
