@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 39 mutants take
+Run from the repository root (standard library only; the 43 mutants take
 about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -65,6 +65,8 @@ class BrokenCheck(Exception):
 
 
 BUILDER = "src/ballistic/builder.py"
+GRAPHSTATE = "src/ballistic/graphstate.py"
+GRAPH_TESTS = "tests/test_graphstate.py::"
 ORACLE_AGREES = "tests/test_builder.py::test_build_modes_agree"
 
 MUTANTS = (
@@ -268,9 +270,38 @@ MUTANTS = (
         "            for i in range(r + 1, n):\n                if i != r and",
         ("tests/test_dense.py::test_dense_oracle_golden",),
     ),
+    Mutant(
+        "complement-one-side", GRAPHSTATE,
+        "        adj[u] ^= nbrs - {u}\n",
+        "        adj[u] ^= {v for v in nbrs if v > u}\n",
+        (GRAPH_TESTS + "test_lc_equivalent_examples",
+         GRAPH_TESTS + "test_lc_equivalent_matches_frozenset_reference"),
+    ),
+    Mutant(
+        "kill-keeps-neighbour-links", GRAPHSTATE,
+        "        for b in self._adj[a]:\n            self._adj[b].discard(a)\n",
+        "",
+        (GRAPH_TESTS + "test_from_graph_register_orders_alive_vertices",
+         GRAPH_TESTS + "test_lc_equivalent_matches_frozenset_reference"),
+    ),
+    Mutant(
+        "copy-shares-neighbour-sets", GRAPHSTATE,
+        "g._adj = [set(nb) for nb in self._adj]",
+        "g._adj = list(self._adj)",
+        (GRAPH_TESTS + "test_copy_is_independent",),
+    ),
+    # operators other than 2x2 keyed with their phase; the group closure
+    # at import keys 2x2 ones and stops at its assertion without the division
+    Mutant(
+        "phase-keys-keep-phase", "src/ballistic/clifford.py",
+        "    flat = flat * (np.abs(lead) / lead)[:, None]\n",
+        "    if ops.shape[1:] == (2, 2):\n"
+        "        flat = flat * (np.abs(lead) / lead)[:, None]\n",
+        (GRAPH_TESTS + "test_cz_tables_golden",),
+    ),
     # a public method that nothing in the package calls
     Mutant(
-        "graphstate-unread-method", "src/ballistic/graphstate.py",
+        "graphstate-unread-method", GRAPHSTATE,
         '    def copy(self) -> "GraphRegister":\n',
         '    def unread(self) -> None:\n        pass\n\n'
         '    def copy(self) -> "GraphRegister":\n',

@@ -1,7 +1,7 @@
 """Desk-scale simulator of a ballistic photonic cluster-state architecture.
 
 Modules:
-  graphstate  — sparse graph-state engine with per-vertex local Cliffords
+  graphstate  — graph-state engine with per-vertex local Cliffords
   dense       — brute-force stabilizer oracle for <= 12 qubits
   clifford    — the 24 single-qubit Clifford operators and their tables
   fock        — small-photon-number linear-optics oracle

@@ -1,9 +1,10 @@
 """Tables for the 24-element single-qubit Clifford group (modulo global phase).
 
-Everything downstream (the sparse graph engine and the dense tableau oracle)
+Everything downstream (the graph-state engine and the dense tableau oracle)
 indexes local Cliffords by an integer 0..23.  The tables are generated once at
-import time by closing {H, S} under multiplication and canonicalizing phases,
-so the index assignment is deterministic across runs.
+import time by closing {H, S} under multiplication, each element keyed by
+`phase_keys` (its one form up to a global phase), so the index assignment is
+deterministic across runs.
 """
 
 from __future__ import annotations
@@ -26,44 +27,40 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
-def _canonical(m: np.ndarray) -> np.ndarray:
-    """Fix global phase: first entry of significant magnitude made positive real."""
-    flat = m.ravel()
-    k = np.argmax(np.abs(flat) > _EPS)
-    return m * (np.abs(flat[k]) / flat[k])
-
-
-def _key(m: np.ndarray) -> tuple:
-    c = _canonical(m)
-    return tuple(np.round(c.ravel(), 6).view(float))
+def phase_keys(ops: np.ndarray) -> list[bytes]:
+    """One hashable key per operator in an (n, ...) stack, equal for any two
+    operators that differ by a unit phase: divide each by the phase of its
+    first entry with |.| > 1e-9, round real and imaginary parts at 1e-6."""
+    flat = ops.reshape(len(ops), -1)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > _EPS, axis=1)]
+    flat = flat * (np.abs(lead) / lead)[:, None]
+    ints = np.rint(np.stack([flat.real, flat.imag], axis=-1) * 1e6).astype(np.int64)
+    return [row.tobytes() for row in ints]
 
 
 def _close_group() -> list[np.ndarray]:
-    elems = [_canonical(I2)]
-    keys = {_key(I2)}
+    elems = [I2]
+    keys = set(phase_keys(I2[None]))
     frontier = [I2]
     while frontier:
-        nxt = []
-        for m in frontier:
-            for g in (_H, _S):
-                p = _canonical(m @ g)
-                k = _key(p)
-                if k not in keys:
-                    keys.add(k)
-                    elems.append(p)
-                    nxt.append(p)
-        frontier = nxt
+        products = [m @ g for m in frontier for g in (_H, _S)]
+        frontier = []
+        for p, k in zip(products, phase_keys(np.stack(products))):
+            if k not in keys:
+                keys.add(k)
+                elems.append(p)
+                frontier.append(p)
     assert len(elems) == 24
     return elems
 
 
 CLIFFORD_MATS: list[np.ndarray] = _close_group()
-_INDEX = {_key(m): i for i, m in enumerate(CLIFFORD_MATS)}
+_INDEX = {k: i for i, k in enumerate(phase_keys(np.stack(CLIFFORD_MATS)))}
 
 
 def clifford_index(m: np.ndarray) -> int:
     """Index of a 2x2 unitary within the group (must be a Clifford mod phase)."""
-    k = _key(m)
+    (k,) = phase_keys(m[None])
     if k not in _INDEX:
         raise ValueError("matrix is not a single-qubit Clifford (mod phase)")
     return _INDEX[k]
@@ -71,14 +68,14 @@ def clifford_index(m: np.ndarray) -> int:
 
 def _build_tables():
     n = 24
-    mul = np.empty((n, n), dtype=np.int8)
-    adj = np.empty(n, dtype=np.int8)
+    mats = np.stack(CLIFFORD_MATS)
+    products = (mats[:, None] @ mats).reshape(n * n, 2, 2)  # C_i @ C_j at i*n + j
+    adjoints = mats.conj().swapaxes(1, 2)
+    mul = np.array([_INDEX[k] for k in phase_keys(products)], dtype=np.int8)
+    adj = np.array([_INDEX[k] for k in phase_keys(adjoints)], dtype=np.int8)
     conj_p = np.empty((n, 4), dtype=np.int8)
     conj_s = np.empty((n, 4), dtype=np.int8)
     for i, a in enumerate(CLIFFORD_MATS):
-        adj[i] = clifford_index(a.conj().T)
-        for j, b in enumerate(CLIFFORD_MATS):
-            mul[i, j] = clifford_index(a @ b)
         conj_p[i, 0] = 0
         conj_s[i, 0] = 1
         for p in (1, 2, 3):
@@ -92,7 +89,7 @@ def _build_tables():
                     break
             else:  # pragma: no cover - group closure guarantees a match
                 raise AssertionError("Pauli conjugation fell outside the Pauli group")
-    return mul, adj, conj_p, conj_s
+    return mul.reshape(n, n), adj, conj_p, conj_s
 
 
 #: MUL[i, j] = index of C_i @ C_j

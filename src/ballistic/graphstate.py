@@ -1,4 +1,4 @@
-"""Sparse stabilizer engine for graph states with local Clifford decorations.
+"""Stabilizer engine for graph states with local Clifford decorations.
 
 A register stores a plain graph plus, per vertex, a local Clifford (``vop``)
 and a byproduct Pauli (``pauli_frame``).  The represented state is always
@@ -11,8 +11,10 @@ into an outcome-independent Clifford part (folded into vops, so the adjacency
 evolution is outcome-independent) and an outcome-dependent Pauli part (folded
 into the frame, tracked but never applied).
 
-Scales to millions of vertices: adjacency is a sparse map of neighbor sets,
-vops/frames are sparse maps holding only non-identity entries.
+The scheme is Anders & Briegel's (PRA 73, 022334, 2006).  Registers are
+small (the largest, in the test oracle's lattice builds, holds under a
+thousand vertices), so each vertex keeps a plain entry in three per-vertex
+lists: its neighbor set, its vop and its frame.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ _WORDS = cl.factor_words(_LC_A, _LC_B)
 _CZ_TABLES: tuple[dict, dict] | None = None
 
 
-def _phase_keys(ops: np.ndarray) -> list[bytes]:
-    """One hashable key per operator in an (n, 4, d) stack, equal for any two
-    operators that differ by a unit phase: divide each by the phase of its
-    first entry with |.| > 1e-9, round real and imaginary parts at 1e-6."""
-    flat = ops.reshape(len(ops), -1)
-    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
-    flat = flat * (np.abs(lead) / lead)[:, None]
-    ints = np.rint(np.stack([flat.real, flat.imag], axis=-1) * 1e6).astype(np.int64)
-    return [row.tobytes() for row in ints]
+def _complement(adj: list, a: int) -> None:
+    """Local complementation at a: toggle every edge between two neighbors
+    of a in the per-vertex neighbor sets `adj`.  The entries may be sets
+    (changed in place) or frozensets (replaced)."""
+    nbrs = adj[a]
+    for u in nbrs:
+        adj[u] ^= nbrs - {u}
 
 
 def _build_cz_tables():
@@ -62,7 +62,7 @@ def _build_cz_tables():
     non-diagonal (both vertices then isolated as a pair).
 
     The 1152 candidates k = (e', va', vb') are indexed, per subspace w, by
-    `_phase_keys` of their restricted operator m2[k] w, keeping the lowest k
+    `cl.phase_keys` of their restricted operator m2[k] w, keeping the lowest k
     per key; each target CZ m1 w is then looked up under its own key (a
     missing key raises KeyError).  This equals a scan for the lowest k with
     m2[k]^dag CZ m1 w = lam w: m2[k] is unitary, so that holds exactly when
@@ -89,9 +89,9 @@ def _build_cz_tables():
         """k -> solution triple for input m1 = m2[k] on subspace w."""
         restricted = m2 @ w
         lowest: dict[bytes, int] = {}
-        for k, key in enumerate(_phase_keys(restricted)):
+        for k, key in enumerate(cl.phase_keys(restricted)):
             lowest.setdefault(key, k)
-        targets = _phase_keys(czm @ restricted)
+        targets = cl.phase_keys(czm @ restricted)
         return lambda k: triples[lowest[targets[k]]]
 
     on_a, on_b, on_pair = solver(wa), solver(wb_), solver(plus2)
@@ -104,13 +104,13 @@ def _build_cz_tables():
 
 
 class GraphRegister:
-    """Graph state of up to millions of qubits with per-vertex local Cliffords."""
+    """Graph state of n qubits with per-vertex local Cliffords."""
 
-    def __init__(self, n: int = 0):
+    def __init__(self, n: int):
         self._status = bytearray(n)  # 0 alive, 1 dead
-        self._adj: dict[int, set[int]] = {}
-        self._vop: dict[int, int] = {}  # non-identity entries only
-        self._frame: dict[int, int] = {}  # non-identity entries only; 1=X 2=Y 3=Z
+        self._adj = [set() for _ in range(n)]
+        self._vop = [cl.ID] * n
+        self._frame = [0] * n  # 0=I 1=X 2=Y 3=Z
 
     # -- basic structure ---------------------------------------------------
 
@@ -120,7 +120,10 @@ class GraphRegister:
 
     def add_vertices(self, k: int) -> range:
         n0 = len(self._status)
-        self._status.extend(b"\x00" * k)
+        self._status.extend(bytes(k))
+        self._adj.extend(set() for _ in range(k))
+        self._vop.extend([cl.ID] * k)
+        self._frame.extend([0] * k)
         return range(n0, n0 + k)
 
     def is_alive(self, v: int) -> bool:
@@ -137,106 +140,67 @@ class GraphRegister:
             raise VertexStateError(f"vertex {v} is dead or out of range")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj.get(v, ())))
+        return tuple(sorted(self._adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
+        return v in self._adj[u]
 
     def edges(self):
-        for u, nbrs in self._adj.items():
+        for u, nbrs in enumerate(self._adj):
             for v in nbrs:
                 if u < v:
                     yield (u, v)
 
     def get_vop(self, v: int) -> int:
-        return self._vop.get(v, cl.ID)
+        return self._vop[v]
 
     def get_frame(self, v: int) -> int:
         """Byproduct Pauli index (0=I,1=X,2=Y,3=Z), sign not tracked."""
-        return self._frame.get(v, 0)
+        return self._frame[v]
 
     def copy(self) -> "GraphRegister":
         g = GraphRegister.__new__(GraphRegister)
         g._status = bytearray(self._status)
-        g._adj = {v: set(nb) for v, nb in self._adj.items()}
-        g._vop = dict(self._vop)
-        g._frame = dict(self._frame)
+        g._adj = [set(nb) for nb in self._adj]
+        g._vop = list(self._vop)
+        g._frame = list(self._frame)
         return g
 
     # -- internal edge/vop/frame plumbing ----------------------------------
 
-    def _add_edge(self, u: int, v: int):
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
-
-    def _del_edge(self, u: int, v: int):
-        for a, b in ((u, v), (v, u)):
-            s = self._adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del self._adj[a]
-
     def _toggle_edge(self, u: int, v: int):
-        if v in self._adj.get(u, ()):
-            self._del_edge(u, v)
-        else:
-            self._add_edge(u, v)
-
-    def _isolate(self, v: int):
-        for b in list(self._adj.get(v, ())):
-            self._del_edge(v, b)
-
-    def _set_vop(self, v: int, c: int):
-        if c == cl.ID:
-            self._vop.pop(v, None)
-        else:
-            self._vop[v] = c
+        self._adj[u] ^= {v}
+        self._adj[v] ^= {u}
 
     def _mul_vop(self, v: int, c: int):
-        self._set_vop(v, int(cl.MUL[self.get_vop(v), c]))
-
-    def _set_frame(self, v: int, p: int):
-        if p == 0:
-            self._frame.pop(v, None)
-        else:
-            self._frame[v] = p
-
-    def _xor_frame(self, v: int, p: int):
-        self._set_frame(v, self.get_frame(v) ^ p)
+        self._vop[v] = int(cl.MUL[self._vop[v], c])
 
     def _conj_frame(self, v: int, c: int):
         """frame_v <- C^dag frame_v C (sign dropped)."""
-        f = self.get_frame(v)
+        f = self._frame[v]
         if f:
-            self._set_frame(v, int(cl.CONJ_P[cl.ADJ[c], f]))
+            self._frame[v] = int(cl.CONJ_P[cl.ADJ[c], f])
 
     def _fold_frame_into_vop(self, v: int):
-        f = self.get_frame(v)
+        f = self._frame[v]
         if f:
             self._mul_vop(v, cl.PAULI_IDX[f])
-            self._set_frame(v, 0)
+            self._frame[v] = 0
 
     def apply_local_clifford(self, v: int, c: int) -> "GraphRegister":
         """Apply single-qubit Clifford C_c to vertex v (absorbs the frame)."""
         self._require_alive(v)
         self._fold_frame_into_vop(v)
-        self._set_vop(v, int(cl.MUL[c, self.get_vop(v)]))
+        self._vop[v] = int(cl.MUL[c, self._vop[v]])
         return self
 
     # -- local complementation --------------------------------------------
-
-    def _lc_adjacency(self, a: int):
-        nbrs = sorted(self._adj.get(a, ()))
-        for i, u in enumerate(nbrs):
-            for v in nbrs[i + 1 :]:
-                self._toggle_edge(u, v)
 
     def local_complement(self, a: int) -> "GraphRegister":
         """Complement the neighborhood of a; physical state unchanged."""
         self._require_alive(a)
         nbrs = self.neighbors(a)
-        self._lc_adjacency(a)
+        _complement(self._adj, a)
         self._mul_vop(a, _LC_A)
         self._conj_frame(a, _LC_A)
         for b in nbrs:
@@ -247,18 +211,15 @@ class GraphRegister:
     def _remove_vop(self, a: int, avoid: int):
         """Reduce vop_a to identity via local complementations, using a
         swapping partner in N(a) \\ {avoid} (caller guarantees one exists)."""
-        others = self._adj.get(a, set()) - {avoid}
-        c = min(others)
-        for letter in _WORDS[int(cl.ADJ[self.get_vop(a)])]:
+        c = min(self._adj[a] - {avoid})
+        for letter in _WORDS[int(cl.ADJ[self._vop[a]])]:
             self.local_complement(a if letter == _LC_A else c)
-        assert self.get_vop(a) == cl.ID
+        assert self._vop[a] == cl.ID
 
     # -- CZ ----------------------------------------------------------------
 
     def _cz_reducible(self, x: int, y: int) -> bool:
-        return self.get_vop(x) not in cl.Z_DIAGONAL and bool(
-            self._adj.get(x, set()) - {y}
-        )
+        return self._vop[x] not in cl.Z_DIAGONAL and bool(self._adj[x] - {y})
 
     def apply_cz(self, a: int, b: int) -> "GraphRegister":
         self._require_alive(a)
@@ -274,7 +235,7 @@ class GraphRegister:
             self._remove_vop(b, a)
         if self._cz_reducible(a, b):
             self._remove_vop(a, b)
-        if self.get_vop(a) in cl.Z_DIAGONAL and self.get_vop(b) in cl.Z_DIAGONAL:
+        if self._vop[a] in cl.Z_DIAGONAL and self._vop[b] in cl.Z_DIAGONAL:
             self._cz_diag(a, b)
         else:
             # Any remaining non-diagonal vop sits on a vertex with no
@@ -284,15 +245,15 @@ class GraphRegister:
 
     def _cz_diag(self, a: int, b: int):
         # Both vops map Z to +/-Z; CZ commutes through up to Z byproducts.
-        fa, fb = self.get_frame(a), self.get_frame(b)
+        fa, fb = self._frame[a], self._frame[b]
         if fa in (1, 2):  # X component on a: CZ X_a CZ = X_a Z_b
-            self._xor_frame(b, 3)
+            self._frame[b] ^= 3
         if fb in (1, 2):
-            self._xor_frame(a, 3)
-        if cl.CONJ_S[cl.ADJ[self.get_vop(a)], 3] < 0:
-            self._xor_frame(b, 3)
-        if cl.CONJ_S[cl.ADJ[self.get_vop(b)], 3] < 0:
-            self._xor_frame(a, 3)
+            self._frame[a] ^= 3
+        if cl.CONJ_S[cl.ADJ[self._vop[a]], 3] < 0:
+            self._frame[b] ^= 3
+        if cl.CONJ_S[cl.ADJ[self._vop[b]], 3] < 0:
+            self._frame[a] ^= 3
         self._toggle_edge(a, b)
 
     def _cz_pair_table(self, a: int, b: int):
@@ -301,13 +262,12 @@ class GraphRegister:
             _CZ_TABLES = _build_cz_tables()
         self._fold_frame_into_vop(a)
         self._fold_frame_into_vop(b)
-        table = _CZ_TABLES[0] if self.get_vop(a) not in cl.Z_DIAGONAL else _CZ_TABLES[1]
+        vop = self._vop
+        table = _CZ_TABLES[0] if vop[a] not in cl.Z_DIAGONAL else _CZ_TABLES[1]
         e = 1 if self.has_edge(a, b) else 0
-        e2, va2, vb2 = table[(e, self.get_vop(a), self.get_vop(b))]
+        e2, vop[a], vop[b] = table[(e, vop[a], vop[b])]
         if e2 != e:
             self._toggle_edge(a, b)
-        self._set_vop(a, va2)
-        self._set_vop(b, vb2)
 
     # -- measurement -------------------------------------------------------
 
@@ -315,9 +275,9 @@ class GraphRegister:
         """Projective Pauli measurement; vertex dies; returns the +/-1 outcome."""
         self._require_alive(a)
         p = _B[basis]
-        va = self.get_vop(a)
+        va = self._vop[a]
         s0, q = int(cl.CONJ_S[cl.ADJ[va], p]), int(cl.CONJ_P[cl.ADJ[va], p])
-        fa = self.get_frame(a)
+        fa = self._frame[a]
         s1 = -1 if (fa and fa != q) else 1  # distinct non-identity Paulis anticommute
         eps = s0 * s1
         nbrs = self.neighbors(a)
@@ -337,39 +297,41 @@ class GraphRegister:
         if q == 3:
             if sg < 0:
                 for b in nbrs:
-                    self._xor_frame(b, 3)
+                    self._frame[b] ^= 3
         elif q == 2:
             # complement neighborhood, sqrt(-iZ) byproduct (extra Z when -1)
-            self._lc_adjacency(a)
+            _complement(self._adj, a)
             for b in nbrs:
                 self._mul_vop(b, cl.SQRT_MIZ)
                 self._conj_frame(b, cl.SQRT_MIZ)
                 if sg < 0:
-                    self._xor_frame(b, 3)
+                    self._frame[b] ^= 3
         else:
             b0 = nbrs[0]
             na = set(nbrs)
-            nb0 = set(self._adj.get(b0, ()))
-            self._lc_adjacency(b0)
-            self._lc_adjacency(a)
-            self._lc_adjacency(b0)
+            nb0 = set(self._adj[b0])
+            _complement(self._adj, b0)
+            _complement(self._adj, a)
+            _complement(self._adj, b0)
             self._mul_vop(b0, cl.SQRT_IY)
             self._conj_frame(b0, cl.SQRT_IY)
             if sg > 0:
                 zset = na - nb0 - {b0}
             else:
-                self._xor_frame(b0, 2)
+                self._frame[b0] ^= 2
                 zset = nb0 - na - {a}
             for b in zset:
-                self._xor_frame(b, 3)
+                self._frame[b] ^= 3
         self._kill(a)
         return eps * sg
 
     def _kill(self, a: int):
-        self._isolate(a)
+        for b in self._adj[a]:
+            self._adj[b].discard(a)
+        self._adj[a].clear()
         self._status[a] = 1
-        self._vop.pop(a, None)
-        self._frame.pop(a, None)
+        self._vop[a] = cl.ID
+        self._frame[a] = 0
 
 
 # -- local-complementation equivalence ------------------------------------
@@ -377,26 +339,10 @@ class GraphRegister:
 _LC_ORBIT_CAP = 500_000
 
 
-def _canon_adj(g: GraphRegister) -> tuple[frozenset, dict]:
-    alive = sorted(g.alive_vertices())
-    idx = {v: i for i, v in enumerate(alive)}
-    edges = frozenset(
-        (idx[u], idx[v]) for u, v in g.edges() if u in idx and v in idx
-    )
-    return edges, idx
-
-
-def _lc_at(edges: frozenset, n: int, a: int) -> frozenset:
-    nbrs = [b for b in range(n) if (min(a, b), max(a, b)) in edges]
-    out = set(edges)
-    for i, u in enumerate(nbrs):
-        for v in nbrs[i + 1 :]:
-            e = (min(u, v), max(u, v))
-            if e in out:
-                out.discard(e)
-            else:
-                out.add(e)
-    return frozenset(out)
+def _alive_adjacency(g: GraphRegister) -> tuple[frozenset, ...]:
+    """Neighbor sets of g's alive vertices, relabeled in sorted-id order."""
+    idx = {v: i for i, v in enumerate(g.alive_vertices())}
+    return tuple(frozenset(idx[b] for b in g._adj[v]) for v in idx)
 
 
 def lc_equivalent(g1: GraphRegister, g2: GraphRegister) -> bool:
@@ -407,23 +353,24 @@ def lc_equivalent(g1: GraphRegister, g2: GraphRegister) -> bool:
         raise CapacityError("lc_equivalent bounded to 20 alive vertices")
     if n1 != n2:
         return False
-    e1, _ = _canon_adj(g1)
-    e2, _ = _canon_adj(g2)
-    if e1 == e2:
+    start, target = _alive_adjacency(g1), _alive_adjacency(g2)
+    if start == target:
         return True
-    seen = {e1}
-    frontier = [e1]
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for e in frontier:
+        for adj in frontier:
             for a in range(n1):
-                e_new = _lc_at(e, n1, a)
-                if e_new == e2:
+                new = list(adj)
+                _complement(new, a)
+                new = tuple(new)
+                if new == target:
                     return True
-                if e_new not in seen:
+                if new not in seen:
                     if len(seen) >= _LC_ORBIT_CAP:
                         raise CapacityError("LC orbit search exceeded cap")
-                    seen.add(e_new)
-                    nxt.append(e_new)
+                    seen.add(new)
+                    nxt.append(new)
         frontier = nxt
     return False

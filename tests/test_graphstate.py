@@ -106,6 +106,122 @@ def test_lc_equivalent_capacity():
         lc_equivalent(big, GraphRegister(25))
 
 
+def _canon_adj(g):
+    alive = sorted(g.alive_vertices())
+    idx = {v: i for i, v in enumerate(alive)}
+    edges = frozenset(
+        (idx[u], idx[v]) for u, v in g.edges() if u in idx and v in idx
+    )
+    return edges, idx
+
+
+def _lc_at(edges, n, a):
+    nbrs = [b for b in range(n) if (min(a, b), max(a, b)) in edges]
+    out = set(edges)
+    for i, u in enumerate(nbrs):
+        for v in nbrs[i + 1 :]:
+            e = (min(u, v), max(u, v))
+            if e in out:
+                out.discard(e)
+            else:
+                out.add(e)
+    return frozenset(out)
+
+
+def reference_lc_equivalent(g1, g2):
+    """lc_equivalent as it searched over frozensets of relabeled edges."""
+    n1, n2 = g1.alive_count(), g2.alive_count()
+    if n1 != n2:
+        return False
+    e1, _ = _canon_adj(g1)
+    e2, _ = _canon_adj(g2)
+    if e1 == e2:
+        return True
+    seen = {e1}
+    frontier = [e1]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for a in range(n1):
+                e_new = _lc_at(e, n1, a)
+                if e_new == e2:
+                    return True
+                if e_new not in seen:
+                    seen.add(e_new)
+                    nxt.append(e_new)
+        frontier = nxt
+    return False
+
+
+def _embed(edges, n_alive, dead, r):
+    """A register whose alive vertices, in sorted-id order, carry `edges`
+    between 0 .. n_alive - 1, with `dead` measured vertices among them."""
+    slots = sorted(r.choice(n_alive + dead, size=n_alive, replace=False).tolist())
+    g = GraphRegister(n_alive + dead)
+    for u, v in edges:
+        g.apply_cz(slots[u], slots[v])
+    for v in set(range(n_alive + dead)) - set(slots):
+        g.measure_pauli(v, "Z", forced=1)  # isolated, so the outcome is free
+    return g
+
+
+def _random_register(r):
+    """1-7 alive vertices left by random CZs and Pauli measurements."""
+    n = int(r.integers(1, 8))
+    dead = int(r.integers(0, 3))
+    g = GraphRegister(n + dead)
+    for a in range(n + dead):
+        for b in range(a + 1, n + dead):
+            if r.random() < 0.4:
+                g.apply_cz(a, b)
+    for v in r.choice(n + dead, size=dead, replace=False).tolist():
+        g.measure_pauli(v, "XYZ"[int(r.integers(3))], r)
+    return g
+
+
+def test_lc_equivalent_matches_frozenset_reference():
+    r = np.random.default_rng(2006)
+    verdicts = []
+    for _ in range(400):
+        g1 = _random_register(r)
+        n = g1.alive_count()
+        if r.random() < 0.5:
+            # a graph LC-equivalent to g1's, on other vertex ids
+            g2 = g1.copy()
+            alive = list(g2.alive_vertices())
+            for _ in range(int(r.integers(0, 6))):
+                g2.local_complement(alive[int(r.integers(n))])
+            g2 = _embed(_canon_adj(g2)[0], n, int(r.integers(0, 3)), r)
+        else:
+            g2 = _random_register(r)
+        verdict = lc_equivalent(g1, g2)
+        assert verdict == reference_lc_equivalent(g1, g2)
+        verdicts.append(verdict)
+    assert 100 < sum(verdicts) < 350
+
+
+def test_copy_is_independent():
+    g = GraphRegister(4)
+    g.apply_cz(0, 1).apply_cz(1, 2).apply_cz(2, 3)
+
+    def state(reg):
+        return (
+            sorted(reg.edges()),
+            [reg.get_vop(v) for v in range(reg.vertex_count)],
+            [reg.get_frame(v) for v in range(reg.vertex_count)],
+            list(reg.alive_vertices()),
+        )
+
+    before = state(g)
+    c = g.copy()
+    assert state(c) == before
+    c.local_complement(1)  # edges and vops
+    c.measure_pauli(3, "Z", forced=-1)  # a frame on 2, and a death
+    after = state(c)
+    assert all(a != b for a, b in zip(after, before))
+    assert state(g) == before
+
+
 def test_vop_composition_matches_dense():
     r = rng()
     for _ in range(50):
