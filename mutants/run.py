@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 43 mutants take
+Run from the repository root (standard library only; the 48 mutants take
 about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -223,8 +223,9 @@ MUTANTS = (
         "np.full(shape, p > 1)",
         ("tests/test_builder.py::test_bernoulli_matches_plain_draws",),
     ),
-    # -- multiplex: the window matcher behind the yield curves, and the
-    #    range check on a sampled stream's generation probability
+    # -- multiplex: the window matcher behind the yield curves, the one
+    #    route that prunes its plan, and the range check on a sampled
+    #    stream's generation probability
     Mutant(
         "window-match-slot-reused", "src/ballistic/multiplex.py",
         "            matched_slots.append(x)\n            x += 1\n",
@@ -239,10 +240,45 @@ MUTANTS = (
         ("tests/test_multiplex.py::test_sliding_window_match_examples",),
     ),
     Mutant(
+        "route-keeps-one-of-collision", "src/ballistic/multiplex.py",
+        "keep[order[1:][same]] = keep[order[:-1][same]] = False",
+        "keep[order[1:][same]] = False",
+        ("tests/test_multiplex.py::test_route_with_delays_output_collision",),
+    ),
+    Mutant(
+        "yield-curve-matching-unrouted", "src/ballistic/multiplex.py",
+        '"matching_yield": delivered,',
+        '"matching_yield": pair_yield(pa, bin_count),',
+        ("tests/test_multiplex.py::test_multiplex_golden",
+         "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
+    ),
+    Mutant(
+        "matching-rmux-unrouted", "src/ballistic/multiplex.py",
+        "pa, pb = pa[kept].tolist(), pb[kept].tolist()",
+        "pa, pb = pa.tolist(), pb.tolist()",
+        ("tests/test_multiplex.py::test_matching_dominates_sliding_fuzz",
+         "tests/test_multiplex.py::test_matching_rmux_matches_old_regrow"),
+    ),
+    Mutant(
         "sample-p-unchecked", "src/ballistic/multiplex.py",
         "        if not 0.0 <= p <= 1.0:\n            raise SpecError(\"generation",
         "        if not -1.0 <= p <= 2.0:\n            raise SpecError(\"generation",
         ("tests/test_multiplex.py::test_photon_stream_sampling",),
+    ),
+    # -- losstol: the fair coin that settles a tied majority vote
+    Mutant(
+        "tie-coin-biased", "src/ballistic/losstol.py",
+        "coin = rng.random((trials, N)) < 0.5",
+        "coin = rng.random((trials, N)) < 0.25",
+        ("tests/test_losstol.py::test_flip_rate_matches_analytic_oracle",
+         "tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle"),
+    ),
+    Mutant(
+        "tie-counted-as-flip", "src/ballistic/losstol.py",
+        "col_wrong = wrong | (tie & coin)",
+        "col_wrong = wrong | tie",
+        ("tests/test_losstol.py::test_flip_rate_matches_analytic_oracle",
+         "tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle"),
     ),
     # -- acceptance: the one threshold bisection
     Mutant(

@@ -1,10 +1,10 @@
 """Source multiplexing models.
 
 Covers the standard block-multiplexing law, a binary switched-delay network
-with collision accounting, relative-time multiplexing (sliding-window and
-matching variants), cascaded heralded-source ("dump the pump") success
-probability, and the switch noise cost model mapping extinction ratio to a
-worst-case Pauli-Z rate.
+with collision accounting, relative-time multiplexing (the sliding-window
+plan, as swept and as routed), cascaded heralded-source ("dump the pump")
+success probability, and the switch noise cost model mapping extinction
+ratio to a worst-case Pauli-Z rate.
 """
 
 from __future__ import annotations
@@ -225,7 +225,27 @@ def _window_match(items, slots, low: int, high: int):
 
 
 def _sliding_sweep(a, b, max_delay):
-    """Sliding-window pairs of ascending bin arrays `a` (delayed) and `b`."""
+    """Sliding-window pairs of ascending bin arrays `a` (delayed) and `b`.
+
+    Each A photon in turn takes the earliest B photon in [a, a + max_delay]
+    above every B photon taken before it.  The pairs come out ascending in
+    both A and B, and they are also the pairs of the sweep over B, in which
+    each B photon takes the earliest free A photon in [b - max_delay, b]:
+    both sweeps are one rule on the two earliest photons left.  That rule
+    drops the B photon if it comes first, pairs the two if the B photon lies
+    within max_delay of the A photon, and else drops the A photon.  The
+    windows share one width, so Glover's exchange argument makes the plan a
+    maximum matching.
+
+    Re-matching can never grow the routed plan.  Split the sweep's pairs
+    into P, which route, and C, which collide.  Sweep the photons that P
+    leaves.  By induction over A, each A photon of C takes its old partner:
+    every B photon in its window below that partner went to an earlier A
+    photon, through a pair of P (so it is gone) or of C (so it is taken
+    again).  An A photon the sweep left unmatched stays unmatched for the
+    same reason.  So the leftover sweep is C, P and C together are the
+    sweep again, and routing them delivers P once more.
+    """
     ia, ib = _window_match(a, b, 0, max_delay)
     return a[ia], b[ib]
 
@@ -262,78 +282,27 @@ def delivered_pairs(delayed: PhotonStream, pairs, network: DelayNetwork):
     return kept, collisions
 
 
-def _greedy_interval_matching(a_bins, b_bins, max_delay):
-    """Maximum matching for pairs with 0 <= t_b - t_a <= max_delay.
-
-    Sweep the b photons in time order and give each the earliest compatible
-    unmatched a photon.  Compatibility windows are intervals with a common
-    width, so the exchange argument applies: any matching can be reordered
-    so the earliest b takes the earliest compatible a without losing pairs,
-    hence the greedy sweep attains maximum cardinality.  Takes and returns
-    ascending bin arrays.
-    """
-    ib, ia = _window_match(b_bins, a_bins, -max_delay, 0)
-    return a_bins[ia], b_bins[ib]
-
-
-def _deliverable(pa, pb, stage_count: int):
-    """The pairs of a plan whose delayed photons route collision-free."""
-    order = np.argsort(pa)
-    kept, _ = _route(pa[order], (pb - pa)[order], stage_count, None)
-    keep = np.sort(order[kept])  # in plan order
-    return pa[keep], pb[keep]
-
-
-def _regrow(a_bins, b_bins, max_delay: int, stage_count: int, sliding):
-    """Grow a collision-free pair plan of (delayed, undelayed) bin arrays.
-
-    Start from whichever of `sliding` (the sliding-window plan, already
-    pruned to the pairs that route) or the greedy maximum matching delivers
-    more after collision pruning, then greedily re-match the still-unpaired
-    photons and keep any additions that survive routing.
-    """
-    greedy = _deliverable(
-        *_greedy_interval_matching(a_bins, b_bins, max_delay), stage_count
-    )
-    plan = sliding if len(sliding[0]) > len(greedy[0]) else greedy
-    while True:
-        extra = _greedy_interval_matching(
-            np.setdiff1d(a_bins, plan[0], assume_unique=True),
-            np.setdiff1d(b_bins, plan[1], assume_unique=True),
-            max_delay,
-        )
-        if not len(extra[0]):
-            return plan
-        candidate = _deliverable(
-            np.r_[plan[0], extra[0]], np.r_[plan[1], extra[1]], stage_count
-        )
-        if len(candidate[0]) <= len(plan[0]):
-            return plan
-        plan = candidate
-
-
 def matching_rmux(
     stream_a: PhotonStream, stream_b: PhotonStream, max_delay: int
 ) -> list[MatchedPair]:
-    """Maximum matching with delays on stream A only.
+    """A collision-free pair plan with delays on stream A only.
 
     A photon of stream A at t_a may pair with a photon of stream B at t_b
     iff 0 <= t_b - t_a <= max_delay, routed through a delay network of
-    `max_delay.bit_length()` stages.  Collisions are a planning
-    problem here — the matcher controls every switch before any photon is
-    sent — so the pair plan is pruned and regrown until it routes
-    collision-free: start from whichever of the greedy maximum matching or
-    the sliding-window plan delivers more after collision pruning, then
-    greedily re-match the still-unpaired photons and keep any additions
-    that survive routing.  The returned set is deliverable as-is and never
-    smaller than the delivered sliding-window set.
+    `max_delay.bit_length()` stages.  Collisions are a planning problem
+    here, since the matcher sets every switch before any photon is sent.
+    The plan is the sliding-window plan, a maximum matching, pruned to the
+    pairs that route; re-matching the photons that pruning frees never adds
+    a pair (see `_sliding_sweep`).  It is deliverable as-is and equals the
+    pairs `delivered_pairs` keeps of `sliding_window_match`.
     """
     a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay)
     # the network rejects more stages than routing's int64 times allow
     S = DelayNetwork(max_delay.bit_length()).stage_count
-    sliding = _deliverable(*_sliding_sweep(a_bins, b_bins, max_delay), S)
-    pa, pb = _regrow(a_bins, b_bins, max_delay, S, sliding)
-    return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
+    pa, pb = _sliding_sweep(a_bins, b_bins, max_delay)
+    kept, _times = _route(pa, pb - pa, S, None)
+    pa, pb = pa[kept].tolist(), pb[kept].tolist()
+    return [MatchedPair(x, y) for x, y in zip(pa, pb)]
 
 
 def pair_yield(pairs, bin_count: int) -> float:
@@ -354,8 +323,9 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
     the number of collision events hit while routing the sliding assignment
     (the matching pair set is collision-free by construction).  Each row
     draws streams A then B as `PhotonStream.sample` would, sweeps and routes
-    the sliding plan once, and seeds the matcher's regrow with the sliding
-    pairs that survived routing; it equals composing `sliding_window_match`,
+    the sliding plan once, and counts the pairs that route.  The matching
+    plan is those pairs (see `matching_rmux`), so both yields are one
+    number; the row equals composing `sliding_window_match`,
     `delivered_pairs` and `matching_rmux` on those streams.
     """
     rows = []
@@ -367,13 +337,13 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
         collisions = []
         kept, _times = _route(pa, pb - pa, S, collisions)
         assert len(pa) == len(kept) + sum(len(m) for _lbl, _t, m in collisions)
-        matched, _ = _regrow(a, b, D, S, (pa[kept], pb[kept]))
+        delivered = pair_yield(kept, bin_count)
         rows.append(
             {
                 "S": S,
                 "standard_yield": standard_mux_pair_yield(p, S),
-                "sliding_yield": pair_yield(kept, bin_count),
-                "matching_yield": pair_yield(matched, bin_count),
+                "sliding_yield": delivered,
+                "matching_yield": delivered,
                 "collisions": len(collisions),
             }
         )

@@ -67,6 +67,18 @@ def test_flip_rate_matches_analytic_oracle():
     assert abs(rep.flip_rate - p) <= 3 * sigma
 
 
+def test_even_flip_rate_matches_analytic_oracle():
+    # a column of 4 ties when 2 or 4 carriers survive and half of them
+    # flip: the coin settles about one successful trial in nine
+    spec = CrazyGraphSpec(1, 4, loss=0.2, z_flip=0.2)
+    trials = 50000
+    rep = simulate_teleport(spec, trial_rng(24, 0), trials)
+    p = exact_flip_prob(4, 0.2, 0.2)
+    n_succ = rep.success_rate * trials
+    sigma = math.sqrt(p * (1 - p) / n_succ)
+    assert abs(rep.flip_rate - p) <= 3 * sigma
+
+
 def test_exact_flip_prob_lossless_is_binomial_tail():
     # 7 redundant carriers at 10% flip: majority wrong iff >= 4 flips
     tail = sum(

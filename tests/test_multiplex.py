@@ -1,6 +1,7 @@
 """Multiplexing laws, delay-network routing, and relative-time matching."""
 
 import hashlib
+import itertools
 import json
 import pathlib
 from collections import deque
@@ -25,6 +26,7 @@ from ballistic.multiplex import (
     standard_mux_prob,
     yield_curve,
 )
+from ballistic.multiplex import _matcher_bins, _route, _sliding_sweep, _window_match
 from ballistic.rng import trial_rng
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -182,6 +184,124 @@ def test_matching_dominates_sliding_fuzz():
     # more stages than routing's int64 times allow are rejected
     with pytest.raises(SpecError):
         matching_rmux(stream([0]), stream([0]), 2**62)
+
+
+# -- the matcher as it was, when it re-matched the photons pruning freed ----
+
+
+def _old_greedy_interval_matching(a_bins, b_bins, max_delay):
+    """Maximum matching for pairs with 0 <= t_b - t_a <= max_delay.
+
+    Sweep the b photons in time order and give each the earliest compatible
+    unmatched a photon.  Compatibility windows are intervals with a common
+    width, so the exchange argument applies: any matching can be reordered
+    so the earliest b takes the earliest compatible a without losing pairs,
+    hence the greedy sweep attains maximum cardinality.  Takes and returns
+    ascending bin arrays.
+    """
+    ib, ia = _window_match(b_bins, a_bins, -max_delay, 0)
+    return a_bins[ia], b_bins[ib]
+
+
+def _old_deliverable(pa, pb, stage_count: int):
+    """The pairs of a plan whose delayed photons route collision-free."""
+    order = np.argsort(pa)
+    kept, _ = _route(pa[order], (pb - pa)[order], stage_count, None)
+    keep = np.sort(order[kept])  # in plan order
+    return pa[keep], pb[keep]
+
+
+def _old_regrow(a_bins, b_bins, max_delay: int, stage_count: int, sliding):
+    """Grow a collision-free pair plan of (delayed, undelayed) bin arrays.
+
+    Start from whichever of `sliding` (the sliding-window plan, already
+    pruned to the pairs that route) or the greedy maximum matching delivers
+    more after collision pruning, then greedily re-match the still-unpaired
+    photons and keep any additions that survive routing.
+    """
+    greedy = _old_deliverable(
+        *_old_greedy_interval_matching(a_bins, b_bins, max_delay), stage_count
+    )
+    plan = sliding if len(sliding[0]) > len(greedy[0]) else greedy
+    while True:
+        extra = _old_greedy_interval_matching(
+            np.setdiff1d(a_bins, plan[0], assume_unique=True),
+            np.setdiff1d(b_bins, plan[1], assume_unique=True),
+            max_delay,
+        )
+        if not len(extra[0]):
+            return plan
+        candidate = _old_deliverable(
+            np.r_[plan[0], extra[0]], np.r_[plan[1], extra[1]], stage_count
+        )
+        if len(candidate[0]) <= len(plan[0]):
+            return plan
+        plan = candidate
+
+
+def old_matching_rmux(
+    stream_a: PhotonStream, stream_b: PhotonStream, max_delay: int
+) -> list[MatchedPair]:
+    """Maximum matching with delays on stream A only.
+
+    A photon of stream A at t_a may pair with a photon of stream B at t_b
+    iff 0 <= t_b - t_a <= max_delay, routed through a delay network of
+    `max_delay.bit_length()` stages.  Collisions are a planning
+    problem here — the matcher controls every switch before any photon is
+    sent — so the pair plan is pruned and regrown until it routes
+    collision-free: start from whichever of the greedy maximum matching or
+    the sliding-window plan delivers more after collision pruning, then
+    greedily re-match the still-unpaired photons and keep any additions
+    that survive routing.  The returned set is deliverable as-is and never
+    smaller than the delivered sliding-window set.
+    """
+    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay)
+    # the network rejects more stages than routing's int64 times allow
+    S = DelayNetwork(max_delay.bit_length()).stage_count
+    sliding = _old_deliverable(*_sliding_sweep(a_bins, b_bins, max_delay), S)
+    pa, pb = _old_regrow(a_bins, b_bins, max_delay, S, sliding)
+    return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
+
+
+def plain_greedy_by_b(a_bins, b_bins, max_delay):
+    """Each B photon in turn takes the earliest free A photon in
+    [b - max_delay, b]; returns the (a, b) pairs in B order."""
+    free, pairs, i = deque(), [], 0
+    for b in b_bins:
+        while i < len(a_bins) and a_bins[i] <= b:
+            free.append(a_bins[i])
+            i += 1
+        while free and free[0] < b - max_delay:
+            free.popleft()
+        if free:
+            pairs.append((free.popleft(), b))
+    return pairs
+
+
+def test_matching_rmux_matches_old_regrow():
+    """The sweep routed once is the old prune-and-regrow plan, pair for pair,
+    and the sliding sweep is the sweep over B.
+
+    Every pattern pair of 5 bins, with every max_delay up to 5, stands for
+    all stream pairs of up to 5 bins: a shorter stream has the same photon
+    bins as its padded copy.  The long random streams reach the delay
+    budgets and photon densities where the sliding plan collides most.
+    """
+    patterns = [PhotonStream(occ) for occ in itertools.product((False, True), repeat=5)]
+    cases = [(sa, sb, D) for sa in patterns for sb in patterns for D in range(6)]
+    rng = np.random.default_rng(1967)
+    for _ in range(300):
+        bins, p = int(rng.integers(1, 3001)), float(rng.uniform(0.0, 1.0))
+        D = int(rng.integers(0, 301))
+        cases.append(
+            (PhotonStream.sample(bins, p, rng), PhotonStream.sample(bins, p, rng), D)
+        )
+    for sa, sb, D in cases:
+        assert matching_rmux(sa, sb, D) == old_matching_rmux(sa, sb, D)
+        pa, pb = _sliding_sweep(*_matcher_bins(sa, sb, D), D)
+        assert list(zip(pa.tolist(), pb.tolist())) == plain_greedy_by_b(
+            sa.photon_bins, sb.photon_bins, D
+        )
 
 
 def test_pair_yield():
