@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 48 mutants take
-about 30 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 53 mutants take
+about 35 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -335,6 +335,27 @@ MUTANTS = (
         "        flat = flat * (np.abs(lead) / lead)[:, None]\n",
         (GRAPH_TESTS + "test_cz_tables_golden",),
     ),
+    # the tables each built in one array pass: a Pauli conjugate's sign, the
+    # phase the dense oracle reads off a trace, the Kronecker factor order
+    Mutant(
+        "conj-s-sign-dropped", "src/ballistic/clifford.py",
+        "np.rint(conj_s).astype(np.int8)",
+        "np.abs(np.rint(conj_s)).astype(np.int8)",
+        (GRAPH_TESTS + "test_clifford_group_tables",),
+    ),
+    Mutant(
+        "dense-phase-off-by-one", "src/ballistic/dense.py",
+        "d = np.rint(np.angle(lead) / (np.pi / 2)).astype(int) % 4",
+        "d = (np.rint(np.angle(lead) / (np.pi / 2)).astype(int) + 1) % 4",
+        ("tests/test_dense.py::test_local_conj_table_matches_old_search",
+         "tests/test_dense.py::test_cz_conj_table_golden"),
+    ),
+    Mutant(
+        "cz-tables-kron-swapped", GRAPHSTATE,
+        'np.einsum("iab,jcd->ijacbd", c, c)',
+        'np.einsum("iab,jcd->ijcadb", c, c)',
+        (GRAPH_TESTS + "test_cz_tables_golden",),
+    ),
     # a public method that nothing in the package calls
     Mutant(
         "graphstate-unread-method", GRAPHSTATE,
@@ -343,7 +364,22 @@ MUTANTS = (
         '    def copy(self) -> "GraphRegister":\n',
         ("tests/test_api_surface.py::test_every_public_name_is_read_by_the_package",),
     ),
-    # -- cli: config checks and atomic writes
+    # -- fock: the beamsplitter's reflection phase, which makes it unitary
+    #    and two photons bunch
+    Mutant(
+        "beamsplitter-reflection-sign", "src/ballistic/fock.py",
+        "[1j * math.sin(theta), math.cos(theta)],",
+        "[-1j * math.sin(theta), math.cos(theta)],",
+        ("tests/test_acceptance.py::test_c01_hom_coincidence_suppression",
+         "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle"),
+    ),
+    # -- cli: config checks, malformed results and atomic writes
+    Mutant(
+        "figure-without-points", "src/ballistic/cli.py",
+        "    if not rows:\n",
+        "    if rows is None:\n",
+        ("tests/test_cli.py::test_figure_on_malformed_results_exits_2_without_traceback",),
+    ),
     Mutant(
         "check-type-bool-as-number", "src/ballistic/cli.py",
         " or isinstance(value, bool) != isinstance(default, bool)",

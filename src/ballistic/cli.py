@@ -512,12 +512,16 @@ def read_results(path: str) -> tuple[dict, list[dict]]:
 # -- figures -----------------------------------------------------------------
 
 
-def _metric_means(records: list[dict]) -> dict:
+def _metric_means(records: list[dict], path: str) -> dict:
     """Mean of each metric that every record holds."""
     keys = set.intersection(*(set(r["metrics"]) for r in records))
-    return {
-        k: float(np.mean([r["metrics"][k] for r in records])) for k in keys
-    }
+    means = {}
+    for k in sorted(keys):
+        values = [r["metrics"][k] for r in records]
+        if not all(isinstance(v, (int, float)) for v in values):
+            raise SpecError(f"results file {path} has a non-numeric {k!r}")
+        means[k] = float(np.mean(values))
+    return means
 
 
 def svg_line_chart(series: dict, path: str) -> None:
@@ -569,7 +573,7 @@ def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
             f"no figure {figure_id!r} for {config.get('scenario')!r} results; "
             f"valid: {sorted(figures)}"
         )
-    means = _metric_means(records)
+    means = _metric_means(records, results_path)
     try:
         cols, rows = figures[figure_id](means, config["params"])
     except KeyError as exc:
@@ -577,6 +581,8 @@ def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
             f"results file {results_path} has no {exc.args[0]!r}, "
             f"which figure {figure_id!r} needs"
         ) from exc
+    if not rows:
+        raise SpecError(f"results file {results_path} gives figure {figure_id!r} no points")
     csv_path = os.path.join(out_dir, f"{figure_id}.csv")
     svg_path = os.path.join(out_dir, f"{figure_id}.svg")
     xs = [float(r[0]) for r in rows]

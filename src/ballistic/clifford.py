@@ -73,23 +73,13 @@ def _build_tables():
     adjoints = mats.conj().swapaxes(1, 2)
     mul = np.array([_INDEX[k] for k in phase_keys(products)], dtype=np.int8)
     adj = np.array([_INDEX[k] for k in phase_keys(adjoints)], dtype=np.int8)
-    conj_p = np.empty((n, 4), dtype=np.int8)
-    conj_s = np.empty((n, 4), dtype=np.int8)
-    for i, a in enumerate(CLIFFORD_MATS):
-        conj_p[i, 0] = 0
-        conj_s[i, 0] = 1
-        for p in (1, 2, 3):
-            m = a @ PAULI_MATS[p] @ a.conj().T
-            for q in (1, 2, 3):
-                if np.allclose(m, PAULI_MATS[q], atol=_EPS):
-                    conj_p[i, p], conj_s[i, p] = q, 1
-                    break
-                if np.allclose(m, -PAULI_MATS[q], atol=_EPS):
-                    conj_p[i, p], conj_s[i, p] = q, -1
-                    break
-            else:  # pragma: no cover - group closure guarantees a match
-                raise AssertionError("Pauli conjugation fell outside the Pauli group")
-    return mul.reshape(n, n), adj, conj_p, conj_s
+    # C_i P_p C_i^dag = +/-P_q, so its trace against P_q / 2 is that sign and
+    # its trace against each other Pauli is 0: trace[i, p, q].
+    paulis = np.stack(PAULI_MATS)
+    trace = np.einsum("qda,iab,pbc,idc->ipq", paulis, mats, paulis, mats.conj()).real / 2
+    conj_p = np.abs(trace).argmax(axis=2)
+    conj_s = np.take_along_axis(trace, conj_p[..., None], axis=2)[..., 0]
+    return mul.reshape(n, n), adj, conj_p.astype(np.int8), np.rint(conj_s).astype(np.int8)
 
 
 #: MUL[i, j] = index of C_i @ C_j

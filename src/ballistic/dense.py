@@ -27,55 +27,35 @@ def _row_mul(r1, x1, z1, r2, x2, z2):
     return r, x1 ^ x2, z1 ^ z2
 
 
-def _local_op(xb: int, zb: int) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    if xb:
-        m = m @ cl.PAULI["X"]
-    if zb:
-        m = m @ cl.PAULI["Z"]
-    return m
+# X^x Z^z at index 2x + z
+_XZ = np.stack([np.eye(2), cl.PAULI["Z"], cl.PAULI["X"], cl.PAULI["X"] @ cl.PAULI["Z"]])
 
 
-def _match_local(m: np.ndarray) -> tuple[int, int, int]:
-    """Express a 2x2 matrix as i^d X^x Z^z."""
-    for d in range(4):
-        for x in (0, 1):
-            for z in (0, 1):
-                if np.allclose(m, (1j**d) * _local_op(x, z), atol=1e-9):
-                    return d, x, z
-    raise AssertionError("operator left the Pauli group")
+def _pauli_forms(us: np.ndarray, nq: int) -> list[dict]:
+    """Conjugation tables of a (k, 2^nq, 2^nq) stack of unitaries:
+    forms[k][bits] = (d, *bits') with us[k] B(bits) us[k]^dag = i^d B(bits'),
+    where bits = (x_1, z_1, ..., x_nq, z_nq) and B(bits) is the Kronecker
+    product of the X^x_j Z^z_j.
 
-
-def _build_local_conj_table():
-    """table[c][(x,z)] = (d, x', z') with C (X^x Z^z) C^dag = i^d X^x' Z^z'."""
-    table = []
-    for c in range(24):
-        cm = cl.CLIFFORD_MATS[c]
-        ent = {}
-        for x in (0, 1):
-            for z in (0, 1):
-                ent[(x, z)] = _match_local(cm @ _local_op(x, z) @ cm.conj().T)
-        table.append(ent)
-    return table
-
-
-def _build_cz_conj_table():
-    """table[(xa,za,xb,zb)] = (d, xa', za', xb', zb') under CZ conjugation."""
-    czm = np.diag([1, 1, 1, -1]).astype(complex)
-
-    def pauli_pair(xa, za, xb, zb):
-        return np.kron(_local_op(xa, za), _local_op(xb, zb))
-
-    table = {}
-    for key in product((0, 1), repeat=4):
-        m = czm @ pauli_pair(*key) @ czm
-        table[key] = next(
-            (d, *bits)
-            for d in range(4)
-            for bits in product((0, 1), repeat=4)
-            if np.allclose(m, (1j**d) * pauli_pair(*bits), atol=1e-9)
-        )
-    return table
+    A conjugate op is i^d B for the one B with |tr(B^dag op)| / 2^nq = 1,
+    the trace giving the phase; no such B means op left the Pauli group.
+    """
+    bits = list(product((0, 1), repeat=2 * nq))
+    basis = np.ones((1, 1, 1))
+    for _ in range(nq):
+        dim = 2 * basis.shape[1]
+        basis = np.einsum("iab,jcd->ijacbd", basis, _XZ).reshape(-1, dim, dim)
+    ops = us[:, None] @ basis @ us[:, None].conj().swapaxes(2, 3)
+    trace = np.einsum("jab,kiab->kij", basis.conj(), ops) / 2**nq
+    j = np.abs(trace).argmax(axis=2)
+    lead = np.take_along_axis(trace, j[..., None], axis=2)[..., 0]
+    if np.any(np.abs(np.abs(lead) - 1) > 1e-9):
+        raise AssertionError("operator left the Pauli group")
+    d = np.rint(np.angle(lead) / (np.pi / 2)).astype(int) % 4
+    return [
+        {key: (int(dk), *bits[jk]) for key, dk, jk in zip(bits, dr, jr)}
+        for dr, jr in zip(d, j)
+    ]
 
 
 def _reduce(rows: list, qubits: list | range) -> list:
@@ -103,8 +83,10 @@ def _reduce(rows: list, qubits: list | range) -> list:
     return work
 
 
-_LOCAL_CONJ = _build_local_conj_table()
-_CZ_CONJ = _build_cz_conj_table()
+#: _LOCAL_CONJ[c][(x, z)] = (d, x', z') with C_c X^x Z^z C_c^dag = i^d X^x' Z^z'
+_LOCAL_CONJ = _pauli_forms(np.stack(cl.CLIFFORD_MATS), 1)
+#: _CZ_CONJ[(xa, za, xb, zb)] = (d, xa', za', xb', zb') under CZ conjugation
+(_CZ_CONJ,) = _pauli_forms(np.diag([1, 1, 1, -1]).astype(complex)[None], 2)
 
 # Measurement operators by Pauli index: P = i^r X^x Z^z per qubit.
 _PAULI_RXZ = {1: (0, 1, 0), 2: (1, 1, 1), 3: (0, 0, 1)}

@@ -19,6 +19,8 @@ lists: its neighbor set, its vop and its frame.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from . import clifford as cl
@@ -74,16 +76,10 @@ def _build_cz_tables():
     wa = np.array([[s2, 0], [0, s2], [s2, 0], [0, s2]], dtype=complex)  # |+0>,|+1>
     wb_ = np.array([[s2, 0], [s2, 0], [0, s2], [0, s2]], dtype=complex)  # |0+>,|1+>
 
-    triples = []
-    mats = []
-    for e in (0, 1):
-        for va in range(24):
-            ka = cl.CLIFFORD_MATS[va]
-            for vb in range(24):
-                m = np.kron(ka, cl.CLIFFORD_MATS[vb])
-                triples.append((e, va, vb))
-                mats.append(m @ czm if e else m)
-    m2 = np.stack(mats)  # (1152, 4, 4)
+    triples = list(product((0, 1), range(24), range(24)))
+    c = np.stack(cl.CLIFFORD_MATS)
+    krons = np.einsum("iab,jcd->ijacbd", c, c).reshape(576, 4, 4)  # C_va x C_vb
+    m2 = np.concatenate([krons, krons @ czm])  # (1152, 4, 4), by triple
 
     def solver(w):
         """k -> solution triple for input m1 = m2[k] on subspace w."""

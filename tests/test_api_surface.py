@@ -12,9 +12,12 @@ own module, an attribute `.NAME` anywhere or a `from .module import NAME`;
 a class member through an attribute `.name` anywhere.  The member check
 matches names only, not the class they are read on: a method named like
 a common attribute (`copy`, `sample`) passes through any read of that
-attribute, numpy's `.copy()` included.  Neither the `__init__`
-re-exports nor a name's own definition count.  Names kept on purpose go
-in KEEP, as `name` or `Class.member`, with a reason.
+attribute, numpy's `.copy()` included.  A name's own definition does
+not count.  Names kept on purpose go in KEEP, as `name` or
+`Class.member`, with a reason.
+
+The package `__init__` binds `__version__` alone, so a public name cannot
+be kept alive by a re-export there, and callers import the module they need.
 """
 
 import ast
@@ -85,7 +88,6 @@ def test_every_public_name_is_read_by_the_package():
     top_level = [
         (p.stem, node, *_reads(node))
         for p in sorted(SRC.glob("*.py"))
-        if p.name != "__init__.py"
         for node in ast.parse(p.read_text(), filename=str(p)).body
     ]
     attrs_read = set().union(*(attrs for *_, attrs, _imports in top_level))
@@ -113,3 +115,19 @@ def test_every_public_name_is_read_by_the_package():
         if not read and name not in KEEP
     ]
     assert not unread, f"public API that nothing in src/ballistic reads: {unread}"
+
+
+def test_package_binds_only_its_version():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound |= {
+                n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+    assert bound == {"__version__"}

@@ -388,6 +388,19 @@ def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys)
     assert main(["figure", str(results), "mux-law"]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "Traceback" not in err
+    no_s = json.loads(header)
+    no_s["config"]["params"]["s_values"] = []
+    results.write_text("\n".join([json.dumps(no_s), *trimmed]) + "\n")
+    assert main(["figure", str(results), "fig4-yields"]) == 2
+    err = capsys.readouterr().err
+    assert "no points" in err and "Traceback" not in err and err.count("\n") == 1
+    rec = json.loads(trimmed[0])
+    rec["metrics"]["standard_yield_S0"] = "high"
+    results.write_text("\n".join([header, json.dumps(rec), *trimmed[1:]]) + "\n")
+    assert main(["figure", str(results), "fig4-yields"]) == 2
+    err = capsys.readouterr().err
+    assert "non-numeric 'standard_yield_S0'" in err and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_emit_figure_requires_matching_scenario(tmp_path):

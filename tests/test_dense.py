@@ -1,13 +1,16 @@
 """Dense stabilizer oracle: outputs pinned by a golden recorded before its
-row reduction was shared."""
+row reduction was shared, and its conjugation tables by the search they
+were once built with."""
 
 import hashlib
 import json
 import pathlib
+from itertools import product
 
 import numpy as np
 
-from ballistic.dense import _CZ_CONJ, DenseStabilizerState
+from ballistic import clifford as cl
+from ballistic.dense import _CZ_CONJ, _LOCAL_CONJ, DenseStabilizerState
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "dense_oracle.json").read_text()
@@ -62,6 +65,37 @@ def cz_conj_table() -> dict:
 
 def test_cz_conj_table_golden():
     assert cz_conj_table() == GOLDEN["cz_conj"]
+
+
+def old_local_op(x: int, z: int) -> np.ndarray:
+    m = np.eye(2, dtype=complex)
+    if x:
+        m = m @ cl.PAULI["X"]
+    if z:
+        m = m @ cl.PAULI["Z"]
+    return m
+
+
+def old_local_form(m: np.ndarray) -> tuple[int, int, int]:
+    """(d, x, z) with m = i^d X^x Z^z, by a search with np.allclose."""
+    for d in range(4):
+        for x, z in product((0, 1), repeat=2):
+            if np.allclose(m, (1j**d) * old_local_op(x, z), atol=1e-9):
+                return d, x, z
+    raise AssertionError("operator left the Pauli group")
+
+
+def test_local_conj_table_matches_old_search():
+    want = [
+        {
+            (x, z): old_local_form(c @ old_local_op(x, z) @ c.conj().T)
+            for x, z in product((0, 1), repeat=2)
+        }
+        for c in cl.CLIFFORD_MATS
+    ]
+    assert _LOCAL_CONJ == want
+    assert [list(table) for table in _LOCAL_CONJ] == [list(table) for table in want]
+    assert {type(v) for table in _LOCAL_CONJ for form in table.values() for v in form} == {int}
 
 
 def test_dense_oracle_golden():

@@ -346,9 +346,47 @@ def test_pauli_frame_tracked_after_measurement():
     assert all(g.get_frame(v) in (0, 1, 2, 3) for v in g.alive_vertices())
 
 
+def old_conj_tables():
+    """CONJ_P and CONJ_S as built by a search over +/-P_q with np.allclose."""
+    conj_p = np.empty((24, 4), dtype=np.int8)
+    conj_s = np.empty((24, 4), dtype=np.int8)
+    for i, a in enumerate(cl.CLIFFORD_MATS):
+        conj_p[i, 0] = 0
+        conj_s[i, 0] = 1
+        for p in (1, 2, 3):
+            m = a @ cl.PAULI_MATS[p] @ a.conj().T
+            for q in (1, 2, 3):
+                if np.allclose(m, cl.PAULI_MATS[q], atol=1e-9):
+                    conj_p[i, p], conj_s[i, p] = q, 1
+                    break
+                if np.allclose(m, -cl.PAULI_MATS[q], atol=1e-9):
+                    conj_p[i, p], conj_s[i, p] = q, -1
+                    break
+            else:
+                raise AssertionError("Pauli conjugation fell outside the Pauli group")
+    return conj_p, conj_s
+
+
+def group_index(ops):
+    """Index k of the element equal to each op up to a phase: the one with
+    |tr(C_k^dag op)| = 2."""
+    mats = np.stack(cl.CLIFFORD_MATS)
+    overlap = np.abs(np.einsum("kab,nab->nk", mats.conj(), ops))
+    k = overlap.argmax(axis=1)
+    assert np.allclose(overlap[np.arange(len(ops)), k], 2, atol=1e-9)
+    return k
+
+
 def test_clifford_group_tables():
-    assert cl.ID == 0 or isinstance(cl.ID, int)
-    assert len(set(cl.PAULI_IDX)) == 4
+    mats = np.stack(cl.CLIFFORD_MATS)
+    mul = group_index((mats[:, None] @ mats).reshape(-1, 2, 2)).reshape(24, 24)
+    adj = group_index(mats.conj().swapaxes(1, 2))
+    conj_p, conj_s = old_conj_tables()
+    for table, ref in ((cl.MUL, mul), (cl.ADJ, adj), (cl.CONJ_P, conj_p), (cl.CONJ_S, conj_s)):
+        assert table.dtype == np.int8
+        assert table.tolist() == ref.tolist()
+    assert group_index(np.stack(cl.PAULI_MATS)).tolist() == list(cl.PAULI_IDX)
+    assert cl.ID == 0 and len(set(cl.PAULI_IDX)) == 4
 
 
 def cz_table_digest(table: dict) -> str:
