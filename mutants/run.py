@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 53 mutants take
-about 35 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 55 mutants take
+30-55 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -156,16 +156,10 @@ MUTANTS = (
         ("tests/test_builder.py::test_batches_keep_to_the_cell_budget",),
     ),
     Mutant(
-        "cell-z-offset-range", BUILDER,
-        "if off[2] not in (0, 1):",
-        "if off[2] not in (-1, 0, 1):",
-        ("tests/test_builder.py::test_cell_wiring_validation_errors",),
-    ),
-    Mutant(
-        "cell-stubs-as-set", BUILDER,
-        "if slots != sorted(_STUBS):",
-        "if sorted(set(slots)) != sorted(_STUBS):",
-        ("tests/test_builder.py::test_cell_wiring_validation_errors",),
+        "bond-pairs-stub-twice", BUILDER,
+        "    (11, 15, (0, 1, 0)),\n",
+        "    (11, 12, (0, 1, 0)),\n",
+        ("tests/test_builder.py::test_bond_wirings_fuse_every_stub_once",),
     ),
     Mutant(
         "resource-boosted-cost-always", BUILDER,
@@ -203,6 +197,28 @@ MUTANTS = (
         "crossed = np.isin(lab[:, :, :, 0], top)",
         "crossed = np.isin(lab[:, :, :, -1], top)",
         ("tests/test_percolation.py::test_crossings_match_old_labelling",),
+    ),
+    # -- pathfinding: a witness must reach layer z_hi, and the parent chain
+    #    end at the node it was asked for
+    Mutant(
+        "reach-lead-witness-short", "src/ballistic/percolation.py",
+        "lead[:zs.index(z_max) + 1]",
+        "lead[:zs.index(z_max)]",
+        ("tests/test_percolation.py::test_reach_score_matches_old_on_any_lead",),
+    ),
+    Mutant(
+        "chain-drops-last-node", "src/ballistic/percolation.py",
+        "    out.reverse()\n    return out\n",
+        "    out.reverse()\n    return out[:-1]\n",
+        ("tests/test_percolation.py::test_lossy_pathfinding_golden",),
+    ),
+    # -- fusion: only a boosted fusion consumes ancillas
+    Mutant(
+        "ancillas-every-kind", "src/ballistic/fusion.py",
+        'return ANCILLA_COST if self.kind == "BoostedTypeII" else 0',
+        "return ANCILLA_COST",
+        ("tests/test_fusion.py::test_ancilla_accounting",
+         "tests/test_builder.py::test_with_ancilla_figure_counts_only_consumed_ancillas"),
     ),
     # -- rng: skipping fixed-outcome draws
     Mutant(
@@ -375,9 +391,9 @@ MUTANTS = (
     ),
     # -- cli: config checks, malformed results and atomic writes
     Mutant(
-        "figure-without-points", "src/ballistic/cli.py",
-        "    if not rows:\n",
-        "    if rows is None:\n",
+        "figure-header-unchecked", "src/ballistic/cli.py",
+        'cfg = validate_config(dict(header["config"], out=out_dir))',
+        'cfg = dict(header["config"], out=out_dir)',
         ("tests/test_cli.py::test_figure_on_malformed_results_exits_2_without_traceback",),
     ),
     Mutant(

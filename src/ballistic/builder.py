@@ -15,7 +15,7 @@ it reproduces draw for draw is the exact oracle the tests compare it with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,16 @@ COMPUTATIONAL_SLOTS = (1, 4)
 # onto the middle photon of a stub source, whose two end photons become
 # stubs of that qubit for the ballistic bonds.
 FORMATION_PAIRS = ((0, 7), (2, 13), (3, 10), (5, 16))
+# The ballistic bonds, each (local stub, remote stub, cell offset): the
+# local stub fuses with the remote stub of the cell at +offset, and every
+# stub is fused exactly once.  A z offset (always +1) is realized by
+# delaying the local photon one layer.
+BOND_PAIRS = (
+    (6, 9, (0, 0, 1)),
+    (17, 14, (0, 0, 1)),
+    (8, 12, (1, 0, 0)),
+    (11, 15, (0, 1, 0)),
+)
 # Static-element layout: waveguide crossings per slot (<=1 each).
 CROSSING_SLOTS = (14, 17)
 # Chance that one attempt of a heralded 3-photon source succeeds.
@@ -49,49 +59,11 @@ _PARITY = {
 
 
 @dataclass(frozen=True)
-class UnitCellSpec:
-    """The cell's ballistic bonds, each (local stub, remote stub, cell
-    offset): the local stub fuses with the remote stub of the cell at
-    +offset.  z offsets are realized by delaying the local photon one layer.
-    Every stub is fused exactly once."""
-
-    bond_pairs: tuple = (
-        (6, 9, (0, 0, 1)),
-        (17, 14, (0, 0, 1)),
-        (8, 12, (1, 0, 0)),
-        (11, 15, (0, 1, 0)),
-    )
-
-    def __post_init__(self):
-        for _ls, _rs, off in self.bond_pairs:
-            if off == (0, 0, 0):
-                raise SpecError("bond pair with zero offset")
-            if off[2] not in (0, 1):
-                raise SpecError("z bonds must target the next layer")
-        slots = sorted(s for ls, rs, _off in self.bond_pairs for s in (ls, rs))
-        if slots != sorted(_STUBS):
-            raise SpecError(
-                f"bonds must fuse each stub slot {sorted(_STUBS)} exactly"
-                f" once, got slots {slots}"
-            )
-
-    @property
-    def delayed_slots(self) -> tuple:
-        return tuple(
-            ls for ls, _rs, off in self.bond_pairs if off[2] != 0
-        )
-
-    @property
-    def fusions_per_cell(self) -> int:
-        return len(FORMATION_PAIRS) + len(self.bond_pairs)
-
-
-@dataclass(frozen=True)
 class WaferSpec:
     nx: int
     ny: int
     nz: int
-    fusion_params: FusionParams = field(default_factory=FusionParams)
+    fusion_params: FusionParams
     photon_loss: float = 0.0
     filter_fidelity: float = 1.0
     filter_enabled: bool = False
@@ -128,7 +100,7 @@ class CompLattice:
     def node_count(self) -> int:
         return self.nx * self.ny * self.nz * 2
 
-    def alive_flat(self, punched: bool = False) -> np.ndarray:
+    def alive_flat(self, punched: bool) -> np.ndarray:
         a = self.alive_punched if punched else self.alive
         return a.reshape(-1)
 
@@ -142,7 +114,7 @@ class BuiltLattice:
 # -- shared draw sampling ---------------------------------------------------
 
 
-def _sample_draws(spec: WaferSpec, cell: UnitCellSpec, rng):
+def _sample_draws(spec: WaferSpec, rng):
     """All structured randomness of one build, in a fixed order.
 
     The graph-level oracle consumes exactly these arrays too, so the two
@@ -160,7 +132,7 @@ def _sample_draws(spec: WaferSpec, cell: UnitCellSpec, rng):
     else:
         kept = np.ones(slots, dtype=bool)
     success = bernoulli(
-        rng, shape + (len(cell.bond_pairs),), spec.fusion_params.success_prob
+        rng, shape + (len(BOND_PAIRS),), spec.fusion_params.success_prob
     )
     return lost, kept, success
 
@@ -198,14 +170,8 @@ def _shift_ok(arr, off):
     return out
 
 
-def build_wafer(
-    spec: WaferSpec,
-    cell: UnitCellSpec = UnitCellSpec(),
-    *,
-    rng,
-    graph_level: bool = False,
-) -> BuiltLattice:
-    """One wafer's bond-level build: `build_wafers([spec], [rng], cell)[0]`.
+def build_wafer(spec: WaferSpec, *, rng, graph_level: bool = False) -> BuiltLattice:
+    """One wafer's bond-level build: `build_wafers([spec], [rng])[0]`.
 
     `graph_level` exists only because the benchmark's workloads
     (`perfbench/workloads.py`) pass `graph_level=False`.  True is rejected:
@@ -216,7 +182,7 @@ def build_wafer(
             "the graph-level build is the test oracle tests/graph_oracle.py;"
             " build_wafer builds bond-level only"
         )
-    return build_wafers([spec], [rng], cell)[0]
+    return build_wafers([spec], [rng])[0]
 
 
 # Cells built together: a batch's arrays stay near this size (a larger
@@ -239,7 +205,7 @@ def batches(specs) -> list[slice]:
     return out
 
 
-def build_wafers(specs, rngs, cell: UnitCellSpec = UnitCellSpec()) -> list[BuiltLattice]:
+def build_wafers(specs, rngs) -> list[BuiltLattice]:
     """Bond-level builds of same-shape wafers, derived in one array pass.
 
     Wafer i takes its draws from rngs[i], in list order, so a generator
@@ -255,22 +221,22 @@ def build_wafers(specs, rngs, cell: UnitCellSpec = UnitCellSpec()) -> list[Built
         return []
     # the stacked draws and every temporary of the derivation are freed
     # before the edges are listed
-    alive, punched, bonded = _bond_masks(cell, *_sample_batch(specs, cell, rngs))
-    edges = _bond_edges(cell, specs[0], bonded)
+    alive, punched, bonded = _bond_masks(*_sample_batch(specs, rngs))
+    edges = _bond_edges(specs[0], bonded)
     nx, ny, nz = specs[0].nx, specs[0].ny, specs[0].nz
     return [
         BuiltLattice(
-            resource_report=_resource_report(spec, cell),
+            resource_report=_resource_report(spec),
             comp=CompLattice(nx, ny, nz, alive[i], punched[i], edges[i]),
         )
         for i, spec in enumerate(specs)
     ]
 
 
-def _resource_report(spec: WaferSpec, cell: UnitCellSpec) -> dict:
+def _resource_report(spec: WaferSpec) -> dict:
     cells = spec.cells
     photons = cells * PHOTONS_PER_CELL
-    fusions = cells * cell.fusions_per_cell
+    fusions = cells * (len(FORMATION_PAIRS) + len(BOND_PAIRS))
     ancillas = fusions * spec.fusion_params.ancillas_per_fusion
     comp_qubits = cells * len(COMPUTATIONAL_SLOTS)
     return {
@@ -286,14 +252,14 @@ def _resource_report(spec: WaferSpec, cell: UnitCellSpec) -> dict:
     }
 
 
-def _sample_batch(specs, cell, rngs):
+def _sample_batch(specs, rngs):
     """Each wafer's `_sample_draws`, in list order, stacked on a leading
     axis (a view for one wafer)."""
-    draws = [_sample_draws(spec, cell, rng) for spec, rng in zip(specs, rngs)]
+    draws = [_sample_draws(spec, rng) for spec, rng in zip(specs, rngs)]
     return [a[0][None] if len(a) == 1 else np.stack(a) for a in zip(*draws)]
 
 
-def _bond_masks(cell, lost, kept, success):
+def _bond_masks(lost, kept, success):
     """Raw and punched survival per qubit, and which bonds fused, from a
     batch's stacked draws.  Arrays are indexed by wafer, then cell; per-qubit
     ones by parity in their last axis, `bonded` by bond in its second."""
@@ -316,8 +282,8 @@ def _bond_masks(cell, lost, kept, success):
     # Damage from ballistic loss heralds: a surviving attached stub whose
     # fusion partner never arrived is dropped as lost, wounding its qubit.
     herald_damage = np.zeros_like(alive)
-    bonded = np.empty((len(lost), len(cell.bond_pairs)) + lost.shape[1:4], dtype=bool)
-    for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
+    bonded = np.empty((len(lost), len(BOND_PAIRS)) + lost.shape[1:4], dtype=bool)
+    for bi, (ls, rs, off) in enumerate(BOND_PAIRS):
         a_remote = _shift_ok(attached[rs], off)
         # local stub attached, partner missing -> local loss herald
         herald_damage[..., _PARITY[ls]] |= attached[ls] & _shift_ok(~usable[..., rs], off)
@@ -332,7 +298,7 @@ def _bond_masks(cell, lost, kept, success):
     return alive, alive & ~damaged[..., comp] & ~herald_damage, bonded
 
 
-def _bond_edges(cell, spec, bonded):
+def _bond_edges(spec, bonded):
     """Each wafer's (m, 2) int64 edges, by bond, then cell.
 
     Node ids are 2 * cell + parity.  Hit h of `bonded` is bond h // cells
@@ -343,10 +309,10 @@ def _bond_edges(cell, spec, bonded):
     cells = spec.cells
     hits = np.flatnonzero(bonded)
     row = hits // cells
-    first = np.tile([_PARITY[ls] for ls, _rs, _off in cell.bond_pairs], wafers)
+    first = np.tile([_PARITY[ls] for ls, _rs, _off in BOND_PAIRS], wafers)
     jump = np.tile([
         2 * ((ox * spec.ny + oy) * spec.nz + oz) + _PARITY[rs] - _PARITY[ls]
-        for ls, rs, (ox, oy, oz) in cell.bond_pairs
+        for ls, rs, (ox, oy, oz) in BOND_PAIRS
     ], wafers)
     edges = np.empty((len(hits), 2), dtype=np.int64)
     np.multiply(hits, 2, out=edges[:, 0])
@@ -362,13 +328,9 @@ _FUSION_ELEMENTS = 3  # rotate / combine / rotate of a Type-II network
 _DETECTOR_ELEMENTS = 1
 
 
-def optical_depth_report(cell: UnitCellSpec) -> dict:
-    fused = set()
-    for a, b in FORMATION_PAIRS:
-        fused |= {a, b}
-    for ls, rs, _off in cell.bond_pairs:
-        fused |= {ls, rs}
-    delayed = set(cell.delayed_slots)
+def optical_depth_report() -> dict:
+    fused = {s for pair in FORMATION_PAIRS + BOND_PAIRS for s in pair[:2]}
+    delayed = {ls for ls, _rs, off in BOND_PAIRS if off[2]}
     crossings = set(CROSSING_SLOTS)
     per_slot = {}
     for s in range(PHOTONS_PER_CELL):

@@ -356,7 +356,8 @@ def validate_config(raw: dict) -> dict:
             f"(expected {CONFIG_VERSION})"
         )
     scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
+    # a list or object is unhashable, so it is tested by type, not lookup
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise SpecError(
             f"unknown scenario {scenario!r}; valid: {sorted(SCENARIOS)}"
         )
@@ -566,23 +567,23 @@ def svg_line_chart(series: dict, path: str) -> None:
 
 def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
     header, records = read_results(results_path)
-    config = header["config"]
-    figures = SCENARIOS.get(config.get("scenario"), {}).get("figures", {})
+    # the header's config passes the checks of a run's config, so every
+    # parameter is present, typed and in range, and every list non-empty
+    cfg = validate_config(dict(header["config"], out=out_dir))
+    figures = SCENARIOS[cfg["scenario"]]["figures"]
     if figure_id not in figures:
         raise SpecError(
-            f"no figure {figure_id!r} for {config.get('scenario')!r} results; "
+            f"no figure {figure_id!r} for {cfg['scenario']!r} results; "
             f"valid: {sorted(figures)}"
         )
     means = _metric_means(records, results_path)
     try:
-        cols, rows = figures[figure_id](means, config["params"])
+        cols, rows = figures[figure_id](means, cfg["params"])
     except KeyError as exc:
         raise SpecError(
             f"results file {results_path} has no {exc.args[0]!r}, "
             f"which figure {figure_id!r} needs"
         ) from exc
-    if not rows:
-        raise SpecError(f"results file {results_path} gives figure {figure_id!r} no points")
     csv_path = os.path.join(out_dir, f"{figure_id}.csv")
     svg_path = os.path.join(out_dir, f"{figure_id}.svg")
     xs = [float(r[0]) for r in rows]

@@ -14,23 +14,18 @@ from dataclasses import dataclass
 from .errors import SpecError
 
 KINDS = ("TypeII", "BoostedTypeII")
-_DEFAULT_SUCCESS = {"TypeII": 0.5, "BoostedTypeII": 0.75}
 # Ancilla photons a boosted fusion consumes per attempt.
 ANCILLA_COST = 2
 
 
 @dataclass(frozen=True)
 class FusionParams:
-    kind: str = "TypeII"
-    success_prob: float | None = None
+    kind: str
+    success_prob: float
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecError(f"unknown fusion kind {self.kind!r}")
-        if self.success_prob is None:
-            object.__setattr__(
-                self, "success_prob", _DEFAULT_SUCCESS[self.kind]
-            )
         if not 0.0 <= self.success_prob <= 1.0:
             raise SpecError("success_prob outside [0, 1]")
 

@@ -2,9 +2,10 @@
 
 Every photon is a `GraphRegister` vertex and every fusion a register
 operation, so the lattice is read off the photons' graph state after the
-whole build.  It consumes the draws of `builder._sample_draws`, looked up
-when it is called, so it agrees with the bond-level build draw for draw,
-also where a test replaces that sampler.  It is some 700x slower than the
+whole build.  It consumes the draws of `builder._sample_draws` and wires
+the bonds of `builder.BOND_PAIRS`, both looked up when it is called, so it
+agrees with the bond-level build draw for draw, also where a test replaces
+the sampler or the wiring.  It is some 700x slower than the
 bond-level build, so only the tests that compare the two run it.
 """
 
@@ -22,7 +23,6 @@ from ballistic.builder import (
     PHOTONS_PER_CELL,
     SOURCES_PER_CELL,
     CompLattice,
-    UnitCellSpec,
 )
 from ballistic.errors import SpecError
 from ballistic.graphstate import GraphRegister
@@ -70,8 +70,8 @@ def lose(reg: GraphRegister, v: int, unknown: set) -> None:
     reg.measure_pauli(v, "Z", forced=1)
 
 
-def build_graph_level(spec, cell: UnitCellSpec = UnitCellSpec(), *, rng) -> GraphBuild:
-    lost, kept, success = builder._sample_draws(spec, cell, rng)
+def build_graph_level(spec, *, rng) -> GraphBuild:
+    lost, kept, success = builder._sample_draws(spec, rng)
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     reg = GraphRegister(0)
     unknown: set[int] = set()  # vertices whose byproduct frame is unknown
@@ -124,7 +124,7 @@ def build_graph_level(spec, cell: UnitCellSpec = UnitCellSpec(), *, rng) -> Grap
         for (a, b) in FORMATION_PAIRS:
             attempt(vid(x, y, z, a), vid(x, y, z, b), True, "formation")
     for (x, y, z) in coords:
-        for bi, (ls, rs, off) in enumerate(cell.bond_pairs):
+        for bi, (ls, rs, off) in enumerate(builder.BOND_PAIRS):
             tx, ty, tz = x + off[0], y + off[1], z + off[2]
             va = vid(x, y, z, ls)
             if not (0 <= tx < nx and 0 <= ty < ny and 0 <= tz < nz):

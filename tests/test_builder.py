@@ -4,13 +4,13 @@ import hashlib
 import itertools
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from ballistic import acceptance, builder, cli
 from ballistic.builder import (
-    UnitCellSpec,
     WaferSpec,
     batches,
     build_wafer,
@@ -28,49 +28,32 @@ BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def test_default_cell_validates():
-    # the default and the mirrored wiring both construct
-    for cell in (UnitCellSpec(), UnitCellSpec(bond_pairs=MIRRORED_CELL.bond_pairs)):
-        assert cell.fusions_per_cell == 8
-        assert cell.delayed_slots == (6, 17)
-
-
-def _rewired(index, bond):
-    """The default bonds with bond `index` replaced."""
-    pairs = list(UnitCellSpec().bond_pairs)
-    pairs[index] = bond
-    return tuple(pairs)
-
-
-BAD_BONDS = (
-    # zero offset
-    (_rewired(0, (6, 9, (0, 0, 0))), "zero offset"),
-    # z offsets outside {0, 1}
-    (_rewired(0, (6, 9, (0, 0, 2))), "next layer"),
-    (_rewired(0, (6, 9, (0, 0, -1))), "next layer"),
-    # stub 6 used twice: in one bond, and in two
-    (_rewired(0, (6, 6, (0, 0, 1))), "exactly once"),
-    (_rewired(1, (6, 14, (0, 0, 1))), "exactly once"),
-    # a computational slot, a formation slot, a slot outside the cell
-    (_rewired(0, (1, 9, (0, 0, 1))), "exactly once"),
-    (_rewired(0, (7, 9, (0, 0, 1))), "exactly once"),
-    (_rewired(0, (18, 9, (0, 0, 1))), "exactly once"),
-    # stubs 11 and 15 left out
-    (UnitCellSpec().bond_pairs[:3], "exactly once"),
-    # every stub in a bond, but 6 and 15 each fused with themselves
-    (
-        ((6, 6, (1, 0, 0)), (15, 15, (1, 0, 0)), (9, 17, (0, 0, 1)),
-         (14, 8, (0, 1, 0)), (12, 11, (1, 0, 0))),
-        "exactly once",
-    ),
+# The paper's wiring with its x and y bonds fused from the other side, so
+# their offsets are negative.
+MIRRORED_BONDS = (
+    (6, 9, (0, 0, 1)),
+    (17, 14, (0, 0, 1)),
+    (12, 8, (-1, 0, 0)),
+    (15, 11, (0, -1, 0)),
 )
+WIRINGS = (builder.BOND_PAIRS, MIRRORED_BONDS)
 
 
-def test_cell_wiring_validation_errors():
-    """An invalid bond wiring cannot be constructed."""
-    for bonds, match in BAD_BONDS:
-        with pytest.raises(SpecError, match=match):
-            UnitCellSpec(bond_pairs=bonds)
+def wired(bonds):
+    """The bond-level build and the oracle with `bonds` as the cell's bonds."""
+    return mock.patch.object(builder, "BOND_PAIRS", bonds)
+
+
+def test_bond_wirings_fuse_every_stub_once():
+    """Each wiring fuses every stub slot exactly once, at a non-zero cell
+    offset whose z part is 0 or 1, and delays the photons of slots 6 and 17
+    for its z bonds."""
+    for bonds in WIRINGS:
+        slots = sorted(s for ls, rs, _off in bonds for s in (ls, rs))
+        assert slots == sorted(builder._STUBS), bonds
+        for _ls, _rs, off in bonds:
+            assert off != (0, 0, 0) and off[2] in (0, 1), bonds
+        assert tuple(ls for ls, _rs, off in bonds if off[2]) == (6, 17), bonds
 
 
 def test_make_ghz3_is_linear_cluster():
@@ -119,6 +102,8 @@ def test_resource_report_counts():
     rep = lat.resource_report
     assert rep["cells"] == 8
     assert rep["photons_emitted"] == 8 * 18
+    # four formation fusions and four bonds per cell
+    assert rep["fusions_attempted"] == 8 * 8
     assert rep["photons_per_computational_no_ancilla"] == 9
     assert rep["photons_per_computational_with_ancilla"] == 17
     assert rep["photons_per_computational_with_ancilla"] <= 20
@@ -128,22 +113,10 @@ def test_resource_report_counts():
 def test_with_ancilla_figure_counts_only_consumed_ancillas():
     # only a boosted fusion consumes ancillas, ANCILLA_COST = 2 per attempt
     for kind, want in (("TypeII", 9.0), ("BoostedTypeII", 17.0)):
-        spec = WaferSpec(2, 2, 2, fusion_params=FusionParams(kind))
+        spec = WaferSpec(2, 2, 2, fusion_params=FusionParams(kind, success_prob=0.5))
         rep = build_wafer(spec, rng=trial_rng(1, 0)).resource_report
         assert rep["photons_per_computational_with_ancilla"] == want, kind
         assert want == rep["photons_emitted_total"] / rep["computational_qubits"]
-
-
-# The default wiring with its x and y bonds fused from the other side, so
-# their offsets are negative.
-MIRRORED_CELL = UnitCellSpec(
-    bond_pairs=(
-        (6, 9, (0, 0, 1)),
-        (17, 14, (0, 0, 1)),
-        (12, 8, (-1, 0, 0)),
-        (15, 11, (0, -1, 0)),
-    )
-)
 
 
 # Every axis takes 1, 2 and 3 cells; (1, 1, 1) has no in-range bond at all.
@@ -151,16 +124,16 @@ GRID_SHAPES = ((1, 1, 1), (1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 2, 2), (3, 3, 3))
 
 
 def spec_grid():
-    """(cell, spec) over both cells, the grid shapes, loss 0/0.05/0.3, filter
-    off/on (fidelity 0.8) and success_prob 0/0.75/1: 216 specs."""
-    for cell, shape, loss, filt, sp in itertools.product(
-        (UnitCellSpec(), MIRRORED_CELL),
+    """(bonds, spec) over both wirings, the grid shapes, loss 0/0.05/0.3,
+    filter off/on (fidelity 0.8) and success_prob 0/0.75/1: 216 specs."""
+    for bonds, shape, loss, filt, sp in itertools.product(
+        WIRINGS,
         GRID_SHAPES,
         (0.0, 0.05, 0.3),
         (False, True),
         (0.0, 0.75, 1.0),
     ):
-        yield cell, WaferSpec(
+        yield bonds, WaferSpec(
             *shape,
             fusion_params=FusionParams("BoostedTypeII", success_prob=sp),
             photon_loss=loss,
@@ -183,31 +156,33 @@ FIXED_OUTCOME_SPECS = tuple(
 
 
 def test_build_modes_agree():
-    cases = [(UnitCellSpec(), WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.02), 1)]
+    paper, mirrored = WIRINGS
+    cases = [(paper, WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.02), 1)]
     cases += [
-        (MIRRORED_CELL, WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.05), t)
+        (mirrored, WaferSpec(3, 3, 4, fusion_params=BOOSTED, photon_loss=0.05), t)
         for t in range(10)
     ]
-    cases += [(cell, spec, 100 + i) for i, (cell, spec) in enumerate(spec_grid())]
-    # each fusion kind, at its default success probability
+    cases += [(bonds, spec, 100 + i) for i, (bonds, spec) in enumerate(spec_grid())]
+    # each fusion kind, at its unboosted or boosted success probability
     cases += [
-        (UnitCellSpec(), WaferSpec(2, 2, 3, fusion_params=FusionParams(kind)), 0)
-        for kind in KINDS
+        (paper, WaferSpec(2, 2, 3, fusion_params=FusionParams(kind, sp)), 0)
+        for kind, sp in zip(KINDS, (0.5, 0.75))
     ]
     # every draw skipped: the graph-level build draws on from wherever
     # _sample_draws leaves the stream
     cases += [
-        (cell, spec, 400 + i) for i, spec in enumerate(FIXED_OUTCOME_SPECS)
-        for cell in (UnitCellSpec(), MIRRORED_CELL)
+        (bonds, spec, 400 + i) for i, spec in enumerate(FIXED_OUTCOME_SPECS)
+        for bonds in WIRINGS
     ]
-    for cell, spec, trial in cases:
-        graph = build_graph_level(spec, cell, rng=trial_rng(5, trial))
-        bond = build_wafer(spec, cell, rng=trial_rng(5, trial))
-        assert (graph.comp.alive == bond.comp.alive).all(), (cell, spec, trial)
-        assert (graph.comp.alive_punched == bond.comp.alive_punched).all(), (cell, spec, trial)
+    for bonds, spec, trial in cases:
+        with wired(bonds):
+            graph = build_graph_level(spec, rng=trial_rng(5, trial))
+            bond = build_wafer(spec, rng=trial_rng(5, trial))
+        assert (graph.comp.alive == bond.comp.alive).all(), (bonds, spec, trial)
+        assert (graph.comp.alive_punched == bond.comp.alive_punched).all(), (bonds, spec, trial)
         ge = {tuple(sorted(e)) for e in graph.comp.edges.tolist()}
         be = {tuple(sorted(e)) for e in bond.comp.edges.tolist()}
-        assert ge == be, (cell, spec, trial)
+        assert ge == be, (bonds, spec, trial)
 
 
 def test_bernoulli_matches_plain_draws():
@@ -215,9 +190,9 @@ def test_bernoulli_matches_plain_draws():
     0-7 prior draws, for short lengths, every draw of the golden grid and
     the C16 loss draw."""
     shapes = {(k,) for k in range(10)} | {(12, 6, 600, 18)}
-    for cell, spec in spec_grid():
+    for bonds, spec in spec_grid():
         cells = (spec.nx, spec.ny, spec.nz)
-        shapes |= {cells + (builder.PHOTONS_PER_CELL,), cells + (len(cell.bond_pairs),)}
+        shapes |= {cells + (builder.PHOTONS_PER_CELL,), cells + (len(bonds),)}
     for shape, p, prior in itertools.product(
         sorted(shapes), (0.0, 1.0, 0.3), range(8)
     ):
@@ -251,7 +226,7 @@ def test_bernoulli_falls_back_to_plain_draws():
             assert (fast.random(64) == plain.random(64)).all()
 
 
-def _plain_sample_draws(spec, cell, rng):
+def _plain_sample_draws(spec, rng):
     """`builder._sample_draws` as it was before any draw was skipped."""
     shape = (spec.nx, spec.ny, spec.nz)
     nslots = builder.PHOTONS_PER_CELL
@@ -261,7 +236,7 @@ def _plain_sample_draws(spec, cell, rng):
     else:
         kept = np.ones(shape + (nslots,), dtype=bool)
     success = (
-        rng.random(shape + (len(cell.bond_pairs),))
+        rng.random(shape + (len(builder.BOND_PAIRS),))
         < spec.fusion_params.success_prob
     )
     return lost, kept, success
@@ -297,11 +272,16 @@ def bond_build_digest(builds) -> str:
     return h.hexdigest()
 
 
+def _wired_build(bonds, spec, rng):
+    with wired(bonds):
+        return build_wafer(spec, rng=rng)
+
+
 def bond_golden_digests(golden) -> dict:
     seed = golden["seed"]
     grid = (
-        build_wafer(spec, cell, rng=trial_rng(seed, i))
-        for i, (cell, spec) in enumerate(spec_grid())
+        _wired_build(bonds, spec, trial_rng(seed, i))
+        for i, (bonds, spec) in enumerate(spec_grid())
     )
     large = golden["large"]
     spec = WaferSpec(
@@ -325,20 +305,21 @@ def test_bond_build_golden():
 
 
 def _grid_batches():
-    """spec_grid() as one list per cell and shape: what build_wafers takes."""
-    for (cell, _shape), group in itertools.groupby(
-        spec_grid(), key=lambda cs: (cs[0], (cs[1].nx, cs[1].ny, cs[1].nz))
+    """spec_grid() as one list per wiring and shape: what build_wafers
+    takes."""
+    for (bonds, _shape), group in itertools.groupby(
+        spec_grid(), key=lambda bs: (bs[0], (bs[1].nx, bs[1].ny, bs[1].nz))
     ):
-        yield cell, [spec for _cell, spec in group]
+        yield bonds, [spec for _bonds, spec in group]
 
 
 def test_build_wafers_matches_sequential_builds():
-    """A batch per cell and shape of the golden grid, from one shared
+    """A batch per wiring and shape of the golden grid, from one shared
     generator and from one generator per wafer, against one bond-level
     `build_wafer` call per wafer in turn: the same arrays, edge order and
     dtype, reports, and generators left at the same place.  This is the
     check that `build_wafer` is `build_wafers` over one wafer."""
-    for k, (cell, specs) in enumerate(_grid_batches()):
+    for k, (bonds, specs) in enumerate(_grid_batches()):
         for shared in (True, False):
             def gens():
                 if shared:
@@ -346,11 +327,12 @@ def test_build_wafers_matches_sequential_builds():
                 return [trial_rng(13, 100 * k + i) for i in range(len(specs))]
 
             batch_rngs, seq_rngs = gens(), gens()
-            got = build_wafers(specs, batch_rngs, cell)
-            want = [
-                build_wafer(spec, cell, rng=rng)
-                for spec, rng in zip(specs, seq_rngs)
-            ]
+            with wired(bonds):
+                got = build_wafers(specs, batch_rngs)
+                want = [
+                    build_wafer(spec, rng=rng)
+                    for spec, rng in zip(specs, seq_rngs)
+                ]
             assert len(got) == len(specs)
             for i, (g, w) in enumerate(zip(got, want)):
                 assert bond_build_digest([g]) == bond_build_digest([w]), (k, shared, i)
@@ -361,16 +343,19 @@ def test_build_wafers_matches_sequential_builds():
 
 def test_build_wafers_rejects_mixed_shapes():
     rng = trial_rng(0, 0)
+    a, b = (WaferSpec(2, 2, nz, fusion_params=BOOSTED) for nz in (2, 3))
     with pytest.raises(SpecError, match="one shape"):
-        build_wafers([WaferSpec(2, 2, 2), WaferSpec(2, 2, 3)], [rng, rng])
+        build_wafers([a, b], [rng, rng])
     with pytest.raises(SpecError, match="generators"):
-        build_wafers([WaferSpec(2, 2, 2)] * 2, [rng])
+        build_wafers([a] * 2, [rng])
     assert build_wafers([], []) == []
 
 
 def test_batches_keep_to_the_cell_budget(monkeypatch):
     monkeypatch.setattr(builder, "BATCH_CELLS", 16)
-    specs = [WaferSpec(2, 2, 2)] * 5 + [WaferSpec(3, 3, 3), WaferSpec(1, 1, 1)]
+    specs = [
+        WaferSpec(n, n, n, fusion_params=BOOSTED) for n in (2, 2, 2, 2, 2, 3, 1)
+    ]
     # 8 + 8 cells fill a batch, a third wafer would not fit; the 27-cell
     # wafer is a batch of its own
     assert batches(specs) == [
@@ -448,27 +433,35 @@ def test_filter_reduces_alive_fraction():
 
 
 def test_optical_depth_report():
-    rep = optical_depth_report(UnitCellSpec())
+    rep = optical_depth_report()
     assert rep["max"] <= 12
     assert rep["mean"] <= rep["max"]
-    shifters = {
-        s for s, e in rep["per_slot"].items() if e["phase_shifter"] == 1
-    }
-    assert shifters == {1, 4}
+    def slots(element):
+        return {s for s, e in rep["per_slot"].items() if e[element]}
+
+    assert slots("phase_shifter") == {1, 4}
+    # every photon but the computational ones is fused; the z bonds delay
+    # slots 6 and 17
+    assert slots("fusion") == set(range(18)) - {1, 4}
+    assert slots("delay") == {6, 17}
 
 
 def test_build_needs_a_generator():
     with pytest.raises(TypeError, match="rng"):
-        build_wafer(WaferSpec(1, 1, 1))
+        build_wafer(WaferSpec(1, 1, 1, fusion_params=BOOSTED))
 
 
 def test_graph_level_build_is_rejected():
     with pytest.raises(SpecError, match="tests/graph_oracle.py"):
-        build_wafer(WaferSpec(1, 1, 1), rng=trial_rng(0, 0), graph_level=True)
+        build_wafer(
+            WaferSpec(1, 1, 1, fusion_params=BOOSTED),
+            rng=trial_rng(0, 0),
+            graph_level=True,
+        )
 
 
 def test_invalid_wafer_spec():
     with pytest.raises(SpecError):
-        WaferSpec(0, 1, 1)
+        WaferSpec(0, 1, 1, fusion_params=BOOSTED)
     with pytest.raises(SpecError):
-        WaferSpec(1, 1, 1, photon_loss=1.0)
+        WaferSpec(1, 1, 1, fusion_params=BOOSTED, photon_loss=1.0)

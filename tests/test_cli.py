@@ -298,8 +298,9 @@ def test_cli_error_exit_codes(tmp_path):
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
     unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps(good_config(scenario="nope")))
-    assert main(["run", str(unknown)]) == 2
+    for scenario in ("nope", ["wafer-span"], {}):
+        unknown.write_text(json.dumps(good_config(scenario=scenario)))
+        assert main(["run", str(unknown)]) == 2
 
 
 def test_bad_output_path_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
@@ -334,10 +335,13 @@ def test_bad_output_path_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(SCENARIOS["mux-yield"], "trial", no_trial)
     assert main(["run", str(cfg_path), "--out", str(blocker)]) == 2
     assert main(["figure", results, "fig4-yields", "--out", str(blocker)]) == 2
+    assert main(["figure", results, "fig4-yields", "--out", str(blocker / "fig")]) == 2
     errs = capsys.readouterr().err.splitlines()
-    assert len(errs) == 2
-    assert errs[0] == f"config error: out {str(blocker)!r} exists and is not a directory"
-    assert errs[1].startswith("config error: cannot write figure files")
+    assert len(errs) == 3
+    assert errs[0] == errs[1] == (
+        f"config error: out {str(blocker)!r} exists and is not a directory"
+    )
+    assert errs[2].startswith("config error: cannot write figure files")
     assert blocker.read_text() == ""
 
 
@@ -392,8 +396,9 @@ def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys)
     no_s["config"]["params"]["s_values"] = []
     results.write_text("\n".join([json.dumps(no_s), *trimmed]) + "\n")
     assert main(["figure", str(results), "fig4-yields"]) == 2
-    err = capsys.readouterr().err
-    assert "no points" in err and "Traceback" not in err and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        "config error: parameter 's_values' must be a non-empty list, got []\n"
+    )
     rec = json.loads(trimmed[0])
     rec["metrics"]["standard_yield_S0"] = "high"
     results.write_text("\n".join([header, json.dumps(rec), *trimmed[1:]]) + "\n")
@@ -401,6 +406,21 @@ def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "non-numeric 'standard_yield_S0'" in err and "Traceback" not in err
     assert err.count("\n") == 1
+    # a threshold-scan header whose p_values are not a list of numbers
+    scan = tmp_path / "scan.jsonl"
+    for p_values, want in (
+        (["a"], "parameter 'p_values' element must be float, got 'a'"),
+        (0.5, "parameter 'p_values' must be a non-empty list, got 0.5"),
+    ):
+        scan.write_text(
+            json.dumps({"config": {
+                "version": CONFIG_VERSION, "scenario": "threshold-scan",
+                "seed": 0, "trials": 1, "params": {"n": 8, "p_values": p_values},
+            }})
+            + '\n{"trial": 0, "metrics": {"cross_0": 1.0}}\n'
+        )
+        assert main(["figure", str(scan), "threshold-scan"]) == 2
+        assert capsys.readouterr().err == f"config error: {want}\n"
 
 
 def test_emit_figure_requires_matching_scenario(tmp_path):

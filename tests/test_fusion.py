@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ballistic.errors import SpecError
-from ballistic.fusion import KINDS, FusionParams
+from ballistic.fusion import FusionParams
 from ballistic.graphstate import GraphRegister
 from graph_oracle import fuse
 
@@ -21,17 +21,11 @@ def chain_pair():
     return g
 
 
-def test_default_success_probs():
-    assert KINDS == ("TypeII", "BoostedTypeII")
-    assert FusionParams("TypeII").success_prob == 0.5
-    assert FusionParams("BoostedTypeII").success_prob == 0.75
-
-
 def test_unknown_kind_rejected():
     # no build models Type-I fusion, so asking for it is an error too
     for kind in ("TypeIII", "TypeI"):
         with pytest.raises(SpecError, match=f"unknown fusion kind '{kind}'"):
-            FusionParams(kind)
+            FusionParams(kind, success_prob=0.5)
 
 
 def test_same_photon_rejected():
@@ -58,8 +52,8 @@ def test_failure_removes_both_cleanly():
 
 
 def test_ancilla_accounting():
-    assert FusionParams("TypeII").ancillas_per_fusion == 0
-    assert FusionParams("BoostedTypeII").ancillas_per_fusion == 2
+    assert FusionParams("TypeII", success_prob=0.5).ancillas_per_fusion == 0
+    assert FusionParams("BoostedTypeII", success_prob=0.75).ancillas_per_fusion == 2
 
 
 def test_success_toggles_existing_edges():

@@ -35,6 +35,7 @@ from ballistic.rng import trial_rng
 from graph_oracle import _comp_from_register, lose
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+TYPE_II = FusionParams("TypeII", success_prob=0.5)
 
 
 def built(comp):
@@ -129,7 +130,10 @@ def _labelling_cases():
             )
         ]
         specs.append(
-            WaferSpec(*shape, filter_fidelity=0.0, filter_enabled=True)
+            WaferSpec(
+                *shape, fusion_params=TYPE_II,
+                filter_fidelity=0.0, filter_enabled=True,
+            )
         )
         rngs = [trial_rng(31, 1000 * k + i) for i in range(len(specs))]
         yield build_wafers(specs, rngs)
@@ -174,7 +178,8 @@ def test_punch_out_removes_damaged_neighbors():
     unknown = set()
     lose(g, 0, unknown)
     cells = {(0, 0, 0): (1, 2), (0, 0, 1): (3, 4)}
-    comp = _comp_from_register(WaferSpec(1, 1, 2), g, cells, unknown)
+    spec = WaferSpec(1, 1, 2, fusion_params=TYPE_II)
+    comp = _comp_from_register(spec, g, cells, unknown)
     assert comp.alive.all()
     assert comp.alive_punched.ravel().tolist() == [False, False, True, True]
     assert comp.edges.tolist() == [[2, 3]]
@@ -507,8 +512,8 @@ def _edge_list_neighbours(comp, punched):
 def test_csr_adjacency_matches_edge_list():
     rng = np.random.default_rng(2016)
     specs = [
-        WaferSpec(1, 1, 1),
-        WaferSpec(2, 2, 2, fusion_params=FusionParams(success_prob=0.0)),
+        WaferSpec(1, 1, 1, fusion_params=TYPE_II),
+        WaferSpec(2, 2, 2, fusion_params=FusionParams("TypeII", success_prob=0.0)),
     ]
     for _ in range(100):
         nx, ny, nz = (int(d) for d in rng.integers(1, 4, size=3))
