@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 55 mutants take
-30-55 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 62 mutants take
+about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -68,6 +68,13 @@ BUILDER = "src/ballistic/builder.py"
 GRAPHSTATE = "src/ballistic/graphstate.py"
 GRAPH_TESTS = "tests/test_graphstate.py::"
 ORACLE_AGREES = "tests/test_builder.py::test_build_modes_agree"
+PERCOLATION = "src/ballistic/percolation.py"
+CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
+PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden",
+               "tests/test_percolation.py::test_router_matches_old_router")
+FOCK = "src/ballistic/fock.py"
+FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
+                "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle")
 
 MUTANTS = (
     # -- the bond-level build, which only the graph-level oracle checks
@@ -175,39 +182,65 @@ MUTANTS = (
     ),
     # -- percolation
     Mutant(
-        "labels-union-offset", "src/ballistic/percolation.py",
+        "labels-union-offset", PERCOLATION,
         "[ei + i * n for i, ei in enumerate(edges)]",
         "[ei + i * (n - 1) for i, ei in enumerate(edges)]",
         ("tests/test_percolation.py::test_crossings_match_old_labelling",),
     ),
     Mutant(
-        "labels-edge-filter-or", "src/ballistic/percolation.py",
+        "labels-edge-filter-or", PERCOLATION,
         "alive[e[:, 0]] & alive[e[:, 1]], axis=0",
         "alive[e[:, 0]] | alive[e[:, 1]], axis=0",
         ("tests/test_percolation.py::test_crossings_match_old_labelling",),
     ),
     Mutant(
-        "crossings-dead-top-kept", "src/ballistic/percolation.py",
+        "crossings-dead-top-kept", PERCOLATION,
         "top = lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]",
         "top = lab[:, :, :, -1]",
         ("tests/test_percolation.py::test_crossings_match_old_labelling",),
     ),
     Mutant(
-        "crossings-wrong-face", "src/ballistic/percolation.py",
+        "crossings-wrong-face", PERCOLATION,
         "crossed = np.isin(lab[:, :, :, 0], top)",
         "crossed = np.isin(lab[:, :, :, -1], top)",
         ("tests/test_percolation.py::test_crossings_match_old_labelling",),
     ),
-    # -- pathfinding: a witness must reach layer z_hi, and the parent chain
-    #    end at the node it was asked for
+    # -- adjacency: both directions of each edge whose two ends are alive
     Mutant(
-        "reach-lead-witness-short", "src/ballistic/percolation.py",
+        "csr-reverse-key-target", PERCOLATION,
+        "keys[m:] += a",
+        "keys[m:] += b",
+        (CSR_AGREES,),
+    ),
+    Mutant(
+        "csr-keep-either-end-alive", PERCOLATION,
+        "keep = alive[e[:, 0]] & alive[e[:, 1]]",
+        "keep = alive[e[:, 0]] | alive[e[:, 1]]",
+        (CSR_AGREES,),
+    ),
+    # -- pathfinding: the window reaches `window` layers back, a step keeps
+    #    its first best-scoring candidate, a witness must reach layer z_hi,
+    #    and the parent chain ends at the node it was asked for
+    Mutant(
+        "window-low-edge-short", PERCOLATION,
+        "z_lo = max(0, z - window)",
+        "z_lo = max(0, z - window + 1)",
+        PATHS_AGREE,
+    ),
+    Mutant(
+        "step-keeps-last-best", PERCOLATION,
+        "if score > best_score:",
+        "if score >= best_score:",
+        PATHS_AGREE,
+    ),
+    Mutant(
+        "reach-lead-witness-short", PERCOLATION,
         "lead[:zs.index(z_max) + 1]",
         "lead[:zs.index(z_max)]",
         ("tests/test_percolation.py::test_reach_score_matches_old_on_any_lead",),
     ),
     Mutant(
-        "chain-drops-last-node", "src/ballistic/percolation.py",
+        "chain-drops-last-node", PERCOLATION,
         "    out.reverse()\n    return out\n",
         "    out.reverse()\n    return out[:-1]\n",
         ("tests/test_percolation.py::test_lossy_pathfinding_golden",),
@@ -381,13 +414,26 @@ MUTANTS = (
         ("tests/test_api_surface.py::test_every_public_name_is_read_by_the_package",),
     ),
     # -- fock: the beamsplitter's reflection phase, which makes it unitary
-    #    and two photons bunch
+    #    and two photons bunch; a distinguishable photon on its own copy of
+    #    the fusion modes; success as a herald with the rails it heralds
     Mutant(
-        "beamsplitter-reflection-sign", "src/ballistic/fock.py",
+        "beamsplitter-reflection-sign", FOCK,
         "[1j * math.sin(theta), math.cos(theta)],",
         "[-1j * math.sin(theta), math.cos(theta)],",
         ("tests/test_acceptance.py::test_c01_hom_coincidence_suppression",
          "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle"),
+    ),
+    Mutant(
+        "distinguishable-on-shared-modes", FOCK,
+        "c0 = 4 + _COPY * distinguishable",
+        "c0 = 4",
+        FUSION_RATES,
+    ),
+    Mutant(
+        "herald-rail-parity-dropped", FOCK,
+        "if heralds.get(_detected(occ)) == occ[1] ^ occ[7]",
+        "if _detected(occ) in heralds",
+        FUSION_RATES,
     ),
     # -- cli: config checks, malformed results and atomic writes
     Mutant(
@@ -395,6 +441,14 @@ MUTANTS = (
         'cfg = validate_config(dict(header["config"], out=out_dir))',
         'cfg = dict(header["config"], out=out_dir)',
         ("tests/test_cli.py::test_figure_on_malformed_results_exits_2_without_traceback",),
+    ),
+    Mutant(
+        "version-compared-by-value", "src/ballistic/cli.py",
+        "if type(version) is not int or version != CONFIG_VERSION:",
+        "if version != CONFIG_VERSION:",
+        ("tests/test_cli.py::test_validate_config_rejections",
+         "tests/test_cli.py::test_bad_config_exit_2_before_output",
+         "tests/test_cli.py::test_figure_on_malformed_results_exits_2_without_traceback"),
     ),
     Mutant(
         "check-type-bool-as-number", "src/ballistic/cli.py",

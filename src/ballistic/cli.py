@@ -350,9 +350,11 @@ def validate_config(raw: dict) -> dict:
     bad = sorted(set(raw) - set(valid))
     if bad:
         raise SpecError(f"unknown top-level config keys {bad}; valid: {valid}")
-    if raw.get("version") != CONFIG_VERSION:
+    # True == 1 and 1.0 == 1, so the type is checked as well
+    version = raw.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:
         raise SpecError(
-            f"unsupported config version {raw.get('version')!r} "
+            f"unsupported config version {version!r} "
             f"(expected {CONFIG_VERSION})"
         )
     scenario = raw.get("scenario")

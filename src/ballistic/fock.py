@@ -124,127 +124,77 @@ def detection_probability(state: FockState, pattern: dict) -> float:
 # -- Type-II fusion scenario ------------------------------------------------
 
 # Dual-rail layout for the self-contained fusion check: qubits A(0,1) B(2,3)
-# C(4,5) D(6,7); Bell pairs (A,B) and (C,D); B and C enter the fusion network.
+# C(4,5) D(6,7); Bell pairs (A,B) and (C,D); B and C enter the fusion network,
+# so an outcome's A and D rails are its counts on modes 1 and 7.
+# A distinguishable C photon never meets B's: it travels a copy of the network
+# on modes 8-11, fusion mode m's copy being m + _COPY, and a detector counts
+# a mode and its copy together.
 _FUSION_MODES = (2, 3, 4, 5)
+_COPY = 6
 
 
-def _bell_pair(q1_modes, q2_modes) -> FockState:
-    amps = {}
-    for bit in (0, 1):
-        occ = [0] * 8
-        occ[q1_modes[bit]] = 1
-        occ[q2_modes[bit]] = 1
-        amps[tuple(occ)] = 1 / math.sqrt(2)
-    return FockState(8, amps)
+def _fused_state(distinguishable: bool) -> FockState:
+    """The Bell pairs (A,B) and (C,D) after the Type-II network.
 
-
-def _fusion_network() -> Interferometer:
-    """Balanced 4-mode Type-II network on the fused dual-rail pair.
-
-    Polarization picture: a PBS in the rotated basis followed by rotated-basis
-    detection — rotate both qubits by 45 degrees, exchange the second rails,
-    rotate both by 45 degrees again.
+    Polarization picture of the balanced 4-mode network: a PBS in the rotated
+    basis followed by rotated-basis detection — rotate both qubits by 45
+    degrees, exchange the second rails, rotate both by 45 degrees again.  It
+    acts alike on the fusion modes and on their copy.
     """
-    itf = Interferometer(8)
-    itf.beamsplitter(2, 3, math.pi / 4)
-    itf.beamsplitter(4, 5, math.pi / 4)
-    itf.swap(3, 5)
-    itf.beamsplitter(2, 3, math.pi / 4)
-    itf.beamsplitter(4, 5, math.pi / 4)
-    return itf
+    c0 = 4 + _COPY * distinguishable  # C's rail-0 mode
+    amps = {}
+    for a, d in product((0, 1), (0, 1)):
+        occ = [0] * MAX_MODES
+        occ[a] = occ[2 + a] = occ[c0 + d] = occ[6 + d] = 1
+        amps[tuple(occ)] = 0.5
+    itf = Interferometer(MAX_MODES)
+    for b, c in ((2, 4), (2 + _COPY, 4 + _COPY)):
+        itf.beamsplitter(b, b + 1, math.pi / 4)
+        itf.beamsplitter(c, c + 1, math.pi / 4)
+        itf.swap(b + 1, c + 1)
+        itf.beamsplitter(b, b + 1, math.pi / 4)
+        itf.beamsplitter(c, c + 1, math.pi / 4)
+    return apply_interferometer(FockState(MAX_MODES, amps), itf)
 
 
-def _herald_classes():
-    """Partition 2-photon patterns on the fusion modes into success /
-    failure / degenerate, by the entanglement of the conditional (A, D) state.
+def _detected(occ) -> tuple[int, ...]:
+    """Counts on the four fusion detectors, each summing a mode and its copy."""
+    return tuple(occ[m] + occ[m + _COPY] for m in _FUSION_MODES)
+
+
+def _success_heralds() -> dict[tuple[int, ...], int]:
+    """{pattern: parity} for the success heralds of the fusion network.
 
     Success patterns are the coincidence heralds (one photon on each side)
-    whose conditional state is maximally entangled.  For those, `parity` is
-    the (A rail) XOR (D rail) value the heralded Bell state fixes (0 for a
-    correlated pair, 1 for an anti-correlated one).
-
-    Returns {pattern: (class, probability, parity)} with parity None outside
-    the success class.
+    whose conditional (A, D) state, with indistinguishable photons, is
+    maximally entangled.  `parity` is the (A rail) XOR (D rail) value the
+    heralded Bell state fixes: 0 for a correlated pair, 1 for an
+    anti-correlated one.
     """
-    s1 = _bell_pair((0, 1), (2, 3))
-    s2 = _bell_pair((4, 5), (6, 7))
-    amps = {}
-    for o1, a1 in s1.amplitudes.items():
-        for o2, a2 in s2.amplitudes.items():
-            occ = tuple(x + y for x, y in zip(o1, o2))
-            amps[occ] = amps.get(occ, 0) + a1 * a2
-    state = apply_interferometer(FockState(8, amps), _fusion_network())
-
-    patterns = {}
-    for occ, amp in state.amplitudes.items():
-        fused = tuple(occ[m] for m in _FUSION_MODES)
-        patterns.setdefault(fused, []).append((occ, amp))
-    classes = {}
-    for fused, terms in patterns.items():
-        p = sum(abs(a) ** 2 for _, a in terms)
-        if sum(fused) != 2 or p < 1e-12:
-            classes[fused] = ("degenerate", p, None)
-            continue
-        coincidence = (fused[0] + fused[1] == 1) and (fused[2] + fused[3] == 1)
-        # conditional amplitude matrix over (A rail, D rail)
-        mmat = np.zeros((2, 2), dtype=complex)
-        for occ, amp in terms:
-            a_rail = 0 if occ[0] else 1
-            d_rail = 0 if occ[6] else 1
-            mmat[a_rail, d_rail] += amp
+    conditional = {}
+    for occ, amp in _fused_state(False).amplitudes.items():
+        mmat = conditional.setdefault(_detected(occ), np.zeros((2, 2), complex))
+        mmat[occ[1], occ[7]] += amp
+    heralds = {}
+    for fused, mmat in conditional.items():
         frob = np.sum(np.abs(mmat) ** 2)
-        bell = frob > 1e-12 and abs(
-            2 * abs(np.linalg.det(mmat)) / frob - 1.0
-        ) < 1e-9
-        if coincidence and bell:
+        bell = abs(2 * abs(np.linalg.det(mmat)) / frob - 1.0) < 1e-9
+        if bell and fused[0] + fused[1] == 1 and fused[2] + fused[3] == 1:
             diag = abs(mmat[0, 0]) + abs(mmat[1, 1])
-            anti = abs(mmat[0, 1]) + abs(mmat[1, 0])
-            parity = None if (diag > 1e-9 and anti > 1e-9) else int(anti > diag)
-            classes[fused] = ("success", p, parity)
-        else:
-            classes[fused] = ("failure", p, None)
-    return classes
+            heralds[fused] = int(abs(mmat[0, 1]) + abs(mmat[1, 0]) > diag)
+    return heralds
 
 
 def type2_fusion_success_probability(distinguishable: bool = False) -> float:
-    """Total probability of the success heralds in the Bell-pair scenario.
+    """Probability of a success herald with the (A, D) rails it heralds.
 
-    With `distinguishable=True` the two fused photons occupy disjoint mode
-    pairs and do not interfere: each transits the network alone, so every
-    outcome is an ordered routing with a definite rail history.  Success then
-    additionally requires the (A, D) rail parity fixed by the heralded Bell
-    state — without interference the herald still fires, but the heralded
-    correlation only holds on the routings that happen to produce it.
+    With `distinguishable=True` the fused photons do not interfere: the
+    herald still fires, but the heralded correlation only holds on the
+    outcomes that happen to produce it, so only those count as success.
     """
-    classes = _herald_classes()
-    if not distinguishable:
-        return sum(p for cls, p, _ in classes.values() if cls == "success")
-    success = {
-        fused: parity
-        for fused, (cls, _, parity) in classes.items()
-        if cls == "success"
-    }
-    u = _fusion_network().unitary
-    total = 0.0
-    # Rail choices (rb, rc) are the which-path record: each Bell pair pins its
-    # outer qubit's rail to its fused photon's input rail.
-    for rb, rc in product((0, 1), (0, 1)):
-        for i, j in product(range(4), range(4)):
-            pr = (
-                0.25
-                * abs(u[_FUSION_MODES[i], 2 + rb]) ** 2
-                * abs(u[_FUSION_MODES[j], 4 + rc]) ** 2
-            )
-            if pr < 1e-15:
-                continue
-            fused = tuple(
-                (1 if k == i else 0) + (1 if k == j else 0) for k in range(4)
-            )
-            if fused not in success:
-                continue
-            parity = success[fused]
-            if parity is None:
-                total += 0.5 * pr
-            elif (rb ^ rc) == parity:
-                total += pr
-    return total
+    heralds = _success_heralds()
+    return sum(
+        abs(amp) ** 2
+        for occ, amp in _fused_state(distinguishable).amplitudes.items()
+        if heralds.get(_detected(occ)) == occ[1] ^ occ[7]
+    )

@@ -54,9 +54,9 @@ def test_validate_config_accepts_range_ends():
     assert validate_config(good_config(seed=0))["seed"] == 0
     assert validate_config(good_config(seed=2**64 - 1))["seed"] == 2**64 - 1
     assert validate_config(good_config(threads=MAX_THREADS))["threads"] == MAX_THREADS
-    # each size cap is inclusive; threshold-scan n is left out, because its
-    # check builds the n x n lattice family
+    # each size cap is inclusive
     at_cap = [
+        ("threshold-scan", {"n": MAX_SQUARE_SIDE}),
         ("wafer-span", {"nx": MAX_WAFER_CELLS // 4, "ny": 2, "nz": 2}),
         ("loss-sweep", {"nx": 1, "ny": 1, "nz": MAX_WAFER_CELLS}),
         ("mux-yield", {"bins": MAX_MUX_BINS}),
@@ -71,8 +71,9 @@ def test_validate_config_accepts_range_ends():
 def test_validate_config_rejections():
     with pytest.raises(SpecError):
         validate_config([])
-    with pytest.raises(SpecError):
-        validate_config(good_config(version=99))
+    for version in (99, True, 1.0):
+        with pytest.raises(SpecError, match="unsupported config version"):
+            validate_config(good_config(version=version))
     with pytest.raises(SpecError):
         validate_config(good_config(scenario="nope"))
     with pytest.raises(SpecError):
@@ -142,6 +143,8 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         ("crazy-teleport", {"params": {"batch": 0}}),
         ("threshold-scan", {"params": {"n": 1}}),
         ("wafer-span", {"trails": 5}),
+        ("wafer-span", {"version": True}),
+        ("wafer-span", {"version": 1.0}),
         ("loss-sweep", {"params": {"photon_loss": 0.5}}),
         ("threshold-scan", {"params": {"p_values": [0.5, 1.5]}}),
         ("threshold-scan", {"params": {"p_values": [-0.1]}}),
@@ -398,6 +401,14 @@ def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys)
     assert main(["figure", str(results), "fig4-yields"]) == 2
     assert capsys.readouterr().err == (
         "config error: parameter 's_values' must be a non-empty list, got []\n"
+    )
+    # true passes == 1, but is no config version
+    bool_version = json.loads(header)
+    bool_version["config"]["version"] = True
+    results.write_text("\n".join([json.dumps(bool_version), *trimmed]) + "\n")
+    assert main(["figure", str(results), "fig4-yields"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unsupported config version True (expected 1)\n"
     )
     rec = json.loads(trimmed[0])
     rec["metrics"]["standard_yield_S0"] = "high"
