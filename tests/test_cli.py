@@ -143,8 +143,6 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         ("crazy-teleport", {"params": {"batch": 0}}),
         ("threshold-scan", {"params": {"n": 1}}),
         ("wafer-span", {"trails": 5}),
-        ("wafer-span", {"version": True}),
-        ("wafer-span", {"version": 1.0}),
         ("loss-sweep", {"params": {"photon_loss": 0.5}}),
         ("threshold-scan", {"params": {"p_values": [0.5, 1.5]}}),
         ("threshold-scan", {"params": {"p_values": [-0.1]}}),
@@ -171,6 +169,9 @@ def test_bad_mux_yield_params_exit_2_before_output(tmp_path, params):
         # a disabled filter would ignore its fidelity
         ("wafer-span", {"params": {"filter_fidelity": 0.5}}),
         ("loss-sweep", {"params": {"filter_fidelity": 0.5}}),
+        # True and 1.0 compare equal to 1 but are not the int config version
+        ("wafer-span", {"version": True}),
+        ("wafer-span", {"version": 1.0}),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, scenario, overrides):
