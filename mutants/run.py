@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 62 mutants take
+Run from the repository root (standard library only; the 66 mutants take
 about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -72,6 +72,10 @@ PERCOLATION = "src/ballistic/percolation.py"
 CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
 PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden",
                "tests/test_percolation.py::test_router_matches_old_router")
+REACH_CASES = "tests/test_percolation.py::test_reach_score_lead_checks_and_best_first_search"
+ROUTER_LEADS = "tests/test_percolation.py::test_reach_score_on_router_shaped_leads"
+REACH_AGREES = ("tests/test_percolation.py::test_reach_score_matches_old_on_any_lead",
+                REACH_CASES, ROUTER_LEADS)
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
                 "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle")
@@ -208,8 +212,8 @@ MUTANTS = (
     # -- adjacency: both directions of each edge whose two ends are alive
     Mutant(
         "csr-reverse-key-target", PERCOLATION,
-        "keys[m:] += a",
-        "keys[m:] += b",
+        "keys[m:] |= a",
+        "keys[m:] |= b",
         (CSR_AGREES,),
     ),
     Mutant(
@@ -239,10 +243,38 @@ MUTANTS = (
         "lead[:zs.index(z_max)]",
         ("tests/test_percolation.py::test_reach_score_matches_old_on_any_lead",),
     ),
+    # -- the search's shortcuts: the tip step keeps out of the hop chain
+    #    and `used`, a spliced witness keeps its lead prefix whole, and the
+    #    stacked lead is searched when no bucket holds a node
+    Mutant(
+        "reach-tip-step-enters-hop", PERCOLATION,
+        "if layer[w] == z_hi and w not in used and w not in hop:",
+        "if layer[w] == z_hi and w not in used:",
+        (REACH_CASES, ROUTER_LEADS,
+         "tests/test_percolation.py::test_router_matches_old_router"),
+    ),
+    Mutant(
+        "reach-tip-step-enters-used", PERCOLATION,
+        "if layer[w] == z_hi and w not in used and w not in hop:",
+        "if layer[w] == z_hi and w not in hop:",
+        REACH_AGREES,
+    ),
+    Mutant(
+        "chain-splice-short", PERCOLATION,
+        "head[:~node + 1] + out",
+        "head[:~node] + out",
+        REACH_AGREES,
+    ),
+    Mutant(
+        "reach-lead-dropped-without-bucket", PERCOLATION,
+        "if k and layer[head[k - 1]] - z_lo >= top:",
+        "if k and 0 <= top <= layer[head[k - 1]] - z_lo:",
+        REACH_AGREES,
+    ),
     Mutant(
         "chain-drops-last-node", PERCOLATION,
-        "    out.reverse()\n    return out\n",
-        "    out.reverse()\n    return out[:-1]\n",
+        "    out.reverse()\n",
+        "    out.reverse()\n    out.pop()\n",
         ("tests/test_percolation.py::test_lossy_pathfinding_golden",),
     ),
     # -- fusion: only a boosted fusion consumes ancillas

@@ -116,11 +116,15 @@ class PathfindingState:
 def _csr_adjacency(comp: CompLattice, punched: bool):
     """Neighbours of the alive subgraph in CSR form, each slice ascending.
 
-    Node u's neighbours are indices[indptr[u]:indptr[u + 1]].  Both come
-    back as `array("q")`: reading an item or slice of one costs about what
-    a list's does, where a numpy scalar lookup costs more, and unlike
-    `tolist()` it builds no int object per entry up front, most of which
-    a search never reads.
+    Node u's neighbours are indices[indptr[u]:indptr[u + 1]].  They come
+    back as `array("q")` and `array("i")`: reading an item or slice of one
+    costs about what a list's does, where a numpy scalar lookup costs
+    more, and unlike `tolist()` it builds no int object per entry up
+    front, most of which a search never reads.
+
+    The neighbours are the low halves of the sorted keys source << 32 |
+    target, so node ids must stay below 2**31; a lattice held in memory
+    has far fewer nodes.
     """
     alive = comp.alive_flat(punched)
     n = comp.node_count
@@ -129,19 +133,23 @@ def _csr_adjacency(comp: CompLattice, punched: bool):
     if not keep.all():
         e = e.compress(keep, axis=0)
     a, b = e[:, 0], e[:, 1]
-    # Sorting the keys source * n + target orders by source, then target.
-    # Each edge gives one key per direction, written into one array.
+    # Each edge gives one key per direction, written into one array;
+    # sorting them orders by source, then target.
     m = len(e)
     keys = np.empty(2 * m, dtype=np.int64)
-    np.multiply(a, n, out=keys[:m])
-    keys[:m] += b
-    np.multiply(b, n, out=keys[m:])
-    keys[m:] += a
+    np.left_shift(a, 32, out=keys[:m])
+    keys[:m] |= b
+    np.left_shift(b, 32, out=keys[m:])
+    keys[m:] |= a
     keys.sort()
-    keys %= n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
-    return array("q", indptr.tobytes()), array("q", keys.tobytes()), alive
+    # the cast keeps each key's low 32 bits, its target; `frombytes` takes
+    # a byte view, so each array is filled by one copy
+    ptr, indices = array("q"), array("i")
+    ptr.frombytes(indptr.view(np.uint8))
+    indices.frombytes(keys.astype(np.int32).view(np.uint8))
+    return ptr, indices, alive
 
 
 def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
@@ -151,25 +159,25 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
     The search never enters `used` or the hop chain `hop` (the BFS path from
     the wire's head to the candidate, which is its last node).  Its result
     is the top layer of the start's component in what remains, capped at
-    z_hi: a capped maximum, so neither the order of exploration nor which
-    reachable nodes are queued first can change it.  Two shortcuts rest on
-    that.
+    z_hi: a capped maximum, so the order in which reachable nodes are
+    expanded cannot change it.  Every shortcut below rests on that.
 
     `lead`, a lattice path that begins next to the start (the previous
-    step's witness after this candidate), is queued before the search, each
-    node's parent being the one before it, so each queued node is reachable
-    from the start.  It is checked as a whole: when a node of it repeats,
-    lies in `used` or the hop chain, or leaves the window, none of it is
-    queued and the search starts from the start alone.  A lead that reaches
-    z_hi is itself the witness.
+    step's witness after this candidate), is checked as a whole: when a
+    node of it repeats, lies in `used` or the hop chain, or leaves the
+    window, it is dropped and the search starts from the start alone.  A
+    lead that reaches z_hi is itself the witness.  Otherwise every lead
+    node lies below z_hi and is reachable from the start.
 
-    The search first expands the last queued node: the lead's tip, or the
-    start.  After a witness's rest that tip is the highest queued node and
-    often has a neighbour in layer z_hi.  If it has none, the search goes
-    best-first: it always expands a queued node of the highest layer, the
-    last queued first, from buckets indexed by layer - z_lo.  So it climbs
-    wherever the component climbs, rather than diving down from a blocked
-    tip.
+    The tip (the lead's last node, or the start) is tried first: after a
+    witness's rest it is the highest node known and often has a neighbour
+    in layer z_hi, and that step needs no parent map.  If it has none, the
+    search goes best-first over buckets indexed by layer - z_lo.  The start
+    and the lead stay a stack, tip on top, popped while its top lies at
+    least as high as the highest non-empty bucket, so no lead node is ever
+    filed, and the search climbs wherever the component climbs rather than
+    diving down from a blocked tip.  The parent of lead node i is the
+    marker ~i, which `_chain` turns back into the start and lead[:i].
 
     Returns (score, witness).  The witness runs from the start to a node of
     layer z_hi, or is empty when the search ran dry below z_hi.
@@ -178,52 +186,43 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
     best = layer[prev]
     if best >= z_hi:
         return best, [prev]
-    parent = dict.fromkeys(hop)
-    queued = [prev]
     if lead:
         zs = list(map(layer.__getitem__, lead))
         nodes = set(lead)
         z_max = max(zs)
         if (
             len(nodes) == len(lead)
-            and nodes.isdisjoint(parent)
+            and nodes.isdisjoint(hop)
             and nodes.isdisjoint(used)
             and z_lo <= min(zs)
             and z_max <= z_hi
         ):
             if z_max >= z_hi:
                 return z_max, [prev, *lead[:zs.index(z_max) + 1]]
-            parent.update(zip(lead, [prev, *lead]))
-            queued += lead
             best = max(best, z_max)
-    # Expanding the tip before any bucket exists skips building the
-    # buckets (a list per window layer, every queued node filed) in the
-    # calls where the tip steps into layer z_hi.  Without this step the
-    # pathfind-lossy benchmark ran about 5% fewer trials per second.
-    u = queued.pop()
-    for w in indices[indptr[u]:indptr[u + 1]]:
-        if w in parent or w in used:
-            continue
-        zw = layer[w]
-        if not z_lo <= zw <= z_hi:
-            continue
-        parent[w] = u
-        if zw >= z_hi:
-            return zw, _chain(parent, w)
-        if zw > best:
-            best = zw
-        queued.append(w)
-    # Every queued node lies below z_hi, and none above best.
+        else:
+            lead = ()
+    head = [prev, *lead]
+    tip = head[-1]
+    for w in indices[indptr[tip]:indptr[tip + 1]]:
+        if layer[w] == z_hi and w not in used and w not in hop:
+            head.append(w)
+            return z_hi, head
+    parent = dict.fromkeys(hop)
+    parent.update(zip(lead, range(-1, -len(head), -1)))
     buckets = [[] for _ in range(z_lo, z_hi)]
-    for w in queued:
-        buckets[layer[w] - z_lo].append(w)
-    top = best - z_lo
-    while top >= 0:
-        bucket = buckets[top]
-        if not bucket:
+    top = -1  # every bucket above index top is empty
+    k = len(head)  # head[k - 1] is the stack's top
+    while True:
+        while top >= 0 and not buckets[top]:
             top -= 1
-            continue
-        u = bucket.pop()
+        if k and layer[head[k - 1]] - z_lo >= top:
+            k -= 1
+            u = head[k]
+        elif top >= 0:
+            u = buckets[top].pop()
+        else:
+            return best, []
         for w in indices[indptr[u]:indptr[u + 1]]:
             if w in parent or w in used:
                 continue
@@ -232,24 +231,29 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
                 continue
             parent[w] = u
             if zw >= z_hi:
-                return zw, _chain(parent, w)
-            k = zw - z_lo
-            buckets[k].append(w)
-            if k > top:
-                top = k
+                return zw, _chain(parent, w, head)
+            i = zw - z_lo
+            buckets[i].append(w)
+            if i > top:
+                top = i
                 if zw > best:
                     best = zw
-    return best, []
 
 
-def _chain(parent, node):
-    """The parent chain ending at `node`, root first."""
-    out = []
-    while node is not None:
+def _chain(parent, node, head):
+    """The parent chain ending at `node`, root first.
+
+    A root's parent is None.  A negative parent ~i splices in head[:i + 1]
+    as the chain's start, so a witness walks only the links it added, not
+    the lead it was handed.
+    """
+    out = [node]
+    node = parent[node]
+    while node is not None and node >= 0:
         out.append(node)
         node = parent[node]
     out.reverse()
-    return out
+    return out if node is None else head[:~node + 1] + out
 
 
 def find_paths_windowed(
@@ -275,9 +279,12 @@ def find_paths_windowed(
     A score that reaches the window's top comes with a witness path.  The
     next step finds a candidate on the winner's witness with
     `witness.index` and hands the rest of the witness to `_reach_score` as
-    its lead, which queues it whole when it checks out, so that search
-    starts near the old top and climbs best-first (see `_reach_score` for
-    why the scores, and so the routes, stay exact).
+    its lead.  A lead that checks out ends one layer below the new
+    window's top (or at it, once the window meets the last layer), so the
+    search's first step, from the lead's tip, often ends it (see
+    `_reach_score` for why the scores, and so the routes, stay exact).
+    The winner's hop chain, built once to score it, is the hop the step
+    commits.
     """
     for name, value in (("window", window), ("wires", wires)):
         if (
@@ -326,7 +333,7 @@ def find_paths_windowed(
             # so the committed hop extends the path explicitly.
             parents = {cur: None}
             frontier = [cur]
-            best = None
+            best_hop = None
             best_score = -1
             # Expand depth by depth; a candidate whose window component
             # reaches the window edge ends the search immediately, so the
@@ -349,22 +356,22 @@ def find_paths_windowed(
                     # Score with the would-be hop chain excluded, so the
                     # reach cannot double back through vertices the commit
                     # is about to consume.
+                    hop = _chain(parents, v, ())
                     score, wit = _reach_score(
-                        indptr, indices, layer, _chain(parents, v),
-                        z_lo, z_hi, used,
+                        indptr, indices, layer, hop, z_lo, z_hi, used,
                         witness[witness.index(v) + 1:] if v in witness else (),
                     )
                     if score > best_score:
-                        best, best_score, best_witness = v, score, wit
+                        best_hop, best_score, best_witness = hop, score, wit
                         if score >= z_hi:
                             break
                 frontier = nxt
-            if best is None:
+            if best_hop is None:
                 break
-            hop = _chain(parents, best)[1:]
+            hop = best_hop[1:]
             path += hop
             used.update(hop)
-            cur = best
+            cur = hop[-1]
             witness = best_witness
             z += 1
         state.paths.append(path)

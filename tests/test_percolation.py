@@ -762,9 +762,10 @@ def _random_path(rng, indptr, indices, start, steps):
 
 
 def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
-    """`_reach_score`'s score, after checking it against the plain DFS and
-    its witness for a path from the start to layer z_hi through allowed
-    nodes only (or empty, when the score stays below z_hi)."""
+    """`_reach_score`'s score and witness, after checking the score against
+    the plain DFS and the witness for a path from the start to layer z_hi
+    through allowed nodes only (or empty, when the score stays below
+    z_hi)."""
     score, witness = _reach_score(
         indptr, indices, layer, hop, z_lo, z_hi, used, lead
     )
@@ -774,14 +775,14 @@ def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
     )
     if score < z_hi:
         assert witness == []
-        return score
+        return score, witness
     assert witness[0] == start and layer[witness[-1]] == z_hi
     assert len(set(witness)) == len(witness)
     for u, w in zip(witness, witness[1:]):
         assert w in indices[indptr[u]:indptr[u + 1]]
         assert w not in used and w not in hop
         assert z_lo <= layer[w] <= z_hi
-    return score
+    return score, witness
 
 
 def test_reach_score_matches_old_on_any_lead():
@@ -808,7 +809,7 @@ def test_reach_score_matches_old_on_any_lead():
             lead = _random_path(
                 rng, indptr, indices, start, int(rng.integers(0, 16))
             )
-            score = check_reach(
+            score, _ = check_reach(
                 indptr, indices, layer, hop, z_lo, z_hi, used, lead
             )
             cases += score >= z_hi
@@ -851,13 +852,104 @@ def test_reach_score_lead_checks_and_best_first_search():
         "reaches z_hi before its end": (
             [A[0]], 0, 3, set(), [A[1], A[2], A[3], B[3]], 3),
         "tip steps into z_hi": ([A[0]], 0, 4, set(), [A[1], A[2], A[3]], 4),
+        # the tip's only z_hi neighbour A4 heads the hop chain, which also
+        # cuts A1 off from B
+        "tip's step is on the hop chain": (
+            [A[4], B[4], B[3], B[2], B[1], A[1]], 0, 4, set(),
+            [A[2], A[3]], 3),
+        # the tip's only z_hi neighbour A4 is used, so the search goes
+        # round through B
+        "tip's step is used": ([A[1]], 0, 4, {A[4]}, [A[2], A[3]], 4),
         # B2's only unseen neighbour is B1, below the queued A2
         "tip is blocked": ([A[0]], 0, 4, {B[3]}, [A[1], A[2], B[2]], 4),
         "tip is a dead end": ([A[0]], 0, 5, {A[3], B[3]}, [A[1], A[2]], 2),
         "no lead": ([A[0]], 0, 5, {A[2]}, (), 5),
     }
     for name, (hop, z_lo, z_hi, used, lead, want) in cases.items():
-        score = check_reach(
+        score, _ = check_reach(
             indptr, indices, layer, hop, z_lo, z_hi, used, lead
         )
         assert score == want, name
+
+
+def _hop_chain(indptr, indices, layer, cur, v, z_lo, z_hi, used):
+    """The router's hop chain from `cur` to `v`: the BFS path inside the
+    window, around `used`, each node's neighbours visited in ascending
+    order; None when `v` is out of reach."""
+    parents = {cur: None}
+    frontier = [cur]
+    while frontier and v not in parents:
+        nxt = []
+        for u in frontier:
+            for w in indices[indptr[u]:indptr[u + 1]]:
+                if w not in parents and w not in used and z_lo <= layer[w] <= z_hi:
+                    parents[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    if v not in parents:
+        return None
+    chain = [v]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    return chain[::-1]
+
+
+def test_reach_score_on_router_shaped_leads():
+    """Two steps chained as the router chains them: the second call's lead
+    is the rest of the first call's witness after a node one layer up, its
+    window is one layer higher, and its hop chain is the BFS path to that
+    node, which may run through the lead.
+
+    Unlike random walks, these leads mostly check out, so they reach the
+    tip step and the search past a blocked tip with the lead stacked.
+    """
+    rng = np.random.default_rng(2702)
+    tips = steps = blocked = crossed = 0
+    for _ in range(300):
+        comp = random_layered_lattice(rng).comp
+        indptr, indices, _alive = _csr_adjacency(comp, False)
+        nz = comp.nz
+        layer = ((np.arange(comp.node_count) // 2) % nz).tolist()
+        window = int(rng.integers(1, 9))
+        nodes = rng.permutation(comp.node_count).tolist()
+        for _ in range(6):
+            cur = nodes.pop()
+            z = layer[cur]
+            if z >= nz - 2:
+                continue
+            used = set(nodes[:int(rng.integers(0, len(nodes) // 6 + 1))])
+            z_hi = min(z + window, nz - 1)
+            # a meandering first lead makes a witness that the next hop
+            # chain, a shortest path, can cut across
+            walk = _random_path(
+                rng, indptr, indices, cur, int(rng.integers(0, 3 * window))
+            )
+            score, witness = check_reach(
+                indptr, indices, layer, [cur], max(0, z - window), z_hi,
+                used, walk,
+            )
+            ups = [w for w in witness if layer[w] == z + 1]
+            if score < z_hi or not ups:
+                continue
+            v = ups[int(rng.integers(len(ups)))]
+            lead = witness[witness.index(v) + 1:]
+            used.add(cur)
+            z_lo, z_hi = max(0, z + 1 - window), min(z + 1 + window, nz - 1)
+            hop = _hop_chain(indptr, indices, layer, cur, v, z_lo, z_hi, used)
+            if hop is None:
+                continue
+            score, witness = check_reach(
+                indptr, indices, layer, hop, z_lo, z_hi, used, lead
+            )
+            steps += 1
+            crossed += not set(lead).isdisjoint(hop)
+            if witness[:-1] == [v, *lead]:
+                tips += 1
+            elif lead and set(lead).isdisjoint(used | set(hop)) and all(
+                z_lo <= layer[w] < z_hi for w in lead
+            ):
+                blocked += 1
+    # seen: 1034 steps, 527 tip steps, 269 searches past a blocked tip
+    # with the lead stacked, and 27 hop chains through the lead
+    assert steps >= 500 and tips >= 200 and blocked >= 100 and crossed >= 10, (
+        steps, tips, blocked, crossed)
