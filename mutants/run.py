@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 66 mutants take
+Run from the repository root (standard library only; the 70 mutants take
 about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -74,8 +74,8 @@ PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden",
                "tests/test_percolation.py::test_router_matches_old_router")
 REACH_CASES = "tests/test_percolation.py::test_reach_score_lead_checks_and_best_first_search"
 ROUTER_LEADS = "tests/test_percolation.py::test_reach_score_on_router_shaped_leads"
-REACH_AGREES = ("tests/test_percolation.py::test_reach_score_matches_old_on_any_lead",
-                REACH_CASES, ROUTER_LEADS)
+KEPT_WITNESSES = "tests/test_percolation.py::test_router_keeps_witnesses_that_need_no_check"
+REACH_AGREES = (REACH_CASES, ROUTER_LEADS)
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
                 "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle")
@@ -239,12 +239,12 @@ MUTANTS = (
     ),
     Mutant(
         "reach-lead-witness-short", PERCOLATION,
-        "lead[:zs.index(z_max) + 1]",
-        "lead[:zs.index(z_max)]",
-        ("tests/test_percolation.py::test_reach_score_matches_old_on_any_lead",),
+        "return z_max, len(nodes), ()",
+        "return z_max, len(nodes) - 1, ()",
+        (REACH_CASES, KEPT_WITNESSES),
     ),
     # -- the search's shortcuts: the tip step keeps out of the hop chain
-    #    and `used`, a spliced witness keeps its lead prefix whole, and the
+    #    and `used`, a spliced witness keeps its trail prefix whole, and the
     #    stacked lead is searched when no bucket holds a node
     Mutant(
         "reach-tip-step-enters-hop", PERCOLATION,
@@ -261,14 +261,14 @@ MUTANTS = (
     ),
     Mutant(
         "chain-splice-short", PERCOLATION,
-        "head[:~node + 1] + out",
-        "head[:~node] + out",
-        REACH_AGREES,
+        "j if end is None else ~end + 1",
+        "j if end is None else ~end",
+        REACH_AGREES + (KEPT_WITNESSES,),
     ),
     Mutant(
         "reach-lead-dropped-without-bucket", PERCOLATION,
-        "if k and layer[head[k - 1]] - z_lo >= top:",
-        "if k and 0 <= top <= layer[head[k - 1]] - z_lo:",
+        "if k > j and (b == nb or layer[nodes[k - 1]] + b >= z_hi - 1):",
+        "if k > j and b < nb and layer[nodes[k - 1]] + b >= z_hi - 1:",
         REACH_AGREES,
     ),
     Mutant(
@@ -276,6 +276,33 @@ MUTANTS = (
         "    out.reverse()\n",
         "    out.reverse()\n    out.pop()\n",
         ("tests/test_percolation.py::test_lossy_pathfinding_golden",),
+    ),
+    # -- the trail: a lead is dropped when the hop chain or layer z_lo - 1
+    #    meets it, a low node before the start does not count, and the
+    #    index map follows the nodes the witness keeps
+    Mutant(
+        "trail-hop-check-dropped", PERCOLATION,
+        "            if at.get(h, -1) > j:\n",
+        "            if at.get(h, -1) > len(self.nodes):\n",
+        (REACH_CASES, "tests/test_percolation.py::test_router_matches_old_router"),
+    ),
+    Mutant(
+        "trail-low-check-dropped", PERCOLATION,
+        "low = self.count[z_lo - 1] if z_lo else 0",
+        "low = 0",
+        (REACH_CASES,),
+    ),
+    Mutant(
+        "trail-prefix-not-subtracted", PERCOLATION,
+        "            for w in self.nodes[self.start:j]:\n",
+        "            for w in ():\n",
+        (REACH_CASES,),
+    ),
+    Mutant(
+        "trail-index-off-by-one", PERCOLATION,
+        "at.update(zip(tail, range(cut, cut + len(tail))))",
+        "at.update(zip(tail, range(cut + 1, cut + 1 + len(tail))))",
+        (KEPT_WITNESSES,),
     ),
     # -- fusion: only a boosted fusion consumes ancillas
     Mutant(

@@ -152,7 +152,53 @@ def _csr_adjacency(comp: CompLattice, punched: bool):
     return ptr, indices, alive
 
 
-def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
+class _Trail:
+    """The witness the router keeps from one step to the next.
+
+    `nodes[start:]` is the live witness, a lattice path that begins at the
+    wire's head; `at` maps each live node to its index in `nodes`, and
+    `count[z]` is the number of live nodes in layer z.  `nodes[:start]` is
+    dead and never read again, so dropping it costs no copy.
+    """
+
+    __slots__ = ("nodes", "at", "start", "count", "layer")
+
+    def __init__(self, layer, nz):
+        self.nodes, self.at, self.start = [], {}, 0
+        self.count, self.layer = [0] * nz, layer
+
+    def leads(self, hop, j, z_lo):
+        """Whether nodes[j + 1:], the lead of the candidate nodes[j], keeps
+        out of the hop chain `hop` and out of layer z_lo - 1, the only
+        layer below the window that the step before's witness can reach.
+        The lead's count there is the live count less nodes[start:j]'s."""
+        at = self.at
+        for h in hop:
+            if at.get(h, -1) > j:
+                return False
+        low = self.count[z_lo - 1] if z_lo else 0
+        if low:
+            layer = self.layer
+            for w in self.nodes[self.start:j]:
+                low -= layer[w] == z_lo - 1
+        return not low
+
+    def keep(self, j, cut, tail):
+        """Make nodes[j:cut] + tail the live witness, for j <= cut.  It costs
+        as many steps as nodes it drops and adds."""
+        nodes, at, count, layer = self.nodes, self.at, self.count, self.layer
+        for w in nodes[self.start:j] + nodes[cut:]:
+            del at[w]
+            count[layer[w]] -= 1
+        del nodes[cut:]
+        self.start = j
+        at.update(zip(tail, range(cut, cut + len(tail))))
+        for w in tail:
+            count[layer[w]] += 1
+        nodes += tail
+
+
+def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
     """Highest layer reachable from `hop[-1]` inside [z_lo, z_hi], capped at
     z_hi, and a witness path when the cap is reached.
 
@@ -162,98 +208,113 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
     z_hi: a capped maximum, so the order in which reachable nodes are
     expanded cannot change it.  Every shortcut below rests on that.
 
-    `lead`, a lattice path that begins next to the start (the previous
-    step's witness after this candidate), is checked as a whole: when a
-    node of it repeats, lies in `used` or the hop chain, or leaves the
-    window, it is dropped and the search starts from the start alone.  A
-    lead that reaches z_hi is itself the witness.  Otherwise every lead
-    node lies below z_hi and is reachable from the start.
+    The start is `trail.nodes[j]`, or lies off the trail when j is
+    len(trail.nodes).  A start on the trail has the lead nodes[j + 1:]: the
+    rest of the witness the router kept from the step before, never copied.
+    That witness, made by this function in the window one layer down (or
+    the same window), holds these invariants, so they need no check:
+
+    - it is a simple path;
+    - none of its nodes after the first is in `used`, since the hop the
+      router committed never meets the rest of the witness;
+    - it lies in [z_lo - 1, z_hi], since the window only rises;
+    - its only node in its top layer is its last, so the lead's highest
+      layer is that of nodes[-1], and the lead reaches z_hi only once the
+      window's top is capped at nz - 1 (then it is itself the witness).
+
+    Two checks are left (`_Trail.leads`): a hop-chain node on the lead, or
+    a lead node in layer z_lo - 1, drops the lead, and the search starts
+    from the start alone.  A lead that checks out lies below z_hi and is
+    reachable from the start.
 
     The tip (the lead's last node, or the start) is tried first: after a
     witness's rest it is the highest node known and often has a neighbour
     in layer z_hi, and that step needs no parent map.  If it has none, the
-    search goes best-first over buckets indexed by layer - z_lo.  The start
-    and the lead stay a stack, tip on top, popped while its top lies at
-    least as high as the highest non-empty bucket, so no lead node is ever
-    filed, and the search climbs wherever the component climbs rather than
-    diving down from a blocked tip.  The parent of lead node i is the
-    marker ~i, which `_chain` turns back into the start and lead[:i].
+    search goes best-first over buckets, buckets[i] holding the filed
+    nodes of layer z_hi - 1 - i, grown as deep as the search goes.  A
+    lead node counts as seen (its trail index is above j) instead of being
+    entered in the parent map.  The start and the lead stay a stack,
+    nodes[j:k], tip on top, popped while its top lies at least as high as
+    the highest non-empty bucket, so no lead node is ever filed, and the
+    search climbs wherever the component climbs rather than diving down
+    from a blocked tip.  A node reached from stack node nodes[k] has the
+    parent marker ~k, which stands for the witness prefix nodes[j:k + 1].
 
-    Returns (score, witness).  The witness runs from the start to a node of
-    layer z_hi, or is empty when the search ran dry below z_hi.
+    Returns (score, cut, tail): the witness is nodes[j:cut] + tail, from
+    the start to the first node it reached in layer z_hi, or empty
+    (cut = j, no tail) when the search ran dry below z_hi.
     """
+    nodes = trail.nodes
     prev = hop[-1]
     best = layer[prev]
+    on = j < len(nodes)
     if best >= z_hi:
-        return best, [prev]
-    if lead:
-        zs = list(map(layer.__getitem__, lead))
-        nodes = set(lead)
-        z_max = max(zs)
-        if (
-            len(nodes) == len(lead)
-            and nodes.isdisjoint(hop)
-            and nodes.isdisjoint(used)
-            and z_lo <= min(zs)
-            and z_max <= z_hi
-        ):
-            if z_max >= z_hi:
-                return z_max, [prev, *lead[:zs.index(z_max) + 1]]
-            best = max(best, z_max)
-        else:
-            lead = ()
-    head = [prev, *lead]
-    tip = head[-1]
+        return (best, j + 1, ()) if on else (best, j, [prev])
+    seen = {}  # trail index of each lead node, when the lead is kept
+    k = j + on  # nodes[j:k] is the stack
+    if on and k < len(nodes) and trail.leads(hop, j, z_lo):
+        z_max = layer[nodes[-1]]
+        if z_max >= z_hi:
+            return z_max, len(nodes), ()
+        best = z_max
+        k, seen = len(nodes), trail.at
+    tip = nodes[k - 1] if on else prev
     for w in indices[indptr[tip]:indptr[tip + 1]]:
         if layer[w] == z_hi and w not in used and w not in hop:
-            head.append(w)
-            return z_hi, head
+            return (z_hi, k, [w]) if on else (z_hi, j, [prev, w])
     parent = dict.fromkeys(hop)
-    parent.update(zip(lead, range(-1, -len(head), -1)))
-    buckets = [[] for _ in range(z_lo, z_hi)]
-    top = -1  # every bucket above index top is empty
-    k = len(head)  # head[k - 1] is the stack's top
+    buckets = []
+    b = nb = 0  # buckets[:b] are empty; nb = len(buckets)
+    if on:
+        k -= 1
+        src = ~k
+    else:
+        src = prev
+    u = tip
     while True:
-        while top >= 0 and not buckets[top]:
-            top -= 1
-        if k and layer[head[k - 1]] - z_lo >= top:
-            k -= 1
-            u = head[k]
-        elif top >= 0:
-            u = buckets[top].pop()
-        else:
-            return best, []
         for w in indices[indptr[u]:indptr[u + 1]]:
-            if w in parent or w in used:
+            if w in parent or w in used or w in seen and seen[w] > j:
                 continue
             zw = layer[w]
             if not z_lo <= zw <= z_hi:
                 continue
-            parent[w] = u
+            parent[w] = src
             if zw >= z_hi:
-                return zw, _chain(parent, w, head)
-            i = zw - z_lo
-            buckets[i].append(w)
-            if i > top:
-                top = i
-                if zw > best:
-                    best = zw
+                out, end = _chain(parent, w)
+                return zw, j if end is None else ~end + 1, out
+            if zw > best:
+                best = zw
+            i = z_hi - 1 - zw
+            if i < nb:
+                buckets[i].append(w)
+                if i < b:
+                    b = i
+            else:
+                buckets += [[] for _ in range(nb, i)]
+                buckets.append([w])
+                nb = i + 1
+        while b < nb and not buckets[b]:
+            b += 1
+        if k > j and (b == nb or layer[nodes[k - 1]] + b >= z_hi - 1):
+            k -= 1
+            u = nodes[k]
+            src = ~k
+        elif b < nb:
+            u = src = buckets[b].pop()
+        else:
+            return best, j, ()
 
 
-def _chain(parent, node, head):
-    """The parent chain ending at `node`, root first.
-
-    A root's parent is None.  A negative parent ~i splices in head[:i + 1]
-    as the chain's start, so a witness walks only the links it added, not
-    the lead it was handed.
-    """
+def _chain(parent, node):
+    """The parent chain ending at `node`, root first, and what ended it:
+    None past a root, or a negative marker ~k past its last node."""
     out = [node]
     node = parent[node]
     while node is not None and node >= 0:
         out.append(node)
         node = parent[node]
     out.reverse()
-    return out if node is None else head[:~node + 1] + out
+    return out, node
 
 
 def find_paths_windowed(
@@ -277,14 +338,16 @@ def find_paths_windowed(
     layers "sustains" nz - 1.
 
     A score that reaches the window's top comes with a witness path.  The
-    next step finds a candidate on the winner's witness with
-    `witness.index` and hands the rest of the witness to `_reach_score` as
-    its lead.  A lead that checks out ends one layer below the new
-    window's top (or at it, once the window meets the last layer), so the
-    search's first step, from the lead's tip, often ends it (see
-    `_reach_score` for why the scores, and so the routes, stay exact).
-    The winner's hop chain, built once to score it, is the hop the step
-    commits.
+    router keeps the winner's witness as a `_Trail`: a list with a map from
+    node to index.  A candidate finds itself on it with one lookup, and
+    `_reach_score` takes the rest of the list as its lead without a copy.
+    A lead that checks out ends one layer below the new window's top (or
+    at it, once the window meets the last layer), so the search's first
+    step, from the lead's tip, often ends it (see `_reach_score` for why
+    the scores, and so the routes, stay exact).  The step's winner comes
+    back as (cut, tail), and keeping it costs as many steps as nodes the
+    witness gained or lost.  The winner's hop chain, built once to score
+    it, is the hop the step commits.
     """
     for name, value in (("window", window), ("wires", wires)):
         if (
@@ -305,23 +368,25 @@ def find_paths_windowed(
     state = PathfindingState()
 
     for _wire in range(wires):
+        trail = _Trail(layer, nz)
         start = None
         start_score = -1
-        witness = []
         for v in layer0:
             if v in used:
                 continue
-            score, wit = _reach_score(
-                indptr, indices, layer, [v], 0, min(window, nz - 1), used, ()
+            score, _, tail = _reach_score(
+                indptr, indices, layer, [v], 0, min(window, nz - 1), used,
+                trail, 0,
             )
             if score > start_score:
-                start, start_score, witness = v, score, wit
+                start, start_score, witness = v, score, tail
                 if score >= min(window, nz - 1):
                     break
         if start is None:
             state.paths.append([])
             state.sustained.append(0)
             continue
+        trail.keep(0, 0, witness)
         path = [start]
         used.add(start)
         cur = start
@@ -329,6 +394,7 @@ def find_paths_windowed(
         while z < nz - 1:
             z_hi = min(z + window, nz - 1)
             z_lo = max(0, z - window)
+            at, off = trail.at, len(trail.nodes)
             # BFS inside the window for nodes of layer z+1, keeping parents
             # so the committed hop extends the path explicitly.
             parents = {cur: None}
@@ -356,13 +422,13 @@ def find_paths_windowed(
                     # Score with the would-be hop chain excluded, so the
                     # reach cannot double back through vertices the commit
                     # is about to consume.
-                    hop = _chain(parents, v, ())
-                    score, wit = _reach_score(
-                        indptr, indices, layer, hop, z_lo, z_hi, used,
-                        witness[witness.index(v) + 1:] if v in witness else (),
+                    hop, _ = _chain(parents, v)
+                    j = at.get(v, off)
+                    score, cut, tail = _reach_score(
+                        indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
                     )
                     if score > best_score:
-                        best_hop, best_score, best_witness = hop, score, wit
+                        best_hop, best_score, kept = hop, score, (j, cut, tail)
                         if score >= z_hi:
                             break
                 frontier = nxt
@@ -372,7 +438,7 @@ def find_paths_windowed(
             path += hop
             used.update(hop)
             cur = hop[-1]
-            witness = best_witness
+            trail.keep(*kept)
             z += 1
         state.paths.append(path)
         state.sustained.append(z)

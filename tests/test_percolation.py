@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from ballistic import acceptance
+from ballistic import acceptance, percolation
 from ballistic.acceptance import _bisect_half
 from ballistic.builder import (
     BuiltLattice,
@@ -24,6 +24,7 @@ from ballistic.graphstate import GraphRegister
 from ballistic.percolation import (
     _csr_adjacency,
     _reach_score,
+    _Trail,
     crossing_exists,
     crossings,
     find_paths_windowed,
@@ -748,12 +749,13 @@ def test_router_matches_old_router():
         assert repr((state.paths, state.sustained)) == repr(want), i
 
 
-def _random_path(rng, indptr, indices, start, steps):
-    """A self-avoiding random walk from `start`, without `start` itself."""
+def _random_path(rng, indptr, indices, start, steps, allowed):
+    """A self-avoiding random walk from `start` through `allowed` nodes,
+    without `start` itself."""
     path, u = [], start
     for _ in range(steps):
         ns = [w for w in indices[indptr[u]:indptr[u + 1]]
-              if w != start and w not in path]
+              if w != start and w not in path and allowed(w)]
         if not ns:
             break
         u = ns[int(rng.integers(len(ns)))]
@@ -761,59 +763,78 @@ def _random_path(rng, indptr, indices, start, steps):
     return path
 
 
-def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, lead):
-    """`_reach_score`'s score and witness, after checking the score against
-    the plain DFS and the witness for a path from the start to layer z_hi
-    through allowed nodes only (or empty, when the score stays below
-    z_hi)."""
-    score, witness = _reach_score(
-        indptr, indices, layer, hop, z_lo, z_hi, used, lead
+def trail_of(layer, nz, nodes):
+    """A router trail whose live witness is `nodes`."""
+    trail = _Trail(layer, nz)
+    trail.keep(0, 0, list(nodes))
+    return trail
+
+
+def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
+    """`_reach_score`'s result, after checking the score against the plain
+    DFS and the witness nodes[j:cut] + tail for a path from the start to
+    layer z_hi through allowed nodes only (or empty, when the score stays
+    below z_hi)."""
+    score, cut, tail = _reach_score(
+        indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
     )
+    witness = trail.nodes[j:cut] + list(tail)
     start = hop[-1]
     assert score == oracle_reach_score(
         indptr, indices, layer, start, z_lo, z_hi, used | set(hop)
     )
     if score < z_hi:
         assert witness == []
-        return score, witness
+        return score, cut, tail
     assert witness[0] == start and layer[witness[-1]] == z_hi
     assert len(set(witness)) == len(witness)
     for u, w in zip(witness, witness[1:]):
         assert w in indices[indptr[u]:indptr[u + 1]]
         assert w not in used and w not in hop
         assert z_lo <= layer[w] <= z_hi
-    return score, witness
+    return score, cut, tail
 
 
-def test_reach_score_matches_old_on_any_lead():
-    """Scores equal the plain DFS's whatever lead is stacked, and a witness
-    is a path from the start to layer z_hi through allowed nodes only.
+def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
+    """Every witness the router keeps holds what `_reach_score` takes on
+    trust: it is simple, its rest keeps out of `used` (so of every hop
+    committed since), it lies inside the window it was made in, which is
+    at most one layer below the current one, and only its last node sits
+    in its top layer.  The trail's index map and layer counts match its
+    live nodes.  Checked at every call over the router's cases, which
+    still route as the old router does."""
+    calls = [0, 0]  # calls with a live trail, and with the start on it
 
-    Each lead is a random path from the start that may enter used or hop
-    nodes or leave the window, so the lead's validation is what keeps the
-    score exact.
-    """
-    rng = np.random.default_rng(2015)
-    cases = 0
-    for _ in range(300):
-        comp = random_layered_lattice(rng).comp
-        indptr, indices, alive = _csr_adjacency(comp, False)
-        layer = ((np.arange(comp.node_count) // 2) % comp.nz).tolist()
-        nodes = rng.permutation(comp.node_count).tolist()
-        for _ in range(5):
-            start = nodes.pop()
-            hop = nodes[:int(rng.integers(0, 4))] + [start]
-            used = set(rng.choice(nodes, size=len(nodes) // 8).tolist())
-            z_lo = int(rng.integers(0, layer[start] + 1))
-            z_hi = int(rng.integers(layer[start], comp.nz))
-            lead = _random_path(
-                rng, indptr, indices, start, int(rng.integers(0, 16))
-            )
-            score, _ = check_reach(
-                indptr, indices, layer, hop, z_lo, z_hi, used, lead
-            )
-            cases += score >= z_hi
-    assert cases >= 300
+    def checked(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
+        nodes, s = trail.nodes, trail.start
+        live = nodes[s:]
+        if live:
+            calls[0] += 1
+            calls[1] += j < len(nodes)
+            zs = [layer[w] for w in live]
+            assert live[0] == hop[0] and len(set(live)) == len(live)
+            assert used.isdisjoint(live[1:])
+            assert max(z_lo - 1, 0) <= min(zs) and zs[-1] <= z_hi
+            assert max(zs[:-1], default=-1) < zs[-1]
+            assert trail.at == {w: i for i, w in enumerate(nodes) if i >= s}
+            assert trail.count == np.bincount(zs, minlength=len(trail.count)).tolist()
+        score, cut, tail = _reach_score(
+            indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
+        )
+        witness = nodes[j:cut] + list(tail)
+        if score >= z_hi:
+            zs = [layer[w] for w in witness]
+            assert witness[0] == hop[-1] and len(set(witness)) == len(witness)
+            assert used.isdisjoint(witness) and not set(hop).intersection(witness[1:])
+            assert z_lo <= min(zs) and max(zs[:-1], default=-1) < zs[-1] == z_hi
+        else:
+            assert witness == []
+        return score, cut, tail
+
+    monkeypatch.setattr(percolation, "_reach_score", checked)
+    test_router_matches_old_router()
+    # seen: 37405 calls with a live trail, 19905 of them from a start on it
+    assert calls[0] >= 30000 and calls[1] >= 15000, calls
 
 
 def ladder(nz):
@@ -829,47 +850,60 @@ def ladder(nz):
 
 
 def test_reach_score_lead_checks_and_best_first_search():
-    """One lead per check that keeps a lead from being queued, and
-    a tip that forces the best-first search.  Each lead is a lattice path
-    that starts next to the start, as a witness's rest is."""
-    comp, A, B = ladder(8)
+    """One trail per check that drops a lead, a lead kept past a low node
+    before the start, and tips that force the best-first search.  Each
+    trail is shaped as the router keeps it: a simple path whose top layer
+    is at its end only.  `tail` is what the search adds to the part of
+    the trail it keeps."""
+    comp, A, B = ladder(10)
     indptr, indices, _alive = _csr_adjacency(comp, False)
-    layer = [z for z in range(8) for _ in (0, 1)] * 2
+    layer = [z for z in range(10) for _ in (0, 1)] * 2
     cases = {
-        # (hop, z_lo, z_hi, used, lead): score
-        "repeats a node": (
-            [A[0]], 0, 3, set(), [A[1], B[1], A[1], A[2], A[3]], 3),
+        # (trail, j, hop, z_lo, z_hi, used): (score, tail)
         # B2 is on the hop chain, which also cuts A1 off from B
-        "enters the hop chain": (
-            [A[3], B[3], B[2], B[1], A[1]], 0, 4, set(),
-            [A[2], B[2], B[3], B[4]], 2),
-        "enters used": (
-            [A[1]], 0, 4, {A[3], B[2]}, [A[2], B[2], B[3], B[4]], 2),
-        "dips below z_lo": (
-            [A[2]], 2, 4, set(), [A[1], B[1], B[2], B[3], B[4]], 4),
-        "leaves the window above z_hi": (
-            [A[2]], 0, 4, set(), [A[3], A[4], A[5]], 4),
-        "reaches z_hi before its end": (
-            [A[0]], 0, 3, set(), [A[1], A[2], A[3], B[3]], 3),
-        "tip steps into z_hi": ([A[0]], 0, 4, set(), [A[1], A[2], A[3]], 4),
+        "lead enters the hop chain": (
+            [A[1], A[2], B[2], B[3], B[4]], 0,
+            [A[3], B[3], B[2], B[1], A[1]], 0, 4, set(), (2, [])),
+        "lead dips below z_lo": (
+            [A[2], A[1], B[1], B[2], B[3], B[4]], 0, [A[2]], 2, 4, set(),
+            (4, [A[3], A[4]])),
+        # A1, in layer z_lo - 1, lies between the head A5 and the start
+        # B6, so the lead [B7] is kept and its tip steps up
+        "prefix dips below z_lo": (
+            [A[5], A[4], A[3], A[2], A[1], B[1], B[2], B[3], B[4], B[5],
+             B[6], B[7]], 10, [A[5], A[6], B[6]], 2, 8, set(), (8, [B[8]])),
+        "lead ends at z_hi": ([A[0], A[1], A[2], A[3]], 0, [A[0]], 0, 3,
+                              set(), (3, [])),
+        "tip steps into z_hi": ([A[0], A[1], A[2], A[3]], 0, [A[0]], 0, 4,
+                                set(), (4, [A[4]])),
         # the tip's only z_hi neighbour A4 heads the hop chain, which also
         # cuts A1 off from B
         "tip's step is on the hop chain": (
-            [A[4], B[4], B[3], B[2], B[1], A[1]], 0, 4, set(),
-            [A[2], A[3]], 3),
+            [A[1], A[2], A[3]], 0, [A[4], B[4], B[3], B[2], B[1], A[1]],
+            0, 4, set(), (3, [])),
         # the tip's only z_hi neighbour A4 is used, so the search goes
         # round through B
-        "tip's step is used": ([A[1]], 0, 4, {A[4]}, [A[2], A[3]], 4),
-        # B2's only unseen neighbour is B1, below the queued A2
-        "tip is blocked": ([A[0]], 0, 4, {B[3]}, [A[1], A[2], B[2]], 4),
-        "tip is a dead end": ([A[0]], 0, 5, {A[3], B[3]}, [A[1], A[2]], 2),
-        "no lead": ([A[0]], 0, 5, {A[2]}, (), 5),
+        "tip's step is used": ([A[1], A[2], A[3]], 0, [A[1]], 0, 4, {A[4]},
+                               (4, [B[3], B[4]])),
+        # B2's only unseen neighbour is B1, below the stacked A2
+        "tip is blocked": ([A[0], A[1], A[2], B[2]], 0, [A[0]], 0, 4, {B[3]},
+                           (4, [A[3], A[4]])),
+        # B2 has no unseen neighbour, so nothing is filed and the stacked
+        # A2 goes on
+        "tip is boxed in": ([A[0], A[1], A[2], B[2]], 0, [A[0]], 0, 4,
+                            {B[1], B[3]}, (4, [A[3], A[4]])),
+        "tip is a dead end": ([A[0], A[1], A[2]], 0, [A[0]], 0, 5,
+                              {A[3], B[3]}, (2, [])),
+        # the start is off the trail, whose nodes the search may cross
+        "no lead": ([B[1], B[2]], 2, [A[0]], 0, 5, {A[2]},
+                    (5, [A[0], A[1], B[1], B[2], B[3], B[4], B[5]])),
     }
-    for name, (hop, z_lo, z_hi, used, lead, want) in cases.items():
-        score, _ = check_reach(
-            indptr, indices, layer, hop, z_lo, z_hi, used, lead
+    for name, (nodes, j, hop, z_lo, z_hi, used, want) in cases.items():
+        trail = trail_of(layer, 10, nodes)
+        score, _, tail = check_reach(
+            indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
         )
-        assert score == want, name
+        assert (score, list(tail)) == want, name
 
 
 def _hop_chain(indptr, indices, layer, cur, v, z_lo, z_hi, used):
@@ -895,13 +929,15 @@ def _hop_chain(indptr, indices, layer, cur, v, z_lo, z_hi, used):
 
 
 def test_reach_score_on_router_shaped_leads():
-    """Two steps chained as the router chains them: the second call's lead
-    is the rest of the first call's witness after a node one layer up, its
-    window is one layer higher, and its hop chain is the BFS path to that
-    node, which may run through the lead.
+    """Two steps chained as the router chains them, through one trail: the
+    second call's start is a node one layer up on the first call's
+    witness, its window is one layer higher, and its hop chain is the BFS
+    path to that node, which may run through the lead.
 
-    Unlike random walks, these leads mostly check out, so they reach the
-    tip step and the search past a blocked tip with the lead stacked.
+    The first call's trail is a random walk inside the window, cut at its
+    highest node (or dropped, when that is not above the start), so the
+    witness it grows meanders, and the next hop chain, a shortest path,
+    can cut across it.
     """
     rng = np.random.default_rng(2702)
     tips = steps = blocked = crossed = 0
@@ -918,38 +954,44 @@ def test_reach_score_on_router_shaped_leads():
             if z >= nz - 2:
                 continue
             used = set(nodes[:int(rng.integers(0, len(nodes) // 6 + 1))])
-            z_hi = min(z + window, nz - 1)
-            # a meandering first lead makes a witness that the next hop
-            # chain, a shortest path, can cut across
+            z_lo, z_hi = max(0, z - window), min(z + window, nz - 1)
             walk = _random_path(
-                rng, indptr, indices, cur, int(rng.integers(0, 3 * window))
+                rng, indptr, indices, cur, int(rng.integers(0, 3 * window)),
+                lambda w: w not in used and z_lo <= layer[w] < z_hi,
             )
-            score, witness = check_reach(
-                indptr, indices, layer, [cur], max(0, z - window), z_hi,
-                used, walk,
+            zs = [layer[w] for w in walk]
+            walk = walk[:zs.index(max(zs)) + 1] if walk and max(zs) > z else []
+            trail = trail_of(layer, nz, [cur, *walk])
+            score, cut, tail = check_reach(
+                indptr, indices, layer, [cur], z_lo, z_hi, used, trail, 0
             )
-            ups = [w for w in witness if layer[w] == z + 1]
-            if score < z_hi or not ups:
+            if score < z_hi:
                 continue
-            v = ups[int(rng.integers(len(ups)))]
-            lead = witness[witness.index(v) + 1:]
+            trail.keep(0, cut, tail)
+            ups = [i for i, w in enumerate(trail.nodes) if layer[w] == z + 1]
+            if not ups:
+                continue
+            j = ups[int(rng.integers(len(ups)))]
+            lead = trail.nodes[j + 1:]
             used.add(cur)
             z_lo, z_hi = max(0, z + 1 - window), min(z + 1 + window, nz - 1)
-            hop = _hop_chain(indptr, indices, layer, cur, v, z_lo, z_hi, used)
+            hop = _hop_chain(
+                indptr, indices, layer, cur, trail.nodes[j], z_lo, z_hi, used
+            )
             if hop is None:
                 continue
-            score, witness = check_reach(
-                indptr, indices, layer, hop, z_lo, z_hi, used, lead
+            score, cut, tail = check_reach(
+                indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
             )
             steps += 1
             crossed += not set(lead).isdisjoint(hop)
-            if witness[:-1] == [v, *lead]:
+            if cut == len(trail.nodes) and len(tail) == 1:
                 tips += 1
-            elif lead and set(lead).isdisjoint(used | set(hop)) and all(
+            elif lead and set(lead).isdisjoint(hop) and all(
                 z_lo <= layer[w] < z_hi for w in lead
             ):
                 blocked += 1
-    # seen: 1034 steps, 527 tip steps, 269 searches past a blocked tip
-    # with the lead stacked, and 27 hop chains through the lead
+    # seen: 1057 steps, 547 tip steps, 274 searches past a blocked tip
+    # with the lead stacked, and 25 hop chains through the lead
     assert steps >= 500 and tips >= 200 and blocked >= 100 and crossed >= 10, (
         steps, tips, blocked, crossed)
