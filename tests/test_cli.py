@@ -26,9 +26,9 @@ from ballistic.cli import (
 )
 from ballistic.errors import CapacityError, SpecError
 
-FIGURE_GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "figures.json").read_text()
-)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+FIGURE_GOLDEN = json.loads((GOLDEN / "figures.json").read_text())
+SCENARIO_GOLDEN = json.loads((GOLDEN / "scenarios.json").read_text())
 
 
 def good_config(**over):
@@ -458,6 +458,25 @@ def test_figure_golden(tmp_path, figure_id):
     golden = FIGURE_GOLDEN[figure_id]
     got = figure_digests(tmp_path, figure_id, golden["config"])
     assert got == {"csv": golden["csv"], "svg": golden["svg"]}
+
+
+def scenario_digest(out_dir, config):
+    """sha256 of a seeded run's results.jsonl followed by its summary.csv."""
+    cfg = validate_config(dict(config, version=CONFIG_VERSION, out=str(out_dir)))
+    paths = run_experiment(cfg)
+    digest = hashlib.sha256()
+    for key in ("results", "summary"):
+        digest.update(pathlib.Path(paths[key]).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_GOLDEN))
+def test_scenario_golden(tmp_path, case):
+    """The determinism-covered outputs of each scenario at its defaults and
+    at the edge parameters where a draw's outcome is fixed (p 0 or 1) or a
+    tie coin decides it (z_flip > 0) stay byte-identical."""
+    golden = SCENARIO_GOLDEN[case]
+    assert scenario_digest(tmp_path, golden["config"]) == golden["sha256"]
 
 
 def test_cli_verify_single_fast_criterion(capsys):
