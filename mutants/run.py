@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 70 mutants take
+Run from the repository root (standard library only; the 72 mutants take
 about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -304,6 +304,14 @@ MUTANTS = (
         "at.update(zip(tail, range(cut + 1, cut + 1 + len(tail))))",
         (KEPT_WITNESSES,),
     ),
+    # an equivalent mutant: the inline draw gives the same bonds, so only
+    # the guard on array draws outside `rng.bernoulli` can kill it
+    Mutant(
+        "square-lattice-draw-inline", PERCOLATION,
+        "keep = bernoulli(rng, 2 * m, p)",
+        "keep = rng.random(2 * m) < p",
+        ("tests/test_api_surface.py::test_array_draws_go_through_bernoulli",),
+    ),
     # -- fusion: only a boosted fusion consumes ancillas
     Mutant(
         "ancillas-every-kind", "src/ballistic/fusion.py",
@@ -329,11 +337,19 @@ MUTANTS = (
         "bernoulli-fixed-value", "src/ballistic/rng.py",
         "np.full(shape, p >= 1)",
         "np.full(shape, p > 1)",
-        ("tests/test_builder.py::test_bernoulli_matches_plain_draws",),
+        ("tests/test_builder.py::test_bernoulli_matches_plain_draws",
+         "tests/test_cli.py::test_scenario_golden[mux-yield-p1]",
+         "tests/test_cli.py::test_scenario_golden[threshold-scan-edges]"),
     ),
-    # -- multiplex: the window matcher behind the yield curves, the one
-    #    route that prunes its plan, and the range check on a sampled
-    #    stream's generation probability
+    # -- multiplex: the one any-of-k law, the window matcher behind the
+    #    yield curves, the one route that prunes its plan, and the range
+    #    check on a sampled stream's generation probability
+    Mutant(
+        "herald-attempts-unchecked", "src/ballistic/multiplex.py",
+        "attempts < 1",
+        "attempts < 0",
+        ("tests/test_multiplex.py::test_herald_success_prob",),
+    ),
     Mutant(
         "window-match-slot-reused", "src/ballistic/multiplex.py",
         "            matched_slots.append(x)\n            x += 1\n",
@@ -376,10 +392,11 @@ MUTANTS = (
     # -- losstol: the fair coin that settles a tied majority vote
     Mutant(
         "tie-coin-biased", "src/ballistic/losstol.py",
-        "coin = rng.random((trials, N)) < 0.5",
-        "coin = rng.random((trials, N)) < 0.25",
+        "coin = bernoulli(rng, (trials, N), 0.5)",
+        "coin = bernoulli(rng, (trials, N), 0.25)",
         ("tests/test_losstol.py::test_flip_rate_matches_analytic_oracle",
-         "tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle"),
+         "tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle",
+         "tests/test_cli.py::test_scenario_golden[crazy-teleport-z-flip]"),
     ),
     Mutant(
         "tie-counted-as-flip", "src/ballistic/losstol.py",

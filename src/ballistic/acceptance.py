@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import WaferSpec, batches, build_wafer, build_wafers
+from .builder import WaferSpec, build_batches, build_wafer, optical_depth_report
 from .cli import CONFIG_VERSION, run_experiment, validate_config
 from .dense import DenseStabilizerState, from_graph_register
 from .fock import (
@@ -37,11 +37,9 @@ from .losstol import (
     verify_s_gadget,
 )
 from .multiplex import (
-    DtpParams,
-    dtp_success_prob,
     extinction_to_z_error,
+    herald_success_prob,
     standard_mux_pair_yield,
-    standard_mux_prob,
     yield_curve,
 )
 from .percolation import (
@@ -50,7 +48,7 @@ from .percolation import (
     square_lattice_crosses,
     sustained_layers,
 )
-from .rng import run_rng, trial_rng
+from .rng import bernoulli, run_rng, trial_rng
 
 
 @dataclass
@@ -125,8 +123,8 @@ def check_engine_fuzz() -> tuple[bool, str]:
 def check_mux_block_mc() -> tuple[bool, str]:
     p, S, blocks = 0.2, 3, 1_000_000
     rng = trial_rng(1004, 0)
-    hits = (rng.random((blocks, 1 << S)) < p).any(axis=1).mean()
-    exact = standard_mux_prob(p, S)
+    hits = bernoulli(rng, (blocks, 1 << S), p).any(axis=1).mean()
+    exact = herald_success_prob(p, 1 << S)
     sigma = math.sqrt(exact * (1 - exact) / blocks)
     ok = abs(hits - exact) < 3 * sigma
     return ok, f"MC {hits:.5f} vs closed form {exact:.5f} (3s = {3*sigma:.5f})"
@@ -229,12 +227,9 @@ _BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
 def _spanning_fraction(
     spec: WaferSpec, trials: int, seed: int, punched: bool = False
 ) -> float:
-    specs = [spec] * trials
-    hits = 0
-    for part in batches(specs):
-        rngs = [trial_rng(seed, t) for t in range(trials)[part]]
-        hits += sum(crossings(build_wafers(specs[part], rngs), punched))
-    return hits / trials
+    rngs = [trial_rng(seed, t) for t in range(trials)]
+    runs = build_batches([spec] * trials, rngs)
+    return sum(sum(crossings(lats, punched)) for lats in runs) / trials
 
 
 def check_wafer_spanning() -> tuple[bool, str]:
@@ -278,12 +273,11 @@ def check_dtp() -> tuple[bool, str]:
     trials = 100_000
     vals = {}
     for K, stated in ((5, 0.67232), (6, 0.73786)):
-        params = DtpParams(per_crystal_emission=0.2, crystal_count=K)
-        closed = dtp_success_prob(params)
+        closed = herald_success_prob(0.2, K)
         if abs(closed - stated) > 5e-6:
             return False, f"closed form K={K}: {closed} vs {stated}"
         rng = trial_rng(1012, K)
-        emits = rng.random((trials, K)) < 0.2
+        emits = bernoulli(rng, (trials, K), 0.2)
         mc = emits.any(axis=1).mean()
         sigma = math.sqrt(closed * (1 - closed) / trials)
         if abs(mc - closed) > 3 * sigma:
@@ -306,8 +300,13 @@ def check_resource_report() -> tuple[bool, str]:
     rep = lat.resource_report
     no_anc = rep["photons_per_computational_no_ancilla"]
     with_anc = rep["photons_per_computational_with_ancilla"]
-    ok = no_anc == 9 and with_anc <= 20
-    return ok, f"photons per computational qubit: {no_anc} bare, {with_anc} with ancillas"
+    # each photon passes a small, constant number of components
+    depth = optical_depth_report()["max"]
+    ok = no_anc == 9 and with_anc <= 20 and depth <= 12
+    return ok, (
+        f"photons per computational qubit: {no_anc} bare, {with_anc} with"
+        f" ancillas; optical depth at most {depth} components"
+    )
 
 
 def check_gadgets() -> tuple[bool, str]:

@@ -191,9 +191,9 @@ def build_wafer(spec: WaferSpec, *, rng, graph_level: bool = False) -> BuiltLatt
 BATCH_CELLS = 2**18
 
 
-def batches(specs) -> list[slice]:
+def _batches(specs) -> list[slice]:
     """Consecutive runs of `specs` of at most BATCH_CELLS cells in all, or
-    one spec alone where it is larger: the lists to pass to `build_wafers`."""
+    one spec alone where it is larger."""
     out, start, cells = [], 0, 0
     for i, spec in enumerate(specs):
         if i > start and cells + spec.cells > BATCH_CELLS:
@@ -205,13 +205,21 @@ def batches(specs) -> list[slice]:
     return out
 
 
+def build_batches(specs, rngs):
+    """`build_wafers` over `specs` a batch at a time: yields the lattices of
+    each consecutive run of at most BATCH_CELLS cells (or of one larger
+    spec), so only one run's arrays are held at once."""
+    for part in _batches(specs):
+        yield build_wafers(specs[part], rngs[part])
+
+
 def build_wafers(specs, rngs) -> list[BuiltLattice]:
     """Bond-level builds of same-shape wafers, derived in one array pass.
 
     Wafer i takes its draws from rngs[i], in list order, so a generator
     shared by several wafers ends where one `build_wafer` call each would
-    leave it.  Every array of the batch is held at once: keep a list to one
-    of `batches(specs)`.
+    leave it.  Every array of the list is held at once, so a long list
+    goes through `build_batches`.
     """
     if len(rngs) != len(specs):
         raise SpecError(f"{len(specs)} wafer specs but {len(rngs)} generators")

@@ -28,18 +28,18 @@ import time
 
 import numpy as np
 
-from .builder import WaferSpec, batches, build_wafer, build_wafers
+from .builder import WaferSpec, build_batches, build_wafer
 from .errors import BallisticError, SpecError
 from .fusion import FusionParams
 from .losstol import CrazyGraphSpec, simulate_teleport, teleport_success_prob
-from .multiplex import standard_mux_prob, yield_curve
+from .multiplex import herald_success_prob, yield_curve
 from .percolation import (
     crossing_exists,
     crossings,
     largest_component_fraction,
     square_lattice_crosses,
 )
-from .rng import trial_rng
+from .rng import bernoulli, trial_rng
 
 CONFIG_VERSION = 1
 
@@ -93,7 +93,7 @@ def mux_yield_trial(params: dict, rng) -> dict:
         metrics[f"collisions_S{s}"] = float(row["collisions"])
         width = 1 << s
         blocks = max(bins // width, 1)
-        occupied = rng.random((blocks, width)) < p
+        occupied = bernoulli(rng, (blocks, width), p)
         metrics[f"block_success_S{s}"] = float(occupied.any(axis=1).mean())
     return metrics
 
@@ -125,7 +125,7 @@ def _fig4_yields(means: dict, params: dict):
 def _mux_law(means: dict, params: dict):
     p = float(params["p"])
     rows = [
-        [s, means[f"block_success_S{s}"], standard_mux_prob(p, s)]
+        [s, means[f"block_success_S{s}"], herald_success_prob(p, 1 << s)]
         for s in sorted(params["s_values"])
     ]
     return ["S", "mc_block_success", "closed_form"], rows
@@ -197,8 +197,7 @@ def _check_loss_sweep(params: dict) -> None:
 def loss_sweep_trial(params: dict, rng) -> dict:
     specs = _loss_sweep_specs(params)
     spans = []
-    for part in batches(specs):
-        lats = build_wafers(specs[part], [rng] * len(specs[part]))
+    for lats in build_batches(specs, [rng] * len(specs)):
         spans += crossings(lats, punched=True)
     return {f"recovered_span_{i}": float(span) for i, span in enumerate(spans)}
 

@@ -90,7 +90,7 @@ def simulate_teleport(
     flips = (bernoulli(rng, (trials, N, L), spec.z_flip) & ~lost).sum(axis=2)
     wrong = 2 * flips > survivors
     tie = (2 * flips == survivors) & (survivors > 0)
-    coin = rng.random((trials, N)) < 0.5
+    coin = bernoulli(rng, (trials, N), 0.5)
     col_wrong = wrong | (tie & coin)
     n_success = int(success.sum())
     if n_success == 0:

@@ -1,10 +1,11 @@
 """Source multiplexing models.
 
-Covers the standard block-multiplexing law, a binary switched-delay network
-with collision accounting, relative-time multiplexing (the sliding-window
-plan, as swept and as routed), cascaded heralded-source ("dump the pump")
-success probability, and the switch noise cost model mapping extinction
-ratio to a worst-case Pauli-Z rate.
+Covers the one law of a heralded source tried several times (a block of
+2^S time bins, or a cascaded "dump the pump" source of K crystals), a
+binary switched-delay network with collision accounting, relative-time
+multiplexing (the sliding-window plan, as swept and as routed), and the
+switch noise cost model mapping extinction ratio to a worst-case Pauli-Z
+rate.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import SpecError
+from .rng import bernoulli
 
 
 # -- domain types -----------------------------------------------------------
@@ -39,7 +41,7 @@ class PhotonStream:
     def sample(bin_count: int, p: float, rng):
         if not 0.0 <= p <= 1.0:
             raise SpecError("generation probability outside [0, 1]")
-        occ = rng.random(bin_count) < p
+        occ = bernoulli(rng, bin_count, p)
         return PhotonStream(tuple(occ.tolist()))
 
 
@@ -64,25 +66,6 @@ class DelayNetwork:
 
 
 @dataclass(frozen=True)
-class DtpParams:
-    """Cascaded heralded-source parameters.
-
-    A pump passes K crystals in sequence; each emits (and heralds) with
-    probability q, and an emitted photon transits the remaining crystals
-    without loss.
-    """
-
-    per_crystal_emission: float
-    crystal_count: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.per_crystal_emission <= 1.0:
-            raise SpecError("emission probability outside [0, 1]")
-        if self.crystal_count < 1:
-            raise SpecError("need at least one crystal")
-
-
-@dataclass(frozen=True)
 class MatchedPair:
     """A pair of photons brought to the same bin by delaying the earlier."""
 
@@ -97,24 +80,21 @@ class MatchedPair:
 # -- closed-form laws -------------------------------------------------------
 
 
-def standard_mux_prob(p: float, S: int) -> float:
-    """Per-block success of standard multiplexing over 2^S bins."""
+def herald_success_prob(p: float, attempts: int) -> float:
+    """Probability that any of `attempts` independent tries heralds,
+    1 - (1 - p)^attempts: a block of 2^S time bins under standard
+    multiplexing, or a pump passing K crystals, each emitting with
+    probability p, whose photon transits the later crystals without loss."""
     if not 0.0 <= p <= 1.0:
         raise SpecError("p outside [0, 1]")
-    if S < 0:
-        raise SpecError("S must be >= 0")
-    return 1.0 - (1.0 - p) ** (1 << S)
+    if attempts < 1:
+        raise SpecError("need at least one attempt")
+    return 1.0 - (1.0 - p) ** attempts
 
 
 def standard_mux_pair_yield(p: float, S: int) -> float:
     """Per-input-bin rate of blocks where both streams deliver a photon."""
-    return standard_mux_prob(p, S) ** 2 / (1 << S)
-
-
-def dtp_success_prob(params: DtpParams) -> float:
-    """Probability that one of the K crystals emits a heralded photon,
-    1 - (1 - q)^K; transit through the later crystals is lossless."""
-    return 1.0 - (1.0 - params.per_crystal_emission) ** params.crystal_count
+    return herald_success_prob(p, 1 << S) ** 2 / (1 << S)
 
 
 def extinction_to_z_error(extinction_db: float) -> float:
@@ -331,8 +311,8 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
     rows = []
     for S in s_values:
         D = DelayNetwork(S).max_delay
-        a = np.flatnonzero(rng.random(bin_count) < p)
-        b = np.flatnonzero(rng.random(bin_count) < p)
+        a = np.flatnonzero(bernoulli(rng, bin_count, p))
+        b = np.flatnonzero(bernoulli(rng, bin_count, p))
         pa, pb = _sliding_sweep(a, b, D)
         collisions = []
         kept, _times = _route(pa, pb - pa, S, collisions)

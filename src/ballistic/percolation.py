@@ -15,6 +15,7 @@ import numpy as np
 
 from .builder import CompLattice
 from .errors import SpecError
+from .rng import bernoulli
 
 
 def _labels(comps: list[CompLattice], punched: bool):
@@ -83,7 +84,7 @@ def square_lattice_crosses(n: int, p: float, rng) -> bool:
     has an open left-right crossing.  The exact threshold is 1/2 by
     self-duality.
 
-    The 2m bonds, m = n(n - 1), are drawn as `rng.random(2m) < p`: the
+    The 2m bonds, m = n(n - 1), are one `bernoulli(rng, 2m, p)` draw: the
     horizontal ones row by row, then the vertical ones.  Bond connectivity
     is site connectivity on a (2n - 1)^2 grid whose even-even cells are the
     sites (always open), whose cells between two sites are their bonds and
@@ -95,7 +96,7 @@ def square_lattice_crosses(n: int, p: float, rng) -> bool:
     from scipy.ndimage import label
 
     m = n * (n - 1)
-    keep = rng.random(2 * m) < p
+    keep = bernoulli(rng, 2 * m, p)
     grid = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
     grid[::2, ::2] = True
     grid[::2, 1::2] = keep[:m].reshape(n, n - 1)

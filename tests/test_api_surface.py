@@ -28,9 +28,6 @@ import ballistic
 SRC = Path(ballistic.__file__).parent
 
 KEEP = {
-    # README promises optical-depth reports; the report states the claim
-    # that each photon passes a small, constant number of components.
-    "optical_depth_report",
     # span targets that perfbench installs by name; retire them with a
     # benchmark change that retargets those spans
     "sliding_window_match",
@@ -131,3 +128,22 @@ def test_package_binds_only_its_version():
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
             }
     assert bound == {"__version__"}
+
+
+def test_array_draws_go_through_bernoulli():
+    """No module but `rng` compares `.random(shape)` itself: every Bernoulli
+    array draw goes through `rng.bernoulli`, which keeps the draw and the
+    stream position of `random(shape) < p` while skipping the uniforms where
+    p fixes the outcome.  A scalar coin, `.random() < p`, is allowed."""
+    inline = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "rng.py"
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and isinstance(node.left.func, ast.Attribute)
+        and node.left.func.attr == "random"
+        and (node.left.args or node.left.keywords)
+    ]
+    assert not inline, f"array draws outside rng.bernoulli: {inline}"

@@ -12,7 +12,8 @@ import pytest
 from ballistic import acceptance, builder, cli
 from ballistic.builder import (
     WaferSpec,
-    batches,
+    _batches,
+    build_batches,
     build_wafer,
     build_wafers,
     optical_depth_report,
@@ -358,10 +359,11 @@ def test_batches_keep_to_the_cell_budget(monkeypatch):
     ]
     # 8 + 8 cells fill a batch, a third wafer would not fit; the 27-cell
     # wafer is a batch of its own
-    assert batches(specs) == [
+    assert _batches(specs) == [
         slice(0, 2), slice(2, 4), slice(4, 5), slice(5, 6), slice(6, 7)
     ]
-    assert batches([]) == []
+    assert _batches([]) == []
+    assert list(build_batches([], [])) == []
 
 
 def test_small_batch_budget_gives_same_results(monkeypatch):
@@ -374,10 +376,10 @@ def test_small_batch_budget_gives_same_results(monkeypatch):
 
     def run():
         rng, lats = trial_rng(3, 0), []
-        for part in batches(specs):
-            lats += build_wafers(specs[part], [rng] * len(specs[part]))
+        for part in build_batches(specs, [rng] * len(specs)):
+            lats += part
         return (
-            len(batches(specs)),
+            len(_batches(specs)),
             bond_build_digest(lats),
             crossings(lats, punched=True),
             cli.loss_sweep_trial(params, trial_rng(3, 1)),

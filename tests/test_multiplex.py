@@ -12,18 +12,16 @@ import pytest
 from ballistic.errors import SpecError
 from ballistic.multiplex import (
     DelayNetwork,
-    DtpParams,
     MatchedPair,
     PhotonStream,
     delivered_pairs,
-    dtp_success_prob,
     extinction_to_z_error,
+    herald_success_prob,
     matching_rmux,
     pair_yield,
     route_with_delays,
     sliding_window_match,
     standard_mux_pair_yield,
-    standard_mux_prob,
     yield_curve,
 )
 from ballistic.multiplex import _matcher_bins, _route, _sliding_sweep, _window_match
@@ -40,13 +38,18 @@ def stream(bins, n=None):
     return PhotonStream(tuple(occ))
 
 
-def test_standard_mux_prob():
-    assert standard_mux_prob(0.2, 0) == pytest.approx(0.2)
-    assert standard_mux_prob(0.2, 2) == pytest.approx(1 - 0.8**4)
+def test_herald_success_prob():
+    # a block of 2^S bins under standard multiplexing
+    assert herald_success_prob(0.2, 1 << 0) == pytest.approx(0.2)
+    assert herald_success_prob(0.2, 1 << 2) == pytest.approx(1 - 0.8**4)
+    # a cascaded source of K crystals
+    assert herald_success_prob(0.2, 5) == pytest.approx(0.67232, abs=1e-15)
+    assert herald_success_prob(0.2, 6) == pytest.approx(0.737856, abs=1e-15)
+    for p in (1.5, 1.2, -0.1):
+        with pytest.raises(SpecError):
+            herald_success_prob(p, 4)
     with pytest.raises(SpecError):
-        standard_mux_prob(1.5, 1)
-    with pytest.raises(SpecError):
-        standard_mux_prob(0.2, -1)
+        herald_success_prob(0.2, 0)
 
 
 def test_standard_pair_yield_curve_values():
@@ -55,18 +58,6 @@ def test_standard_pair_yield_curve_values():
     assert got == pytest.approx(expected, abs=1e-12)
     # the curve rises then falls: delay budget beats dilution early on only
     assert got[2] > got[0] and got[4] < got[3]
-
-
-def test_dtp_closed_forms():
-    assert dtp_success_prob(DtpParams(0.2, 5)) == pytest.approx(0.67232, abs=1e-15)
-    assert dtp_success_prob(DtpParams(0.2, 6)) == pytest.approx(0.737856, abs=1e-15)
-
-
-def test_dtp_validation():
-    with pytest.raises(SpecError):
-        DtpParams(1.2, 5)
-    with pytest.raises(SpecError):
-        DtpParams(0.2, 0)
 
 
 def test_extinction_mapping():
