@@ -348,7 +348,7 @@ MUTANTS = (
         "herald-attempts-unchecked", "src/ballistic/multiplex.py",
         "attempts < 1",
         "attempts < 0",
-        ("tests/test_multiplex.py::test_herald_success_prob",),
+        ("tests/test_multiplex.py::test_dtp_validation",),
     ),
     Mutant(
         "window-match-slot-reused", "src/ballistic/multiplex.py",

@@ -38,16 +38,24 @@ def stream(bins, n=None):
     return PhotonStream(tuple(occ))
 
 
-def test_herald_success_prob():
-    # a block of 2^S bins under standard multiplexing
+def test_standard_mux_prob():
+    # a block of 2^S bins under standard multiplexing is an any-of-2^S herald
     assert herald_success_prob(0.2, 1 << 0) == pytest.approx(0.2)
     assert herald_success_prob(0.2, 1 << 2) == pytest.approx(1 - 0.8**4)
-    # a cascaded source of K crystals
+    with pytest.raises(SpecError):
+        herald_success_prob(1.5, 1 << 1)
+
+
+def test_dtp_closed_forms():
+    # a cascaded source of K crystals is an any-of-K herald
     assert herald_success_prob(0.2, 5) == pytest.approx(0.67232, abs=1e-15)
     assert herald_success_prob(0.2, 6) == pytest.approx(0.737856, abs=1e-15)
-    for p in (1.5, 1.2, -0.1):
+
+
+def test_dtp_validation():
+    for p in (1.2, -0.1):
         with pytest.raises(SpecError):
-            herald_success_prob(p, 4)
+            herald_success_prob(p, 5)
     with pytest.raises(SpecError):
         herald_success_prob(0.2, 0)
 
