@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 72 mutants take
+Run from the repository root (standard library only; the 75 mutants take
 about 30 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -223,8 +223,10 @@ MUTANTS = (
         (CSR_AGREES,),
     ),
     # -- pathfinding: the window reaches `window` layers back, a step keeps
-    #    its first best-scoring candidate, a witness must reach layer z_hi,
-    #    and the parent chain ends at the node it was asked for
+    #    its first best-scoring candidate (the start is a step, so this
+    #    covers its tie-break too), a witness must reach layer z_hi, the
+    #    parent chain ends at the node it was asked for, and a wire starts
+    #    at a layer-0 node no earlier wire used
     Mutant(
         "window-low-edge-short", PERCOLATION,
         "z_lo = max(0, z - window)",
@@ -236,6 +238,12 @@ MUTANTS = (
         "if score > best_score:",
         "if score >= best_score:",
         PATHS_AGREE,
+    ),
+    Mutant(
+        "start-ignores-used", PERCOLATION,
+        "candidates = [v for v in layer0 if v not in used]",
+        "candidates = list(layer0)",
+        ("tests/test_percolation.py::test_wires_are_vertex_disjoint",) + PATHS_AGREE,
     ),
     Mutant(
         "reach-lead-witness-short", PERCOLATION,
@@ -510,6 +518,21 @@ MUTANTS = (
         "if heralds.get(_detected(occ)) == occ[1] ^ occ[7]",
         "if _detected(occ) in heralds",
         FUSION_RATES,
+    ),
+    # -- cli: each trial draws from the stream keyed by (seed, trial), and
+    #    every scenario parameter reaches the model
+    Mutant(
+        "trial-stream-fixed", "src/ballistic/cli.py",
+        "rng = trial_rng(seed, trial)",
+        "rng = trial_rng(seed, 0)",
+        ("tests/test_cli.py::test_run_contract_on_random_configs",),
+    ),
+    Mutant(
+        "crazy-specs-ignore-z-flip", "src/ballistic/cli.py",
+        'z_flip = float(params["z_flip"])',
+        "z_flip = 0.0",
+        ("tests/test_cli.py::"
+         "test_every_parameter_changes_metrics_or_is_rejected[crazy-teleport]",),
     ),
     # -- cli: config checks, malformed results and atomic writes
     Mutant(

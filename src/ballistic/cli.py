@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -404,11 +405,6 @@ def _run_trial(scenario: str, params: dict, seed: int, trial: int) -> dict:
     return SCENARIOS[scenario]["trial"](params, rng)
 
 
-def _worker(args):
-    scenario, params, seed, trial = args
-    return trial, _run_trial(scenario, params, seed, trial)
-
-
 def run_experiment(cfg: dict) -> dict:
     """Execute all trials and write results; returns output paths.
 
@@ -417,13 +413,13 @@ def run_experiment(cfg: dict) -> dict:
     written raise SpecError."""
     h = config_hash(cfg)
     t0 = time.perf_counter()
-    jobs = [(cfg["scenario"], cfg["params"], cfg["seed"], t) for t in range(cfg["trials"])]
+    # both maps return results in trial order
+    trial = functools.partial(_run_trial, cfg["scenario"], cfg["params"], cfg["seed"])
     if cfg["threads"] == 1:
-        results = [_worker(j) for j in jobs]
+        results = list(map(trial, range(cfg["trials"])))
     else:
         with concurrent.futures.ProcessPoolExecutor(cfg["threads"]) as pool:
-            results = list(pool.map(_worker, jobs, chunksize=8))
-    results.sort(key=lambda r: r[0])
+            results = list(pool.map(trial, range(cfg["trials"]), chunksize=8))
     wall = time.perf_counter() - t0
 
     paths = {
@@ -446,11 +442,11 @@ def run_experiment(cfg: dict) -> dict:
                 "config_hash": h,
             }
             f.write(json.dumps(header, sort_keys=True) + "\n")
-            for trial, metrics in results:
-                rec = {"config_hash": h, "seed": cfg["seed"], "trial": trial, "metrics": metrics}
+            for t, metrics in enumerate(results):
+                rec = {"config_hash": h, "seed": cfg["seed"], "trial": t, "metrics": metrics}
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
         with open(tmp["summary"], "w") as f:
-            _write_summary(f, [m for _, m in results])
+            _write_summary(f, results)
         with open(tmp["meta"], "w") as f:
             json.dump(
                 {"config_hash": h, "wall_seconds": wall, "threads": cfg["threads"]},
@@ -473,8 +469,6 @@ def run_experiment(cfg: dict) -> dict:
 def _write_summary(fileobj, metric_rows: list[dict]) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["metric", "mean", "std", "stderr", "count"])
-    if not metric_rows:
-        return
     for key in sorted(metric_rows[0]):
         vals = np.array([row[key] for row in metric_rows], dtype=float)
         mean = vals.mean()

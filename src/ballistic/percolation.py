@@ -34,14 +34,15 @@ def _labels(comps: list[CompLattice], punched: bool):
         raise SpecError("lattices labelled together must share one shape")
     n = comps[0].node_count
     edges = [np.asarray(c.edges, dtype=np.int64).reshape(-1, 2) for c in comps]
+    # One lattice skips the concatenation: a single large lattice (wafer-span
+    # near cli.MAX_WAFER_CELLS) then holds two fewer copies of its edges,
+    # which the README's per-cell peak-RSS figures assume.
     if len(comps) == 1:
         alive, e = comps[0].alive_flat(punched), edges[0]
     else:
         alive = np.concatenate([c.alive_flat(punched) for c in comps])
         e = np.concatenate([ei + i * n for i, ei in enumerate(edges)])
     e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
-    if not len(e):
-        return np.arange(len(alive)), alive
     # float64 entries, which the labelling would otherwise convert to
     m = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(len(alive),) * 2)
     return connected_components(m, directed=False)[1], alive
@@ -326,13 +327,13 @@ def find_paths_windowed(
 ) -> PathfindingState:
     """Route logical wires layer by layer with a bounded lookahead.
 
-    Each wire starts at the usable layer-0 node whose window component
-    reaches the farthest layer (ties: lowest id) and advances one layer at
-    a time.  The step choice uses only layers <= current + window: among
-    the layer-(t+1) nodes reachable inside the window, take the one whose
-    window component reaches the farthest layer.  Candidates are scored in
-    BFS order, depth by depth, and only a strictly higher score replaces
-    the best so far, so a tie goes to the earliest BFS depth, then to the
+    Each wire advances one layer at a time.  A step uses only layers <=
+    current + window: among the layer-(t+1) nodes reachable inside the
+    window, take the one whose window component reaches the farthest
+    layer.  The start is the same choice made at layer 0, over the unused
+    layer-0 nodes, each a hop of one node.  Candidates are scored in BFS
+    order, depth by depth, and only a strictly higher score replaces the
+    best so far, so a tie goes to the earliest BFS depth, then to the
     lowest id within it.  Every search visits a node's neighbours in
     ascending id order, which fixes both that tie-break and the BFS parent
     of each node.  Wires are vertex-disjoint.  A wire that spans all nz
@@ -370,56 +371,28 @@ def find_paths_windowed(
 
     for _wire in range(wires):
         trail = _Trail(layer, nz)
-        start = None
-        start_score = -1
-        for v in layer0:
-            if v in used:
-                continue
-            score, _, tail = _reach_score(
-                indptr, indices, layer, [v], 0, min(window, nz - 1), used,
-                trail, 0,
-            )
-            if score > start_score:
-                start, start_score, witness = v, score, tail
-                if score >= min(window, nz - 1):
-                    break
-        if start is None:
-            state.paths.append([])
-            state.sustained.append(0)
-            continue
-        trail.keep(0, 0, witness)
-        path = [start]
-        used.add(start)
-        cur = start
+        path = []
         z = 0
-        while z < nz - 1:
+        while not path or z < nz - 1:
             z_hi = min(z + window, nz - 1)
             z_lo = max(0, z - window)
             at, off = trail.at, len(trail.nodes)
-            # BFS inside the window for nodes of layer z+1, keeping parents
-            # so the committed hop extends the path explicitly.
-            parents = {cur: None}
-            frontier = [cur]
+            # The start's candidates are the unused layer-0 nodes, each a
+            # hop of one node.  A step's come from a BFS inside the window
+            # for nodes of layer z+1, keeping parents so the committed hop
+            # extends the path explicitly.
+            if path:
+                candidates, parents, frontier = [], {cur: None}, [cur]
+            else:
+                candidates = [v for v in layer0 if v not in used]
+                parents, frontier = dict.fromkeys(candidates), []
             best_hop = None
             best_score = -1
-            # Expand depth by depth; a candidate whose window component
+            # Score depth by depth; a candidate whose window component
             # reaches the window edge ends the search immediately, so the
             # full sweep only happens near dead ends.
-            while frontier and best_score < z_hi:
-                nxt = []
-                new_candidates = []
-                for u in frontier:
-                    for w in indices[indptr[u]:indptr[u + 1]]:
-                        if w in parents or w in used:
-                            continue
-                        zw = layer[w]
-                        if not z_lo <= zw <= z_hi:
-                            continue
-                        parents[w] = u
-                        nxt.append(w)
-                        if zw == z + 1:
-                            new_candidates.append(w)
-                for v in sorted(new_candidates):
+            while True:
+                for v in candidates:
                     # Score with the would-be hop chain excluded, so the
                     # reach cannot double back through vertices the commit
                     # is about to consume.
@@ -432,15 +405,30 @@ def find_paths_windowed(
                         best_hop, best_score, kept = hop, score, (j, cut, tail)
                         if score >= z_hi:
                             break
+                if not frontier or best_score >= z_hi:
+                    break
+                nxt, candidates = [], []
+                for u in frontier:
+                    for w in indices[indptr[u]:indptr[u + 1]]:
+                        if w in parents or w in used:
+                            continue
+                        zw = layer[w]
+                        if not z_lo <= zw <= z_hi:
+                            continue
+                        parents[w] = u
+                        nxt.append(w)
+                        if zw == z + 1:
+                            candidates.append(w)
+                candidates.sort()
                 frontier = nxt
             if best_hop is None:
                 break
-            hop = best_hop[1:]
+            hop = best_hop[1:] if path else best_hop
             path += hop
             used.update(hop)
             cur = hop[-1]
+            z = layer[cur]
             trail.keep(*kept)
-            z += 1
         state.paths.append(path)
         state.sustained.append(z)
     return state

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import tracemalloc
 
 import pytest
@@ -25,6 +26,7 @@ from ballistic.cli import (
     validate_config,
 )
 from ballistic.errors import CapacityError, SpecError
+from ballistic.rng import trial_rng
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIGURE_GOLDEN = json.loads((GOLDEN / "figures.json").read_text())
@@ -490,3 +492,108 @@ def test_cli_verify_rejects_unknown_criteria(capsys, criteria):
     assert main(["verify", "--criteria", criteria]) == 2
     err = capsys.readouterr().err
     assert "from 1 to 17" in err
+
+
+# -- the run contract over the scenario registry -----------------------------
+
+# Small parameters at which each default key can show: loss-sweep's lattice
+# spans in some trials and not in others, so its 0/1 metrics are not pinned.
+WALK_BASE = {
+    "mux-yield": {"bins": 200, "s_values": [0, 1, 2]},
+    "wafer-span": {"nx": 4, "ny": 2, "nz": 6},
+    "crazy-teleport": {"columns": 6, "column_size": 2, "loss_values": [0.1, 0.3],
+                       "batch": 50},
+    "loss-sweep": {"nx": 4, "ny": 2, "nz": 6, "loss_values": [0.03, 0.06]},
+    "threshold-scan": {"n": 12, "p_values": [0.4, 0.6]},
+}
+
+
+def perturbed(value):
+    """Another value of the default's type: a flag flipped, an int one up, a
+    probability halfway to the far end of [0, 1], another fusion kind, or a
+    list with its last element perturbed."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2 if value > 0.5 else (value + 1) / 2
+    if isinstance(value, str):
+        return "TypeII" if value != "TypeII" else "BoostedTypeII"
+    return value[:-1] + [perturbed(value[-1])]
+
+
+def trial_metrics(scenario, params, trials=6, seed=5):
+    cfg = validate_config({"version": CONFIG_VERSION, "scenario": scenario,
+                           "seed": seed, "trials": trials, "params": params})
+    return [cli._run_trial(scenario, cfg["params"], seed, t) for t in range(trials)]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_parameter_changes_metrics_or_is_rejected(scenario):
+    """No model parameter is silently ignored: perturbing any one default
+    key either moves some trial's metrics or fails validation."""
+    base = dict(SCENARIOS[scenario]["defaults"], **WALK_BASE.get(scenario, {}))
+    before = trial_metrics(scenario, base)
+    for key, value in base.items():
+        try:
+            after = trial_metrics(scenario, dict(base, **{key: perturbed(value)}))
+        except SpecError:
+            continue
+        assert after != before, f"{scenario} ignores {key}"
+
+
+def _wafer_params(r):
+    params = {"nx": r.randint(1, 4), "ny": r.randint(1, 3), "nz": r.randint(1, 6),
+              "success_prob": r.random(), "filter_enabled": r.random() < 0.5}
+    if params["filter_enabled"]:
+        params["filter_fidelity"] = r.random()
+    return params
+
+
+# A random small valid parameter set of each scenario, drawn from `r`.
+RANDOM_PARAMS = {
+    "mux-yield": lambda r: {"p": r.choice([0.0, 1.0, r.random()]),
+                            "bins": r.randint(1, 300),
+                            "s_values": r.sample(range(6), r.randint(1, 3))},
+    "wafer-span": lambda r: dict(_wafer_params(r), photon_loss=r.uniform(0, 0.3)),
+    "crazy-teleport": lambda r: {
+        "columns": r.randint(1, 6), "column_size": r.randint(1, 4),
+        "loss_values": [r.uniform(0, 0.5) for _ in range(r.randint(1, 3))],
+        "z_flip": r.choice([0.0, r.uniform(0, 0.3)]), "batch": r.randint(1, 50)},
+    "loss-sweep": lambda r: dict(
+        _wafer_params(r),
+        loss_values=[r.uniform(0, 0.3) for _ in range(r.randint(1, 3))]),
+    "threshold-scan": lambda r: {
+        "n": r.randint(2, 12), "p_values": [r.random() for _ in range(r.randint(1, 3))]},
+}
+
+
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_run_contract_on_random_configs(tmp_path, scenario, case):
+    """results.jsonl and summary.csv are byte-identical at 1, 2 and 3
+    workers; trial i's record is the same in a run of i + 1 trials; and it
+    is the scenario's trial on the stream keyed by (seed, i)."""
+    r = random.Random(f"{scenario}/{case}")
+    # more trials than one pool chunk of 8, so two workers share a run
+    trials = r.randint(9, 24)
+    config = {"scenario": scenario, "seed": r.randrange(2**64), "trials": trials,
+              "params": RANDOM_PARAMS[scenario](r)}
+    digests = {
+        scenario_digest(tmp_path / str(threads), dict(config, threads=threads))
+        for threads in (1, 2, 3)
+    }
+    assert len(digests) == 1
+    i = r.randrange(trials)
+    _, records = read_results(str(tmp_path / "1" / "results.jsonl"))
+    scenario_digest(tmp_path / "prefix", dict(config, trials=i + 1))
+    _, prefix = read_results(str(tmp_path / "prefix" / "results.jsonl"))
+
+    def drop_hash(rec):
+        return {k: v for k, v in rec.items() if k != "config_hash"}
+
+    assert [drop_hash(rec) for rec in prefix] == [drop_hash(rec) for rec in records[:i + 1]]
+    params = validate_config(dict(config, version=CONFIG_VERSION))["params"]
+    metrics = SCENARIOS[scenario]["trial"](params, trial_rng(config["seed"], i))
+    assert records[i]["metrics"] == metrics
