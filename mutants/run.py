@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 75 mutants take
-about 30 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 77 mutants take
+about 40 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -349,9 +349,10 @@ MUTANTS = (
          "tests/test_cli.py::test_scenario_golden[mux-yield-p1]",
          "tests/test_cli.py::test_scenario_golden[threshold-scan-edges]"),
     ),
-    # -- multiplex: the one any-of-k law, the window matcher behind the
-    #    yield curves, the one route that prunes its plan, and the range
-    #    check on a sampled stream's generation probability
+    # -- multiplex: the one any-of-k law, the sliding sweep behind the
+    #    yield curves, the one route that prunes its plan, the pair-list
+    #    matcher composed of the sweep and that route, and the range check
+    #    on a sampled stream's generation probability
     Mutant(
         "herald-attempts-unchecked", "src/ballistic/multiplex.py",
         "attempts < 1",
@@ -359,16 +360,16 @@ MUTANTS = (
         ("tests/test_multiplex.py::test_dtp_validation",),
     ),
     Mutant(
-        "window-match-slot-reused", "src/ballistic/multiplex.py",
-        "            matched_slots.append(x)\n            x += 1\n",
-        "            matched_slots.append(x)\n",
+        "sliding-sweep-slot-reused", "src/ballistic/multiplex.py",
+        "            ib.append(x)\n            x += 1\n",
+        "            ib.append(x)\n",
         ("tests/test_multiplex.py::test_multiplex_golden",
          "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
     ),
     Mutant(
-        "window-match-high-exclusive", "src/ballistic/multiplex.py",
-        'np.searchsorted(slots, items + high, "right")',
-        "np.searchsorted(slots, items + high)",
+        "sliding-sweep-high-exclusive", "src/ballistic/multiplex.py",
+        'np.searchsorted(b, a + max_delay, "right")',
+        "np.searchsorted(b, a + max_delay)",
         ("tests/test_multiplex.py::test_sliding_window_match_examples",),
     ),
     Mutant(
@@ -386,10 +387,18 @@ MUTANTS = (
     ),
     Mutant(
         "matching-rmux-unrouted", "src/ballistic/multiplex.py",
-        "pa, pb = pa[kept].tolist(), pb[kept].tolist()",
-        "pa, pb = pa.tolist(), pb.tolist()",
+        "return delivered_pairs(stream_a, pairs, network)[0]",
+        "return pairs",
         ("tests/test_multiplex.py::test_matching_dominates_sliding_fuzz",
          "tests/test_multiplex.py::test_matching_rmux_matches_old_regrow"),
+    ),
+    Mutant(
+        "delivered-pairs-keeps-collided", "src/ballistic/multiplex.py",
+        "kept = [pr for pr, b in zip(pairs, keys) if b not in destroyed]",
+        "kept = list(pairs)",
+        ("tests/test_multiplex.py::test_delivered_pairs_prunes_collisions",
+         "tests/test_multiplex.py::test_matching_rmux_matches_old_regrow",
+         "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
     ),
     Mutant(
         "sample-p-unchecked", "src/ballistic/multiplex.py",
@@ -533,6 +542,13 @@ MUTANTS = (
         "z_flip = 0.0",
         ("tests/test_cli.py::"
          "test_every_parameter_changes_metrics_or_is_rejected[crazy-teleport]",),
+    ),
+    # -- cli: a short pool run spreads its trials over every worker
+    Mutant(
+        "pool-chunk-fixed", "src/ballistic/cli.py",
+        'chunk = max(1, cfg["trials"] // (4 * cfg["threads"]))',
+        "chunk = 8",
+        ("tests/test_cli.py::test_short_pool_run_reaches_every_worker",),
     ),
     # -- cli: config checks, malformed results and atomic writes
     Mutant(

@@ -418,8 +418,10 @@ def run_experiment(cfg: dict) -> dict:
     if cfg["threads"] == 1:
         results = list(map(trial, range(cfg["trials"])))
     else:
+        # about four chunks per worker, so a short run reaches every worker
+        chunk = max(1, cfg["trials"] // (4 * cfg["threads"]))
         with concurrent.futures.ProcessPoolExecutor(cfg["threads"]) as pool:
-            results = list(pool.map(trial, range(cfg["trials"]), chunksize=8))
+            results = list(pool.map(trial, range(cfg["trials"]), chunksize=chunk))
     wall = time.perf_counter() - t0
 
     paths = {

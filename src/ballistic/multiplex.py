@@ -3,9 +3,13 @@
 Covers the one law of a heralded source tried several times (a block of
 2^S time bins, or a cascaded "dump the pump" source of K crystals), a
 binary switched-delay network with collision accounting, relative-time
-multiplexing (the sliding-window plan, as swept and as routed), and the
-switch noise cost model mapping extinction ratio to a worst-case Pauli-Z
-rate.
+multiplexing, and the switch noise cost model mapping extinction ratio to
+a worst-case Pauli-Z rate.
+
+Relative-time multiplexing is one sliding sweep (`_sliding_sweep`) and one
+route (`_route`, which also returns its collision log): `yield_curve` runs
+them on photon-bin arrays, and the pair-list API wraps them, with
+`matching_rmux` the `delivered_pairs` of `sliding_window_match`.
 """
 
 from __future__ import annotations
@@ -107,18 +111,19 @@ def extinction_to_z_error(extinction_db: float) -> float:
 # -- delay-network transit --------------------------------------------------
 
 
-def _route(bins, delays, stage_count: int, log):
+def _route(bins, delays, stage_count: int):
     """Send photons at ascending `bins` through a binary delay cascade.
 
     At stage s a photon takes the delay branch iff bit s of its delay is
     set; delays must lie in [0, 2^stage_count).  Photons meeting in the
     same branch of a stage at the same time, or on the same output bin, are
-    all dropped.  Returns the survivors' ascending indices into `bins` and
-    their output times.  When `log` is a list, collision events are
-    appended stage by stage, and within a stage in the order of each
-    group's lowest input bin.
+    all dropped.  Returns the survivors' ascending indices into `bins`,
+    their output times and the collision events (label, time, input bins),
+    stage by stage, and within a stage in the order of each group's lowest
+    input bin.
     """
     pos, t, d = np.arange(len(bins)), bins, delays
+    log = []
     # the output is one more stage, on which no delay bit is set
     for s in range(stage_count + 1):
         branch = d & 1
@@ -130,16 +135,16 @@ def _route(bins, delays, stage_count: int, log):
             continue
         keep = np.ones(len(pos), dtype=bool)
         keep[order[1:][same]] = keep[order[:-1][same]] = False
-        if log is not None:
-            groups: dict[int, list[int]] = {}
-            for k, b in zip(key[~keep].tolist(), bins[pos[~keep]].tolist()):
-                groups.setdefault(k, []).append(b)
-            for k, members in groups.items():
-                label = f"stage-{s}-{'delay' if k & 1 else 'pass'}"
-                label = "output" if s == stage_count else label
-                log.append((label, k >> 1, tuple(members)))
+        groups: dict[int, list[int]] = {}
+        for k, b in zip(key[~keep].tolist(), bins[pos[~keep]].tolist()):
+            groups.setdefault(k, []).append(b)
+        for k, members in groups.items():
+            label = f"stage-{s}-{'delay' if k & 1 else 'pass'}"
+            label = "output" if s == stage_count else label
+            log.append((label, k >> 1, tuple(members)))
         pos, t, d = pos[keep], t[keep], d[keep]
-    return pos, t
+    assert len(bins) == len(pos) + sum(len(m) for _lbl, _t, m in log)
+    return pos, t, log
 
 
 def route_with_delays(stream: PhotonStream, assignments, network: DelayNetwork):
@@ -165,43 +170,13 @@ def route_with_delays(stream: PhotonStream, assignments, network: DelayNetwork):
     routed = [d is not None for d in delays]
     bins = np.array(stream.photon_bins, dtype=np.int64)[routed]
     delays = np.fromiter(compress(delays, routed), dtype=np.int64)
-    collisions = []
-    survivors, times = _route(bins, delays, network.stage_count, collisions)
+    _survivors, times, collisions = _route(bins, delays, network.stage_count)
     occ = np.zeros(max(stream.bin_count, times.max(initial=-1) + 1), dtype=bool)
     occ[times] = True
-    out = PhotonStream(tuple(occ.tolist()))
-    dropped = sum(len(m) for _lbl, _t, m in collisions)
-    assert len(bins) == len(survivors) + dropped
-    return out, collisions
+    return PhotonStream(tuple(occ.tolist())), collisions
 
 
 # -- relative-time multiplexing ---------------------------------------------
-
-
-def _matcher_bins(stream_a, stream_b, max_delay):
-    """Check a matcher's max_delay; returns both streams' photon bins."""
-    if max_delay < 0:
-        raise SpecError("max_delay must be >= 0")
-    return (np.array(stream_a.photon_bins, dtype=np.int64),
-            np.array(stream_b.photon_bins, dtype=np.int64))
-
-
-def _window_match(items, slots, low: int, high: int):
-    """Match ascending `items` in turn, each to the earliest of the ascending
-    `slots` in [item + low, item + high] that lies above every slot taken or
-    passed over before.  Returns the matched item and slot indices."""
-    lo = np.searchsorted(slots, items + low).tolist()
-    hi = np.searchsorted(slots, items + high, "right").tolist()
-    matched_items, matched_slots = [], []
-    x = 0
-    for k in range(len(lo)):
-        if x < lo[k]:
-            x = lo[k]
-        if x < hi[k]:
-            matched_items.append(k)
-            matched_slots.append(x)
-            x += 1
-    return matched_items, matched_slots
 
 
 def _sliding_sweep(a, b, max_delay):
@@ -226,7 +201,17 @@ def _sliding_sweep(a, b, max_delay):
     same reason.  So the leftover sweep is C, P and C together are the
     sweep again, and routing them delivers P once more.
     """
-    ia, ib = _window_match(a, b, 0, max_delay)
+    lo = np.searchsorted(b, a).tolist()
+    hi = np.searchsorted(b, a + max_delay, "right").tolist()
+    ia, ib = [], []
+    x = 0  # the first B photon not taken or passed over
+    for k in range(len(lo)):
+        if x < lo[k]:
+            x = lo[k]
+        if x < hi[k]:
+            ia.append(k)
+            ib.append(x)
+            x += 1
     return a[ia], b[ib]
 
 
@@ -242,8 +227,10 @@ def sliding_window_match(
     of stream B that come up first have no one left to meet them and are
     discarded in turn.
     """
-    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay)
-    pa, pb = _sliding_sweep(a_bins, b_bins, max_delay)
+    if max_delay < 0:
+        raise SpecError("max_delay must be >= 0")
+    a, b = (np.array(s.photon_bins, dtype=np.int64) for s in (stream_a, stream_b))
+    pa, pb = _sliding_sweep(a, b, max_delay)
     return [MatchedPair(x, y) for x, y in zip(pa.tolist(), pb.tolist())]
 
 
@@ -271,18 +258,15 @@ def matching_rmux(
     iff 0 <= t_b - t_a <= max_delay, routed through a delay network of
     `max_delay.bit_length()` stages.  Collisions are a planning problem
     here, since the matcher sets every switch before any photon is sent.
-    The plan is the sliding-window plan, a maximum matching, pruned to the
-    pairs that route; re-matching the photons that pruning frees never adds
-    a pair (see `_sliding_sweep`).  It is deliverable as-is and equals the
-    pairs `delivered_pairs` keeps of `sliding_window_match`.
+    The plan is the pairs `delivered_pairs` keeps of `sliding_window_match`:
+    the sliding-window plan, a maximum matching, pruned to the pairs that
+    route, so it is deliverable as-is.  Re-matching the photons that pruning
+    frees never adds a pair (see `_sliding_sweep`).
     """
-    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay)
     # the network rejects more stages than routing's int64 times allow
-    S = DelayNetwork(max_delay.bit_length()).stage_count
-    pa, pb = _sliding_sweep(a_bins, b_bins, max_delay)
-    kept, _times = _route(pa, pb - pa, S, None)
-    pa, pb = pa[kept].tolist(), pb[kept].tolist()
-    return [MatchedPair(x, y) for x, y in zip(pa, pb)]
+    network = DelayNetwork(max_delay.bit_length())
+    pairs = sliding_window_match(stream_a, stream_b, max_delay)
+    return delivered_pairs(stream_a, pairs, network)[0]
 
 
 def pair_yield(pairs, bin_count: int) -> float:
@@ -314,9 +298,7 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
         a = np.flatnonzero(bernoulli(rng, bin_count, p))
         b = np.flatnonzero(bernoulli(rng, bin_count, p))
         pa, pb = _sliding_sweep(a, b, D)
-        collisions = []
-        kept, _times = _route(pa, pb - pa, S, collisions)
-        assert len(pa) == len(kept) + sum(len(m) for _lbl, _t, m in collisions)
+        kept, _times, collisions = _route(pa, pb - pa, S)
         delivered = pair_yield(kept, bin_count)
         rows.append(
             {

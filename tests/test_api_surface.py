@@ -28,10 +28,9 @@ import ballistic
 SRC = Path(ballistic.__file__).parent
 
 KEEP = {
-    # span targets that perfbench installs by name; retire them with a
+    # a span target that perfbench installs by name (it reads
+    # `sliding_window_match` and `delivered_pairs`); retire it with a
     # benchmark change that retargets those spans
-    "sliding_window_match",
-    "delivered_pairs",
     "matching_rmux",
     # the stream draw of that pair-list API, which its tests and the
     # multiplex golden's routing cases draw through; it goes with the API

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import random
@@ -259,6 +260,26 @@ def test_run_outputs_are_reproducible(tmp_path):
     assert [r["trial"] for r in records] == [0, 1, 2]
     assert all(set(r["metrics"]) == {"span", "span_punched", "largest_fraction"}
                for r in records)
+
+
+def test_short_pool_run_reaches_every_worker(tmp_path, monkeypatch):
+    """A 4-trial run at two workers runs its trials in two processes.
+
+    Each trial waits for a trial in another worker to reach the barrier, so
+    a run whose trials all go to one worker times out there.  The workers
+    are forked, so they see the patched registry and share the barrier."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched trial reaches forked workers only")
+    barrier = multiprocessing.Barrier(2, timeout=10)
+
+    def trial(params, rng):
+        barrier.wait()
+        return {"pid": os.getpid()}
+
+    monkeypatch.setitem(SCENARIOS["wafer-span"], "trial", trial)
+    cfg = validate_config(good_config(trials=4, threads=2, out=str(tmp_path)))
+    _, records = read_results(run_experiment(cfg)["results"])
+    assert len({r["metrics"]["pid"] for r in records}) == 2
 
 
 def test_failed_write_leaves_old_outputs(tmp_path, monkeypatch):
@@ -576,7 +597,7 @@ def test_run_contract_on_random_configs(tmp_path, scenario, case):
     workers; trial i's record is the same in a run of i + 1 trials; and it
     is the scenario's trial on the stream keyed by (seed, i)."""
     r = random.Random(f"{scenario}/{case}")
-    # more trials than one pool chunk of 8, so two workers share a run
+    # several pool chunks per worker, so the workers of a run share it
     trials = r.randint(9, 24)
     config = {"scenario": scenario, "seed": r.randrange(2**64), "trials": trials,
               "params": RANDOM_PARAMS[scenario](r)}

@@ -24,7 +24,7 @@ from ballistic.multiplex import (
     standard_mux_pair_yield,
     yield_curve,
 )
-from ballistic.multiplex import _matcher_bins, _route, _sliding_sweep, _window_match
+from ballistic.multiplex import _route, _sliding_sweep
 from ballistic.rng import trial_rng
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -176,7 +176,7 @@ def test_matching_dominates_sliding_fuzz():
         assert sliding == plain_sliding_match(a.photon_bins, b.photon_bins, 7)
         kept, _ = delivered_pairs(a, sliding, net)
         matched = matching_rmux(a, b, 7)
-        assert len(matched) >= len(kept)
+        assert matched == kept
         # the matched plan routes collision-free as promised
         again, coll = delivered_pairs(a, matched, net)
         assert len(again) == len(matched)
@@ -188,6 +188,10 @@ def test_matching_dominates_sliding_fuzz():
 # -- the matcher as it was, when it re-matched the photons pruning freed ----
 
 
+def photon_bins(s):
+    return np.array(s.photon_bins, dtype=np.int64)
+
+
 def _old_greedy_interval_matching(a_bins, b_bins, max_delay):
     """Maximum matching for pairs with 0 <= t_b - t_a <= max_delay.
 
@@ -196,16 +200,18 @@ def _old_greedy_interval_matching(a_bins, b_bins, max_delay):
     width, so the exchange argument applies: any matching can be reordered
     so the earliest b takes the earliest compatible a without losing pairs,
     hence the greedy sweep attains maximum cardinality.  Takes and returns
-    ascending bin arrays.
+    ascending bin arrays.  The window [b - max_delay, b] of each b photon is
+    the sliding sweep's window of b - max_delay, so this is that sweep with
+    the b photons moved max_delay bins earlier and back.
     """
-    ib, ia = _window_match(b_bins, a_bins, -max_delay, 0)
-    return a_bins[ia], b_bins[ib]
+    pb, pa = _sliding_sweep(b_bins - max_delay, a_bins, max_delay)
+    return pa, pb + max_delay
 
 
 def _old_deliverable(pa, pb, stage_count: int):
     """The pairs of a plan whose delayed photons route collision-free."""
     order = np.argsort(pa)
-    kept, _ = _route(pa[order], (pb - pa)[order], stage_count, None)
+    kept, _times, _collisions = _route(pa[order], (pb - pa)[order], stage_count)
     keep = np.sort(order[kept])  # in plan order
     return pa[keep], pb[keep]
 
@@ -254,7 +260,7 @@ def old_matching_rmux(
     that survive routing.  The returned set is deliverable as-is and never
     smaller than the delivered sliding-window set.
     """
-    a_bins, b_bins = _matcher_bins(stream_a, stream_b, max_delay)
+    a_bins, b_bins = photon_bins(stream_a), photon_bins(stream_b)
     # the network rejects more stages than routing's int64 times allow
     S = DelayNetwork(max_delay.bit_length()).stage_count
     sliding = _old_deliverable(*_sliding_sweep(a_bins, b_bins, max_delay), S)
@@ -297,7 +303,7 @@ def test_matching_rmux_matches_old_regrow():
         )
     for sa, sb, D in cases:
         assert matching_rmux(sa, sb, D) == old_matching_rmux(sa, sb, D)
-        pa, pb = _sliding_sweep(*_matcher_bins(sa, sb, D), D)
+        pa, pb = _sliding_sweep(photon_bins(sa), photon_bins(sb), D)
         assert list(zip(pa.tolist(), pb.tolist())) == plain_greedy_by_b(
             sa.photon_bins, sb.photon_bins, D
         )
