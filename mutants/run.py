@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 77 mutants take
+Run from the repository root (standard library only; the 76 mutants take
 about 40 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -590,23 +590,18 @@ MUTANTS = (
         ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",),
     ),
     Mutant(
-        "run-write-error-escapes", "src/ballistic/cli.py",
-        "    except OSError as exc:\n        raise SpecError(f\"cannot write outputs",
-        "    except KeyError as exc:\n        raise SpecError(f\"cannot write outputs",
+        "write-error-escapes", "src/ballistic/cli.py",
+        "    except OSError as exc:\n        raise SpecError(f\"cannot write {what}",
+        "    except KeyError as exc:\n        raise SpecError(f\"cannot write {what}",
         ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",
          "tests/test_cli.py::test_failed_write_leaves_old_outputs"),
-    ),
-    Mutant(
-        "figure-write-error-escapes", "src/ballistic/cli.py",
-        "    except OSError as exc:\n        raise SpecError(f\"cannot write figure",
-        "    except KeyError as exc:\n        raise SpecError(f\"cannot write figure",
-        ("tests/test_cli.py::test_bad_output_path_exits_2_with_one_line",),
     ),
     Mutant(
         "outputs-written-in-place", "src/ballistic/cli.py",
         'tmp = {key: f"{path}.{os.getpid()}.tmp" for key, path in paths.items()}',
         "tmp = dict(paths)",
-        ("tests/test_cli.py::test_failed_write_leaves_old_outputs",),
+        ("tests/test_cli.py::test_failed_write_leaves_old_outputs",
+         "tests/test_cli.py::test_failed_figure_write_leaves_old_figure"),
     ),
 )
 

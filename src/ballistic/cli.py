@@ -34,12 +34,7 @@ from .errors import BallisticError, SpecError
 from .fusion import FusionParams
 from .losstol import CrazyGraphSpec, simulate_teleport, teleport_success_prob
 from .multiplex import herald_success_prob, yield_curve
-from .percolation import (
-    crossing_exists,
-    crossings,
-    largest_component_fraction,
-    square_lattice_crosses,
-)
+from .percolation import crossing_exists, crossings, raw_span, square_lattice_crosses
 from .rng import bernoulli, trial_rng
 
 CONFIG_VERSION = 1
@@ -134,10 +129,11 @@ def _mux_law(means: dict, params: dict):
 
 def wafer_span_trial(params: dict, rng) -> dict:
     lat = build_wafer(_wafer_spec(params), rng=rng)
+    span, largest = raw_span(lat)
     return {
-        "span": float(crossing_exists(lat)),
+        "span": float(span),
         "span_punched": float(crossing_exists(lat, punched=True)),
-        "largest_fraction": largest_component_fraction(lat),
+        "largest_fraction": largest,
     }
 
 
@@ -391,8 +387,12 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
+# the config keys that fix a run's results, hashed and written to their header
+_HASHED_KEYS = ("version", "scenario", "seed", "trials", "params")
+
+
 def config_hash(cfg: dict) -> str:
-    hashed = {k: cfg[k] for k in ("version", "scenario", "seed", "trials", "params")}
+    hashed = {k: cfg[k] for k in _HASHED_KEYS}
     blob = json.dumps(hashed, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -424,45 +424,45 @@ def run_experiment(cfg: dict) -> dict:
             results = list(pool.map(trial, range(cfg["trials"]), chunksize=chunk))
     wall = time.perf_counter() - t0
 
-    paths = {
-        key: os.path.join(cfg["out"], name)
-        for key, name in (
-            ("results", "results.jsonl"),
-            ("summary", "summary.csv"),
-            ("meta", "run_meta.json"),
-        )
-    }
-    # Each file is written beside its target and all three are moved into
-    # place once written, so a failure leaves no partial file and no new
-    # results.jsonl next to an old summary.csv.
+    def write_results(f):
+        header = {"config": {k: cfg[k] for k in _HASHED_KEYS}, "config_hash": h}
+        f.write(json.dumps(header, sort_keys=True) + "\n")
+        for t, metrics in enumerate(results):
+            rec = {"config_hash": h, "seed": cfg["seed"], "trial": t, "metrics": metrics}
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
+
+    def write_meta(f):
+        meta = {"config_hash": h, "wall_seconds": wall, "threads": cfg["threads"]}
+        f.write(json.dumps(meta, sort_keys=True) + "\n")
+
+    return _write_files(cfg["out"], "outputs", {
+        "results": ("results.jsonl", write_results),
+        "summary": ("summary.csv", lambda f: _write_summary(f, results)),
+        "meta": ("run_meta.json", write_meta),
+    })
+
+
+def _write_files(out_dir: str, what: str, files: dict) -> dict:
+    """Write `files`, each key mapped to (name, write(fileobj)), into
+    `out_dir`, created if missing; returns each key's path.
+
+    Each file is written beside its target and all are moved into place
+    once written, so a failure leaves no partial file and no new file next
+    to an old one.  Outputs that cannot be written raise SpecError."""
+    paths = {key: os.path.join(out_dir, name) for key, (name, _) in files.items()}
     tmp = {key: f"{path}.{os.getpid()}.tmp" for key, path in paths.items()}
     try:
-        os.makedirs(cfg["out"], exist_ok=True)
-        with open(tmp["results"], "w") as f:
-            header = {
-                "config": {k: cfg[k] for k in ("version", "scenario", "seed", "trials", "params")},
-                "config_hash": h,
-            }
-            f.write(json.dumps(header, sort_keys=True) + "\n")
-            for t, metrics in enumerate(results):
-                rec = {"config_hash": h, "seed": cfg["seed"], "trial": t, "metrics": metrics}
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-        with open(tmp["summary"], "w") as f:
-            _write_summary(f, results)
-        with open(tmp["meta"], "w") as f:
-            json.dump(
-                {"config_hash": h, "wall_seconds": wall, "threads": cfg["threads"]},
-                f,
-                sort_keys=True,
-            )
-            f.write("\n")
+        os.makedirs(out_dir, exist_ok=True)
+        for key, (_, write) in files.items():
+            with open(tmp[key], "w") as f:
+                write(f)
         for key, path in paths.items():
             os.replace(tmp[key], path)
     except OSError as exc:
-        raise SpecError(f"cannot write outputs to {cfg['out']!r}: {exc}") from exc
+        raise SpecError(f"cannot write {what} to {out_dir!r}: {exc}") from exc
     finally:
         for path in tmp.values():
-            # not written, or `out` is not a directory
+            # not written, or `out_dir` is not a directory
             with contextlib.suppress(FileNotFoundError, NotADirectoryError):
                 os.remove(path)
     return paths
@@ -522,7 +522,7 @@ def _metric_means(records: list[dict], path: str) -> dict:
     return means
 
 
-def svg_line_chart(series: dict, path: str) -> None:
+def svg_line_chart(series: dict) -> str:
     """Minimal dependency-free polyline chart (one color per series)."""
     width, height, pad = 640, 400, 50
     xs_all = [x for xs, _ in series.values() for x in xs]
@@ -558,8 +558,7 @@ def svg_line_chart(series: dict, path: str) -> None:
         f'<text x="{pad}" y="{pad-10}" font-size="12">y: {y_lo:.4g} .. {y_hi:.4g}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
@@ -581,25 +580,21 @@ def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
             f"results file {results_path} has no {exc.args[0]!r}, "
             f"which figure {figure_id!r} needs"
         ) from exc
-    csv_path = os.path.join(out_dir, f"{figure_id}.csv")
-    svg_path = os.path.join(out_dir, f"{figure_id}.svg")
     xs = [float(r[0]) for r in rows]
     series = {
         cols[i]: (xs, [float(r[i]) for r in rows]) for i in range(1, len(cols))
     }
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(csv_path, "w") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow(
-                    [row[0]] + [f"{v:.10g}" for v in row[1:]]
-                )
-        svg_line_chart(series, svg_path)
-    except OSError as exc:
-        raise SpecError(f"cannot write figure files to {out_dir!r}: {exc}") from exc
-    return {"csv": csv_path, "svg": svg_path}
+
+    def write_csv(f):
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([row[0]] + [f"{v:.10g}" for v in row[1:]])
+
+    return _write_files(out_dir, "figure files", {
+        "csv": (f"{figure_id}.csv", write_csv),
+        "svg": (f"{figure_id}.svg", lambda f: f.write(svg_line_chart(series))),
+    })
 
 
 # -- entry point -------------------------------------------------------------
@@ -655,10 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--trials", type=int)
-    p_run.add_argument("--threads", type=int)
-    p_run.add_argument("--out")
+    for key, default in _RUN_DEFAULTS.items():
+        p_run.add_argument(f"--{key}", type=type(default))
     p_run.set_defaults(fn=_cmd_run)
 
     p_fig = sub.add_parser("figure", help="emit figure CSV/SVG from results")

@@ -48,14 +48,8 @@ def _labels(comps: list[CompLattice], punched: bool):
     return connected_components(m, directed=False)[1], alive
 
 
-def crossings(lattices, punched: bool = False) -> list[bool]:
-    """Whether each lattice has a path of alive nodes from layer 0 to layer
-    nz - 1.  The lattices must share one shape; one labelling answers them
-    all, since no component spans two of them."""
-    comps = [lat.comp for lat in lattices]
-    if not comps:
-        return []
-    labels, alive = _labels(comps, punched)
+def _crossed(comps: list[CompLattice], labels, alive):
+    """Whether each of `comps` crosses in z, read off `_labels(comps, ...)`."""
     c = comps[0]
     shape = (len(comps), c.nx, c.ny, c.nz, 2)
     lab = labels.reshape(shape)
@@ -65,16 +59,29 @@ def crossings(lattices, punched: bool = False) -> list[bool]:
     return crossed.reshape(len(comps), -1).any(axis=1).tolist()
 
 
+def crossings(lattices, punched: bool = False) -> list[bool]:
+    """Whether each lattice has a path of alive nodes from layer 0 to layer
+    nz - 1.  The lattices must share one shape; one labelling answers them
+    all, since no component spans two of them."""
+    comps = [lat.comp for lat in lattices]
+    if not comps:
+        return []
+    return _crossed(comps, *_labels(comps, punched))
+
+
 def crossing_exists(lattice, punched: bool = False) -> bool:
     return crossings([lattice], punched)[0]
 
 
-def largest_component_fraction(lattice) -> float:
-    labels, alive = _labels([lattice.comp], False)
+def raw_span(lattice) -> tuple[bool, float]:
+    """Whether the raw (unpunched) lattice crosses, as `crossing_exists`
+    answers, and the share of its alive nodes in its largest component
+    (0.0 with none alive), both from one labelling."""
+    comps = [lattice.comp]
+    labels, alive = _labels(comps, False)
     total = int(alive.sum())
-    if total == 0:
-        return 0.0
-    return float(np.bincount(labels[alive]).max()) / total
+    largest = float(np.bincount(labels[alive]).max()) / total if total else 0.0
+    return _crossed(comps, labels, alive)[0], largest
 
 
 # -- square-lattice bond percolation ---------------------------------------

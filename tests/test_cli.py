@@ -300,6 +300,31 @@ def test_failed_write_leaves_old_outputs(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_failed_figure_write_leaves_old_figure(tmp_path, monkeypatch):
+    """A figure whose SVG cannot be written leaves the CSV and SVG of an
+    earlier figure in the same directory as they were, and no temporary
+    file."""
+    out = tmp_path / "fig"
+    results = []
+    for seed in (3, 4):
+        cfg = good_config(
+            scenario="mux-yield", seed=seed, trials=2, out=str(tmp_path / f"run{seed}"),
+            params={"bins": 200, "s_values": [0, 1, 2]},
+        )
+        results.append(run_experiment(validate_config(cfg))["results"])
+    emit_figure_data(results[0], "fig4-yields", str(out))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"fig4-yields.csv", "fig4-yields.svg"}
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "svg_line_chart", fail)
+    with pytest.raises(SpecError, match="cannot write figure files.*disk full"):
+        emit_figure_data(results[1], "fig4-yields", str(out))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_cli_run_and_figure_round_trip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -28,7 +28,7 @@ from ballistic.percolation import (
     crossing_exists,
     crossings,
     find_paths_windowed,
-    largest_component_fraction,
+    raw_span,
     square_lattice_crosses,
     sustained_layers,
 )
@@ -68,10 +68,10 @@ def test_crossing_respects_punched_flags():
 def test_largest_component_fraction():
     lat = chain_lattice(4, broken_at=1)
     # alive: 8 nodes; the larger primal fragment has 2 nodes
-    assert largest_component_fraction(lat) == pytest.approx(2 / 8)
+    assert raw_span(lat) == (False, pytest.approx(2 / 8))
     empty = chain_lattice(2)
     empty.comp.alive[:] = False
-    assert largest_component_fraction(empty) == 0.0
+    assert raw_span(empty) == (False, 0.0)
 
 
 def _old_labels(comp, punched):
@@ -151,7 +151,8 @@ def _labelling_cases():
 
 def test_crossings_match_old_labelling():
     """One labelling of each list answers as one old `coo_matrix` labelling
-    per lattice, along z, raw and punched."""
+    per lattice, along z, raw and punched, and `raw_span`'s one raw
+    labelling of a lattice gives the old raw crossing and largest component."""
     cases = list(_labelling_cases())
     assert sum(map(len, cases)) >= 200
     for lats, punched in itertools.product(cases, (False, True)):
@@ -160,8 +161,9 @@ def test_crossings_match_old_labelling():
         assert [crossing_exists(lat, punched) for lat in lats] == want
     for lats in cases:
         for lat in lats:
-            assert largest_component_fraction(lat) == (
-                _old_largest_component_fraction(lat.comp, False)
+            assert raw_span(lat) == (
+                _old_crossing_exists(lat.comp, "z", False),
+                _old_largest_component_fraction(lat.comp, False),
             )
 
 
