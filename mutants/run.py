@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 76 mutants take
+Run from the repository root (standard library only; the 78 mutants take
 about 40 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -70,11 +70,11 @@ GRAPH_TESTS = "tests/test_graphstate.py::"
 ORACLE_AGREES = "tests/test_builder.py::test_build_modes_agree"
 PERCOLATION = "src/ballistic/percolation.py"
 CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
-PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden",
-               "tests/test_percolation.py::test_router_matches_old_router")
 REACH_CASES = "tests/test_percolation.py::test_reach_score_lead_checks_and_best_first_search"
 ROUTER_LEADS = "tests/test_percolation.py::test_reach_score_on_router_shaped_leads"
+# routes as the old router does, with every kept witness checked
 KEPT_WITNESSES = "tests/test_percolation.py::test_router_keeps_witnesses_that_need_no_check"
+PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden", KEPT_WITNESSES)
 REACH_AGREES = (REACH_CASES, ROUTER_LEADS)
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
@@ -258,8 +258,7 @@ MUTANTS = (
         "reach-tip-step-enters-hop", PERCOLATION,
         "if layer[w] == z_hi and w not in used and w not in hop:",
         "if layer[w] == z_hi and w not in used:",
-        (REACH_CASES, ROUTER_LEADS,
-         "tests/test_percolation.py::test_router_matches_old_router"),
+        (REACH_CASES, ROUTER_LEADS, KEPT_WITNESSES),
     ),
     Mutant(
         "reach-tip-step-enters-used", PERCOLATION,
@@ -292,7 +291,7 @@ MUTANTS = (
         "trail-hop-check-dropped", PERCOLATION,
         "            if at.get(h, -1) > j:\n",
         "            if at.get(h, -1) > len(self.nodes):\n",
-        (REACH_CASES, "tests/test_percolation.py::test_router_matches_old_router"),
+        (REACH_CASES, KEPT_WITNESSES),
     ),
     Mutant(
         "trail-low-check-dropped", PERCOLATION,
@@ -555,6 +554,18 @@ MUTANTS = (
         "figure-header-unchecked", "src/ballistic/cli.py",
         'cfg = validate_config(dict(header["config"], out=out_dir))',
         'cfg = dict(header["config"], out=out_dir)',
+        ("tests/test_cli.py::test_figure_on_malformed_results_exits_2_without_traceback",),
+    ),
+    Mutant(
+        "results-header-unchecked", "src/ballistic/cli.py",
+        "if not (isinstance(rec, dict) and isinstance(rec.get(key), dict)):",
+        "if count and not (isinstance(rec, dict) and isinstance(rec.get(key), dict)):",
+        ("tests/test_cli.py::test_read_results_errors",),
+    ),
+    Mutant(
+        "missing-metric-kept", "src/ballistic/cli.py",
+        "        for k in columns.keys() - metrics.keys():\n            del columns[k]\n",
+        "",
         ("tests/test_cli.py::test_figure_on_malformed_results_exits_2_without_traceback",),
     ),
     Mutant(

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+from array import array
 
 import numpy as np
 
@@ -423,6 +424,7 @@ def run_experiment(cfg: dict) -> dict:
         with concurrent.futures.ProcessPoolExecutor(cfg["threads"]) as pool:
             results = list(pool.map(trial, range(cfg["trials"]), chunksize=chunk))
     wall = time.perf_counter() - t0
+    columns = _metric_columns(results, os.path.join(cfg["out"], "results.jsonl"))
 
     def write_results(f):
         header = {"config": {k: cfg[k] for k in _HASHED_KEYS}, "config_hash": h}
@@ -437,7 +439,7 @@ def run_experiment(cfg: dict) -> dict:
 
     return _write_files(cfg["out"], "outputs", {
         "results": ("results.jsonl", write_results),
-        "summary": ("summary.csv", lambda f: _write_summary(f, results)),
+        "summary": ("summary.csv", lambda f: _write_summary(f, columns)),
         "meta": ("run_meta.json", write_meta),
     })
 
@@ -468,11 +470,10 @@ def _write_files(out_dir: str, what: str, files: dict) -> dict:
     return paths
 
 
-def _write_summary(fileobj, metric_rows: list[dict]) -> None:
+def _write_summary(fileobj, columns: dict) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["metric", "mean", "std", "stderr", "count"])
-    for key in sorted(metric_rows[0]):
-        vals = np.array([row[key] for row in metric_rows], dtype=float)
+    for key, vals in sorted(columns.items()):
         mean = vals.mean()
         std = vals.std(ddof=1) if len(vals) > 1 else 0.0
         stderr = std / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
@@ -481,45 +482,50 @@ def _write_summary(fileobj, metric_rows: list[dict]) -> None:
         )
 
 
-def read_results(path: str) -> tuple[dict, list[dict]]:
+def _metric_columns(metric_dicts, path: str) -> dict:
+    """One float64 column per metric that every dict holds, dropped the first
+    time a dict lacks it.  A value that is not a number raises SpecError."""
+    columns = None
+    for metrics in metric_dicts:
+        if columns is None:
+            columns = {k: array("d") for k in metrics}
+        for k in columns.keys() - metrics.keys():
+            del columns[k]
+        for k, v in metrics.items():
+            try:
+                (columns[k] if k in columns else array("d")).append(v)
+            except TypeError:
+                raise SpecError(f"results file {path} has a non-numeric {k!r}") from None
+    return {k: np.frombuffer(col) for k, col in columns.items()}
+
+
+def read_results(path: str):
+    """Yield a results file's config header, then each trial record, reading
+    and checking one line at a time."""
+    count = 0
     try:
         with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
+            for number, ln in enumerate(f, 1):
+                if not ln.strip():
+                    continue
+                rec = json.loads(ln)
+                key = "metrics" if count else "config"
+                if not (isinstance(rec, dict) and isinstance(rec.get(key), dict)):
+                    if not count:
+                        raise SpecError(f"results file {path} has no config header")
+                    raise SpecError(f"results file {path} has a trial record without metrics")
+                count += 1
+                yield rec
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"results file {path} line {number} is not JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read results {path}: {exc}") from exc
-    parsed = []
-    for number, ln in enumerate(lines, 1):
-        if not ln.strip():
-            continue
-        try:
-            parsed.append(json.loads(ln))
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"results file {path} line {number} is not JSON: {exc}") from exc
-    if not parsed:
-        raise SpecError(f"results file {path} is empty")
-    header, records = parsed[0], parsed[1:]
-    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
-        raise SpecError(f"results file {path} has no config header")
-    if not records:
-        raise SpecError(f"results file {path} contains no trial records")
-    if not all(isinstance(r, dict) and isinstance(r.get("metrics"), dict) for r in records):
-        raise SpecError(f"results file {path} has a trial record without metrics")
-    return header, records
+    if count < 2:
+        what = "contains no trial records" if count else "is empty"
+        raise SpecError(f"results file {path} {what}")
 
 
 # -- figures -----------------------------------------------------------------
-
-
-def _metric_means(records: list[dict], path: str) -> dict:
-    """Mean of each metric that every record holds."""
-    keys = set.intersection(*(set(r["metrics"]) for r in records))
-    means = {}
-    for k in sorted(keys):
-        values = [r["metrics"][k] for r in records]
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise SpecError(f"results file {path} has a non-numeric {k!r}")
-        means[k] = float(np.mean(values))
-    return means
 
 
 def svg_line_chart(series: dict) -> str:
@@ -562,7 +568,8 @@ def svg_line_chart(series: dict) -> str:
 
 
 def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
-    header, records = read_results(results_path)
+    records = read_results(results_path)
+    header = next(records)
     # the header's config passes the checks of a run's config, so every
     # parameter is present, typed and in range, and every list non-empty
     cfg = validate_config(dict(header["config"], out=out_dir))
@@ -572,7 +579,8 @@ def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
             f"no figure {figure_id!r} for {cfg['scenario']!r} results; "
             f"valid: {sorted(figures)}"
         )
-    means = _metric_means(records, results_path)
+    columns = _metric_columns((r["metrics"] for r in records), results_path)
+    means = {k: float(col.mean()) for k, col in columns.items()}
     try:
         cols, rows = figures[figure_id](means, cfg["params"])
     except KeyError as exc:

@@ -1,5 +1,6 @@
 """Experiment harness: config handling, runs, figures, exit codes."""
 
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -255,7 +256,7 @@ def test_run_outputs_are_reproducible(tmp_path):
         with open(paths["results"], "rb") as f:
             blobs.append(f.read())
     assert blobs[0] == blobs[1]
-    header, records = read_results(str(tmp_path / "a" / "results.jsonl"))
+    header, *records = read_results(str(tmp_path / "a" / "results.jsonl"))
     assert header["config"]["scenario"] == "wafer-span"
     assert [r["trial"] for r in records] == [0, 1, 2]
     assert all(set(r["metrics"]) == {"span", "span_punched", "largest_fraction"}
@@ -278,7 +279,7 @@ def test_short_pool_run_reaches_every_worker(tmp_path, monkeypatch):
 
     monkeypatch.setitem(SCENARIOS["wafer-span"], "trial", trial)
     cfg = validate_config(good_config(trials=4, threads=2, out=str(tmp_path)))
-    _, records = read_results(run_experiment(cfg)["results"])
+    _, *records = read_results(run_experiment(cfg)["results"])
     assert len({r["metrics"]["pid"] for r in records}) == 2
 
 
@@ -407,20 +408,58 @@ def test_cli_unknown_figure_id(tmp_path):
 def test_read_results_errors(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    with pytest.raises(SpecError):
-        read_results(str(empty))
+    with pytest.raises(SpecError, match="is empty"):
+        list(read_results(str(empty)))
     headerless = tmp_path / "headerless.jsonl"
     headerless.write_text('{"trial": 0}\n')
-    with pytest.raises(SpecError):
-        read_results(str(headerless))
+    with pytest.raises(SpecError, match="no config header"):
+        list(read_results(str(headerless)))
     garbled = tmp_path / "garbled.jsonl"
     garbled.write_text('{"config": {}}\n\n{"metrics": \n')
     with pytest.raises(SpecError, match=r"garbled\.jsonl line 3 is not JSON"):
-        read_results(str(garbled))
+        list(read_results(str(garbled)))
     metricless = tmp_path / "metricless.jsonl"
     metricless.write_text('{"config": {}}\n{"trial": 0}\n')
     with pytest.raises(SpecError, match="without metrics"):
-        read_results(str(metricless))
+        list(read_results(str(metricless)))
+    recordless = tmp_path / "recordless.jsonl"
+    recordless.write_text('{"config": {}}\n\n')
+    with pytest.raises(SpecError, match="contains no trial records"):
+        list(read_results(str(recordless)))
+    binary = tmp_path / "binary.jsonl"
+    binary.write_bytes(b'{"config": {}}\n\xff\xfe\n')
+    with pytest.raises(SpecError, match=r"cannot read results .*binary\.jsonl"):
+        list(read_results(str(binary)))
+
+
+def test_read_results_streams(tmp_path):
+    """The reader yields each line's record before it reads the next, so
+    the records ahead of a malformed line come out before its error."""
+    path = tmp_path / "results.jsonl"
+    path.write_text('{"config": {}}\n{"metrics": {"a": 1}}\n{not json\n')
+    records = read_results(str(path))
+    assert next(records) == {"config": {}}
+    assert next(records) == {"metrics": {"a": 1}}
+    with pytest.raises(SpecError, match="line 3 is not JSON"):
+        next(records)
+
+
+def test_figure_values_are_summary_means(tmp_path):
+    """A figure's values are the `mean` column of its run's summary.csv."""
+    cfg = validate_config(good_config(
+        scenario="mux-yield", trials=5, out=str(tmp_path),
+        params={"bins": 64, "s_values": [0, 2, 3]},
+    ))
+    paths = run_experiment(cfg)
+    with open(paths["summary"]) as f:
+        means = {row["metric"]: row["mean"] for row in csv.DictReader(f)}
+    figure = emit_figure_data(paths["results"], "fig4-yields", str(tmp_path))
+    with open(figure["csv"]) as f:
+        rows = list(csv.DictReader(f))
+    assert [row["S"] for row in rows] == ["0", "2", "3"]
+    for row in rows:
+        for col in ("standard", "sliding", "matching"):
+            assert row[col] == means[f"{col}_yield_S{row['S']}"]
 
 
 def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys):
@@ -440,6 +479,18 @@ def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys)
     assert main(["figure", str(results), "mux-law"]) == 2
     err = capsys.readouterr().err
     assert "'block_success_S1'" in err and "Traceback" not in err
+    # a metric one record lacks is left out, whichever record holds it
+    results.write_text("\n".join([header, records[0], trimmed[1]]) + "\n")
+    assert main(["figure", str(results), "mux-law"]) == 2
+    err = capsys.readouterr().err
+    assert "has no 'block_success_S1'" in err and "Traceback" not in err
+    # and a value that is not a number is rejected even so
+    rec = json.loads(records[0])
+    rec["metrics"]["block_success_S1"] = "high"
+    results.write_text("\n".join([header, json.dumps(rec), trimmed[1]]) + "\n")
+    assert main(["figure", str(results), "fig4-yields"]) == 2
+    err = capsys.readouterr().err
+    assert "non-numeric 'block_success_S1'" in err and "Traceback" not in err
     results.write_text(header + "\n{not json\n")
     assert main(["figure", str(results), "mux-law"]) == 2
     err = capsys.readouterr().err
@@ -632,9 +683,9 @@ def test_run_contract_on_random_configs(tmp_path, scenario, case):
     }
     assert len(digests) == 1
     i = r.randrange(trials)
-    _, records = read_results(str(tmp_path / "1" / "results.jsonl"))
+    _, *records = read_results(str(tmp_path / "1" / "results.jsonl"))
     scenario_digest(tmp_path / "prefix", dict(config, trials=i + 1))
-    _, prefix = read_results(str(tmp_path / "prefix" / "results.jsonl"))
+    _, *prefix = read_results(str(tmp_path / "prefix" / "results.jsonl"))
 
     def drop_hash(rec):
         return {k: v for k, v in rec.items() if k != "config_hash"}

@@ -712,8 +712,9 @@ def random_wafer(
     return build_wafer(spec, rng=trial_rng(61, i))
 
 
-def test_router_matches_old_router():
-    """Upward-first scores with witness reuse route exactly as before.
+def router_cases():
+    """(lattice, window, wires, punched) cases on which the router must
+    route as the old router does.
 
     Small wafers and random layered graphs cover edge shapes; the large
     lossy wafers, with narrow windows and three wires, are where a
@@ -742,13 +743,7 @@ def test_router_matches_old_router():
                            (7, 5)]
         for window in (1, 3, 9)
     ]
-    for i, (lat, window, wires, punched) in enumerate(cases):
-        state = find_paths_windowed(
-            lat, window=window, wires=wires, punched=punched
-        )
-        want = oracle_find_paths_windowed(lat, window, wires, punched)
-        # repr also tells a numpy integer from a Python int
-        assert repr((state.paths, state.sustained)) == repr(want), i
+    return cases
 
 
 def _random_path(rng, indptr, indices, start, steps, allowed):
@@ -798,13 +793,14 @@ def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
 
 
 def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
-    """Every witness the router keeps holds what `_reach_score` takes on
+    """Upward-first scores with witness reuse route exactly as before, and
+    every witness the router keeps holds what `_reach_score` takes on
     trust: it is simple, its rest keeps out of `used` (so of every hop
     committed since), it lies inside the window it was made in, which is
     at most one layer below the current one, and only its last node sits
     in its top layer.  The trail's index map and layer counts match its
-    live nodes.  Checked at every call over the router's cases, which
-    still route as the old router does."""
+    live nodes.  Checked at every call over `router_cases`, in the one
+    pass that compares the routes with the old router's."""
     calls = [0, 0]  # calls with a live trail, and with the start on it
 
     def checked(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
@@ -834,7 +830,13 @@ def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
         return score, cut, tail
 
     monkeypatch.setattr(percolation, "_reach_score", checked)
-    test_router_matches_old_router()
+    for i, (lat, window, wires, punched) in enumerate(router_cases()):
+        state = find_paths_windowed(
+            lat, window=window, wires=wires, punched=punched
+        )
+        want = oracle_find_paths_windowed(lat, window, wires, punched)
+        # repr also tells a numpy integer from a Python int
+        assert repr((state.paths, state.sustained)) == repr(want), i
     # seen: 37405 calls with a live trail, 19905 of them from a start on it
     assert calls[0] >= 30000 and calls[1] >= 15000, calls
 
