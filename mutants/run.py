@@ -72,9 +72,9 @@ PERCOLATION = "src/ballistic/percolation.py"
 CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
 REACH_CASES = "tests/test_percolation.py::test_reach_score_lead_checks_and_best_first_search"
 ROUTER_LEADS = "tests/test_percolation.py::test_reach_score_on_router_shaped_leads"
-# routes as the old router does, with every kept witness checked
 KEPT_WITNESSES = "tests/test_percolation.py::test_router_keeps_witnesses_that_need_no_check"
-PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden", KEPT_WITNESSES)
+OLD_ROUTES = "tests/test_percolation.py::test_router_matches_old_router"
+PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden", OLD_ROUTES)
 REACH_AGREES = (REACH_CASES, ROUTER_LEADS)
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
@@ -258,7 +258,7 @@ MUTANTS = (
         "reach-tip-step-enters-hop", PERCOLATION,
         "if layer[w] == z_hi and w not in used and w not in hop:",
         "if layer[w] == z_hi and w not in used:",
-        (REACH_CASES, ROUTER_LEADS, KEPT_WITNESSES),
+        (REACH_CASES, ROUTER_LEADS, OLD_ROUTES),
     ),
     Mutant(
         "reach-tip-step-enters-used", PERCOLATION,
@@ -291,7 +291,7 @@ MUTANTS = (
         "trail-hop-check-dropped", PERCOLATION,
         "            if at.get(h, -1) > j:\n",
         "            if at.get(h, -1) > len(self.nodes):\n",
-        (REACH_CASES, KEPT_WITNESSES),
+        (REACH_CASES, OLD_ROUTES),
     ),
     Mutant(
         "trail-low-check-dropped", PERCOLATION,

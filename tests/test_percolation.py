@@ -746,6 +746,17 @@ def router_cases():
     return cases
 
 
+def test_router_matches_old_router():
+    """Upward-first scores with witness reuse route exactly as before."""
+    for i, (lat, window, wires, punched) in enumerate(router_cases()):
+        state = find_paths_windowed(
+            lat, window=window, wires=wires, punched=punched
+        )
+        want = oracle_find_paths_windowed(lat, window, wires, punched)
+        # repr also tells a numpy integer from a Python int
+        assert repr((state.paths, state.sustained)) == repr(want), i
+
+
 def _random_path(rng, indptr, indices, start, steps, allowed):
     """A self-avoiding random walk from `start` through `allowed` nodes,
     without `start` itself."""
@@ -793,14 +804,13 @@ def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
 
 
 def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
-    """Upward-first scores with witness reuse route exactly as before, and
-    every witness the router keeps holds what `_reach_score` takes on
+    """Every witness the router keeps holds what `_reach_score` takes on
     trust: it is simple, its rest keeps out of `used` (so of every hop
     committed since), it lies inside the window it was made in, which is
     at most one layer below the current one, and only its last node sits
     in its top layer.  The trail's index map and layer counts match its
-    live nodes.  Checked at every call over `router_cases`, in the one
-    pass that compares the routes with the old router's."""
+    live nodes.  Checked at every call over `router_cases`; that the
+    routes match the old router's is `test_router_matches_old_router`."""
     calls = [0, 0]  # calls with a live trail, and with the start on it
 
     def checked(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
@@ -830,13 +840,8 @@ def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
         return score, cut, tail
 
     monkeypatch.setattr(percolation, "_reach_score", checked)
-    for i, (lat, window, wires, punched) in enumerate(router_cases()):
-        state = find_paths_windowed(
-            lat, window=window, wires=wires, punched=punched
-        )
-        want = oracle_find_paths_windowed(lat, window, wires, punched)
-        # repr also tells a numpy integer from a Python int
-        assert repr((state.paths, state.sustained)) == repr(want), i
+    for lat, window, wires, punched in router_cases():
+        find_paths_windowed(lat, window=window, wires=wires, punched=punched)
     # seen: 37405 calls with a live trail, 19905 of them from a start on it
     assert calls[0] >= 30000 and calls[1] >= 15000, calls
 
