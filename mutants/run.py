@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 78 mutants take
+Run from the repository root (standard library only; the 82 mutants take
 about 40 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -76,6 +76,7 @@ KEPT_WITNESSES = "tests/test_percolation.py::test_router_keeps_witnesses_that_ne
 OLD_ROUTES = "tests/test_percolation.py::test_router_matches_old_router"
 PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden", OLD_ROUTES)
 REACH_AGREES = (REACH_CASES, ROUTER_LEADS)
+WORD_BOUNDARY = "tests/test_builder.py::test_bernoulli_compares_words_at_the_boundary"
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
                 "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle")
@@ -348,6 +349,27 @@ MUTANTS = (
          "tests/test_cli.py::test_scenario_golden[mux-yield-p1]",
          "tests/test_cli.py::test_scenario_golden[threshold-scan-edges]"),
     ),
+    # -- rng: raw words compared against ceil(p * 2^53) << 11, in chunks;
+    #    only a draw on the boundary tells ceil from floor
+    Mutant(
+        "bernoulli-limit-floor", "src/ballistic/rng.py",
+        "-int(-p * 2.0**53 // 1) << 11",
+        "int(p * 2.0**53 // 1) << 11",
+        (WORD_BOUNDARY,),
+    ),
+    Mutant(
+        "bernoulli-chunk-end-short", "src/ballistic/rng.py",
+        "hi = min(lo + CHUNK, words)",
+        "hi = min(lo + CHUNK - 1, words)",
+        (WORD_BOUNDARY, "tests/test_builder.py::test_bernoulli_matches_plain_draws"),
+    ),
+    Mutant(
+        "bernoulli-chunk-not-redrawn", "src/ballistic/rng.py",
+        "np.less(bitgen.random_raw(hi - lo), limit, out=flat[lo:hi])",
+        "np.less(raw[:hi - lo] if lo else (raw := bitgen.random_raw(hi - lo)),"
+        " limit, out=flat[lo:hi])",
+        (WORD_BOUNDARY, "tests/test_builder.py::test_bernoulli_matches_plain_draws"),
+    ),
     # -- multiplex: the one any-of-k law, the sliding sweep behind the
     #    yield curves, the one route that prunes its plan, the pair-list
     #    matcher composed of the sweep and that route, and the range check
@@ -405,7 +427,16 @@ MUTANTS = (
         "        if not -1.0 <= p <= 2.0:\n            raise SpecError(\"generation",
         ("tests/test_multiplex.py::test_photon_stream_sampling",),
     ),
-    # -- losstol: the fair coin that settles a tied majority vote
+    # -- losstol: column counts that a byte cannot hold, and the fair coin
+    #    that settles a tied majority vote
+    Mutant(
+        "teleport-counts-in-a-byte", "src/ballistic/losstol.py",
+        "    counts = np.empty(len(rows), dtype=np.float32)\n"
+        "    ones = np.ones(L, dtype=np.float32)\n",
+        "    counts = np.empty(len(rows), dtype=np.uint8)\n"
+        "    ones = np.ones(L, dtype=np.uint8)\n",
+        ("tests/test_losstol.py::test_column_counts_match_plain_sums",),
+    ),
     Mutant(
         "tie-coin-biased", "src/ballistic/losstol.py",
         "coin = bernoulli(rng, (trials, N), 0.5)",

@@ -294,13 +294,13 @@ _RUN_DEFAULTS = {"seed": 0, "trials": 100, "threads": 1, "out": "results"}
 MAX_THREADS = 256
 # Size caps, so that a config whose trial would run out of memory fails
 # validation instead; constants for the same reason.  Peak RSS growth of one
-# trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 250 B per wafer
-# cell in wafer-span, 250-365 B per cell in loss-sweep for a lattice that is
-# a build batch of its own (2^18-2^21 cells; smaller lattices are built and
-# labelled in batches of at most builder.BATCH_CELLS cells, under 200 B per
-# batch cell), 25 B per threshold-scan site, 66 B per mux-yield bin and
-# 127 B per crazy-teleport qubit draw, so each cap holds a trial under
-# ~2 GiB.
+# trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 245 B per wafer
+# cell in wafer-span, 195-200 B per cell in loss-sweep for a lattice that is
+# a build batch of its own (2^18-2^20 cells; smaller lattices are built and
+# labelled in batches of at most builder.BATCH_CELLS cells, about 180 B per
+# batch cell), 24 B per threshold-scan site, 51 B per mux-yield bin and
+# 7 B per crazy-teleport qubit draw, so each cap holds a trial under ~1 GiB,
+# within the ~2 GiB the caps were set for.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
 MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites
 MAX_MUX_BINS = 2**24
@@ -484,7 +484,8 @@ def _write_summary(fileobj, columns: dict) -> None:
 
 def _metric_columns(metric_dicts, path: str) -> dict:
     """One float64 column per metric that every dict holds, dropped the first
-    time a dict lacks it.  A value that is not a number raises SpecError."""
+    time a dict lacks it.  A value that is not a number, or an integer too
+    large for a float, raises SpecError."""
     columns = None
     for metrics in metric_dicts:
         if columns is None:
@@ -496,6 +497,8 @@ def _metric_columns(metric_dicts, path: str) -> dict:
                 (columns[k] if k in columns else array("d")).append(v)
             except TypeError:
                 raise SpecError(f"results file {path} has a non-numeric {k!r}") from None
+            except OverflowError:
+                raise SpecError(f"results file {path} has a {k!r} too large for a float") from None
     return {k: np.frombuffer(col) for k, col in columns.items()}
 
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dense import from_graph_register
 from .errors import CapacityError, SpecError
 from .graphstate import GraphRegister, lc_equivalent
-from .rng import bernoulli
+from .rng import CHUNK, bernoulli
 
 
 # -- encoded wire -----------------------------------------------------------
@@ -84,10 +86,12 @@ def simulate_teleport(
     if trials < 1:
         raise SpecError("trials must be >= 1")
     N, L = spec.columns, spec.column_size
-    lost = bernoulli(rng, (trials, N, L), spec.loss)
-    survivors = (~lost).sum(axis=2)
+    kept = ~bernoulli(rng, (trials, N, L), spec.loss)
+    survivors = _column_counts(kept)
     success = (survivors > 0).all(axis=1)
-    flips = (bernoulli(rng, (trials, N, L), spec.z_flip) & ~lost).sum(axis=2)
+    flipped = bernoulli(rng, (trials, N, L), spec.z_flip)
+    flipped &= kept
+    flips = _column_counts(flipped)
     wrong = 2 * flips > survivors
     tie = (2 * flips == survivors) & (survivors > 0)
     coin = bernoulli(rng, (trials, N), 0.5)
@@ -102,6 +106,22 @@ def simulate_teleport(
         int(flip.sum()) / n_success,
         int(tied.sum()) / n_success,
     )
+
+
+def _column_counts(cells: np.ndarray) -> np.ndarray:
+    """True cells per column of a (trials, N, L) bool array, as float32.
+
+    One matrix-vector product per CHUNK cells: exact for L <= 2^24, far
+    faster than a bool sum over a short last axis, and holding 4 B per
+    column plus one chunk."""
+    L = cells.shape[-1]
+    rows = cells.reshape(-1, L)
+    counts = np.empty(len(rows), dtype=np.float32)
+    ones = np.ones(L, dtype=np.float32)
+    step = max(1, CHUNK // L)
+    for lo in range(0, len(rows), step):
+        np.matmul(rows[lo:lo + step], ones, out=counts[lo:lo + step])
+    return counts.reshape(cells.shape[:-1])
 
 
 def exact_flip_prob(L: int, loss: float, z_flip: float) -> float:

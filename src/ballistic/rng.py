@@ -24,8 +24,19 @@ def run_rng(seed: int) -> np.random.Generator:
     return trial_rng(seed, _MASK64)
 
 
+# Words per raw draw when a large array is filled: 256 KB of uint64 at a time.
+CHUNK = 1 << 15
+
+
 def bernoulli(gen: np.random.Generator, shape, p: float) -> np.ndarray:
     """`gen.random(shape) < p`, with the same array and stream position.
+
+    A Philox stream is compared on its raw 64-bit words.  Its `random()` is
+    `(word >> 11) * 2^-53`, so `random() < p` is `word < ceil(p * 2^53) <<
+    11`; both read whole words and leave a spare 32-bit half word alone.  A
+    draw of more than CHUNK words fills its bool array one chunk at a time,
+    so it holds 1 B per draw and one chunk of words, not 8 B per draw of
+    float64 uniforms.
 
     Outside 0 < p < 1 every comparison has a fixed outcome, so a Philox
     stream is moved past the uniforms instead of sampling them: each
@@ -34,12 +45,23 @@ def bernoulli(gen: np.random.Generator, shape, p: float) -> np.ndarray:
     spare 32-bit half word (which `advance` would discard), are sampled.
     """
     bitgen = gen.bit_generator
-    if 0.0 < p < 1.0 or not isinstance(bitgen, np.random.Philox):
+    if not isinstance(bitgen, np.random.Philox):
         return gen.random(shape) < p
+    words = 1
+    for n in shape if isinstance(shape, tuple) else (shape,):
+        words *= n
+    if 0.0 < p < 1.0:
+        limit = -int(-p * 2.0**53 // 1) << 11  # ceil(p * 2^53) << 11
+        if words <= CHUNK:
+            return bitgen.random_raw(shape) < limit
+        flat = np.empty(words, dtype=bool)
+        for lo in range(0, words, CHUNK):
+            hi = min(lo + CHUNK, words)
+            np.less(bitgen.random_raw(hi - lo), limit, out=flat[lo:hi])
+        return flat.reshape(shape)
     state = bitgen.state
     if state["has_uint32"]:
         return gen.random(shape) < p
-    words = int(np.prod(shape, dtype=np.int64))
     block = len(state["buffer"])
     # finish the buffered block, skip whole blocks, start the next one
     head = min(words, block - state["buffer_pos"])

@@ -1,5 +1,6 @@
 """Unit-cell wiring and wafer assembly."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ from ballistic.errors import SpecError
 from ballistic.fusion import KINDS, FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import crossing_exists, crossings
-from ballistic.rng import bernoulli, trial_rng
+from ballistic.rng import CHUNK, bernoulli, trial_rng
 from graph_oracle import build_graph_level, make_ghz3
 
 BOOSTED = FusionParams(kind="BoostedTypeII", success_prob=0.75)
@@ -213,18 +214,50 @@ def _half_word_philox():
     return gen
 
 
+def _assert_bernoulli_as_plain(make, shape, p):
+    """`bernoulli` on one `make()` generator gives the array of
+    `random(shape) < p` on another, and both streams go on alike, the
+    spare 32-bit half word included."""
+    fast, plain = make(), make()
+    got, want = bernoulli(fast, shape, p), plain.random(shape) < p
+    assert got.dtype == want.dtype and got.shape == want.shape, (shape, p)
+    assert (got == want).all(), (shape, p)
+    assert (
+        fast.integers(0, 2**32, 8, dtype=np.uint32)
+        == plain.integers(0, 2**32, 8, dtype=np.uint32)
+    ).all(), (shape, p)
+    assert (fast.random(64) == plain.random(64)).all(), (shape, p)
+    return got, want
+
+
 def test_bernoulli_falls_back_to_plain_draws():
     # advance() would drop a Philox's spare 32-bit half word; PCG64 has no
     # block buffer to finish
     for make in (_half_word_philox, lambda: np.random.default_rng(0)):
         for p in (0.0, 1.0):
-            fast, plain = make(), make()
-            assert (bernoulli(fast, (3, 7), p) == (plain.random((3, 7)) < p)).all()
-            assert (
-                fast.integers(0, 2**32, 8, dtype=np.uint32)
-                == plain.integers(0, 2**32, 8, dtype=np.uint32)
-            ).all()
-            assert (fast.random(64) == plain.random(64)).all()
+            _assert_bernoulli_as_plain(make, (3, 7), p)
+
+
+def test_bernoulli_compares_words_at_the_boundary():
+    """The raw-word compare is `random() < p` where draw 0 sits exactly on
+    p or half a step below it, at the extreme p below 1, on empty and
+    chunk-sized shapes, and on a Philox holding a spare half word."""
+    halves = 0
+    for trial in range(16):
+        make = functools.partial(trial_rng, 13, trial)
+        top = int(make().bit_generator.random_raw()) >> 11
+        for p in (top / 2**53, (top + 0.5) / 2**53):
+            halves += p * 2**53 % 1 == 0.5  # exact only for top < 2^52
+            got, want = _assert_bernoulli_as_plain(make, 5, p)
+            assert got[0] == want[0] == (p * 2**53 > top), (trial, p)
+    assert halves >= 4
+    lengths = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+    shapes = [(), (0,), (3, 0), 7, (3, CHUNK // 2 + 1)]
+    shapes += [(n,) for n in lengths] + [n for n in lengths]
+    for shape, p in itertools.product(shapes, (5e-324, 1 - 2**-53, 0.3)):
+        _assert_bernoulli_as_plain(functools.partial(trial_rng, 14, 0), shape, p)
+    for shape in (5, (3, 7), CHUNK + 1):
+        _assert_bernoulli_as_plain(_half_word_philox, shape, 0.3)
 
 
 def _plain_sample_draws(spec, rng):

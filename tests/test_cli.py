@@ -534,6 +534,23 @@ def test_figure_on_malformed_results_exits_2_without_traceback(tmp_path, capsys)
         assert capsys.readouterr().err == f"config error: {want}\n"
 
 
+def test_figure_on_metric_too_large_for_a_float_exits_2(tmp_path, capsys):
+    cfg = validate_config(good_config(
+        scenario="mux-yield", trials=2, out=str(tmp_path),
+        params={"bins": 200, "s_values": [0, 1]},
+    ))
+    results = pathlib.Path(run_experiment(cfg)["results"])
+    header, first, *rest = results.read_text().splitlines()
+    rec = json.loads(first)
+    rec["metrics"]["collisions_S1"] = 10**400
+    results.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
+    assert main(["figure", str(results), "fig4-yields"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: results file {results} has a 'collisions_S1' too large for a float\n"
+    )
+
+
 def test_emit_figure_requires_matching_scenario(tmp_path):
     cfg = validate_config(good_config(out=str(tmp_path)))
     run_experiment(cfg)

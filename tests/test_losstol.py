@@ -13,6 +13,7 @@ from ballistic.errors import CapacityError, SpecError
 from ballistic.graphstate import lc_equivalent
 from ballistic.losstol import (
     CrazyGraphSpec,
+    TeleportReport,
     build_crazy_graph,
     build_ring_block,
     build_s_gadget,
@@ -135,6 +136,40 @@ def test_even_columns_produce_ties():
     rep = simulate_teleport(spec, trial_rng(23, 0), 5000)
     assert rep.tie_frequency > 0
     assert rep.success_rate == 1.0
+
+
+def plain_teleport(spec, rng, trials):
+    """`simulate_teleport` with its column counts as plain int sums."""
+    N, L = spec.columns, spec.column_size
+    lost = rng.random((trials, N, L)) < spec.loss
+    survivors = (~lost).sum(axis=2)
+    flips = ((rng.random((trials, N, L)) < spec.z_flip) & ~lost).sum(axis=2)
+    tie = (2 * flips == survivors) & (survivors > 0)
+    col_wrong = (2 * flips > survivors) | (tie & (rng.random((trials, N)) < 0.5))
+    success = (survivors > 0).all(axis=1)
+    n_success = int(success.sum())
+    if n_success == 0:
+        return TeleportReport(0.0, 0.0, 0.0)
+    return TeleportReport(
+        n_success / trials,
+        int((col_wrong.any(axis=1) & success).sum()) / n_success,
+        int((tie.any(axis=1) & success).sum()) / n_success,
+    )
+
+
+def test_column_counts_match_plain_sums():
+    """Columns of 256 or more, whose counts overflow a byte (or twice a
+    count a signed byte), and the default width, with flips and ties."""
+    ties = 0
+    for i, (N, L, loss, z_flip) in enumerate((
+        (50, 3, 0.1, 0.0), (4, 3, 0.3, 0.3), (3, 256, 0.0, 0.5),
+        (2, 300, 0.1, 0.5), (2, 300, 0.95, 0.45), (2, 1000, 0.5, 0.5),
+    )):
+        spec = CrazyGraphSpec(N, L, loss=loss, z_flip=z_flip)
+        rep = simulate_teleport(spec, trial_rng(25, i), 40)
+        assert rep == plain_teleport(spec, trial_rng(25, i), 40), spec
+        ties += rep.tie_frequency > 0 and L >= 256
+    assert ties >= 2
 
 
 def test_simulate_validation():
