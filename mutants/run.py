@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 82 mutants take
+Run from the repository root (standard library only; the 86 mutants take
 about 40 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -269,14 +269,14 @@ MUTANTS = (
     ),
     Mutant(
         "chain-splice-short", PERCOLATION,
-        "j if end is None else ~end + 1",
-        "j if end is None else ~end",
+        "return zw, ~end + 1, out",
+        "return zw, ~end, out",
         REACH_AGREES + (KEPT_WITNESSES,),
     ),
     Mutant(
         "reach-lead-dropped-without-bucket", PERCOLATION,
-        "if k > j and (b == nb or layer[nodes[k - 1]] + b >= z_hi - 1):",
-        "if k > j and b < nb and layer[nodes[k - 1]] + b >= z_hi - 1:",
+        "if k > lo and (b == nb or layer[nodes[k - 1]] + b >= z_hi - 1):",
+        "if k > lo and b < nb and layer[nodes[k - 1]] + b >= z_hi - 1:",
         REACH_AGREES,
     ),
     Mutant(
@@ -284,6 +284,30 @@ MUTANTS = (
         "    out.reverse()\n",
         "    out.reverse()\n    out.pop()\n",
         ("tests/test_percolation.py::test_lossy_pathfinding_golden",),
+    ),
+    # -- an off-trail search joins the trail at the first trail node it
+    #    files, only when that node's lead passes the trail's checks, takes
+    #    the lead from the next node on, and tries to join only once
+    Mutant(
+        "join-without-leads", PERCOLATION,
+        "                if not trail.leads(hop, i, z_lo):\n",
+        "                if False:\n",
+        (REACH_CASES, KEPT_WITNESSES, OLD_ROUTES),
+    ),
+    Mutant(
+        "join-keeps-its-node", PERCOLATION,
+        "lo, k = i + 1, len(nodes)",
+        "lo, k = i, len(nodes)",
+        (REACH_CASES, KEPT_WITNESSES, OLD_ROUTES),
+    ),
+    # a second join could only pass further along the trail, past every
+    # trail node the chain holds, so its witness is valid too and only the
+    # exact witnesses of the reach cases tell it
+    Mutant(
+        "join-again-after-refusal", PERCOLATION,
+        "                    seen = {}\n",
+        "                    pass\n",
+        (REACH_CASES,),
     ),
     # -- the trail: a lead is dropped when the hop chain or layer z_lo - 1
     #    meets it, a low node before the start does not count, and the
@@ -447,10 +471,17 @@ MUTANTS = (
     ),
     Mutant(
         "tie-counted-as-flip", "src/ballistic/losstol.py",
-        "col_wrong = wrong | (tie & coin)",
-        "col_wrong = wrong | tie",
+        "col_wrong = (twice > survivors) | (tie & coin[lo:lo + step])",
+        "col_wrong = (twice > survivors) | tie",
         ("tests/test_losstol.py::test_flip_rate_matches_analytic_oracle",
          "tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle"),
+    ),
+    # -- losstol: each block of trials votes with its own coins
+    Mutant(
+        "teleport-block-reuses-first-coins", "src/ballistic/losstol.py",
+        "(tie & coin[lo:lo + step])",
+        "(tie & coin[:len(tie)])",
+        ("tests/test_losstol.py::test_teleport_blocks_match_one_block",),
     ),
     # -- acceptance: the one threshold bisection
     Mutant(

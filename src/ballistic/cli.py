@@ -299,7 +299,7 @@ MAX_THREADS = 256
 # a build batch of its own (2^18-2^20 cells; smaller lattices are built and
 # labelled in batches of at most builder.BATCH_CELLS cells, about 180 B per
 # batch cell), 24 B per threshold-scan site, 51 B per mux-yield bin and
-# 7 B per crazy-teleport qubit draw, so each cap holds a trial under ~1 GiB,
+# 2.3 B per crazy-teleport qubit draw, so each cap holds a trial under ~1 GiB,
 # within the ~2 GiB the caps were set for.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
 MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites

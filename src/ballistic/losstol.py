@@ -87,24 +87,27 @@ def simulate_teleport(
         raise SpecError("trials must be >= 1")
     N, L = spec.columns, spec.column_size
     kept = ~bernoulli(rng, (trials, N, L), spec.loss)
-    survivors = _column_counts(kept)
-    success = (survivors > 0).all(axis=1)
     flipped = bernoulli(rng, (trials, N, L), spec.z_flip)
     flipped &= kept
-    flips = _column_counts(flipped)
-    wrong = 2 * flips > survivors
-    tie = (2 * flips == survivors) & (survivors > 0)
     coin = bernoulli(rng, (trials, N), 0.5)
-    col_wrong = wrong | (tie & coin)
-    n_success = int(success.sum())
+    # count and vote a block of about CHUNK cells at a time, so that no
+    # per-column array grows with the trial count
+    n_success = n_flip = n_tied = 0
+    step = max(1, CHUNK // (N * L))
+    for lo in range(0, trials, step):
+        survivors = _column_counts(kept[lo:lo + step])
+        twice = _column_counts(flipped[lo:lo + step])
+        twice *= 2
+        success = (survivors > 0).all(axis=1)
+        tie = (twice == survivors) & (survivors > 0)
+        col_wrong = (twice > survivors) | (tie & coin[lo:lo + step])
+        n_success += int(success.sum())
+        n_flip += int((col_wrong.any(axis=1) & success).sum())
+        n_tied += int((tie.any(axis=1) & success).sum())
     if n_success == 0:
         return TeleportReport(0.0, 0.0, 0.0)
-    flip = col_wrong.any(axis=1) & success
-    tied = tie.any(axis=1) & success
     return TeleportReport(
-        n_success / trials,
-        int(flip.sum()) / n_success,
-        int(tied.sum()) / n_success,
+        n_success / trials, n_flip / n_success, n_tied / n_success
     )
 
 

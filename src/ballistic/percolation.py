@@ -249,9 +249,20 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
     from a blocked tip.  A node reached from stack node nodes[k] has the
     parent marker ~k, which stands for the witness prefix nodes[j:k + 1].
 
+    A search from off the trail joins it at the first live trail node w =
+    nodes[i] it files, when the same two checks pass for w's lead
+    nodes[i + 1:].  From there it runs as a start on the trail does: the
+    lead is the stack nodes[i + 1:k], its nodes count as seen, and its tip
+    is tried first.  Nothing the search filed before w is a trail node, so
+    the parent chain to w, then the lead, is a simple path, and a marker
+    ~k stands for that chain and nodes[i + 1:k + 1].  A search tries to
+    join once: after a refusal it goes on alone, crossing the trail as any
+    other node.
+
     Returns (score, cut, tail): the witness is nodes[j:cut] + tail, from
     the start to the first node it reached in layer z_hi, or empty
-    (cut = j, no tail) when the search ran dry below z_hi.
+    (cut = j, no tail) when the search ran dry below z_hi.  A search that
+    joined the trail returns cut = j and its whole witness as a new tail.
     """
     nodes = trail.nodes
     prev = hop[-1]
@@ -259,8 +270,10 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
     on = j < len(nodes)
     if best >= z_hi:
         return (best, j + 1, ()) if on else (best, j, [prev])
-    seen = {}  # trail index of each lead node, when the lead is kept
-    k = j + on  # nodes[j:k] is the stack
+    # nodes[lo:k] is the stack, trail nodes from index lo on count as seen
+    # (or, off the trail, as met), and `pre` is the chain to the trail node
+    # an off-trail search joined at
+    seen, lo, k, pre = {}, j, j + on, None
     if on and k < len(nodes) and trail.leads(hop, j, z_lo):
         z_max = layer[nodes[-1]]
         if z_max >= z_hi:
@@ -278,19 +291,44 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
         k -= 1
         src = ~k
     else:
-        src = prev
+        seen, src = trail.at, prev
+        k = lo = trail.start
     u = tip
     while True:
         for w in indices[indptr[u]:indptr[u + 1]]:
-            if w in parent or w in used or w in seen and seen[w] > j:
+            if w in parent or w in used:
                 continue
+            if w in seen and seen[w] >= lo:
+                # a lead node, or the first trail node met off the trail
+                if on or pre is not None or layer[w] < z_lo:
+                    continue
+                i = seen[w]
+                if not trail.leads(hop, i, z_lo):
+                    seen = {}
+                else:
+                    pre = _chain(parent, src)[0]
+                    pre.append(w)
+                    lo, k = i + 1, len(nodes)
+                    tip = nodes[-1]
+                    z_max = layer[tip]
+                    if z_max >= z_hi:
+                        return z_max, j, pre + nodes[lo:]
+                    for x in indices[indptr[tip]:indptr[tip + 1]]:
+                        if layer[x] == z_hi and x not in used and x not in parent:
+                            return z_hi, j, pre + nodes[lo:] + [x]
+                    if z_max > best:
+                        best = z_max
             zw = layer[w]
             if not z_lo <= zw <= z_hi:
                 continue
             parent[w] = src
             if zw >= z_hi:
                 out, end = _chain(parent, w)
-                return zw, j if end is None else ~end + 1, out
+                if end is None:
+                    return zw, j, out
+                if pre is None:
+                    return zw, ~end + 1, out
+                return zw, j, pre + nodes[lo:~end + 1] + out
             if zw > best:
                 best = zw
             i = z_hi - 1 - zw
@@ -304,7 +342,7 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
                 nb = i + 1
         while b < nb and not buckets[b]:
             b += 1
-        if k > j and (b == nb or layer[nodes[k - 1]] + b >= z_hi - 1):
+        if k > lo and (b == nb or layer[nodes[k - 1]] + b >= z_hi - 1):
             k -= 1
             u = nodes[k]
             src = ~k
@@ -350,13 +388,15 @@ def find_paths_windowed(
     router keeps the winner's witness as a `_Trail`: a list with a map from
     node to index.  A candidate finds itself on it with one lookup, and
     `_reach_score` takes the rest of the list as its lead without a copy.
-    A lead that checks out ends one layer below the new window's top (or
-    at it, once the window meets the last layer), so the search's first
-    step, from the lead's tip, often ends it (see `_reach_score` for why
-    the scores, and so the routes, stay exact).  The step's winner comes
-    back as (cut, tail), and keeping it costs as many steps as nodes the
-    witness gained or lost.  The winner's hop chain, built once to score
-    it, is the hop the step commits.
+    A candidate off the trail is searched from scratch until its search
+    first reaches the trail, and from there takes the rest of the trail
+    as its lead in the same way.  A lead that checks out ends one layer
+    below the new window's top (or at it, once the window meets the last
+    layer), so the search's first step from the lead's tip often ends it
+    (see `_reach_score` for why the scores, and so the routes, stay
+    exact).  The step's winner comes back as (cut, tail), and keeping it
+    costs as many steps as nodes the witness gained or lost.  The winner's
+    hop chain, built once to score it, is the hop the step commits.
     """
     for name, value in (("window", window), ("wires", wires)):
         if (

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ballistic
+from ballistic import losstol
 from ballistic.errors import CapacityError, SpecError
 from ballistic.graphstate import lc_equivalent
 from ballistic.losstol import (
@@ -170,6 +171,23 @@ def test_column_counts_match_plain_sums():
         assert rep == plain_teleport(spec, trial_rng(25, i), 40), spec
         ties += rep.tie_frequency > 0 and L >= 256
     assert ties >= 2
+
+
+def test_teleport_blocks_match_one_block(monkeypatch):
+    """Counting and voting in blocks of trials gives the report of one
+    block: blocks of one trial, of three trials with a short last block,
+    and a column wider than a block.  The draws do not move, since
+    `rng.bernoulli` keeps its own chunk size."""
+    specs = (CrazyGraphSpec(50, 3, 0.1, 0.2), CrazyGraphSpec(4, 2, 0.3, 0.3),
+             CrazyGraphSpec(2, 300, 0.1, 0.5))
+    for i, spec in enumerate(specs):
+        cells = spec.columns * spec.column_size
+        monkeypatch.setattr(losstol, "CHUNK", 1 << 40)
+        want = simulate_teleport(spec, trial_rng(26, i), 40)
+        assert want.flip_rate > 0 and want.tie_frequency > 0, spec
+        for chunk in (1, 3 * cells):
+            monkeypatch.setattr(losstol, "CHUNK", chunk)
+            assert simulate_teleport(spec, trial_rng(26, i), 40) == want, (spec, chunk)
 
 
 def test_simulate_validation():

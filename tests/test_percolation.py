@@ -846,24 +846,25 @@ def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
     assert calls[0] >= 30000 and calls[1] >= 15000, calls
 
 
-def ladder(nz):
-    """Two primal columns A and B of nz layers, joined at every layer."""
-    a = [2 * z for z in range(nz)]
-    b = [2 * (nz + z) for z in range(nz)]
-    edges = [(a[z], a[z + 1]) for z in range(nz - 1)]
-    edges += [(b[z], b[z + 1]) for z in range(nz - 1)]
-    edges += list(zip(a, b))
-    alive = np.ones((2, 1, nz, 2), dtype=bool)
-    comp = CompLattice(2, 1, nz, alive, alive.copy(), np.array(edges))
-    return comp, a, b
+def ladder(nz, width=2):
+    """`width` primal columns A, B, ... of nz layers, each joined to the
+    next at every layer, and the columns' node lists."""
+    cols = [[2 * (c * nz + z) for z in range(nz)] for c in range(width)]
+    edges = [(col[z], col[z + 1]) for col in cols for z in range(nz - 1)]
+    for left, right in zip(cols, cols[1:]):
+        edges += list(zip(left, right))
+    alive = np.ones((width, 1, nz, 2), dtype=bool)
+    comp = CompLattice(width, 1, nz, alive, alive.copy(), np.array(edges))
+    return (comp, *cols)
 
 
 def test_reach_score_lead_checks_and_best_first_search():
     """One trail per check that drops a lead, a lead kept past a low node
-    before the start, and tips that force the best-first search.  Each
-    trail is shaped as the router keeps it: a simple path whose top layer
-    is at its end only.  `tail` is what the search adds to the part of
-    the trail it keeps."""
+    before the start, tips that force the best-first search, and searches
+    from off the trail that join it or are refused.  Each trail is shaped
+    as the router keeps it: a simple path whose top layer is at its end
+    only.  `tail` is what the search adds to the part of the trail it
+    keeps."""
     comp, A, B = ladder(10)
     indptr, indices, _alive = _csr_adjacency(comp, False)
     layer = [z for z in range(10) for _ in (0, 1)] * 2
@@ -913,6 +914,48 @@ def test_reach_score_lead_checks_and_best_first_search():
             indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
         )
         assert (score, list(tail)) == want, name
+
+    # A search from off the trail, on three columns: the head is used and
+    # the hop chain is the router's BFS path to the start.  Joined, the
+    # witness is the chain to the trail node, the lead, then any step on.
+    comp, A, B, C = ladder(10, 3)
+    indptr, indices, _alive = _csr_adjacency(comp, False)
+    layer = [z for z in range(10) for _ in (0, 1)] * 3
+    joins = {
+        # (trail, hop, z_lo, z_hi, used): (score, witness)
+        # A7 meets B7 and joins; the lead's tip B8 steps into z_hi
+        "join, then the tip steps": (
+            [B[6], B[7], B[8]], [B[6], A[6], A[7]], 1, 9, {B[6]},
+            (9, [A[7], B[7], B[8], B[9]])),
+        # A1 meets B1 and joins; the lead's tip B3 has no neighbour in
+        # z_hi, so the stacked lead is searched and the witness runs on
+        # from B3
+        "join, then the lead is searched": (
+            [B[0], B[1], B[2], B[3]], [B[0], A[0], A[1]], 0, 5, {B[0]},
+            (5, [A[1], B[1], B[2], B[3], B[4], B[5]])),
+        # C3's search meets B2 from C2; B2's lead [B3] is on the hop
+        # chain, so the search stays below and tops out at the start
+        "join refused by the hop chain": (
+            [A[2], B[2], B[3]], [A[2], A[3], B[3], C[3]], 0, 7,
+            {A[2], C[4]}, (3, [])),
+        # A6's search meets B5 from B6; B5's lead dips to B2 and C2 in
+        # layer z_lo - 1
+        "join refused below the window": (
+            [A[5], B[5], B[4], B[3], B[2], C[2], C[3], C[4], C[5], C[6]],
+            [A[5], A[6]], 3, 7, {A[5], A[7]}, (7, [A[6], B[6], B[7]])),
+        # C6 meets C5, whose lead holds the hop chain's B6, so the search
+        # goes on alone and does not join at B7, whose empty lead would
+        # pass
+        "no second join": (
+            [B[5], C[5], C[4], B[4], A[4], A[5], A[6], B[6], B[7]],
+            [B[5], B[6], C[6]], 2, 8, {B[5]}, (8, [C[6], C[7], C[8]])),
+    }
+    for name, (nodes, hop, z_lo, z_hi, used, want) in joins.items():
+        trail = trail_of(layer, 10, nodes)
+        score, cut, tail = check_reach(
+            indptr, indices, layer, hop, z_lo, z_hi, used, trail, len(nodes)
+        )
+        assert (score, cut, list(tail)) == (want[0], len(nodes), want[1]), name
 
 
 def _hop_chain(indptr, indices, layer, cur, v, z_lo, z_hi, used):
