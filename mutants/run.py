@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 86 mutants take
+Run from the repository root (standard library only; the 88 mutants take
 about 40 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -70,6 +70,8 @@ GRAPH_TESTS = "tests/test_graphstate.py::"
 ORACLE_AGREES = "tests/test_builder.py::test_build_modes_agree"
 PERCOLATION = "src/ballistic/percolation.py"
 CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
+OLD_CROSSINGS = "tests/test_percolation.py::test_crossings_match_old_labelling"
+LABELS_AGREE = "tests/test_percolation.py::test_labels_partition_matches_scipy"
 REACH_CASES = "tests/test_percolation.py::test_reach_score_lead_checks_and_best_first_search"
 ROUTER_LEADS = "tests/test_percolation.py::test_reach_score_on_router_shaped_leads"
 KEPT_WITNESSES = "tests/test_percolation.py::test_router_keeps_witnesses_that_need_no_check"
@@ -190,25 +192,40 @@ MUTANTS = (
         "labels-union-offset", PERCOLATION,
         "[ei + i * n for i, ei in enumerate(edges)]",
         "[ei + i * (n - 1) for i, ei in enumerate(edges)]",
-        ("tests/test_percolation.py::test_crossings_match_old_labelling",),
+        (OLD_CROSSINGS, LABELS_AGREE),
     ),
     Mutant(
         "labels-edge-filter-or", PERCOLATION,
         "alive[e[:, 0]] & alive[e[:, 1]], axis=0",
         "alive[e[:, 0]] | alive[e[:, 1]], axis=0",
-        ("tests/test_percolation.py::test_crossings_match_old_labelling",),
+        (OLD_CROSSINGS, LABELS_AGREE),
+    ),
+    # one hook round leaves edges between components unresolved
+    Mutant(
+        "labels-one-hook-round", PERCOLATION,
+        "    while len(lo):\n",
+        "    if len(lo):\n",
+        (LABELS_AGREE,),
+    ),
+    # one pointer jump per round leaves chains; labels only ever fall, so the
+    # rounds still end
+    Mutant(
+        "labels-one-jump", PERCOLATION,
+        "            if np.array_equal(jumped, lab):\n                break\n            lab = jumped\n",
+        "            lab = jumped\n            break\n",
+        (OLD_CROSSINGS, LABELS_AGREE),
     ),
     Mutant(
         "crossings-dead-top-kept", PERCOLATION,
         "top = lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]",
         "top = lab[:, :, :, -1]",
-        ("tests/test_percolation.py::test_crossings_match_old_labelling",),
+        (OLD_CROSSINGS,),
     ),
     Mutant(
         "crossings-wrong-face", PERCOLATION,
         "crossed = np.isin(lab[:, :, :, 0], top)",
         "crossed = np.isin(lab[:, :, :, -1], top)",
-        ("tests/test_percolation.py::test_crossings_match_old_labelling",),
+        (OLD_CROSSINGS,),
     ),
     # -- adjacency: both directions of each edge whose two ends are alive
     Mutant(

@@ -294,13 +294,13 @@ _RUN_DEFAULTS = {"seed": 0, "trials": 100, "threads": 1, "out": "results"}
 MAX_THREADS = 256
 # Size caps, so that a config whose trial would run out of memory fails
 # validation instead; constants for the same reason.  Peak RSS growth of one
-# trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 245 B per wafer
-# cell in wafer-span, 195-200 B per cell in loss-sweep for a lattice that is
+# trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 206 B per wafer
+# cell in wafer-span, 196-203 B per cell in loss-sweep for a lattice that is
 # a build batch of its own (2^18-2^20 cells; smaller lattices are built and
-# labelled in batches of at most builder.BATCH_CELLS cells, about 180 B per
-# batch cell), 24 B per threshold-scan site, 51 B per mux-yield bin and
-# 2.3 B per crazy-teleport qubit draw, so each cap holds a trial under ~1 GiB,
-# within the ~2 GiB the caps were set for.
+# labelled in batches of at most builder.BATCH_CELLS cells, about 190 B per
+# batch cell), all lossless, 24 B per threshold-scan site, 51 B per mux-yield
+# bin and 2.3 B per crazy-teleport qubit draw, so each cap holds a trial under
+# ~1 GiB, within the ~2 GiB the caps were set for.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
 MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites
 MAX_MUX_BINS = 2**24

@@ -24,12 +24,17 @@ def _labels(comps: list[CompLattice], punched: bool):
 
     One labelling serves the whole list.  Edges with a dead end are left
     out, so a dead node is a component of its own and only alive nodes'
-    labels mean anything.
-    """
-    # imported here so that `import ballistic` does not load scipy.sparse
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    labels mean anything.  The labels give the partition into components,
+    not the label values scipy's `connected_components` would return:
+    callers compare labels, never read them as component numbers.
 
+    Hook and compress (Shiloach & Vishkin, J. Algorithms 3, 57 (1982)):
+    every node starts as its own root, and each round hooks the larger root
+    of each edge between two components onto the smaller one, then jumps
+    pointers until every node points at its root.  A hook only ever points a
+    root at a smaller id, so no cycle can form: the jumping ends, and each
+    round with an edge left removes at least one root, so the rounds end.
+    """
     if len({(c.nx, c.ny, c.nz) for c in comps}) > 1:
         raise SpecError("lattices labelled together must share one shape")
     n = comps[0].node_count
@@ -43,9 +48,22 @@ def _labels(comps: list[CompLattice], punched: bool):
         alive = np.concatenate([c.alive_flat(punched) for c in comps])
         e = np.concatenate([ei + i * n for i, ei in enumerate(edges)])
     e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
-    # float64 entries, which the labelling would otherwise convert to
-    m = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(len(alive),) * 2)
-    return connected_components(m, directed=False)[1], alive
+    lab = np.arange(len(alive))
+    # each round's edges join the roots of two components
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    del e
+    while len(lo):
+        np.minimum.at(lab, hi, lo)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+        a, b = lab[lo], lab[hi]
+        keep = a != b
+        a, b = a[keep], b[keep]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return lab, alive
 
 
 def _crossed(comps: list[CompLattice], labels, alive):

@@ -7,6 +7,8 @@ import multiprocessing
 import os
 import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -261,6 +263,29 @@ def test_run_outputs_are_reproducible(tmp_path):
     assert [r["trial"] for r in records] == [0, 1, 2]
     assert all(set(r["metrics"]) == {"span", "span_punched", "largest_fraction"}
                for r in records)
+
+
+def test_lattice_runs_leave_scipy_sparse_unloaded(tmp_path):
+    """Two default trials each of loss-sweep and wafer-span, in one fresh
+    process at one thread, label their lattices without loading scipy.sparse."""
+    code = (
+        "import sys\n"
+        "from ballistic import cli\n"
+        "for scenario in ('loss-sweep', 'wafer-span'):\n"
+        "    cli.run_experiment(cli.validate_config({'version': cli.CONFIG_VERSION,"
+        " 'scenario': scenario, 'trials': 2, 'threads': 1,"
+        " 'out': sys.argv[1] + '/' + scenario}))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        cwd=pathlib.Path(cli.__file__).parents[1],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
+    assert (tmp_path / "wafer-span" / "results.jsonl").exists()
 
 
 def test_short_pool_run_reaches_every_worker(tmp_path, monkeypatch):

@@ -167,6 +167,87 @@ def test_crossings_match_old_labelling():
             )
 
 
+def _first_index(labels):
+    """Each node's label replaced by the first node id with that label, so
+    two labellings compare as partitions whatever their label values."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _scipy_partition(comps, punched):
+    """The partition of the disjoint union of `comps` by one scipy
+    `connected_components` call per lattice, over edges with two alive ends."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    parts = []
+    for i, comp in enumerate(comps):
+        n = comp.node_count
+        alive = comp.alive_flat(punched)
+        e = comp.edges.reshape(-1, 2)
+        e = e[alive[e[:, 0]] & alive[e[:, 1]]]
+        m = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+        parts.append(connected_components(m, directed=False)[1] + i * n)
+    return _first_index(np.concatenate(parts))
+
+
+def _random_wafer_lists(count, seed):
+    """`count` lists of 1-4 same-shape wafers with random sides (nz may be
+    1), losses, fusion success and filtering."""
+    pick = np.random.default_rng(seed)
+    for k in range(count):
+        nx, ny, nz = (int(s) for s in pick.integers(1, (6, 6, 9)))
+        specs = [
+            WaferSpec(
+                nx, ny, nz,
+                fusion_params=FusionParams(
+                    "BoostedTypeII", success_prob=float(pick.choice([0.0, 0.5, 0.75, 1.0]))
+                ),
+                photon_loss=float(pick.uniform(0.0, 0.3)),
+                filter_fidelity=float(pick.uniform(0.5, 1.0)),
+                filter_enabled=bool(pick.random() < 0.3),
+            )
+            for _ in range(int(pick.integers(1, 5)))
+        ]
+        yield build_wafers(specs, [trial_rng(seed, 100 * k + i) for i in range(len(specs))])
+
+
+def _shuffled_path(nz, seed):
+    """A 1x1xnz lattice, all alive, whose edges join all 2 * nz nodes in one
+    path through a random order of their ids."""
+    order = np.random.default_rng(seed).permutation(2 * nz)
+    edges = np.stack([order[:-1], order[1:]], axis=1)
+    alive = np.ones((1, 1, nz, 2), dtype=bool)
+    return built(CompLattice(1, 1, nz, alive, alive.copy(), edges))
+
+
+def test_labels_partition_matches_scipy():
+    """`_labels` splits the union into the components scipy finds, on 240
+    random wafer lists and on hand cases, raw and punched.  The shuffled
+    paths need several hook rounds."""
+    empty = np.zeros((0, 2), dtype=np.int64)
+    no_edges = built(CompLattice(
+        2, 1, 3, np.ones((2, 1, 3, 2), bool), np.ones((2, 1, 3, 2), bool), empty
+    ))
+    dead = chain_lattice(6)
+    dead.comp.alive[:] = False
+    dead.comp.alive_punched[:] = False
+    one_layer = built(CompLattice(
+        3, 1, 1, np.ones((3, 1, 1, 2), bool), np.ones((3, 1, 1, 2), bool),
+        np.array([[0, 1], [2, 4], [4, 5]]),
+    ))
+    cases = [*_random_wafer_lists(240, 7), [no_edges], [dead], [one_layer],
+             [no_edges, no_edges], [chain_lattice(6), dead, chain_lattice(6, 2)],
+             [_shuffled_path(10_000, 1), _shuffled_path(10_000, 2)]]
+    assert sum(lat.comp.nz == 1 for lats in cases for lat in lats) >= 20
+    for lats, punched in itertools.product(cases, (False, True)):
+        comps = [lat.comp for lat in lats]
+        labels, alive = percolation._labels(comps, punched)
+        assert labels.shape == alive.shape == (len(comps) * comps[0].node_count,)
+        want = _scipy_partition(comps, punched)
+        np.testing.assert_array_equal(_first_index(labels), want)
+
+
 def test_crossings_reject_mixed_shapes():
     with pytest.raises(SpecError, match="one shape"):
         crossings([chain_lattice(4), chain_lattice(5)])
