@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 88 mutants take
-about 40 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 90 mutants take
+about 60 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -79,6 +79,7 @@ OLD_ROUTES = "tests/test_percolation.py::test_router_matches_old_router"
 PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden", OLD_ROUTES)
 REACH_AGREES = (REACH_CASES, ROUTER_LEADS)
 WORD_BOUNDARY = "tests/test_builder.py::test_bernoulli_compares_words_at_the_boundary"
+ROWS_TOGETHER = "tests/test_multiplex.py::test_yield_curve_routes_rows_together_exactly"
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
                 "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle")
@@ -412,9 +413,10 @@ MUTANTS = (
         (WORD_BOUNDARY, "tests/test_builder.py::test_bernoulli_matches_plain_draws"),
     ),
     # -- multiplex: the one any-of-k law, the sliding sweep behind the
-    #    yield curves, the one route that prunes its plan, the pair-list
-    #    matcher composed of the sweep and that route, and the range check
-    #    on a sampled stream's generation probability
+    #    yield curves, the one route that prunes its plan, the rows of a
+    #    yield curve routed together in their own time stretches, the
+    #    pair-list matcher composed of the sweep and that route, and the
+    #    range check on a sampled stream's generation probability
     Mutant(
         "herald-attempts-unchecked", "src/ballistic/multiplex.py",
         "attempts < 1",
@@ -442,10 +444,22 @@ MUTANTS = (
     ),
     Mutant(
         "yield-curve-matching-unrouted", "src/ballistic/multiplex.py",
-        '"matching_yield": delivered,',
-        '"matching_yield": pair_yield(pa, bin_count),',
+        '"matching_yield": n / bin_count,',
+        '"matching_yield": len(starts[len(rows) - g]) / bin_count,',
         ("tests/test_multiplex.py::test_multiplex_golden",
          "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
+    ),
+    Mutant(
+        "yield-rows-share-time", "src/ballistic/multiplex.py",
+        "starts.append(pa + i * bin_count)",
+        "starts.append(pa + i * (bin_count - 1))",
+        (ROWS_TOGETHER,),
+    ),
+    Mutant(
+        "yield-rows-offset-across-groups", "src/ballistic/multiplex.py",
+        "for i, S in enumerate(group):",
+        "for i, S in enumerate(group, g):",
+        (ROWS_TOGETHER,),
     ),
     Mutant(
         "matching-rmux-unrouted", "src/ballistic/multiplex.py",

@@ -298,9 +298,11 @@ MAX_THREADS = 256
 # cell in wafer-span, 196-203 B per cell in loss-sweep for a lattice that is
 # a build batch of its own (2^18-2^20 cells; smaller lattices are built and
 # labelled in batches of at most builder.BATCH_CELLS cells, about 190 B per
-# batch cell), all lossless, 24 B per threshold-scan site, 51 B per mux-yield
-# bin and 2.3 B per crazy-teleport qubit draw, so each cap holds a trial under
-# ~1 GiB, within the ~2 GiB the caps were set for.
+# batch cell), all lossless, 24 B per threshold-scan site, 52-54 B per
+# mux-yield bin where each row routes alone (2^18 bins and up; shorter rows
+# route together, up to multiplex.ROUTE_BINS bins at once, 75-100 B per bin
+# at 2^16-2^17 bins) and 2.3 B per crazy-teleport qubit draw, so each cap
+# holds a trial under ~1 GiB, within the ~2 GiB the caps were set for.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
 MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites
 MAX_MUX_BINS = 2**24

