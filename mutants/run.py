@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 90 mutants take
+Run from the repository root (standard library only; the 95 mutants take
 about 60 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -79,6 +79,7 @@ OLD_ROUTES = "tests/test_percolation.py::test_router_matches_old_router"
 PATHS_AGREE = ("tests/test_percolation.py::test_lossy_pathfinding_golden", OLD_ROUTES)
 REACH_AGREES = (REACH_CASES, ROUTER_LEADS)
 WORD_BOUNDARY = "tests/test_builder.py::test_bernoulli_compares_words_at_the_boundary"
+DENSE_UPDATES = "tests/test_dense.py::test_updates_match_tuple_keyed_reference"
 ROWS_TOGETHER = "tests/test_multiplex.py::test_yield_curve_routes_rows_together_exactly"
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
@@ -362,6 +363,14 @@ MUTANTS = (
         "keep = rng.random(2 * m) < p",
         ("tests/test_api_surface.py::test_array_draws_go_through_bernoulli",),
     ),
+    # the crossing read off the labels: right-column labels marked, then
+    # read at the left column
+    Mutant(
+        "square-crossing-wrong-column", PERCOLATION,
+        "right[lab[::2, -1]] = True",
+        "right[lab[::2, 0]] = True",
+        ("tests/test_percolation.py::test_square_lattice_crosses_matches_old_family",),
+    ),
     # -- fusion: only a boosted fusion consumes ancillas
     Mutant(
         "ancillas-every-kind", "src/ballistic/fusion.py",
@@ -494,8 +503,8 @@ MUTANTS = (
     ),
     Mutant(
         "tie-coin-biased", "src/ballistic/losstol.py",
-        "coin = bernoulli(rng, (trials, N), 0.5)",
-        "coin = bernoulli(rng, (trials, N), 0.25)",
+        "coin = bernoulli(rng, (trials, N), 0.5 if spec.z_flip else 0.0)",
+        "coin = bernoulli(rng, (trials, N), 0.25 if spec.z_flip else 0.0)",
         ("tests/test_losstol.py::test_flip_rate_matches_analytic_oracle",
          "tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle",
          "tests/test_cli.py::test_scenario_golden[crazy-teleport-z-flip]"),
@@ -506,6 +515,13 @@ MUTANTS = (
         "col_wrong = (twice > survivors) | tie",
         ("tests/test_losstol.py::test_flip_rate_matches_analytic_oracle",
          "tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle"),
+    ),
+    Mutant(
+        "teleport-coins-skipped-with-flips", "src/ballistic/losstol.py",
+        "0.5 if spec.z_flip else 0.0",
+        "0.0 if spec.z_flip else 0.5",
+        ("tests/test_losstol.py::test_even_flip_rate_matches_analytic_oracle",
+         "tests/test_cli.py::test_scenario_golden[crazy-teleport-z-flip]"),
     ),
     # -- losstol: each block of trials votes with its own coins
     Mutant(
@@ -536,9 +552,28 @@ MUTANTS = (
     ),
     Mutant(
         "dense-reduce-below-only", "src/ballistic/dense.py",
-        "            for i in range(n):\n                if i != r and",
-        "            for i in range(r + 1, n):\n                if i != r and",
+        "            for i, row in enumerate(work):\n                if i != r and",
+        "            for i, row in enumerate(work[r + 1:], r + 1):\n                if i != r and",
         ("tests/test_dense.py::test_dense_oracle_golden",),
+    ),
+    # the conjugation tables read by a row's bit pattern
+    Mutant(
+        "dense-cz-index-swapped", "src/ballistic/dense.py",
+        "(x >> a & 1) << 3 | (z >> a & 1) << 2 | (x >> b & 1) << 1 | z >> b & 1",
+        "(x >> b & 1) << 3 | (z >> b & 1) << 2 | (x >> a & 1) << 1 | z >> a & 1",
+        (DENSE_UPDATES, "tests/test_dense.py::test_dense_oracle_golden"),
+    ),
+    Mutant(
+        "dense-cz-phase-dropped", "src/ballistic/dense.py",
+        "z >> b & 1\n            ]\n            row[0] = (row[0] + d) & 3\n",
+        "z >> b & 1\n            ]\n",
+        (DENSE_UPDATES, "tests/test_dense.py::test_dense_oracle_golden"),
+    ),
+    Mutant(
+        "dense-clifford-phase-dropped", "src/ballistic/dense.py",
+        "z >> q & 1]\n            row[0] = (row[0] + d) & 3\n",
+        "z >> q & 1]\n",
+        (DENSE_UPDATES, "tests/test_dense.py::test_dense_oracle_golden"),
     ),
     Mutant(
         "complement-one-side", GRAPHSTATE,
@@ -573,8 +608,8 @@ MUTANTS = (
     # phase the dense oracle reads off a trace, the Kronecker factor order
     Mutant(
         "conj-s-sign-dropped", "src/ballistic/clifford.py",
-        "np.rint(conj_s).astype(np.int8)",
-        "np.abs(np.rint(conj_s)).astype(np.int8)",
+        "rows(np.rint(conj_s))",
+        "rows(np.abs(np.rint(conj_s)))",
         (GRAPH_TESTS + "test_clifford_group_tables",),
     ),
     Mutant(

@@ -143,8 +143,6 @@ def check_yield_curve() -> tuple[bool, str]:
         slack = 3 * math.sqrt(max(row["standard_yield"], 1e-9) / bins)
         if row["sliding_yield"] < row["standard_yield"] - slack:
             return False, f"sliding below standard at S={row['S']}: {row}"
-        if row["matching_yield"] < row["sliding_yield"] - 1e-12:
-            return False, f"matching below sliding at S={row['S']}: {row}"
     return True, f"closed {closed}; MC dominance over S=0..6 holds"
 
 

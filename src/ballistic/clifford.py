@@ -71,20 +71,26 @@ def _build_tables():
     mats = np.stack(CLIFFORD_MATS)
     products = (mats[:, None] @ mats).reshape(n * n, 2, 2)  # C_i @ C_j at i*n + j
     adjoints = mats.conj().swapaxes(1, 2)
-    mul = np.array([_INDEX[k] for k in phase_keys(products)], dtype=np.int8)
-    adj = np.array([_INDEX[k] for k in phase_keys(adjoints)], dtype=np.int8)
+    mul = np.array([_INDEX[k] for k in phase_keys(products)]).reshape(n, n)
+    adj = tuple(_INDEX[k] for k in phase_keys(adjoints))
     # C_i P_p C_i^dag = +/-P_q, so its trace against P_q / 2 is that sign and
     # its trace against each other Pauli is 0: trace[i, p, q].
     paulis = np.stack(PAULI_MATS)
     trace = np.einsum("qda,iab,pbc,idc->ipq", paulis, mats, paulis, mats.conj()).real / 2
     conj_p = np.abs(trace).argmax(axis=2)
     conj_s = np.take_along_axis(trace, conj_p[..., None], axis=2)[..., 0]
-    return mul.reshape(n, n), adj, conj_p.astype(np.int8), np.rint(conj_s).astype(np.int8)
+
+    def rows(table):
+        return tuple(map(tuple, table.astype(int).tolist()))
+
+    return rows(mul), adj, rows(conj_p), rows(np.rint(conj_s))
 
 
-#: MUL[i, j] = index of C_i @ C_j
+# Nested tuples of ints: the engine reads single entries on every update,
+# and a tuple item costs far less than a numpy scalar read.
+#: MUL[i][j] = index of C_i @ C_j
 #: ADJ[i] = index of C_i^dagger
-#: CONJ_P[i, p], CONJ_S[i, p]: C_i P_p C_i^dagger = CONJ_S * Pauli(CONJ_P)
+#: CONJ_P[i][p], CONJ_S[i][p]: C_i P_p C_i^dagger = CONJ_S * Pauli(CONJ_P)
 MUL, ADJ, CONJ_P, CONJ_S = _build_tables()
 
 # Named elements.
@@ -106,7 +112,7 @@ SQRT_MIZ = _sqrt(-1, "Z")
 
 #: Cliffords mapping Z to +/-Z under conjugation; CZ commutes with these up to
 #: a Z byproduct on the partner qubit.
-Z_DIAGONAL = frozenset(int(i) for i in range(24) if CONJ_P[i, 3] == 3)
+Z_DIAGONAL = frozenset(i for i in range(24) if CONJ_P[i][3] == 3)
 
 
 def factor_words(gen_a: int, gen_b: int) -> list[tuple[int, ...]]:
@@ -122,7 +128,7 @@ def factor_words(gen_a: int, gen_b: int) -> list[tuple[int, ...]]:
         nxt = []
         for m in frontier:
             for g in (gen_a, gen_b):
-                m2 = int(MUL[m, g])
+                m2 = MUL[m][g]
                 if m2 not in words:
                     words[m2] = words[m] + (g,)
                     nxt.append(m2)

@@ -3,7 +3,11 @@
 Stores the full generator tableau as integer bitmasks with i^r phase
 prefactors and updates it by direct Pauli conjugation.  Deliberately simple:
 this is the reference the sparse graph engine is fuzzed against, so it shares
-no update rules with it.
+no update rules with it.  Its two conjugation tables come from matrix traces
+alone (`_pauli_forms` reads only `CLIFFORD_MATS` and `PAULI` from `clifford`,
+never the engine's MUL/ADJ/CONJ tables).  A CZ or local Clifford reads them
+per row by the row's bit pattern at the qubits it acts on, through lists of
+the phase each entry adds and the bits it flips.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ MAX_QUBITS = 12
 
 
 def _row_mul(r1, x1, z1, r2, x2, z2):
-    r = (r1 + r2 + 2 * bin(z1 & x2).count("1")) & 3
+    r = (r1 + r2 + 2 * (z1 & x2).bit_count()) & 3
     return r, x1 ^ x2, z1 ^ z2
 
 
@@ -72,13 +76,16 @@ def _reduce(rows: list, qubits: list | range) -> list:
     for sel in (1, 2):  # the x part of a row, then its z part
         for j in qubits:
             bit = 1 << j
-            piv = next((i for i in range(r, n) if work[i][sel] & bit), None)
-            if piv is None:
+            for piv in range(r, n):
+                if work[piv][sel] & bit:
+                    break
+            else:
                 continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(n):
-                if i != r and work[i][sel] & bit:
-                    work[i][:] = _row_mul(*work[r], *work[i])
+            pr = work[piv]
+            work[r], work[piv] = pr, work[r]
+            for i, row in enumerate(work):
+                if i != r and row[sel] & bit:
+                    row[:] = _row_mul(*pr, *row)
             r += 1
     return work
 
@@ -87,6 +94,28 @@ def _reduce(rows: list, qubits: list | range) -> list:
 _LOCAL_CONJ = _pauli_forms(np.stack(cl.CLIFFORD_MATS), 1)
 #: _CZ_CONJ[(xa, za, xb, zb)] = (d, xa', za', xb', zb') under CZ conjugation
 (_CZ_CONJ,) = _pauli_forms(np.diag([1, 1, 1, -1]).astype(complex)[None], 2)
+
+# The same two tables read by a row's bit pattern, per qubit: entry
+# 2x + z of _LOCAL_FLIPS[c][q], and entry 8xa + 4za + 2xb + zb of
+# _CZ_FLIPS[a][b], is (d, fx, fz): the phase i^d the conjugation adds and
+# the masks of the x and z bits it flips.
+_LOCAL_FLIPS = [
+    [
+        [(d, (x ^ x2) << q, (z ^ z2) << q) for (x, z), (d, x2, z2) in table.items()]
+        for q in range(MAX_QUBITS)
+    ]
+    for table in _LOCAL_CONJ
+]
+_CZ_FLIPS = [
+    [
+        [
+            (d, (xa ^ xa2) << a | (xb ^ xb2) << b, (za ^ za2) << a | (zb ^ zb2) << b)
+            for (xa, za, xb, zb), (d, xa2, za2, xb2, zb2) in _CZ_CONJ.items()
+        ]
+        for b in range(MAX_QUBITS)
+    ]
+    for a in range(MAX_QUBITS)
+]
 
 # Measurement operators by Pauli index: P = i^r X^x Z^z per qubit.
 _PAULI_RXZ = {1: (0, 1, 0), 2: (1, 1, 1), 3: (0, 0, 1)}
@@ -131,31 +160,28 @@ class DenseStabilizerState:
 
     def apply_clifford(self, q: int, c: int):
         self._check(q)
-        ent = _LOCAL_CONJ[c]
-        bit = 1 << q
+        flips = _LOCAL_FLIPS[c][q]
         for row in self.rows:
-            d, x2, z2 = ent[(1 if row[1] & bit else 0, 1 if row[2] & bit else 0)]
+            x, z = row[1], row[2]
+            d, fx, fz = flips[(x >> q & 1) << 1 | z >> q & 1]
             row[0] = (row[0] + d) & 3
-            row[1] = (row[1] & ~bit) | (x2 * bit)
-            row[2] = (row[2] & ~bit) | (z2 * bit)
+            row[1] = x ^ fx
+            row[2] = z ^ fz
 
     def apply_cz(self, a: int, b: int):
         self._check(a)
         self._check(b)
         if a == b:
             raise VertexStateError("CZ needs two distinct qubits")
-        ba, bb = 1 << a, 1 << b
+        flips = _CZ_FLIPS[a][b]
         for row in self.rows:
-            key = (
-                1 if row[1] & ba else 0,
-                1 if row[2] & ba else 0,
-                1 if row[1] & bb else 0,
-                1 if row[2] & bb else 0,
-            )
-            d, xa2, za2, xb2, zb2 = _CZ_CONJ[key]
+            x, z = row[1], row[2]
+            d, fx, fz = flips[
+                (x >> a & 1) << 3 | (z >> a & 1) << 2 | (x >> b & 1) << 1 | z >> b & 1
+            ]
             row[0] = (row[0] + d) & 3
-            row[1] = (row[1] & ~(ba | bb)) | (xa2 * ba) | (xb2 * bb)
-            row[2] = (row[2] & ~(ba | bb)) | (za2 * ba) | (zb2 * bb)
+            row[1] = x ^ fx
+            row[2] = z ^ fz
 
     def measure(self, q: int, basis: str, rng=None, forced: int | None = None) -> int:
         """Measure single-qubit Pauli; returns +1/-1 and collapses.
@@ -170,7 +196,7 @@ class DenseStabilizerState:
         anti = [
             i
             for i, row in enumerate(self.rows)
-            if (bin(row[1] & pz).count("1") + bin(row[2] & px).count("1")) & 1
+            if (row[1] & pz ^ row[2] & px).bit_count() & 1
         ]
         if anti:
             if forced is not None:

@@ -169,13 +169,13 @@ class GraphRegister:
         self._adj[v] ^= {u}
 
     def _mul_vop(self, v: int, c: int):
-        self._vop[v] = int(cl.MUL[self._vop[v], c])
+        self._vop[v] = cl.MUL[self._vop[v]][c]
 
     def _conj_frame(self, v: int, c: int):
         """frame_v <- C^dag frame_v C (sign dropped)."""
         f = self._frame[v]
         if f:
-            self._frame[v] = int(cl.CONJ_P[cl.ADJ[c], f])
+            self._frame[v] = cl.CONJ_P[cl.ADJ[c]][f]
 
     def _fold_frame_into_vop(self, v: int):
         f = self._frame[v]
@@ -187,7 +187,7 @@ class GraphRegister:
         """Apply single-qubit Clifford C_c to vertex v (absorbs the frame)."""
         self._require_alive(v)
         self._fold_frame_into_vop(v)
-        self._vop[v] = int(cl.MUL[c, self._vop[v]])
+        self._vop[v] = cl.MUL[c][self._vop[v]]
         return self
 
     # -- local complementation --------------------------------------------
@@ -195,11 +195,10 @@ class GraphRegister:
     def local_complement(self, a: int) -> "GraphRegister":
         """Complement the neighborhood of a; physical state unchanged."""
         self._require_alive(a)
-        nbrs = self.neighbors(a)
         _complement(self._adj, a)
         self._mul_vop(a, _LC_A)
         self._conj_frame(a, _LC_A)
-        for b in nbrs:
+        for b in self._adj[a]:  # a's own neighbor set is left as it was
             self._mul_vop(b, _LC_B)
             self._conj_frame(b, _LC_B)
         return self
@@ -208,14 +207,15 @@ class GraphRegister:
         """Reduce vop_a to identity via local complementations, using a
         swapping partner in N(a) \\ {avoid} (caller guarantees one exists)."""
         c = min(self._adj[a] - {avoid})
-        for letter in _WORDS[int(cl.ADJ[self._vop[a]])]:
+        for letter in _WORDS[cl.ADJ[self._vop[a]]]:
             self.local_complement(a if letter == _LC_A else c)
         assert self._vop[a] == cl.ID
 
     # -- CZ ----------------------------------------------------------------
 
     def _cz_reducible(self, x: int, y: int) -> bool:
-        return self._vop[x] not in cl.Z_DIAGONAL and bool(self._adj[x] - {y})
+        nbrs = self._adj[x]  # reducible with a neighbor besides y
+        return self._vop[x] not in cl.Z_DIAGONAL and len(nbrs) > (y in nbrs)
 
     def apply_cz(self, a: int, b: int) -> "GraphRegister":
         self._require_alive(a)
@@ -246,9 +246,9 @@ class GraphRegister:
             self._frame[b] ^= 3
         if fb in (1, 2):
             self._frame[a] ^= 3
-        if cl.CONJ_S[cl.ADJ[self._vop[a]], 3] < 0:
+        if cl.CONJ_S[cl.ADJ[self._vop[a]]][3] < 0:
             self._frame[b] ^= 3
-        if cl.CONJ_S[cl.ADJ[self._vop[b]], 3] < 0:
+        if cl.CONJ_S[cl.ADJ[self._vop[b]]][3] < 0:
             self._frame[a] ^= 3
         self._toggle_edge(a, b)
 
@@ -272,7 +272,7 @@ class GraphRegister:
         self._require_alive(a)
         p = _B[basis]
         va = self._vop[a]
-        s0, q = int(cl.CONJ_S[cl.ADJ[va], p]), int(cl.CONJ_P[cl.ADJ[va], p])
+        s0, q = cl.CONJ_S[cl.ADJ[va]][p], cl.CONJ_P[cl.ADJ[va]][p]
         fa = self._frame[a]
         s1 = -1 if (fa and fa != q) else 1  # distinct non-identity Paulis anticommute
         eps = s0 * s1

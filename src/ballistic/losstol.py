@@ -88,20 +88,24 @@ def simulate_teleport(
     N, L = spec.columns, spec.column_size
     kept = ~bernoulli(rng, (trials, N, L), spec.loss)
     flipped = bernoulli(rng, (trials, N, L), spec.z_flip)
-    flipped &= kept
-    coin = bernoulli(rng, (trials, N), 0.5)
+    # without flips no column ties or votes wrong, so the stream only steps
+    # past the coins (in O(1)) and the vote is skipped
+    coin = bernoulli(rng, (trials, N), 0.5 if spec.z_flip else 0.0)
     # count and vote a block of about CHUNK cells at a time, so that no
     # per-column array grows with the trial count
     n_success = n_flip = n_tied = 0
     step = max(1, CHUNK // (N * L))
     for lo in range(0, trials, step):
-        survivors = _column_counts(kept[lo:lo + step])
-        twice = _column_counts(flipped[lo:lo + step])
-        twice *= 2
+        block = kept[lo:lo + step]
+        survivors = _column_counts(block)
         success = (survivors > 0).all(axis=1)
+        n_success += int(success.sum())
+        if not spec.z_flip:
+            continue
+        twice = _column_counts(flipped[lo:lo + step] & block)
+        twice *= 2
         tie = (twice == survivors) & (survivors > 0)
         col_wrong = (twice > survivors) | (tie & coin[lo:lo + step])
-        n_success += int(success.sum())
         n_flip += int((col_wrong.any(axis=1) & success).sum())
         n_tied += int((tie.any(axis=1) & success).sum())
     if n_success == 0:

@@ -127,8 +127,10 @@ def square_lattice_crosses(n: int, p: float, rng) -> bool:
     grid[::2, ::2] = True
     grid[::2, 1::2] = keep[:m].reshape(n, n - 1)
     grid[1::2, ::2] = keep[m:].reshape(n - 1, n)
-    lab, _ = label(grid)
-    return bool(np.isin(lab[::2, 0], lab[::2, -1]).any())
+    lab, count = label(grid)
+    right = np.zeros(count + 1, dtype=bool)  # labels on the right column
+    right[lab[::2, -1]] = True
+    return bool(right[lab[::2, 0]].any())
 
 
 # -- windowed pathfinding ---------------------------------------------------

@@ -25,7 +25,7 @@ from ballistic.losstol import (
     verify_ring_block_equivalence,
     verify_s_gadget,
 )
-from ballistic.rng import trial_rng
+from ballistic.rng import CHUNK, trial_rng
 
 
 def test_spec_validation():
@@ -188,6 +188,30 @@ def test_teleport_blocks_match_one_block(monkeypatch):
         for chunk in (1, 3 * cells):
             monkeypatch.setattr(losstol, "CHUNK", chunk)
             assert simulate_teleport(spec, trial_rng(26, i), 40) == want, (spec, chunk)
+
+
+def stream_state(rng) -> tuple:
+    """A Philox generator's state, less the buffered words already used
+    (stepping past a block leaves them zero, sampling it leaves them set)."""
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"][s["buffer_pos"]:].tolist(), s["buffer_pos"],
+            s["has_uint32"], s["uinteger"])
+
+
+@pytest.mark.parametrize("trials", [100, 10_000])
+def test_teleport_without_flips_steps_past_the_coins(trials):
+    """At z_flip 0 the tie coins are stepped over, not sampled: the report
+    and the stream's end state equal those of the plain reference, which
+    samples them, with the coin draw under and over `rng.CHUNK` words."""
+    spec = CrazyGraphSpec(4, 2, loss=0.3)
+    assert (trials * spec.columns > CHUNK) == (trials > 100)
+    rng, ref = trial_rng(27, trials), trial_rng(27, trials)
+    rep = simulate_teleport(spec, rng, trials)
+    assert rep == plain_teleport(spec, ref, trials)
+    assert 0 < rep.success_rate < 1 and rep.flip_rate == rep.tie_frequency == 0
+    assert stream_state(rng) == stream_state(ref)
+    assert rng.random(5).tolist() == ref.random(5).tolist()
 
 
 def test_simulate_validation():
