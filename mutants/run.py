@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 95 mutants take
+Run from the repository root (standard library only; the 97 mutants take
 about 60 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -177,11 +177,29 @@ MUTANTS = (
         "    (11, 12, (0, 1, 0)),\n",
         ("tests/test_builder.py::test_bond_wirings_fuse_every_stub_once",),
     ),
+    # -- fusion: every attempt, formation and bond alike, consumes ancillas
     Mutant(
-        "resource-boosted-cost-always", BUILDER,
-        "(photons + ancillas) / comp_qubits",
-        "(photons + fusions * 2) / comp_qubits",
-        ("tests/test_builder.py::test_with_ancilla_figure_counts_only_consumed_ancillas",),
+        "ancillas-every-kind", BUILDER,
+        "    ancillas = fusions * ANCILLA_COST\n",
+        "    ancillas = cells * len(BOND_PAIRS) * ANCILLA_COST\n",
+        ("tests/test_builder.py::test_resource_report_counts",
+         "tests/test_builder.py::test_with_ancilla_figure_counts_only_consumed_ancillas"),
+    ),
+    # -- the optional |+> filter: None draws nothing, a fidelity draws it
+    Mutant(
+        "filter-none-inverted", BUILDER,
+        "    if spec.filter_fidelity is None:\n",
+        "    if spec.filter_fidelity is not None:\n",
+        ("tests/test_builder.py::test_filter_limits",
+         "tests/test_builder.py::test_every_wafer_field_changes_the_lattice_or_is_rejected"),
+    ),
+    Mutant(
+        "filter-draw-dropped", BUILDER,
+        "        kept = bernoulli(rng, slots, spec.filter_fidelity)\n",
+        "        kept = np.ones(slots, dtype=bool)\n",
+        ("tests/test_builder.py::test_filter_limits",
+         "tests/test_builder.py::test_filter_reduces_alive_fraction",
+         "tests/test_builder.py::test_every_wafer_field_changes_the_lattice_or_is_rejected"),
     ),
     Mutant(
         "graph-level-accepted", BUILDER,
@@ -371,13 +389,21 @@ MUTANTS = (
         "right[lab[::2, 0]] = True",
         ("tests/test_percolation.py::test_square_lattice_crosses_matches_old_family",),
     ),
-    # -- fusion: only a boosted fusion consumes ancillas
+    # -- fusion: boosted Type-II is the one kind
     Mutant(
-        "ancillas-every-kind", "src/ballistic/fusion.py",
-        'return ANCILLA_COST if self.kind == "BoostedTypeII" else 0',
-        "return ANCILLA_COST",
-        ("tests/test_fusion.py::test_ancilla_accounting",
-         "tests/test_builder.py::test_with_ancilla_figure_counts_only_consumed_ancillas"),
+        "fusion-kind-typeii-accepted", "src/ballistic/fusion.py",
+        'if self.kind != "BoostedTypeII":',
+        'if self.kind not in ("BoostedTypeII", "TypeII"):',
+        ("tests/test_fusion.py::test_unknown_kind_rejected",
+         "tests/test_cli.py::test_fusion_kind_message_says_vary_success_prob",
+         "tests/test_builder.py::test_every_wafer_field_changes_the_lattice_or_is_rejected"),
+    ),
+    # -- rng: a probability outside [0, 1] or NaN is rejected, not drawn
+    Mutant(
+        "bernoulli-range-unchecked", "src/ballistic/rng.py",
+        "    if not 0.0 <= p <= 1.0:\n",
+        "    if p < 0.0 or p > 1.0:\n",
+        ("tests/test_builder.py::test_bernoulli_rejects_non_probabilities",),
     ),
     # -- rng: skipping fixed-outcome draws
     Mutant(
@@ -484,12 +510,6 @@ MUTANTS = (
         ("tests/test_multiplex.py::test_delivered_pairs_prunes_collisions",
          "tests/test_multiplex.py::test_matching_rmux_matches_old_regrow",
          "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
-    ),
-    Mutant(
-        "sample-p-unchecked", "src/ballistic/multiplex.py",
-        "        if not 0.0 <= p <= 1.0:\n            raise SpecError(\"generation",
-        "        if not -1.0 <= p <= 2.0:\n            raise SpecError(\"generation",
-        ("tests/test_multiplex.py::test_photon_stream_sampling",),
     ),
     # -- losstol: column counts that a byte cannot hold, and the fair coin
     #    that settles a tied majority vote

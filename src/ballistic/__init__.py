@@ -5,7 +5,7 @@ Modules:
   dense       — brute-force stabilizer oracle for <= 12 qubits
   clifford    — the 24 single-qubit Clifford operators and their tables
   fock        — small-photon-number linear-optics oracle
-  fusion      — heralded Type-II fusion parameters and ancilla cost
+  fusion      — boosted Type-II fusion parameters and ancilla cost
   builder     — unit-cell wiring and wafer assembly into a 3D lattice
   percolation — crossing checks, square-lattice crossing, windowed pathfinding
   multiplex   — photon streams, delay networks, matching and yields

@@ -241,12 +241,7 @@ def check_wafer_spanning() -> tuple[bool, str]:
 def check_filter_critical() -> tuple[bool, str]:
     @functools.cache
     def frac(f, i):
-        spec = WaferSpec(
-            12, 6, 50,
-            fusion_params=_BOOSTED,
-            filter_fidelity=f,
-            filter_enabled=True,
-        )
+        spec = WaferSpec(12, 6, 50, fusion_params=_BOOSTED, filter_fidelity=f)
         return _spanning_fraction(spec, 60, 1010 + i)
 
     found = _bisect_half(frac, 0.90, 0.99, True)

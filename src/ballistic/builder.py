@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .fusion import FusionParams
+from .fusion import ANCILLA_COST, FusionParams
 from .rng import bernoulli
 
 # The one cell design (Gimeno-Segovia et al., PRL 115, 020502 (2015)): slot
@@ -65,15 +65,15 @@ class WaferSpec:
     nz: int
     fusion_params: FusionParams
     photon_loss: float = 0.0
-    filter_fidelity: float = 1.0
-    filter_enabled: bool = False
+    # the inline |+> filter's fidelity, or None for no filter
+    filter_fidelity: float | None = None
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
             raise SpecError("wafer dimensions must be >= 1")
         if not 0.0 <= self.photon_loss < 1.0:
             raise SpecError("photon_loss outside [0, 1)")
-        if not 0.0 <= self.filter_fidelity <= 1.0:
+        if self.filter_fidelity is not None and not 0.0 <= self.filter_fidelity <= 1.0:
             raise SpecError("filter_fidelity outside [0, 1]")
 
     @property
@@ -127,10 +127,10 @@ def _sample_draws(spec: WaferSpec, rng):
     shape = (spec.nx, spec.ny, spec.nz)
     slots = shape + (PHOTONS_PER_CELL,)
     lost = bernoulli(rng, slots, spec.photon_loss)
-    if spec.filter_enabled:
-        kept = bernoulli(rng, slots, spec.filter_fidelity)
-    else:
+    if spec.filter_fidelity is None:
         kept = np.ones(slots, dtype=bool)
+    else:
+        kept = bernoulli(rng, slots, spec.filter_fidelity)
     success = bernoulli(
         rng, shape + (len(BOND_PAIRS),), spec.fusion_params.success_prob
     )
@@ -245,7 +245,7 @@ def _resource_report(spec: WaferSpec) -> dict:
     cells = spec.cells
     photons = cells * PHOTONS_PER_CELL
     fusions = cells * (len(FORMATION_PAIRS) + len(BOND_PAIRS))
-    ancillas = fusions * spec.fusion_params.ancillas_per_fusion
+    ancillas = fusions * ANCILLA_COST
     comp_qubits = cells * len(COMPUTATIONAL_SLOTS)
     return {
         "cells": cells,

@@ -49,13 +49,9 @@ CONFIG_VERSION = 1
 
 
 def _wafer_spec(params: dict) -> WaferSpec:
-    # success_prob sets every fusion outcome and no scenario reports
-    # ancillas, so any other kind would be ignored
-    if params["fusion_kind"] != _WAFER_DEFAULTS["fusion_kind"]:
-        raise SpecError(
-            f"fusion_kind must stay {_WAFER_DEFAULTS['fusion_kind']!r}, got "
-            f"{params['fusion_kind']!r}; vary success_prob instead"
-        )
+    fusion = FusionParams(
+        kind=params["fusion_kind"], success_prob=float(params["success_prob"])
+    )
     # a disabled filter keeps every photon, so any other fidelity is ignored
     if not params["filter_enabled"] and float(params["filter_fidelity"]) != 1.0:
         raise SpecError(
@@ -66,13 +62,11 @@ def _wafer_spec(params: dict) -> WaferSpec:
         params["nx"],
         params["ny"],
         params["nz"],
-        fusion_params=FusionParams(
-            kind=params["fusion_kind"],
-            success_prob=float(params["success_prob"]),
-        ),
+        fusion_params=fusion,
         photon_loss=float(params["photon_loss"]),
-        filter_fidelity=float(params["filter_fidelity"]),
-        filter_enabled=params["filter_enabled"],
+        filter_fidelity=(
+            float(params["filter_fidelity"]) if params["filter_enabled"] else None
+        ),
     )
     _check_cap("nx * ny * nz", spec.cells, MAX_WAFER_CELLS)
     return spec

@@ -55,6 +55,8 @@ class Interferometer:
         self.unitary = np.eye(mode_count, dtype=complex)
 
     def beamsplitter(self, m1: int, m2: int, theta: float):
+        if m1 == m2:
+            raise ShapeError("a beamsplitter couples two distinct modes")
         u2 = np.array(
             [
                 [math.cos(theta), 1j * math.sin(theta)],

@@ -1,4 +1,4 @@
-"""Heralded Type-II fusion: its kind, success probability and ancilla cost.
+"""Boosted Type-II fusion: its success probability and ancilla cost.
 
 A fusion is a destructive two-photon measurement that either succeeds or
 fails, and says which; the builder draws each outcome with the success
@@ -13,23 +13,24 @@ from dataclasses import dataclass
 
 from .errors import SpecError
 
-KINDS = ("TypeII", "BoostedTypeII")
 # Ancilla photons a boosted fusion consumes per attempt.
 ANCILLA_COST = 2
 
 
 @dataclass(frozen=True)
 class FusionParams:
+    # always "BoostedTypeII": the field stays only because the benchmark's
+    # workloads (`perfbench/workloads.py`) pass `kind=`
     kind: str
     success_prob: float
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SpecError(f"unknown fusion kind {self.kind!r}")
+        # success_prob sets every fusion outcome, so another kind would
+        # change nothing but its name
+        if self.kind != "BoostedTypeII":
+            raise SpecError(
+                f"fusion_kind must stay 'BoostedTypeII', got {self.kind!r}; "
+                "vary success_prob instead"
+            )
         if not 0.0 <= self.success_prob <= 1.0:
             raise SpecError("success_prob outside [0, 1]")
-
-    @property
-    def ancillas_per_fusion(self) -> int:
-        """Ancilla photons consumed per attempt (boosting only)."""
-        return ANCILLA_COST if self.kind == "BoostedTypeII" else 0

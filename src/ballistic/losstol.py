@@ -138,8 +138,7 @@ def exact_flip_prob(L: int, loss: float, z_flip: float) -> float:
     survivors, flip iff more than half flip, plus half the even-split
     probability for the fair-coin tie.
     """
-    if L < 1:
-        raise SpecError("column size must be >= 1")
+    CrazyGraphSpec(1, L, loss, z_flip)  # checks L, loss and z_flip as a wire's
     norm = 1.0 - loss**L
     if norm == 0.0:
         return 0.0

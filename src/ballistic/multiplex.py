@@ -44,8 +44,6 @@ class PhotonStream:
 
     @staticmethod
     def sample(bin_count: int, p: float, rng):
-        if not 0.0 <= p <= 1.0:
-            raise SpecError("generation probability outside [0, 1]")
         occ = bernoulli(rng, bin_count, p)
         return PhotonStream(tuple(occ.tolist()))
 

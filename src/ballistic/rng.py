@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SpecError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -43,7 +45,10 @@ def bernoulli(gen: np.random.Generator, shape, p: float) -> np.ndarray:
     uniform consumes one 64-bit word, and the counter advances in O(1) by
     whole blocks of words.  Other bit generators, and a Philox holding a
     spare 32-bit half word (which `advance` would discard), are sampled.
+    A `p` outside [0, 1], or NaN, is no probability and is rejected.
     """
+    if not 0.0 <= p <= 1.0:
+        raise SpecError(f"probability {p!r} outside [0, 1]")
     bitgen = gen.bit_generator
     if not isinstance(bitgen, np.random.Philox):
         return gen.random(shape) < p

@@ -1,5 +1,6 @@
 """Unit-cell wiring and wafer assembly."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -20,9 +21,9 @@ from ballistic.builder import (
     optical_depth_report,
 )
 from ballistic.errors import SpecError
-from ballistic.fusion import KINDS, FusionParams
+from ballistic.fusion import ANCILLA_COST, FusionParams
 from ballistic.graphstate import GraphRegister
-from ballistic.percolation import crossing_exists, crossings
+from ballistic.percolation import crossing_exists, crossings, square_lattice_crosses
 from ballistic.rng import CHUNK, bernoulli, trial_rng
 from graph_oracle import build_graph_level, make_ghz3
 
@@ -78,7 +79,7 @@ def _fragment(reg, start):
 def test_deterministic_limit_joins_layers():
     # the z bond fuses one layer's primal qubit to the next layer's dual
     # qubit (and vice versa), so each fragment spans both layers
-    spec = WaferSpec(1, 1, 2, fusion_params=FusionParams("TypeII", success_prob=1.0))
+    spec = WaferSpec(1, 1, 2, fusion_params=FusionParams("BoostedTypeII", success_prob=1.0))
     lat = build_graph_level(spec, rng=trial_rng(0, 0))
     reg = lat.register
     p0, d0 = lat.computational_vertices[(0, 0, 0)]
@@ -89,7 +90,7 @@ def test_deterministic_limit_joins_layers():
 
 
 def test_single_cell_deterministic_limit():
-    spec = WaferSpec(1, 1, 1, fusion_params=FusionParams("TypeII", success_prob=1.0))
+    spec = WaferSpec(1, 1, 1, fusion_params=FusionParams("BoostedTypeII", success_prob=1.0))
     lat = build_graph_level(spec, rng=trial_rng(0, 0))
     comp_ids = next(iter(lat.computational_vertices.values()))
     reg = lat.register
@@ -113,12 +114,14 @@ def test_resource_report_counts():
 
 
 def test_with_ancilla_figure_counts_only_consumed_ancillas():
-    # only a boosted fusion consumes ancillas, ANCILLA_COST = 2 per attempt
-    for kind, want in (("TypeII", 9.0), ("BoostedTypeII", 17.0)):
-        spec = WaferSpec(2, 2, 2, fusion_params=FusionParams(kind, success_prob=0.5))
-        rep = build_wafer(spec, rng=trial_rng(1, 0)).resource_report
-        assert rep["photons_per_computational_with_ancilla"] == want, kind
-        assert want == rep["photons_emitted_total"] / rep["computational_qubits"]
+    # every attempt of the 8 fusions per cell consumes ANCILLA_COST = 2
+    # ancillas, whatever its success probability
+    assert ANCILLA_COST == 2
+    spec = WaferSpec(2, 2, 2, fusion_params=FusionParams("BoostedTypeII", success_prob=0.5))
+    rep = build_wafer(spec, rng=trial_rng(1, 0)).resource_report
+    assert rep["ancillas_consumed"] == 8 * 8 * ANCILLA_COST
+    assert rep["photons_per_computational_with_ancilla"] == 17.0
+    assert 17.0 == rep["photons_emitted_total"] / rep["computational_qubits"]
 
 
 # Every axis takes 1, 2 and 3 cells; (1, 1, 1) has no in-range bond at all.
@@ -139,8 +142,7 @@ def spec_grid():
             *shape,
             fusion_params=FusionParams("BoostedTypeII", success_prob=sp),
             photon_loss=loss,
-            filter_fidelity=0.8,
-            filter_enabled=filt,
+            filter_fidelity=0.8 if filt else None,
         )
 
 
@@ -151,7 +153,6 @@ FIXED_OUTCOME_SPECS = tuple(
         2, 3, 3,
         fusion_params=FusionParams("BoostedTypeII", success_prob=sp),
         filter_fidelity=1.0,
-        filter_enabled=True,
     )
     for sp in (0.0, 1.0)
 )
@@ -165,10 +166,10 @@ def test_build_modes_agree():
         for t in range(10)
     ]
     cases += [(bonds, spec, 100 + i) for i, (bonds, spec) in enumerate(spec_grid())]
-    # each fusion kind, at its unboosted or boosted success probability
+    # at the unboosted and the boosted success probability
     cases += [
-        (paper, WaferSpec(2, 2, 3, fusion_params=FusionParams(kind, sp)), 0)
-        for kind, sp in zip(KINDS, (0.5, 0.75))
+        (paper, WaferSpec(2, 2, 3, fusion_params=FusionParams("BoostedTypeII", sp)), 0)
+        for sp in (0.5, 0.75)
     ]
     # every draw skipped: the graph-level build draws on from wherever
     # _sample_draws leaves the stream
@@ -205,6 +206,16 @@ def test_bernoulli_matches_plain_draws():
         assert got.dtype == want.dtype and got.shape == want.shape, (shape, p)
         assert (got == want).all(), (shape, p, prior)
         assert (fast.random(64) == plain.random(64)).all(), (shape, p, prior)
+
+
+def test_bernoulli_rejects_non_probabilities():
+    # 1.7 would draw all True and NaN all False
+    for p in (1.7, -0.1, float("nan")):
+        for gen in (trial_rng(3, 0), np.random.default_rng(0)):
+            with pytest.raises(SpecError, match="outside"):
+                bernoulli(gen, 4, p)
+    with pytest.raises(SpecError):
+        square_lattice_crosses(8, 1.5, trial_rng(3, 0))
 
 
 def _half_word_philox():
@@ -265,10 +276,10 @@ def _plain_sample_draws(spec, rng):
     shape = (spec.nx, spec.ny, spec.nz)
     nslots = builder.PHOTONS_PER_CELL
     lost = rng.random(shape + (nslots,)) < spec.photon_loss
-    if spec.filter_enabled:
-        kept = rng.random(shape + (nslots,)) < spec.filter_fidelity
-    else:
+    if spec.filter_fidelity is None:
         kept = np.ones(shape + (nslots,), dtype=bool)
+    else:
+        kept = rng.random(shape + (nslots,)) < spec.filter_fidelity
     success = (
         rng.random(shape + (len(builder.BOND_PAIRS),))
         < spec.fusion_params.success_prob
@@ -437,8 +448,62 @@ def test_wafer_spanning_probabilistic():
     assert hits == 20
 
 
+def _varied(value):
+    """Another value of a spec field's type: a flag flipped, an int one up,
+    a probability halfway to the far end of [0, 1], a filter where there was
+    none, or another fusion kind."""
+    if value is None:
+        return 0.5
+    if isinstance(value, str):
+        return "TypeII"
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value / 2 if value > 0.5 else (value + 1) / 2
+
+
+def _each_field_varied(obj):
+    """(field path, thunk) per field of the dataclass `obj`, and per field of
+    a dataclass field: the thunk rebuilds `obj` with that one field varied,
+    and raises where the varied value is rejected."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            inner = [(f"{f.name}.{p}", m) for p, m in _each_field_varied(value)]
+        else:
+            inner = [(f.name, functools.partial(_varied, value))]
+        for path, make in inner:
+            yield path, lambda name=f.name, make=make: dataclasses.replace(
+                obj, **{name: make()}
+            )
+
+
+def test_every_wafer_field_changes_the_lattice_or_is_rejected():
+    """No WaferSpec field, nor a field of its FusionParams, is silently
+    ignored: varying any one of them from a base spec changes `alive`,
+    `alive_punched` or `edges` for some seed, or raises SpecError."""
+    base = WaferSpec(3, 3, 4, fusion_params=BOOSTED)
+
+    def lattices(spec):
+        return [
+            bond_build_digest([build_wafer(spec, rng=trial_rng(17, t))])
+            for t in range(4)
+        ]
+
+    before = lattices(base)
+    varied = list(_each_field_varied(base))
+    assert len(varied) == len(dataclasses.fields(base)) + 1
+    for path, make in varied:
+        try:
+            spec = make()
+        except SpecError:
+            continue
+        assert lattices(spec) != before, f"WaferSpec ignores {path}"
+
+
 def test_zero_success_prob_gives_no_bonds():
-    spec = WaferSpec(2, 2, 2, fusion_params=FusionParams("TypeII", success_prob=0.0))
+    spec = WaferSpec(2, 2, 2, fusion_params=FusionParams("BoostedTypeII", success_prob=0.0))
     lat = build_wafer(spec, rng=trial_rng(3, 0))
     assert len(lat.comp.edges) == 0
 
@@ -447,10 +512,7 @@ def test_filter_limits():
     # The builders' inline |+> filter keeps every photon at fidelity 1 and
     # Z-measures every one out at fidelity 0.
     for fidelity, survives in ((1.0, True), (0.0, False)):
-        spec = WaferSpec(
-            2, 2, 2, fusion_params=BOOSTED,
-            filter_fidelity=fidelity, filter_enabled=True,
-        )
+        spec = WaferSpec(2, 2, 2, fusion_params=BOOSTED, filter_fidelity=fidelity)
         for build in (build_wafer, build_graph_level):
             lat = build(spec, rng=trial_rng(4, 0))
             assert (lat.comp.alive == survives).all()
@@ -459,9 +521,7 @@ def test_filter_limits():
 
 def test_filter_reduces_alive_fraction():
     base = WaferSpec(4, 4, 4, fusion_params=BOOSTED)
-    filt = WaferSpec(
-        4, 4, 4, fusion_params=BOOSTED, filter_fidelity=0.8, filter_enabled=True
-    )
+    filt = WaferSpec(4, 4, 4, fusion_params=BOOSTED, filter_fidelity=0.8)
     a = build_wafer(base, rng=trial_rng(6, 0)).comp.alive.mean()
     b = build_wafer(filt, rng=trial_rng(6, 0)).comp.alive.mean()
     assert b < a

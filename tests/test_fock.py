@@ -35,6 +35,12 @@ def test_single_photon_beamsplitter_convention():
     assert a01 == pytest.approx(1j / math.sqrt(2))
 
 
+def test_beamsplitter_needs_two_modes():
+    # one mode coupled to itself would not be unitary
+    with pytest.raises(ShapeError):
+        Interferometer(2).beamsplitter(0, 0, math.pi / 4)
+
+
 def test_hom_dip():
     out = apply_interferometer(FockState.basis((1, 1)), balanced_bs())
     assert detection_probability(out, {0: 1, 1: 1}) < 1e-12

@@ -22,9 +22,12 @@ def chain_pair():
 
 
 def test_unknown_kind_rejected():
-    # no build models Type-I fusion, so asking for it is an error too
-    for kind in ("TypeIII", "TypeI"):
-        with pytest.raises(SpecError, match=f"unknown fusion kind '{kind}'"):
+    # success_prob sets every outcome, so boosted Type-II is the one kind
+    for kind in ("TypeIII", "TypeI", "TypeII"):
+        with pytest.raises(SpecError, match=(
+            f"^fusion_kind must stay 'BoostedTypeII', got '{kind}'; "
+            "vary success_prob instead$"
+        )):
             FusionParams(kind, success_prob=0.5)
 
 
@@ -49,11 +52,6 @@ def test_failure_removes_both_cleanly():
     assert not g.has_edge(1, 4)
     # Z removal does not damage the rest of either chain
     assert g.has_edge(0, 1) and g.has_edge(4, 5)
-
-
-def test_ancilla_accounting():
-    assert FusionParams("TypeII", success_prob=0.5).ancillas_per_fusion == 0
-    assert FusionParams("BoostedTypeII", success_prob=0.75).ancillas_per_fusion == 2
 
 
 def test_success_toggles_existing_edges():

@@ -35,6 +35,11 @@ def test_spec_validation():
         CrazyGraphSpec(3, 0)
     with pytest.raises(SpecError):
         CrazyGraphSpec(3, 3, loss=1.5)
+    # the analytic oracle takes the same column and probabilities
+    for L, loss, z_flip in ((0, 0.1, 0.1), (3, 1.5, 0.1), (3, 0.1, -0.1),
+                            (3, 0.1, float("nan"))):
+        with pytest.raises(SpecError):
+            exact_flip_prob(L, loss, z_flip)
 
 
 def test_build_edge_count_and_degenerate_wire():

@@ -36,7 +36,7 @@ from ballistic.rng import trial_rng
 from graph_oracle import _comp_from_register, lose
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-TYPE_II = FusionParams("TypeII", success_prob=0.5)
+UNBOOSTED = FusionParams("BoostedTypeII", success_prob=0.5)
 
 
 def built(comp):
@@ -131,10 +131,7 @@ def _labelling_cases():
             )
         ]
         specs.append(
-            WaferSpec(
-                *shape, fusion_params=TYPE_II,
-                filter_fidelity=0.0, filter_enabled=True,
-            )
+            WaferSpec(*shape, fusion_params=UNBOOSTED, filter_fidelity=0.0)
         )
         rngs = [trial_rng(31, 1000 * k + i) for i in range(len(specs))]
         yield build_wafers(specs, rngs)
@@ -191,6 +188,12 @@ def _scipy_partition(comps, punched):
     return _first_index(np.concatenate(parts))
 
 
+def _maybe(fidelity, enabled):
+    """A filter of `fidelity` where `enabled`, else no filter: both drawn
+    whatever the choice, so later draws do not depend on it."""
+    return fidelity if enabled else None
+
+
 def _random_wafer_lists(count, seed):
     """`count` lists of 1-4 same-shape wafers with random sides (nz may be
     1), losses, fusion success and filtering."""
@@ -204,8 +207,9 @@ def _random_wafer_lists(count, seed):
                     "BoostedTypeII", success_prob=float(pick.choice([0.0, 0.5, 0.75, 1.0]))
                 ),
                 photon_loss=float(pick.uniform(0.0, 0.3)),
-                filter_fidelity=float(pick.uniform(0.5, 1.0)),
-                filter_enabled=bool(pick.random() < 0.3),
+                filter_fidelity=_maybe(
+                    float(pick.uniform(0.5, 1.0)), pick.random() < 0.3
+                ),
             )
             for _ in range(int(pick.integers(1, 5)))
         ]
@@ -262,7 +266,7 @@ def test_punch_out_removes_damaged_neighbors():
     unknown = set()
     lose(g, 0, unknown)
     cells = {(0, 0, 0): (1, 2), (0, 0, 1): (3, 4)}
-    spec = WaferSpec(1, 1, 2, fusion_params=TYPE_II)
+    spec = WaferSpec(1, 1, 2, fusion_params=UNBOOSTED)
     comp = _comp_from_register(spec, g, cells, unknown)
     assert comp.alive.all()
     assert comp.alive_punched.ravel().tolist() == [False, False, True, True]
@@ -596,8 +600,8 @@ def _edge_list_neighbours(comp, punched):
 def test_csr_adjacency_matches_edge_list():
     rng = np.random.default_rng(2016)
     specs = [
-        WaferSpec(1, 1, 1, fusion_params=TYPE_II),
-        WaferSpec(2, 2, 2, fusion_params=FusionParams("TypeII", success_prob=0.0)),
+        WaferSpec(1, 1, 1, fusion_params=UNBOOSTED),
+        WaferSpec(2, 2, 2, fusion_params=FusionParams("BoostedTypeII", success_prob=0.0)),
     ]
     for _ in range(100):
         nx, ny, nz = (int(d) for d in rng.integers(1, 4, size=3))
@@ -608,8 +612,7 @@ def test_csr_adjacency_matches_edge_list():
                     "BoostedTypeII", success_prob=float(rng.uniform(0.3, 1))
                 ),
                 photon_loss=float(rng.uniform(0.0, 0.3)),
-                filter_fidelity=float(rng.uniform(0.8, 1.0)),
-                filter_enabled=bool(rng.integers(2)),
+                filter_fidelity=_maybe(float(rng.uniform(0.8, 1.0)), rng.integers(2)),
             )
         )
     # lossless and unfiltered: every node is alive in both views, so the
