@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 97 mutants take
-about 60 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 99 mutants take
+about 140 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -81,6 +81,7 @@ REACH_AGREES = (REACH_CASES, ROUTER_LEADS)
 WORD_BOUNDARY = "tests/test_builder.py::test_bernoulli_compares_words_at_the_boundary"
 DENSE_UPDATES = "tests/test_dense.py::test_updates_match_tuple_keyed_reference"
 ROWS_TOGETHER = "tests/test_multiplex.py::test_yield_curve_routes_rows_together_exactly"
+SWEEP_ROWS = "tests/test_multiplex.py::test_sliding_sweep_rows_side_by_side_match_greedy_by_b"
 FOCK = "src/ballistic/fock.py"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
                 "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle")
@@ -449,7 +450,8 @@ MUTANTS = (
     ),
     # -- multiplex: the one any-of-k law, the sliding sweep behind the
     #    yield curves, the one route that prunes its plan, the rows of a
-    #    yield curve routed together in their own time stretches, the
+    #    yield curve swept and routed together in their own time
+    #    stretches, the
     #    pair-list matcher composed of the sweep and that route, and the
     #    range check on a sampled stream's generation probability
     Mutant(
@@ -460,10 +462,16 @@ MUTANTS = (
     ),
     Mutant(
         "sliding-sweep-slot-reused", "src/ballistic/multiplex.py",
-        "            ib.append(x)\n            x += 1\n",
-        "            ib.append(x)\n",
-        ("tests/test_multiplex.py::test_multiplex_golden",
+        "took = y > np.maximum(",
+        "took = y >= np.maximum(",
+        (SWEEP_ROWS, "tests/test_multiplex.py::test_multiplex_golden",
          "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
+    ),
+    Mutant(
+        "sliding-sweep-clamps-swapped", "src/ballistic/multiplex.py",
+        "np.minimum(np.maximum(cap[:-d], lift[d:]), cap[d:])",
+        "np.minimum(np.maximum(cap[d:], lift[d:]), cap[:-d])",
+        (SWEEP_ROWS, ROWS_TOGETHER, "tests/test_multiplex.py::test_multiplex_golden"),
     ),
     Mutant(
         "sliding-sweep-high-exclusive", "src/ballistic/multiplex.py",
@@ -480,15 +488,24 @@ MUTANTS = (
     Mutant(
         "yield-curve-matching-unrouted", "src/ballistic/multiplex.py",
         '"matching_yield": n / bin_count,',
-        '"matching_yield": len(starts[len(rows) - g]) / bin_count,',
+        '"matching_yield": np.count_nonzero(pa // bin_count == len(rows) - g)'
+        " / bin_count,",
         ("tests/test_multiplex.py::test_multiplex_golden",
          "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
     ),
     Mutant(
         "yield-rows-share-time", "src/ballistic/multiplex.py",
-        "starts.append(pa + i * bin_count)",
-        "starts.append(pa + i * (bin_count - 1))",
+        "a_rows.append(a + i * bin_count)\n            b_rows.append(b + i * bin_count)",
+        "a_rows.append(a + i * (bin_count - 1))\n"
+        "            b_rows.append(b + i * (bin_count - 1))",
         (ROWS_TOGETHER,),
+    ),
+    Mutant(
+        "yield-row-clip-dropped", "src/ballistic/multiplex.py",
+        "reach.append(np.minimum(D, bin_count - 1 - a))",
+        "reach.append(D + 0 * a)",
+        (ROWS_TOGETHER,
+         "tests/test_multiplex.py::test_yield_curve_matches_pair_list_pipeline"),
     ),
     Mutant(
         "yield-rows-offset-across-groups", "src/ballistic/multiplex.py",

@@ -292,14 +292,15 @@ MAX_THREADS = 256
 # cell in wafer-span, 196-203 B per cell in loss-sweep for a lattice that is
 # a build batch of its own (2^18-2^20 cells; smaller lattices are built and
 # labelled in batches of at most builder.BATCH_CELLS cells, about 190 B per
-# batch cell), all lossless, 24 B per threshold-scan site, 52-54 B per
-# mux-yield bin where each row routes alone (2^18 bins and up; shorter rows
-# route together, up to multiplex.ROUTE_BINS bins at once, 75-100 B per bin
-# at 2^16-2^17 bins) and 2.3 B per crazy-teleport qubit draw, so each cap
+# batch cell), all lossless, 24 B per threshold-scan site, 35-38 B per
+# mux-yield bin at p 0.2 and 140-166 B at p 0.9 and 1 where each row routes
+# alone (2^18-2^23 bins; shorter rows are swept and routed together, up to
+# multiplex.ROUTE_BINS bins at once, and grew by at most 44 MiB at
+# 2^16-2^17 bins) and 2.3 B per crazy-teleport qubit draw, so each cap
 # holds a trial under ~1 GiB, within the ~2 GiB the caps were set for.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
 MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites
-MAX_MUX_BINS = 2**24
+MAX_MUX_BINS = 2**22  # 645 MiB at p = 1; 2^23 bins took 1169 MiB
 MAX_TELEPORT_DRAWS = 2**24  # batch * columns * column_size
 
 
@@ -469,13 +470,17 @@ def _write_files(out_dir: str, what: str, files: dict) -> dict:
 def _write_summary(fileobj, columns: dict) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["metric", "mean", "std", "stderr", "count"])
-    for key, vals in sorted(columns.items()):
-        mean = vals.mean()
-        std = vals.std(ddof=1) if len(vals) > 1 else 0.0
-        stderr = std / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        writer.writerow(
-            [key, f"{mean:.10g}", f"{std:.10g}", f"{stderr:.10g}", len(vals)]
-        )
+    if not columns:
+        return
+    keys = sorted(columns)
+    # every column holds one value per record, so they stack
+    table = np.stack([columns[k] for k in keys])
+    n = table.shape[1]
+    mean = table.mean(axis=1)
+    std = table.std(axis=1, ddof=1) if n > 1 else np.zeros(len(keys))
+    stderr = std / math.sqrt(n)
+    for key, m, s, e in zip(keys, mean.tolist(), std.tolist(), stderr.tolist()):
+        writer.writerow([key, f"{m:.10g}", f"{s:.10g}", f"{e:.10g}", n])
 
 
 def _metric_columns(metric_dicts, path: str) -> dict:

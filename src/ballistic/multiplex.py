@@ -8,8 +8,8 @@ a worst-case Pauli-Z rate.
 
 Relative-time multiplexing is one sliding sweep (`_sliding_sweep`) and one
 route (`_route`, which also returns its collision log): `yield_curve` runs
-them on photon-bin arrays, one sweep per row and one route for a group of
-rows, and the pair-list API wraps them, with `matching_rmux` the
+them on photon-bin arrays, one sweep and one route for a group of rows,
+and the pair-list API wraps them, with `matching_rmux` the
 `delivered_pairs` of `sliding_window_match`.
 """
 
@@ -181,9 +181,11 @@ def route_with_delays(stream: PhotonStream, assignments, network: DelayNetwork):
 def _sliding_sweep(a, b, max_delay):
     """Sliding-window pairs of ascending bin arrays `a` (delayed) and `b`.
 
-    Each A photon in turn takes the earliest B photon in [a, a + max_delay]
-    above every B photon taken before it.  The pairs come out ascending in
-    both A and B, and they are also the pairs of the sweep over B, in which
+    `max_delay` is one int or one per A photon, with window ends
+    `a + max_delay` that never decrease.  Each A photon in turn takes the
+    earliest B photon in [a, a + max_delay] above every B photon taken
+    before it.  The pairs come out ascending in both A and B, and with one
+    max_delay they are also the pairs of the sweep over B, in which
     each B photon takes the earliest free A photon in [b - max_delay, b]:
     both sweeps are one rule on the two earliest photons left.  That rule
     drops the B photon if it comes first, pairs the two if the B photon lies
@@ -199,19 +201,31 @@ def _sliding_sweep(a, b, max_delay):
     again).  An A photon the sweep left unmatched stays unmatched for the
     same reason.  So the leftover sweep is C, P and C together are the
     sweep again, and routing them delivers P once more.
+
+    The sweep is a scan.  Let y count the B photons taken or passed over,
+    and lo_k and hi_k the B photons below photon k's window and up to its
+    end.  Photon k moves y to y_k = min(max(y + 1, lo_k + 1), hi_k) and
+    takes B photon y_k - 1 exactly when y_k > max(y_{k-1}, lo_k): since
+    y_{k-1} <= hi_{k-1} <= hi_k, a photon whose window is used up leaves y
+    at hi_k.  In z = y - k - 1 that move is the clamp z -> min(max(z, a), b)
+    with a = lo_k - k and b = hi_k - k - 1, and clamp (a1, b1) then clamp
+    (a2, b2) is the clamp (max(a1, a2), min(max(b1, a2), b2)).  So doubling
+    composes every prefix in ceil(log2 n) rounds, and y_k is the prefix
+    applied to z = 0, the value before photon 0, plus k + 1.
     """
-    lo = np.searchsorted(b, a).tolist()
-    hi = np.searchsorted(b, a + max_delay, "right").tolist()
-    ia, ib = [], []
-    x = 0  # the first B photon not taken or passed over
-    for k in range(len(lo)):
-        if x < lo[k]:
-            x = lo[k]
-        if x < hi[k]:
-            ia.append(k)
-            ib.append(x)
-            x += 1
-    return a[ia], b[ib]
+    lo = np.searchsorted(b, a)
+    hi = np.searchsorted(b, a + max_delay, "right")
+    k = np.arange(len(a))
+    # photon k's clamp on z = y - k - 1; a prefix of clamps is one clamp
+    lift, cap = lo - k, hi - k - 1
+    d = 1
+    while d < len(k):
+        cap[d:] = np.minimum(np.maximum(cap[:-d], lift[d:]), cap[d:])
+        lift[d:] = np.maximum(lift[:-d], lift[d:])
+        d *= 2
+    y = np.minimum(np.maximum(lift, 0), cap) + k + 1
+    took = y > np.maximum(np.r_[0, y[:-1]], lo)
+    return a[took], b[y[took] - 1]
 
 
 def sliding_window_match(
@@ -284,21 +298,25 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
     delivered sliding-window / matching yields at max delay 2^S - 1, plus
     the number of collision events hit while routing the sliding assignment
     (the matching pair set is collision-free by construction).  Each row
-    draws streams A then B as `PhotonStream.sample` would and sweeps the
-    sliding plan once.  The matching plan is the pairs of that plan that
-    route (see `matching_rmux`), so both yields are one number; the row
-    equals composing `sliding_window_match`, `delivered_pairs` and
-    `matching_rmux` on those streams.
+    draws streams A then B as `PhotonStream.sample` would.  The matching
+    plan is the pairs of the sliding plan that route (see `matching_rmux`),
+    so both yields are one number; the row equals composing
+    `sliding_window_match`, `delivered_pairs` and `matching_rmux` on those
+    streams.
 
-    Consecutive rows share one route, at most ROUTE_BINS // bin_count of
-    them (at least one).  Row i of a route has its pairs moved bin_count * i
-    bins later.  A photon's time stays in [a, b], the bins of its pair, so
-    each row keeps to its own bin_count bins and photons of two rows never
-    meet.  A row of S stages passes the route's later stages with branch 0
-    and unchanged times, which its own output stage left distinct.  So each
-    row delivers and collides as if routed alone; its output collisions are
-    only labelled as a later stage's pass branch.  Rows count their
-    survivors and log entries by time // bin_count.
+    Consecutive rows share one sweep and one route, at most
+    ROUTE_BINS // bin_count of them (at least one).  Row i of a group has
+    its photons moved bin_count * i bins later, and each A photon's window
+    is clipped to its row's last bin.  So the window ends still ascend, no
+    window reaches the next row, and the group's sweep is its rows' sweeps
+    side by side, each with its own max delay.  A photon's time stays in
+    [a, b], the bins of its pair, so each row keeps to its own bin_count
+    bins and photons of two rows never meet.  A row of S stages passes the
+    route's later stages with branch 0 and unchanged times, which its own
+    output stage left distinct.  So each row delivers and collides as if
+    routed alone; its output collisions are only labelled as a later
+    stage's pass branch.  Rows count their survivors and log entries by
+    time // bin_count.
     """
     s_values = list(s_values)
     if bin_count <= 0:
@@ -307,16 +325,17 @@ def yield_curve(p: float, s_values, bin_count: int, rng) -> list[dict]:
     rows = []
     for g in range(0, len(s_values), per_route):
         group = s_values[g : g + per_route]
-        starts, gaps = [], []
+        a_rows, b_rows, reach = [], [], []
         for i, S in enumerate(group):
             D = DelayNetwork(S).max_delay
             a = np.flatnonzero(bernoulli(rng, bin_count, p))
             b = np.flatnonzero(bernoulli(rng, bin_count, p))
-            pa, pb = _sliding_sweep(a, b, D)
-            starts.append(pa + i * bin_count)
-            gaps.append(pb - pa)
-        bins, gaps = np.concatenate(starts), np.concatenate(gaps)
-        _kept, times, log = _route(bins, gaps, max(group))
+            reach.append(np.minimum(D, bin_count - 1 - a))  # the row clip
+            a_rows.append(a + i * bin_count)
+            b_rows.append(b + i * bin_count)
+        a, b, reach = (np.concatenate(r) for r in (a_rows, b_rows, reach))
+        pa, pb = _sliding_sweep(a, b, reach)
+        _kept, times, log = _route(pa, pb - pa, max(group))
         delivered = np.bincount(times // bin_count, minlength=len(group)).tolist()
         collisions = [0] * len(group)
         for _lbl, t, _members in log:

@@ -2,7 +2,9 @@
 
 import csv
 import hashlib
+import io
 import json
+import math
 import multiprocessing
 import os
 import pathlib
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ballistic import cli
@@ -618,6 +621,45 @@ def test_scenario_golden(tmp_path, case):
     tie coin decides it (z_flip > 0) stay byte-identical."""
     golden = SCENARIO_GOLDEN[case]
     assert scenario_digest(tmp_path, golden["config"]) == golden["sha256"]
+
+
+def per_column_summary(columns: dict) -> str:
+    """summary.csv as numpy reduces each metric's column on its own."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["metric", "mean", "std", "stderr", "count"])
+    for key, vals in sorted(columns.items()):
+        mean = vals.mean()
+        std = vals.std(ddof=1) if len(vals) > 1 else 0.0
+        stderr = std / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+        writer.writerow(
+            [key, f"{mean:.10g}", f"{std:.10g}", f"{stderr:.10g}", len(vals)]
+        )
+    return out.getvalue()
+
+
+def test_summary_matches_per_column_reference():
+    """The summary reduces all columns in one (metrics x trials) array, and
+    its bytes equal the per-column reductions': with no metric, one trial,
+    and up to 35 columns of 2 to 10^5 trials holding yields, 0/1 flags,
+    counts, constants and values from 1e-100 to 1e100 off zero."""
+    rng = np.random.default_rng(38)
+    kinds = [
+        lambda n: rng.random(n),
+        lambda n: (rng.random(n) < rng.random()).astype(float),
+        lambda n: rng.integers(0, 1000, n).astype(float),
+        lambda n: np.full(n, rng.normal()),
+        lambda n: rng.normal(*10.0 ** rng.integers(-100, 101, 2), n),
+    ]
+    cases = [{}]
+    for n in (1, 2, 3, 10, 257, 4096, 10**5):
+        for _ in range(3):
+            picks = rng.integers(0, len(kinds), int(rng.integers(1, 36)))
+            cases.append({f"m{j:02d}": kinds[k](n) for j, k in enumerate(picks)})
+    for columns in cases:
+        out = io.StringIO()
+        cli._write_summary(out, columns)
+        assert out.getvalue() == per_column_summary(columns)
 
 
 def test_cli_verify_single_fast_criterion(capsys):

@@ -309,6 +309,43 @@ def test_matching_rmux_matches_old_regrow():
         )
 
 
+def test_sliding_sweep_rows_side_by_side_match_greedy_by_b():
+    """One sweep over rows laid side by side, each A photon's window clipped
+    to its row's last bin, pairs every row as the sweep over B pairs it
+    alone, with each row's own max_delay passed per photon.  Unclipped, most
+    windows would reach later rows.  Rows may be empty or hold one photon,
+    bins start below zero and max_delay reaches 2^61 - 1."""
+    rng = np.random.default_rng(38)
+    empty = np.array([], dtype=np.int64)
+    for D in (0, 3, 2**61 - 1):
+        for a, b in [(empty, empty), (empty, [4]), ([4], empty), ([-9], [-9]),
+                     ([-9], [-2]), ([5], [4])]:
+            a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+            for reach in (D, np.full(len(a), D)):
+                pa, pb = _sliding_sweep(a, b, reach)
+                assert list(zip(pa.tolist(), pb.tolist())) == plain_greedy_by_b(
+                    a.tolist(), b.tolist(), D
+                )
+    densities = (0.0, 0.1, 0.5, 1.0)
+    for _ in range(700):
+        width = int(rng.integers(1, 40))
+        start = int(rng.integers(-100, 100))
+        delays = [0, 1, 2, 7, width, 2**61 - 1]
+        rows = [(start + i * width, int(rng.choice(delays)))
+                for i in range(int(rng.integers(1, 6)))]
+        a_rows, b_rows, reach, want = [], [], [], []
+        for first, D in rows:
+            a = first + np.flatnonzero(rng.random(width) < rng.choice(densities))
+            b = first + np.flatnonzero(rng.random(width) < rng.choice(densities))
+            a_rows.append(a)
+            b_rows.append(b)
+            reach.append(np.minimum(D, first + width - 1 - a))
+            want += plain_greedy_by_b(a.tolist(), b.tolist(), D)
+        a, b, reach = (np.concatenate(r) for r in (a_rows, b_rows, reach))
+        pa, pb = _sliding_sweep(a, b, reach)
+        assert list(zip(pa.tolist(), pb.tolist())) == want
+
+
 def test_yield_curve_rows():
     rows = yield_curve(0.2, range(3), 2000, trial_rng(5, 0))
     assert [r["S"] for r in rows] == [0, 1, 2]
