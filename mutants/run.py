@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 99 mutants take
+Run from the repository root (standard library only; the 101 mutants take
 about 140 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -68,6 +68,8 @@ BUILDER = "src/ballistic/builder.py"
 GRAPHSTATE = "src/ballistic/graphstate.py"
 GRAPH_TESTS = "tests/test_graphstate.py::"
 ORACLE_AGREES = "tests/test_builder.py::test_build_modes_agree"
+SEQUENTIAL_BUILDS = "tests/test_builder.py::test_build_wafers_matches_sequential_builds"
+CLEAN_BATCHES = "tests/test_builder.py::test_clean_and_mixed_batches_match_sequential_builds"
 PERCOLATION = "src/ballistic/percolation.py"
 CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
 OLD_CROSSINGS = "tests/test_percolation.py::test_crossings_match_old_labelling"
@@ -137,6 +139,21 @@ MUTANTS = (
         "src[axis], dst[axis] = slice(None, -d), slice(d, None)",
         (ORACLE_AGREES,),
     ),
+    # -- the clean path: with nothing lost or filtered a bond fuses where it
+    #    succeeded and its partner cell is inside the wafer, and a lossy
+    #    batch takes the slot algebra even when every photon passed the filter
+    Mutant(
+        "clean-bonds-leave-wafer", BUILDER,
+        "np.logical_and(success[..., bi], _shift_ok(inside, off), out=bonded[:, bi])",
+        "bonded[:, bi] = success[..., bi]",
+        (CLEAN_BATCHES, SEQUENTIAL_BUILDS, ORACLE_AGREES),
+    ),
+    Mutant(
+        "clean-path-on-kept-only", BUILDER,
+        "    if not lost.any() and kept.all():\n",
+        "    if kept.all():\n",
+        (CLEAN_BATCHES, SEQUENTIAL_BUILDS, ORACLE_AGREES),
+    ),
     # -- the oracle itself: a ballistic survivor Z-measured cleanly instead
     #    of dropped as lost, so no loss herald damages its qubit
     Mutant(
@@ -158,13 +175,13 @@ MUTANTS = (
         "batch-draws-reversed", BUILDER,
         "for spec, rng in zip(specs, rngs)]",
         "for spec, rng in zip(specs, rngs)][::-1]",
-        ("tests/test_builder.py::test_build_wafers_matches_sequential_builds",),
+        (SEQUENTIAL_BUILDS,),
     ),
     Mutant(
         "batch-split-off-by-one", BUILDER,
         "np.arange(nb, wafers * nb, nb)",
         "np.arange(nb - 1, wafers * nb, nb)",
-        ("tests/test_builder.py::test_build_wafers_matches_sequential_builds",),
+        (SEQUENTIAL_BUILDS,),
     ),
     Mutant(
         "batches-budget-boundary", BUILDER,
@@ -217,8 +234,8 @@ MUTANTS = (
     ),
     Mutant(
         "labels-edge-filter-or", PERCOLATION,
-        "alive[e[:, 0]] & alive[e[:, 1]], axis=0",
-        "alive[e[:, 0]] | alive[e[:, 1]], axis=0",
+        "alive[e[:, 0]] & alive[e[:, 1]], axis=0)\n    lab = ",
+        "alive[e[:, 0]] | alive[e[:, 1]], axis=0)\n    lab = ",
         (OLD_CROSSINGS, LABELS_AGREE),
     ),
     # one hook round leaves edges between components unresolved
@@ -238,14 +255,14 @@ MUTANTS = (
     ),
     Mutant(
         "crossings-dead-top-kept", PERCOLATION,
-        "top = lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]",
-        "top = lab[:, :, :, -1]",
+        "top[lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]] = True",
+        "top[lab[:, :, :, -1]] = True",
         (OLD_CROSSINGS,),
     ),
     Mutant(
         "crossings-wrong-face", PERCOLATION,
-        "crossed = np.isin(lab[:, :, :, 0], top)",
-        "crossed = np.isin(lab[:, :, :, -1], top)",
+        "crossed = top[lab[:, :, :, 0]]",
+        "crossed = top[lab[:, :, :, -1]]",
         (OLD_CROSSINGS,),
     ),
     # -- adjacency: both directions of each edge whose two ends are alive
@@ -257,8 +274,8 @@ MUTANTS = (
     ),
     Mutant(
         "csr-keep-either-end-alive", PERCOLATION,
-        "keep = alive[e[:, 0]] & alive[e[:, 1]]",
-        "keep = alive[e[:, 0]] | alive[e[:, 1]]",
+        "alive[e[:, 0]] & alive[e[:, 1]], axis=0)\n    a, b = ",
+        "alive[e[:, 0]] | alive[e[:, 1]], axis=0)\n    a, b = ",
         (CSR_AGREES,),
     ),
     # -- pathfinding: the window reaches `window` layers back, a step keeps

@@ -8,9 +8,13 @@ bonds form the percolated 3D lattice consumed by the percolation module.
 
 The build is bond-level: the computational-qubit lattice is derived
 directly from the random draws with vectorized boolean algebra, for a batch
-of same-shape wafers at once.  The photon-by-photon graph-state build that
-it reproduces draw for draw is the exact oracle the tests compare it with
-(`tests/graph_oracle.py`).
+of same-shape wafers at once.  A batch whose draws lose no photon and
+filter none out (no loss, and no filter or one at fidelity 1) skips the
+loss, damage and attachment algebra: every qubit survives and every stub is
+attached, so a bond fuses wherever it succeeded inside the wafer, which is
+what the algebra gives for such draws.  The photon-by-photon graph-state
+build that it reproduces draw for draw is the exact oracle the tests
+compare it with (`tests/graph_oracle.py`).
 """
 
 from __future__ import annotations
@@ -270,7 +274,25 @@ def _sample_batch(specs, rngs):
 def _bond_masks(lost, kept, success):
     """Raw and punched survival per qubit, and which bonds fused, from a
     batch's stacked draws.  Arrays are indexed by wafer, then cell; per-qubit
-    ones by parity in their last axis, `bonded` by bond in its second."""
+    ones by parity in their last axis, `bonded` by bond in its second.
+
+    A clean batch, with no photon lost and every photon past the filter (no
+    loss, and no filter or one at fidelity 1), skips the slot algebra: every
+    slot is usable and undamaged, so every qubit survives in both views,
+    every stub is attached and no loss is heralded, and a bond fuses exactly
+    where it succeeded and its partner cell lies inside the wafer.  That is
+    what the algebra below computes from such draws, so the result is the
+    same.  One lost or filtered photon anywhere in the batch sends the whole
+    batch through the algebra.
+    """
+    if not lost.any() and kept.all():
+        bonded = np.empty((len(lost), len(BOND_PAIRS)) + lost.shape[1:4], dtype=bool)
+        inside = np.ones(lost.shape[1:4], dtype=bool)
+        for bi, (_ls, _rs, off) in enumerate(BOND_PAIRS):
+            np.logical_and(success[..., bi], _shift_ok(inside, off), out=bonded[:, bi])
+        alive = np.ones(lost.shape[:4] + (len(COMPUTATIONAL_SLOTS),), dtype=bool)
+        return alive, alive.copy(), bonded
+
     usable, damaged = _slot_masks(lost, kept)
 
     # Raw survival: not lost, passed the filter.  (Frame damage from
@@ -286,11 +308,11 @@ def _bond_masks(lost, kept, success):
         by_slot[stubs] & by_slot[a] & by_slot[b]
         & np.moveaxis(alive, -1, 0)[[_PARITY[s] for s in stubs]]
     )))
+    bonded = np.empty((len(lost), len(BOND_PAIRS)) + lost.shape[1:4], dtype=bool)
 
     # Damage from ballistic loss heralds: a surviving attached stub whose
     # fusion partner never arrived is dropped as lost, wounding its qubit.
     herald_damage = np.zeros_like(alive)
-    bonded = np.empty((len(lost), len(BOND_PAIRS)) + lost.shape[1:4], dtype=bool)
     for bi, (ls, rs, off) in enumerate(BOND_PAIRS):
         a_remote = _shift_ok(attached[rs], off)
         # local stub attached, partner missing -> local loss herald

@@ -24,9 +24,11 @@ def _labels(comps: list[CompLattice], punched: bool):
 
     One labelling serves the whole list.  Edges with a dead end are left
     out, so a dead node is a component of its own and only alive nodes'
-    labels mean anything.  The labels give the partition into components,
-    not the label values scipy's `connected_components` would return:
-    callers compare labels, never read them as component numbers.
+    labels mean anything; with every node alive no edge is dropped, and the
+    edge filter is skipped.  The labels give the partition into components,
+    not the label values scipy's `connected_components` would return: each
+    label is the id of a node of its component, so callers compare labels
+    or index by them, never read them as component numbers.
 
     Hook and compress (Shiloach & Vishkin, J. Algorithms 3, 57 (1982)):
     every node starts as its own root, and each round hooks the larger root
@@ -47,7 +49,8 @@ def _labels(comps: list[CompLattice], punched: bool):
     else:
         alive = np.concatenate([c.alive_flat(punched) for c in comps])
         e = np.concatenate([ei + i * n for i, ei in enumerate(edges)])
-    e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
+    if not alive.all():
+        e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
     lab = np.arange(len(alive))
     # each round's edges join the roots of two components
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
@@ -71,9 +74,11 @@ def _crossed(comps: list[CompLattice], labels, alive):
     c = comps[0]
     shape = (len(comps), c.nx, c.ny, c.nz, 2)
     lab = labels.reshape(shape)
-    top = lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]
+    # labels are node ids: mark the alive top layer's, read them at layer 0;
     # a dead node is a component of its own, so it matches no alive label
-    crossed = np.isin(lab[:, :, :, 0], top)
+    top = np.zeros(len(labels), dtype=bool)
+    top[lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]] = True
+    crossed = top[lab[:, :, :, 0]]
     return crossed.reshape(len(comps), -1).any(axis=1).tolist()
 
 
@@ -158,9 +163,8 @@ def _csr_adjacency(comp: CompLattice, punched: bool):
     alive = comp.alive_flat(punched)
     n = comp.node_count
     e = np.asarray(comp.edges, dtype=np.int64).reshape(-1, 2)
-    keep = alive[e[:, 0]] & alive[e[:, 1]]
-    if not keep.all():
-        e = e.compress(keep, axis=0)
+    if not alive.all():
+        e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
     a, b = e[:, 0], e[:, 1]
     # Each edge gives one key per direction, written into one array;
     # sorting them orders by source, then target.

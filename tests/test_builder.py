@@ -386,6 +386,50 @@ def test_build_wafers_matches_sequential_builds():
                 assert (a.random(64) == b.random(64)).all(), (k, shared)
 
 
+def _clean_spec(sp, filter_fidelity=None):
+    return WaferSpec(
+        3, 2, 4,
+        fusion_params=FusionParams("BoostedTypeII", success_prob=sp),
+        filter_fidelity=filter_fidelity,
+    )
+
+
+def test_clean_and_mixed_batches_match_sequential_builds():
+    """A batch of clean wafers (no loss, no filter or one at fidelity 1)
+    skips the slot algebra and matches the oracle; a batch that mixes clean
+    wafers with lossy or filtered ones goes through the algebra, and each
+    wafer matches its own `build_wafer` call, which takes the clean path for
+    a clean wafer and the algebra for the others (the unfiltered lossy
+    wafer's draws pass the filter but lose photons)."""
+    lossy = dataclasses.replace(_clean_spec(0.75), photon_loss=0.2)
+    batches = (
+        ([_clean_spec(0.75), _clean_spec(0.5, 1.0), _clean_spec(1.0)], False),
+        ([_clean_spec(0.75), lossy,
+          dataclasses.replace(lossy, filter_fidelity=0.9), _clean_spec(1.0, 1.0)], True),
+    )
+    for (specs, general), bonds in itertools.product(batches, WIRINGS):
+        with wired(bonds), mock.patch.object(
+            builder, "_slot_masks", wraps=builder._slot_masks
+        ) as slot_masks:
+            got = build_wafers(specs, [trial_rng(39, i) for i in range(len(specs))])
+            assert slot_masks.called == general, (specs, bonds)
+            want = [
+                build_wafer(spec, rng=trial_rng(39, i))
+                for i, spec in enumerate(specs)
+            ]
+            oracle = [
+                build_graph_level(spec, rng=trial_rng(39, i))
+                for i, spec in enumerate(specs)
+            ]
+        for i, (g, w, o) in enumerate(zip(got, want, oracle)):
+            assert bond_build_digest([g]) == bond_build_digest([w]), (general, bonds, i)
+            assert (g.comp.alive == o.comp.alive).all(), (general, bonds, i)
+            assert (g.comp.alive_punched == o.comp.alive_punched).all(), (general, bonds, i)
+            assert {tuple(sorted(e)) for e in g.comp.edges.tolist()} == {
+                tuple(sorted(e)) for e in o.comp.edges.tolist()
+            }, (general, bonds, i)
+
+
 def test_build_wafers_rejects_mixed_shapes():
     rng = trial_rng(0, 0)
     a, b = (WaferSpec(2, 2, nz, fusion_params=BOOSTED) for nz in (2, 3))
