@@ -15,8 +15,8 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 101 mutants take
-about 140 s on two cores, with one pytest run per usable core at a time):
+Run from the repository root (standard library only; the 104 mutants take
+about 150 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
 
@@ -72,6 +72,7 @@ SEQUENTIAL_BUILDS = "tests/test_builder.py::test_build_wafers_matches_sequential
 CLEAN_BATCHES = "tests/test_builder.py::test_clean_and_mixed_batches_match_sequential_builds"
 PERCOLATION = "src/ballistic/percolation.py"
 CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
+MASKS_AGREE = "tests/test_builder.py::test_bond_masks_give_the_edge_lists_neighbours"
 OLD_CROSSINGS = "tests/test_percolation.py::test_crossings_match_old_labelling"
 LABELS_AGREE = "tests/test_percolation.py::test_labels_partition_matches_scipy"
 REACH_CASES = "tests/test_percolation.py::test_reach_score_lead_checks_and_best_first_search"
@@ -123,8 +124,8 @@ MUTANTS = (
     ),
     Mutant(
         "bond-edges-stride", BUILDER,
-        "2 * ((ox * spec.ny + oy) * spec.nz + oz)",
-        "2 * ((ox * spec.nx + oy) * spec.nz + oz)",
+        "2 * ((off[0] * ny + off[1]) * nz + off[2])",
+        "2 * ((off[0] * nz + off[1]) * nz + off[2])",
         (ORACLE_AGREES,),
     ),
     Mutant(
@@ -178,9 +179,9 @@ MUTANTS = (
         (SEQUENTIAL_BUILDS,),
     ),
     Mutant(
-        "batch-split-off-by-one", BUILDER,
-        "np.arange(nb, wafers * nb, nb)",
-        "np.arange(nb - 1, wafers * nb, nb)",
+        "batch-wafer-takes-first-masks", BUILDER,
+        "alive[i], punched[i], bonded[i], wiring",
+        "alive[i], punched[i], bonded[0], wiring",
         (SEQUENTIAL_BUILDS,),
     ),
     Mutant(
@@ -265,18 +266,40 @@ MUTANTS = (
         "crossed = top[lab[:, :, :, -1]]",
         (OLD_CROSSINGS,),
     ),
-    # -- adjacency: both directions of each edge whose two ends are alive
+    # -- adjacency from an edge list: both directions of each edge whose
+    #    two ends are alive
     Mutant(
-        "csr-reverse-key-target", PERCOLATION,
-        "keys[m:] |= a",
-        "keys[m:] |= b",
+        "edge-list-reverse-offset", BUILDER,
+        "offsets[b].append(a - b)",
+        "offsets[b].append(b - a)",
         (CSR_AGREES,),
     ),
     Mutant(
-        "csr-keep-either-end-alive", PERCOLATION,
-        "alive[e[:, 0]] & alive[e[:, 1]], axis=0)\n    a, b = ",
-        "alive[e[:, 0]] | alive[e[:, 1]], axis=0)\n    a, b = ",
+        "edge-list-keep-either-end-alive", BUILDER,
+        "if alive[a] and alive[b]:",
+        "if alive[a] or alive[b]:",
         (CSR_AGREES,),
+    ),
+    # -- adjacency from the bond masks: each code's offsets ascend, a bond
+    #    end counts only with its far end alive, and the remote end reads
+    #    the mask shifted back by the bond's offset
+    Mutant(
+        "mask-offsets-unsorted", BUILDER,
+        "tuple(sorted(jump for e, (_p, _off, jump) in enumerate(ends) if code >> e & 1))",
+        "tuple(jump for e, (_p, _off, jump) in enumerate(ends) if code >> e & 1)",
+        (MASKS_AGREE,),
+    ),
+    Mutant(
+        "mask-far-end-alive-dropped", BUILDER,
+        "fused = fused & alive[..., pl] & _shift_ok(alive[..., pr], off)",
+        "fused = fused & alive[..., pl]",
+        (MASKS_AGREE,),
+    ),
+    Mutant(
+        "mask-remote-shift-flipped", BUILDER,
+        "_shift_ok(fused, back)",
+        "_shift_ok(fused, off)",
+        (MASKS_AGREE,),
     ),
     # -- pathfinding: the window reaches `window` layers back, a step keeps
     #    its first best-scoring candidate (the start is a step, so this

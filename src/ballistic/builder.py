@@ -15,10 +15,14 @@ attached, so a bond fuses wherever it succeeded inside the wafer, which is
 what the algebra gives for such draws.  The photon-by-photon graph-state
 build that it reproduces draw for draw is the exact oracle the tests
 compare it with (`tests/graph_oracle.py`).
+
+A built lattice keeps its fused-bond masks and lists its edges only when
+they are first read; the router reads neighbours off the masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,14 +95,26 @@ class CompLattice:
     Node flat id = ((x * ny + y) * nz + z) * 2 + parity, parity 0 = primal,
     1 = dual.  `alive` is raw survival (loss + filter on the qubit itself);
     `alive_punched` additionally removes qubits damaged by an adjacent
-    photon loss (the punch-out rule).
+    photon loss (the punch-out rule).  `edges` is an (m, 2) int array of
+    flat node ids.
+
+    `adjacency(punched)` gives the alive subgraph's neighbours in one form
+    whoever made the lattice: (code, offsets), node u's neighbours being
+    u + d for d in offsets[code[u]], ascending.  A lattice made from an
+    edge list sorts its edges into one offset tuple per node; a builder
+    lattice (`_BondLattice`) reads its bond masks instead, and lists
+    `edges` only when they are first read.
     """
 
     def __init__(self, nx, ny, nz, alive, alive_punched, edges):
         self.nx, self.ny, self.nz = nx, ny, nz
         self.alive = alive
         self.alive_punched = alive_punched
-        self.edges = edges  # (m, 2) int array of flat node ids
+        self._edges = edges
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._edges
 
     @property
     def node_count(self) -> int:
@@ -107,6 +123,50 @@ class CompLattice:
     def alive_flat(self, punched: bool) -> np.ndarray:
         a = self.alive_punched if punched else self.alive
         return a.reshape(-1)
+
+    def adjacency(self, punched: bool):
+        """(code, offsets) with code[u] = u and offsets[u] the sorted id
+        offsets from u along its edges whose two ends are alive."""
+        alive = self.alive_flat(punched).tolist()
+        offsets = [[] for _ in alive]
+        for a, b in np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).tolist():
+            if alive[a] and alive[b]:
+                offsets[a].append(b - a)
+                offsets[b].append(a - b)
+        return range(len(alive)), [tuple(sorted(d)) for d in offsets]
+
+
+class _BondLattice(CompLattice):
+    """A lattice from the builder, which keeps its wafer's fused-bond masks:
+    `bonded[i]` marks the cells whose bond i fused, and `wiring` is the
+    `_wiring` of the bonds it was built with.  `edges` is listed from the
+    masks on first read and kept.  `adjacency` lists no edge: node u's
+    code has bit e set when u is the qubit of bond end e and that bond
+    fused with both its qubits alive, so offsets[code] are the id offsets
+    of those ends, ascending.  Where every node of the view is alive, the
+    fused masks alone give the codes."""
+
+    def __init__(self, nx, ny, nz, alive, alive_punched, bonded, wiring):
+        super().__init__(nx, ny, nz, alive, alive_punched, None)
+        self.bonded, self.wiring = bonded, wiring
+
+    @property
+    def edges(self) -> np.ndarray:
+        if self._edges is None:
+            self._edges = _bond_edges(self.wiring, self.bonded)
+        return self._edges
+
+    def adjacency(self, punched: bool):
+        alive = self.alive_punched if punched else self.alive
+        ends, offsets = self.wiring
+        code = np.zeros(alive.shape, dtype=np.uint8)
+        for i, fused in enumerate(self.bonded):
+            (pl, off, _), (pr, back, _) = ends[2 * i:2 * i + 2]
+            if not alive.all():
+                fused = fused & alive[..., pl] & _shift_ok(alive[..., pr], off)
+            code[..., pl] |= fused.view(np.uint8) << 2 * i
+            code[..., pr] |= _shift_ok(fused, back).view(np.uint8) << 2 * i + 1
+        return code.tobytes(), offsets
 
 
 @dataclass
@@ -231,15 +291,13 @@ def build_wafers(specs, rngs) -> list[BuiltLattice]:
         raise SpecError("build_wafers needs wafers of one shape")
     if not specs:
         return []
-    # the stacked draws and every temporary of the derivation are freed
-    # before the edges are listed
     alive, punched, bonded = _bond_masks(*_sample_batch(specs, rngs))
-    edges = _bond_edges(specs[0], bonded)
     nx, ny, nz = specs[0].nx, specs[0].ny, specs[0].nz
+    wiring = _wiring(BOND_PAIRS, ny, nz)
     return [
         BuiltLattice(
             resource_report=_resource_report(spec),
-            comp=CompLattice(nx, ny, nz, alive[i], punched[i], edges[i]),
+            comp=_BondLattice(nx, ny, nz, alive[i], punched[i], bonded[i], wiring),
         )
         for i, spec in enumerate(specs)
     ]
@@ -328,27 +386,33 @@ def _bond_masks(lost, kept, success):
     return alive, alive & ~damaged[..., comp] & ~herald_damage, bonded
 
 
-def _bond_edges(spec, bonded):
-    """Each wafer's (m, 2) int64 edges, by bond, then cell.
+@functools.lru_cache(maxsize=64)
+def _wiring(bonds, ny, nz):
+    """The ends of the bonds `bonds` in a wafer of ny x nz cell columns,
+    and offsets[code], the ascending id offsets of the ends set in `code`.
+    End 2i is bond i's local stub and 2i + 1 its remote one, each (its
+    qubit's parity, the cell and the id offset to its partner's qubit);
+    the 8 stubs are the 8 ends, so a code is one byte."""
+    ends = []
+    for ls, rs, off in bonds:
+        jump = 2 * ((off[0] * ny + off[1]) * nz + off[2]) + _PARITY[rs] - _PARITY[ls]
+        ends += [(_PARITY[ls], off, jump), (_PARITY[rs], tuple(-d for d in off), -jump)]
+    offsets = tuple(
+        tuple(sorted(jump for e, (_p, _off, jump) in enumerate(ends) if code >> e & 1))
+        for code in range(1 << len(ends))
+    )
+    return tuple(ends), offsets
 
-    Node ids are 2 * cell + parity.  Hit h of `bonded` is bond h // cells
-    % nb at cell h % cells, so in flat order the hits come out by wafer,
-    then bond, then cell.
-    """
-    wafers, nb = bonded.shape[:2]
-    cells = spec.cells
-    hits = np.flatnonzero(bonded)
-    row = hits // cells
-    first = np.tile([_PARITY[ls] for ls, _rs, _off in BOND_PAIRS], wafers)
-    jump = np.tile([
-        2 * ((ox * spec.ny + oy) * spec.nz + oz) + _PARITY[rs] - _PARITY[ls]
-        for ls, rs, (ox, oy, oz) in BOND_PAIRS
-    ], wafers)
-    edges = np.empty((len(hits), 2), dtype=np.int64)
-    np.multiply(hits, 2, out=edges[:, 0])
-    edges[:, 0] += (first - 2 * cells * np.arange(wafers * nb))[row]
-    np.add(edges[:, 0], jump[row], out=edges[:, 1])
-    return np.split(edges, np.searchsorted(row, np.arange(nb, wafers * nb, nb)))
+
+def _bond_edges(wiring, bonded):
+    """One wafer's (m, 2) int64 edges, by bond, then cell: bond i fused at
+    cell c joins node 2 * c + p, p its local stub's parity, to that node
+    plus the id offset of its local end."""
+    edges = []
+    for (p, _off, jump), fused in zip(wiring[0][::2], bonded):
+        first = 2 * np.flatnonzero(fused) + p
+        edges.append(np.stack([first, first + jump], axis=1))
+    return np.concatenate(edges)
 
 
 # -- static optics accounting ----------------------------------------------

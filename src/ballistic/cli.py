@@ -289,9 +289,9 @@ MAX_THREADS = 256
 # Size caps, so that a config whose trial would run out of memory fails
 # validation instead; constants for the same reason.  Peak RSS growth of one
 # trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 206 B per wafer
-# cell in wafer-span, 196-203 B per cell in loss-sweep for a lattice that is
+# cell in wafer-span, 196-204 B per cell in loss-sweep for a lattice that is
 # a build batch of its own (2^18-2^20 cells; smaller lattices are built and
-# labelled in batches of at most builder.BATCH_CELLS cells, about 190 B per
+# labelled in batches of at most builder.BATCH_CELLS cells, about 200 B per
 # batch cell), all lossless, 24 B per threshold-scan site, 35-38 B per
 # mux-yield bin at p 0.2 and 140-166 B at p 0.9 and 1 where each row routes
 # alone (2^18-2^23 bins; shorter rows are swept and routed together, up to

@@ -8,7 +8,6 @@ wires through the layered lattice.
 from __future__ import annotations
 
 import numbers
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,44 +146,6 @@ class PathfindingState:
     sustained: list = field(default_factory=list)
 
 
-def _csr_adjacency(comp: CompLattice, punched: bool):
-    """Neighbours of the alive subgraph in CSR form, each slice ascending.
-
-    Node u's neighbours are indices[indptr[u]:indptr[u + 1]].  They come
-    back as `array("q")` and `array("i")`: reading an item or slice of one
-    costs about what a list's does, where a numpy scalar lookup costs
-    more, and unlike `tolist()` it builds no int object per entry up
-    front, most of which a search never reads.
-
-    The neighbours are the low halves of the sorted keys source << 32 |
-    target, so node ids must stay below 2**31; a lattice held in memory
-    has far fewer nodes.
-    """
-    alive = comp.alive_flat(punched)
-    n = comp.node_count
-    e = np.asarray(comp.edges, dtype=np.int64).reshape(-1, 2)
-    if not alive.all():
-        e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
-    a, b = e[:, 0], e[:, 1]
-    # Each edge gives one key per direction, written into one array;
-    # sorting them orders by source, then target.
-    m = len(e)
-    keys = np.empty(2 * m, dtype=np.int64)
-    np.left_shift(a, 32, out=keys[:m])
-    keys[:m] |= b
-    np.left_shift(b, 32, out=keys[m:])
-    keys[m:] |= a
-    keys.sort()
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
-    # the cast keeps each key's low 32 bits, its target; `frombytes` takes
-    # a byte view, so each array is filled by one copy
-    ptr, indices = array("q"), array("i")
-    ptr.frombytes(indptr.view(np.uint8))
-    indices.frombytes(keys.astype(np.int32).view(np.uint8))
-    return ptr, indices, alive
-
-
 class _Trail:
     """The witness the router keeps from one step to the next.
 
@@ -231,9 +192,10 @@ class _Trail:
         nodes += tail
 
 
-def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
+def _reach_score(code, offsets, layer, hop, z_lo, z_hi, used, trail, j):
     """Highest layer reachable from `hop[-1]` inside [z_lo, z_hi], capped at
-    z_hi, and a witness path when the cap is reached.
+    z_hi, and a witness path when the cap is reached.  Node u's neighbours
+    are u + d for d in offsets[code[u]], ascending (`CompLattice.adjacency`).
 
     The search never enters `used` or the hop chain `hop` (the BFS path from
     the wire's head to the candidate, which is its last node).  Its result
@@ -305,7 +267,7 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
         best = z_max
         k, seen = len(nodes), trail.at
     tip = nodes[k - 1] if on else prev
-    for w in indices[indptr[tip]:indptr[tip + 1]]:
+    for w in map(tip.__add__, offsets[code[tip]]):
         if layer[w] == z_hi and w not in used and w not in hop:
             return (z_hi, k, [w]) if on else (z_hi, j, [prev, w])
     parent = dict.fromkeys(hop)
@@ -319,7 +281,7 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
         k = lo = trail.start
     u = tip
     while True:
-        for w in indices[indptr[u]:indptr[u + 1]]:
+        for w in map(u.__add__, offsets[code[u]]):
             if w in parent or w in used:
                 continue
             if w in seen and seen[w] >= lo:
@@ -337,7 +299,7 @@ def _reach_score(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
                     z_max = layer[tip]
                     if z_max >= z_hi:
                         return z_max, j, pre + nodes[lo:]
-                    for x in indices[indptr[tip]:indptr[tip + 1]]:
+                    for x in map(tip.__add__, offsets[code[tip]]):
                         if layer[x] == z_hi and x not in used and x not in parent:
                             return z_hi, j, pre + nodes[lo:] + [x]
                     if z_max > best:
@@ -405,8 +367,10 @@ def find_paths_windowed(
     best so far, so a tie goes to the earliest BFS depth, then to the
     lowest id within it.  Every search visits a node's neighbours in
     ascending id order, which fixes both that tie-break and the BFS parent
-    of each node.  Wires are vertex-disjoint.  A wire that spans all nz
-    layers "sustains" nz - 1.
+    of each node: it reads them from `comp.adjacency`, which a builder
+    lattice derives from its bond masks without listing its edges.  Wires
+    are vertex-disjoint.  A wire that spans all nz layers "sustains"
+    nz - 1.
 
     A score that reaches the window's top comes with a witness path.  The
     router keeps the winner's witness as a `_Trail`: a list with a map from
@@ -431,7 +395,8 @@ def find_paths_windowed(
             raise SpecError(f"{name} must be an int >= 1, got {value!r}")
     window, wires = int(window), int(wires)
     comp = lattice.comp
-    indptr, indices, alive = _csr_adjacency(comp, punched)
+    code, offsets = comp.adjacency(punched)
+    alive = comp.alive_flat(punched)
     nz = comp.nz
     # node id ((x * ny + y) * nz + z) * 2 + parity lies in layer z
     layer = [z for z in range(nz) for _ in (0, 1)] * (comp.nx * comp.ny)
@@ -470,7 +435,7 @@ def find_paths_windowed(
                     hop, _ = _chain(parents, v)
                     j = at.get(v, off)
                     score, cut, tail = _reach_score(
-                        indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
+                        code, offsets, layer, hop, z_lo, z_hi, used, trail, j
                     )
                     if score > best_score:
                         best_hop, best_score, kept = hop, score, (j, cut, tail)
@@ -480,7 +445,7 @@ def find_paths_windowed(
                     break
                 nxt, candidates = [], []
                 for u in frontier:
-                    for w in indices[indptr[u]:indptr[u + 1]]:
+                    for w in map(u.__add__, offsets[code[u]]):
                         if w in parents or w in used:
                             continue
                         zw = layer[w]

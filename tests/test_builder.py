@@ -23,7 +23,12 @@ from ballistic.builder import (
 from ballistic.errors import SpecError
 from ballistic.fusion import ANCILLA_COST, FusionParams
 from ballistic.graphstate import GraphRegister
-from ballistic.percolation import crossing_exists, crossings, square_lattice_crosses
+from ballistic.percolation import (
+    crossing_exists,
+    crossings,
+    find_paths_windowed,
+    square_lattice_crosses,
+)
 from ballistic.rng import CHUNK, bernoulli, trial_rng
 from graph_oracle import build_graph_level, make_ghz3
 
@@ -428,6 +433,125 @@ def test_clean_and_mixed_batches_match_sequential_builds():
             assert {tuple(sorted(e)) for e in g.comp.edges.tolist()} == {
                 tuple(sorted(e)) for e in o.comp.edges.tolist()
             }, (general, bonds, i)
+
+
+def eager_bond_edges(spec, bonded):
+    """The edges of a batch as builds listed them before a lattice kept
+    its bond masks: all wafers' (m, 2) int64 edges at once, by wafer, then
+    bond, then cell, split per wafer.  Reads `builder.BOND_PAIRS`."""
+    wafers, nb = bonded.shape[:2]
+    cells = spec.cells
+    hits = np.flatnonzero(bonded)
+    row = hits // cells
+    parity = builder._PARITY
+    first = np.tile([parity[ls] for ls, _rs, _off in builder.BOND_PAIRS], wafers)
+    jump = np.tile([
+        2 * ((ox * spec.ny + oy) * spec.nz + oz) + parity[rs] - parity[ls]
+        for ls, rs, (ox, oy, oz) in builder.BOND_PAIRS
+    ], wafers)
+    edges = np.empty((len(hits), 2), dtype=np.int64)
+    np.multiply(hits, 2, out=edges[:, 0])
+    edges[:, 0] += (first - 2 * cells * np.arange(wafers * nb))[row]
+    np.add(edges[:, 0], jump[row], out=edges[:, 1])
+    return np.split(edges, np.searchsorted(row, np.arange(nb, wafers * nb, nb)))
+
+
+def adjacency_lists(comp, punched):
+    """Each node's neighbours in the order `comp.adjacency` gives them."""
+    code, offsets = comp.adjacency(punched)
+    return [[v + d for d in offsets[code[v]]] for v in range(comp.node_count)]
+
+
+# A 1x1x1 wafer, 1-wide in x and in y, 1-deep in z, and a full one.
+ADJACENCY_SHAPES = ((1, 1, 1), (1, 3, 4), (3, 1, 4), (3, 4, 1), (2, 3, 5))
+# clean, lossy, filtered, both, and all dead (every photon filtered out)
+ADJACENCY_DRAWS = (
+    {}, {"photon_loss": 0.1}, {"filter_fidelity": 0.8},
+    {"photon_loss": 0.05, "filter_fidelity": 0.9}, {"filter_fidelity": 0.0},
+)
+
+
+def adjacency_batches():
+    """(wiring, batch of builder lattices) over both wirings and the shapes
+    above: every draw kind at success 0.75 and 1 as one mixed batch, the
+    clean wafers as a clean batch, and each wafer as a single build.  The
+    wafers of a batch hold views of one `bonded` array."""
+    for bonds, shape in itertools.product(WIRINGS, ADJACENCY_SHAPES):
+        specs = [
+            WaferSpec(*shape, fusion_params=FusionParams("BoostedTypeII", sp), **draws)
+            for draws in ADJACENCY_DRAWS for sp in (0.75, 1.0)
+        ]
+        with wired(bonds):
+            rngs = [trial_rng(40, i) for i in range(len(specs))]
+            yield bonds, specs, build_wafers(specs, rngs)
+            yield bonds, specs[:2], build_wafers(specs[:2], rngs[:2])
+            for spec, rng in zip(specs, rngs):
+                yield bonds, [spec], [build_wafer(spec, rng=rng)]
+
+
+def test_bond_masks_give_the_edge_lists_neighbours():
+    """A builder lattice reads its neighbours off its bond masks, and a
+    lattice made from its edges sorts them: both give every node the same
+    neighbours in the same ascending order, in the raw and the punched
+    view.  The edges are read after the wiring is restored, so the masks
+    are read under the wiring the lattice was built with."""
+    seen = {"alive": 0, "lossy": 0, "dead": 0}
+    for _bonds, _specs, lats in adjacency_batches():
+        for lat in lats:
+            comp = lat.comp
+            listed = builder.CompLattice(
+                comp.nx, comp.ny, comp.nz, comp.alive, comp.alive_punched, comp.edges
+            )
+            for punched in (False, True):
+                alive = comp.alive_flat(punched)
+                got = adjacency_lists(comp, punched)
+                assert got == adjacency_lists(listed, punched), (alive.shape, punched)
+                if not alive.any():
+                    seen["dead"] += 1
+                    assert not any(got)
+                elif any(got):
+                    seen["alive" if alive.all() else "lossy"] += 1
+    # an all-alive view is read off the masks alone, a lossy one is not;
+    # seen: 96 all-alive views with a bond, 186 lossy ones, 86 all dead
+    assert seen["alive"] >= 80 and seen["lossy"] >= 150 and seen["dead"] >= 70, seen
+
+
+def test_lazy_edges_match_the_eager_listing():
+    """A lattice lists its edges from its masks when they are first read,
+    after routing and after the wiring is restored, and keeps them: the
+    array the batch listing gave, in values, dtype, order and shape
+    ((0, 2) when empty), for single builds and every wafer of a batch."""
+    empty = 0
+    for bonds, specs, lats in adjacency_batches():
+        bonded = np.stack([lat.comp.bonded for lat in lats])
+        with wired(bonds):
+            want = eager_bond_edges(specs[0], bonded)
+        for lat, w in zip(lats, want):
+            find_paths_windowed(lat, window=2)
+            got = lat.comp.edges
+            assert got.dtype == w.dtype == np.int64
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
+            assert lat.comp.edges is got
+            empty += got.shape == (0, 2)
+    assert empty >= 60, empty  # seen: 78
+
+
+def test_routing_a_builder_lattice_lists_no_edge(monkeypatch):
+    """`build_wafer`, then `find_paths_windowed`, neither lists the edges
+    (`_bond_edges`) nor sorts them (the edge-list `adjacency`)."""
+
+    def refuse(*args):
+        raise AssertionError("edges listed or sorted")
+
+    spec = WaferSpec(3, 2, 30, fusion_params=BOOSTED, photon_loss=0.02)
+    monkeypatch.setattr(builder, "_bond_edges", refuse)
+    monkeypatch.setattr(builder.CompLattice, "adjacency", refuse)
+    for punched in (False, True):
+        lat = build_wafer(spec, rng=trial_rng(40, 0))
+        state = find_paths_windowed(lat, window=3, wires=2, punched=punched)
+        assert state.paths[0] and lat.comp._edges is None
+    with pytest.raises(AssertionError, match="listed or sorted"):
+        lat.comp.edges
 
 
 def test_build_wafers_rejects_mixed_shapes():

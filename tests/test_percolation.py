@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pathlib
+from array import array
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from ballistic.errors import SpecError
 from ballistic.fusion import FusionParams
 from ballistic.graphstate import GraphRegister
 from ballistic.percolation import (
-    _csr_adjacency,
     _reach_score,
     _Trail,
     crossing_exists,
@@ -597,6 +597,34 @@ def _edge_list_neighbours(comp, punched):
     return [sorted(ns) for ns in nbrs]
 
 
+def _csr_adjacency(comp, punched):
+    """The oracles' adjacency: neighbours of the alive subgraph in CSR
+    form, each slice ascending.  Node u's neighbours are
+    indices[indptr[u]:indptr[u + 1]], as `array("q")` and `array("i")`,
+    whose items read as Python ints.  The neighbours are the low halves
+    of the sorted keys source << 32 | target, so node ids stay below
+    2**31."""
+    alive = comp.alive_flat(punched)
+    n = comp.node_count
+    e = np.asarray(comp.edges, dtype=np.int64).reshape(-1, 2)
+    e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
+    a, b = e[:, 0], e[:, 1]
+    keys = np.concatenate([a << 32 | b, b << 32 | a])
+    keys.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
+    ptr, indices = array("q"), array("i")
+    ptr.frombytes(indptr.tobytes())
+    indices.frombytes(keys.astype(np.int32).tobytes())
+    return ptr, indices, alive
+
+
+def adjacencies(comp):
+    """The raw view's neighbours in the router's form, (code, offsets),
+    then in the oracles' CSR, (indptr, indices)."""
+    return (*comp.adjacency(False), *_csr_adjacency(comp, False)[:2])
+
+
 def test_csr_adjacency_matches_edge_list():
     rng = np.random.default_rng(2016)
     specs = [
@@ -642,7 +670,17 @@ def test_csr_adjacency_matches_edge_list():
     ]
     assert sum(all_alive[-21:-1]) >= 15
     for i, comp in enumerate(comps):
+        listed = CompLattice(
+            comp.nx, comp.ny, comp.nz, comp.alive, comp.alive_punched, comp.edges
+        )
         for punched in (False, True):
+            for form in (listed, comp):
+                code, offsets = form.adjacency(punched)
+                got = [
+                    [v + d for d in offsets[code[v]]]
+                    for v in range(comp.node_count)
+                ]
+                assert got == _edge_list_neighbours(comp, punched), (i, punched)
             indptr, indices, _alive = _csr_adjacency(comp, punched)
             got = [
                 indices[indptr[v]:indptr[v + 1]].tolist()
@@ -862,13 +900,14 @@ def trail_of(layer, nz, nodes):
     return trail
 
 
-def check_reach(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
+def check_reach(adj, layer, hop, z_lo, z_hi, used, trail, j):
     """`_reach_score`'s result, after checking the score against the plain
     DFS and the witness nodes[j:cut] + tail for a path from the start to
     layer z_hi through allowed nodes only (or empty, when the score stays
-    below z_hi)."""
+    below z_hi).  `adj` is `adjacencies` of the lattice."""
+    code, offsets, indptr, indices = adj
     score, cut, tail = _reach_score(
-        indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
+        code, offsets, layer, hop, z_lo, z_hi, used, trail, j
     )
     witness = trail.nodes[j:cut] + list(tail)
     start = hop[-1]
@@ -897,7 +936,7 @@ def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
     routes match the old router's is `test_router_matches_old_router`."""
     calls = [0, 0]  # calls with a live trail, and with the start on it
 
-    def checked(indptr, indices, layer, hop, z_lo, z_hi, used, trail, j):
+    def checked(code, offsets, layer, hop, z_lo, z_hi, used, trail, j):
         nodes, s = trail.nodes, trail.start
         live = nodes[s:]
         if live:
@@ -911,7 +950,7 @@ def test_router_keeps_witnesses_that_need_no_check(monkeypatch):
             assert trail.at == {w: i for i, w in enumerate(nodes) if i >= s}
             assert trail.count == np.bincount(zs, minlength=len(trail.count)).tolist()
         score, cut, tail = _reach_score(
-            indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
+            code, offsets, layer, hop, z_lo, z_hi, used, trail, j
         )
         witness = nodes[j:cut] + list(tail)
         if score >= z_hi:
@@ -950,7 +989,7 @@ def test_reach_score_lead_checks_and_best_first_search():
     only.  `tail` is what the search adds to the part of the trail it
     keeps."""
     comp, A, B = ladder(10)
-    indptr, indices, _alive = _csr_adjacency(comp, False)
+    adj = adjacencies(comp)
     layer = [z for z in range(10) for _ in (0, 1)] * 2
     cases = {
         # (trail, j, hop, z_lo, z_hi, used): (score, tail)
@@ -995,7 +1034,7 @@ def test_reach_score_lead_checks_and_best_first_search():
     for name, (nodes, j, hop, z_lo, z_hi, used, want) in cases.items():
         trail = trail_of(layer, 10, nodes)
         score, _, tail = check_reach(
-            indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
+            adj, layer, hop, z_lo, z_hi, used, trail, j
         )
         assert (score, list(tail)) == want, name
 
@@ -1003,7 +1042,7 @@ def test_reach_score_lead_checks_and_best_first_search():
     # the hop chain is the router's BFS path to the start.  Joined, the
     # witness is the chain to the trail node, the lead, then any step on.
     comp, A, B, C = ladder(10, 3)
-    indptr, indices, _alive = _csr_adjacency(comp, False)
+    adj = adjacencies(comp)
     layer = [z for z in range(10) for _ in (0, 1)] * 3
     joins = {
         # (trail, hop, z_lo, z_hi, used): (score, witness)
@@ -1037,7 +1076,7 @@ def test_reach_score_lead_checks_and_best_first_search():
     for name, (nodes, hop, z_lo, z_hi, used, want) in joins.items():
         trail = trail_of(layer, 10, nodes)
         score, cut, tail = check_reach(
-            indptr, indices, layer, hop, z_lo, z_hi, used, trail, len(nodes)
+            adj, layer, hop, z_lo, z_hi, used, trail, len(nodes)
         )
         assert (score, cut, list(tail)) == (want[0], len(nodes), want[1]), name
 
@@ -1079,7 +1118,8 @@ def test_reach_score_on_router_shaped_leads():
     tips = steps = blocked = crossed = 0
     for _ in range(300):
         comp = random_layered_lattice(rng).comp
-        indptr, indices, _alive = _csr_adjacency(comp, False)
+        adj = adjacencies(comp)
+        indptr, indices = adj[2:]
         nz = comp.nz
         layer = ((np.arange(comp.node_count) // 2) % nz).tolist()
         window = int(rng.integers(1, 9))
@@ -1099,7 +1139,7 @@ def test_reach_score_on_router_shaped_leads():
             walk = walk[:zs.index(max(zs)) + 1] if walk and max(zs) > z else []
             trail = trail_of(layer, nz, [cur, *walk])
             score, cut, tail = check_reach(
-                indptr, indices, layer, [cur], z_lo, z_hi, used, trail, 0
+                adj, layer, [cur], z_lo, z_hi, used, trail, 0
             )
             if score < z_hi:
                 continue
@@ -1117,7 +1157,7 @@ def test_reach_score_on_router_shaped_leads():
             if hop is None:
                 continue
             score, cut, tail = check_reach(
-                indptr, indices, layer, hop, z_lo, z_hi, used, trail, j
+                adj, layer, hop, z_lo, z_hi, used, trail, j
             )
             steps += 1
             crossed += not set(lead).isdisjoint(hop)
