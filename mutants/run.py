@@ -15,7 +15,7 @@ from its file or found more than once, a test id pytest cannot find or a
 mutant that breaks collection (pytest exit 4 or 2), a pytest run past
 TIMEOUT seconds, or the named tests failing before any mutant is applied.
 
-Run from the repository root (standard library only; the 104 mutants take
+Run from the repository root (standard library only; the 112 mutants take
 about 150 s on two cores, with one pytest run per usable core at a time):
 
     python3 mutants/run.py
@@ -73,6 +73,7 @@ CLEAN_BATCHES = "tests/test_builder.py::test_clean_and_mixed_batches_match_seque
 PERCOLATION = "src/ballistic/percolation.py"
 CSR_AGREES = "tests/test_percolation.py::test_csr_adjacency_matches_edge_list"
 MASKS_AGREE = "tests/test_builder.py::test_bond_masks_give_the_edge_lists_neighbours"
+MASK_LINKS = "tests/test_builder.py::test_mask_links_match_the_edge_list_links"
 OLD_CROSSINGS = "tests/test_percolation.py::test_crossings_match_old_labelling"
 LABELS_AGREE = "tests/test_percolation.py::test_labels_partition_matches_scipy"
 REACH_CASES = "tests/test_percolation.py::test_reach_score_lead_checks_and_best_first_search"
@@ -86,6 +87,7 @@ DENSE_UPDATES = "tests/test_dense.py::test_updates_match_tuple_keyed_reference"
 ROWS_TOGETHER = "tests/test_multiplex.py::test_yield_curve_routes_rows_together_exactly"
 SWEEP_ROWS = "tests/test_multiplex.py::test_sliding_sweep_rows_side_by_side_match_greedy_by_b"
 FOCK = "src/ballistic/fock.py"
+ONE_RUN = "tests/test_cli.py::test_figure_rejects_results_that_are_not_one_runs"
 FUSION_RATES = ("tests/test_fock.py::test_fusion_success_probabilities",
                 "tests/test_acceptance.py::test_c02_fusion_success_via_photon_oracle")
 
@@ -226,19 +228,28 @@ MUTANTS = (
         "    if graph_level is None:\n",
         ("tests/test_builder.py::test_graph_level_build_is_rejected",),
     ),
+    # -- the links of a lattice list: an edge-list lattice offsets each
+    #    lattice's edges into the union and keeps those with two alive ends
+    Mutant(
+        "labels-union-offset", BUILDER,
+        "+ k * c.node_count for k, c in enumerate(comps)",
+        "+ k * (c.node_count - 1) for k, c in enumerate(comps)",
+        (OLD_CROSSINGS, LABELS_AGREE, MASK_LINKS),
+    ),
+    Mutant(
+        "labels-edge-filter-or", BUILDER,
+        "e[alive[e[:, 0]] & alive[e[:, 1]]]",
+        "e[alive[e[:, 0]] | alive[e[:, 1]]]",
+        (OLD_CROSSINGS, MASK_LINKS, CSR_AGREES),
+    ),
+    # a builder lattice list's links, each with its lower id first
+    Mutant(
+        "links-orientation-flipped", BUILDER,
+        "-1 if oriented and jump < 0 else 1",
+        "-1 if oriented and jump > 0 else 1",
+        (MASK_LINKS,),
+    ),
     # -- percolation
-    Mutant(
-        "labels-union-offset", PERCOLATION,
-        "[ei + i * n for i, ei in enumerate(edges)]",
-        "[ei + i * (n - 1) for i, ei in enumerate(edges)]",
-        (OLD_CROSSINGS, LABELS_AGREE),
-    ),
-    Mutant(
-        "labels-edge-filter-or", PERCOLATION,
-        "alive[e[:, 0]] & alive[e[:, 1]], axis=0)\n    lab = ",
-        "alive[e[:, 0]] | alive[e[:, 1]], axis=0)\n    lab = ",
-        (OLD_CROSSINGS, LABELS_AGREE),
-    ),
     # one hook round leaves edges between components unresolved
     Mutant(
         "labels-one-hook-round", PERCOLATION,
@@ -250,8 +261,8 @@ MUTANTS = (
     # rounds still end
     Mutant(
         "labels-one-jump", PERCOLATION,
-        "            if np.array_equal(jumped, lab):\n                break\n            lab = jumped\n",
-        "            lab = jumped\n            break\n",
+        "        while not np.array_equal(jumped := lab[lab], lab):\n            lab = jumped\n",
+        "        lab = lab[lab]\n",
         (OLD_CROSSINGS, LABELS_AGREE),
     ),
     Mutant(
@@ -262,27 +273,20 @@ MUTANTS = (
     ),
     Mutant(
         "crossings-wrong-face", PERCOLATION,
-        "crossed = top[lab[:, :, :, 0]]",
-        "crossed = top[lab[:, :, :, -1]]",
+        "return top[lab[:, :, :, 0]]",
+        "return top[lab[:, :, :, -1]]",
         (OLD_CROSSINGS,),
     ),
-    # -- adjacency from an edge list: both directions of each edge whose
-    #    two ends are alive
+    # -- adjacency from an edge list: both directions of each alive link
     Mutant(
         "edge-list-reverse-offset", BUILDER,
         "offsets[b].append(a - b)",
         "offsets[b].append(b - a)",
         (CSR_AGREES,),
     ),
-    Mutant(
-        "edge-list-keep-either-end-alive", BUILDER,
-        "if alive[a] and alive[b]:",
-        "if alive[a] or alive[b]:",
-        (CSR_AGREES,),
-    ),
-    # -- adjacency from the bond masks: each code's offsets ascend, a bond
-    #    end counts only with its far end alive, and the remote end reads
-    #    the mask shifted back by the bond's offset
+    # -- adjacency and links from the bond masks: each code's offsets
+    #    ascend, a bond counts only with both its ends alive, and the remote
+    #    end reads the mask shifted back by the bond's offset
     Mutant(
         "mask-offsets-unsorted", BUILDER,
         "tuple(sorted(jump for e, (_p, _off, jump) in enumerate(ends) if code >> e & 1))",
@@ -293,7 +297,13 @@ MUTANTS = (
         "mask-far-end-alive-dropped", BUILDER,
         "fused = fused & alive[..., pl] & _shift_ok(alive[..., pr], off)",
         "fused = fused & alive[..., pl]",
-        (MASKS_AGREE,),
+        (MASKS_AGREE, MASK_LINKS),
+    ),
+    Mutant(
+        "mask-near-end-alive-dropped", BUILDER,
+        "fused = fused & alive[..., pl] & _shift_ok(alive[..., pr], off)",
+        "fused = fused & _shift_ok(alive[..., pr], off)",
+        (MASKS_AGREE, MASK_LINKS),
     ),
     Mutant(
         "mask-remote-shift-flipped", BUILDER,
@@ -766,6 +776,51 @@ MUTANTS = (
         "if not (isinstance(rec, dict) and isinstance(rec.get(key), dict)):",
         "if count and not (isinstance(rec, dict) and isinstance(rec.get(key), dict)):",
         ("tests/test_cli.py::test_read_results_errors",),
+    ),
+    # -- a results file is one run's: its header's hash is its config's,
+    #    and its records carry that hash, its seed and the trials 0, 1, ...
+    #    up to its trial count, as the types a run writes
+    Mutant(
+        "results-header-hash-unchecked", "src/ballistic/cli.py",
+        'if header.get("config_hash") != h:',
+        "if False:",
+        (ONE_RUN,),
+    ),
+    Mutant(
+        "results-record-hash-unchecked", "src/ballistic/cli.py",
+        '(("config_hash", h), ("seed", cfg["seed"]), ("trial", trial))',
+        '(("seed", cfg["seed"]), ("trial", trial))',
+        (ONE_RUN,),
+    ),
+    Mutant(
+        "results-seed-unchecked", "src/ballistic/cli.py",
+        '(("config_hash", h), ("seed", cfg["seed"]), ("trial", trial))',
+        '(("config_hash", h), ("trial", trial))',
+        (ONE_RUN,),
+    ),
+    Mutant(
+        "results-trial-unchecked", "src/ballistic/cli.py",
+        '(("config_hash", h), ("seed", cfg["seed"]), ("trial", trial))',
+        '(("config_hash", h), ("seed", cfg["seed"]))',
+        (ONE_RUN,),
+    ),
+    Mutant(
+        "results-types-unchecked", "src/ballistic/cli.py",
+        "if type(rec.get(key)) is not type(want) or rec[key] != want:",
+        "if rec.get(key) != want:",
+        (ONE_RUN,),
+    ),
+    Mutant(
+        "results-extra-records-kept", "src/ballistic/cli.py",
+        'if trial != cfg["trials"]:',
+        'if trial < cfg["trials"]:',
+        (ONE_RUN,),
+    ),
+    Mutant(
+        "results-short-file-kept", "src/ballistic/cli.py",
+        'if trial != cfg["trials"]:',
+        'if trial > cfg["trials"]:',
+        (ONE_RUN,),
     ),
     Mutant(
         "missing-metric-kept", "src/ballistic/cli.py",

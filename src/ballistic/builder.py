@@ -8,16 +8,12 @@ bonds form the percolated 3D lattice consumed by the percolation module.
 
 The build is bond-level: the computational-qubit lattice is derived
 directly from the random draws with vectorized boolean algebra, for a batch
-of same-shape wafers at once.  A batch whose draws lose no photon and
-filter none out (no loss, and no filter or one at fidelity 1) skips the
-loss, damage and attachment algebra: every qubit survives and every stub is
-attached, so a bond fuses wherever it succeeded inside the wafer, which is
-what the algebra gives for such draws.  The photon-by-photon graph-state
-build that it reproduces draw for draw is the exact oracle the tests
-compare it with (`tests/graph_oracle.py`).
-
-A built lattice keeps its fused-bond masks and lists its edges only when
-they are first read; the router reads neighbours off the masks.
+of same-shape wafers at once (a batch that loses and filters out no photon
+skips the algebra, `_bond_masks`).  The photon-by-photon graph-state build
+that it reproduces draw for draw is the exact oracle the tests compare it
+with (`tests/graph_oracle.py`).  A built lattice keeps its fused-bond
+masks, which the router and the crossing labelling read; it lists its
+edges only when they are read.
 """
 
 from __future__ import annotations
@@ -96,21 +92,15 @@ class CompLattice:
     1 = dual.  `alive` is raw survival (loss + filter on the qubit itself);
     `alive_punched` additionally removes qubits damaged by an adjacent
     photon loss (the punch-out rule).  `edges` is an (m, 2) int array of
-    flat node ids.
-
-    `adjacency(punched)` gives the alive subgraph's neighbours in one form
-    whoever made the lattice: (code, offsets), node u's neighbours being
-    u + d for d in offsets[code[u]], ascending.  A lattice made from an
-    edge list sorts its edges into one offset tuple per node; a builder
-    lattice (`_BondLattice`) reads its bond masks instead, and lists
-    `edges` only when they are first read.
+    flat node ids.  The analyses read the alive subgraph in one form
+    whoever made the lattice: its neighbours from `adjacency`, and a list's
+    links from `union_links`.  A lattice made from an edge list derives
+    both from its edges; a builder lattice (`_BondLattice`) from its masks.
     """
 
     def __init__(self, nx, ny, nz, alive, alive_punched, edges):
         self.nx, self.ny, self.nz = nx, ny, nz
-        self.alive = alive
-        self.alive_punched = alive_punched
-        self._edges = edges
+        self.alive, self.alive_punched, self._edges = alive, alive_punched, edges
 
     @property
     def edges(self) -> np.ndarray:
@@ -125,26 +115,32 @@ class CompLattice:
         return a.reshape(-1)
 
     def adjacency(self, punched: bool):
-        """(code, offsets) with code[u] = u and offsets[u] the sorted id
-        offsets from u along its edges whose two ends are alive."""
-        alive = self.alive_flat(punched).tolist()
-        offsets = [[] for _ in alive]
-        for a, b in np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).tolist():
-            if alive[a] and alive[b]:
-                offsets[a].append(b - a)
-                offsets[b].append(a - b)
-        return range(len(alive)), [tuple(sorted(d)) for d in offsets]
+        """(code, offsets), node u's neighbours being u + d for d in
+        offsets[code[u]], ascending: here code[u] = u."""
+        offsets = [[] for _ in range(self.node_count)]
+        for a, b in self.union_links([self], punched)[0].T.tolist():
+            offsets[a].append(b - a)
+            offsets[b].append(a - b)
+        return range(self.node_count), [tuple(sorted(d)) for d in offsets]
+
+    @classmethod
+    def union_links(cls, comps, punched: bool):
+        """The alive links of the union of `comps`, (2, m) int64 with lower ids
+        in row 0, and its alive mask; comps[k]'s node v is k * node_count + v."""
+        e = np.concatenate([np.asarray(c.edges, dtype=np.int64).reshape(-1, 2)
+                            + k * c.node_count for k, c in enumerate(comps)])
+        alive = np.concatenate([c.alive_flat(punched) for c in comps])
+        return np.sort(e[alive[e[:, 0]] & alive[e[:, 1]]], axis=1).T, alive
 
 
 class _BondLattice(CompLattice):
     """A lattice from the builder, which keeps its wafer's fused-bond masks:
     `bonded[i]` marks the cells whose bond i fused, and `wiring` is the
-    `_wiring` of the bonds it was built with.  `edges` is listed from the
-    masks on first read and kept.  `adjacency` lists no edge: node u's
-    code has bit e set when u is the qubit of bond end e and that bond
-    fused with both its qubits alive, so offsets[code] are the id offsets
-    of those ends, ascending.  Where every node of the view is alive, the
-    fused masks alone give the codes."""
+    `_wiring` of the bonds it was built with.  No view lists an edge: node
+    u's `adjacency` code has bit e set when u is the qubit of bond end e and
+    that bond fused with both its qubits alive, and `union_links` writes
+    the links off the lattices' stacked masks.  `edges`, the raw links as
+    (local end, far end) rows, is listed on first read and kept."""
 
     def __init__(self, nx, ny, nz, alive, alive_punched, bonded, wiring):
         super().__init__(nx, ny, nz, alive, alive_punched, None)
@@ -153,20 +149,24 @@ class _BondLattice(CompLattice):
     @property
     def edges(self) -> np.ndarray:
         if self._edges is None:
-            self._edges = _bond_edges(self.wiring, self.bonded)
+            self._edges = _links(self.bonded, None, self.wiring[0]).T
         return self._edges
 
     def adjacency(self, punched: bool):
         alive = self.alive_punched if punched else self.alive
         ends, offsets = self.wiring
         code = np.zeros(alive.shape, dtype=np.uint8)
-        for i, fused in enumerate(self.bonded):
-            (pl, off, _), (pr, back, _) = ends[2 * i:2 * i + 2]
-            if not alive.all():
-                fused = fused & alive[..., pl] & _shift_ok(alive[..., pr], off)
-            code[..., pl] |= fused.view(np.uint8) << 2 * i
+        for i, fused in enumerate(_live_bonds(self.bonded, alive, ends)):
+            code[..., ends[2 * i][0]] |= fused.view(np.uint8) << 2 * i
+            (pr, back, _) = ends[2 * i + 1]
             code[..., pr] |= _shift_ok(fused, back).view(np.uint8) << 2 * i + 1
         return code.tobytes(), offsets
+
+    @classmethod
+    def union_links(cls, comps, punched: bool):
+        alive = np.stack([c.alive_punched if punched else c.alive for c in comps])
+        bonded = np.stack([c.bonded for c in comps])
+        return _links(bonded, alive, comps[0].wiring[0], oriented=True), alive.reshape(-1)
 
 
 @dataclass
@@ -179,14 +179,9 @@ class BuiltLattice:
 
 
 def _sample_draws(spec: WaferSpec, rng):
-    """All structured randomness of one build, in a fixed order.
-
-    The graph-level oracle consumes exactly these arrays too, so the two
-    builds agree draw for draw.  Each draw is `rng.random(shape) < p`; where
-    p is 0 or 1 (no loss, filter fidelity 1, deterministic fusion)
-    `bernoulli` skips the stream past the uniforms instead, so the arrays
-    and the stream position that later draws start from are the same as
-    with sampling.
+    """All structured randomness of one build, in a fixed order; the
+    graph-level oracle consumes exactly these arrays too, so the two builds
+    agree draw for draw.  Each draw is `bernoulli`'s `rng.random(shape) < p`.
     """
     shape = (spec.nx, spec.ny, spec.nz)
     slots = shape + (PHOTONS_PER_CELL,)
@@ -236,11 +231,8 @@ def _shift_ok(arr, off):
 
 def build_wafer(spec: WaferSpec, *, rng, graph_level: bool = False) -> BuiltLattice:
     """One wafer's bond-level build: `build_wafers([spec], [rng])[0]`.
-
-    `graph_level` exists only because the benchmark's workloads
-    (`perfbench/workloads.py`) pass `graph_level=False`.  True is rejected:
-    the graph-level build is the test oracle in `tests/graph_oracle.py`.
-    """
+    `graph_level` exists only because the benchmark's workloads pass
+    `graph_level=False`; True is rejected."""
     if graph_level:
         raise SpecError(
             "the graph-level build is the test oracle tests/graph_oracle.py;"
@@ -343,8 +335,8 @@ def _bond_masks(lost, kept, success):
     same.  One lost or filtered photon anywhere in the batch sends the whole
     batch through the algebra.
     """
+    bonded = np.empty((len(lost), len(BOND_PAIRS)) + lost.shape[1:4], dtype=bool)
     if not lost.any() and kept.all():
-        bonded = np.empty((len(lost), len(BOND_PAIRS)) + lost.shape[1:4], dtype=bool)
         inside = np.ones(lost.shape[1:4], dtype=bool)
         for bi, (_ls, _rs, off) in enumerate(BOND_PAIRS):
             np.logical_and(success[..., bi], _shift_ok(inside, off), out=bonded[:, bi])
@@ -366,7 +358,6 @@ def _bond_masks(lost, kept, success):
         by_slot[stubs] & by_slot[a] & by_slot[b]
         & np.moveaxis(alive, -1, 0)[[_PARITY[s] for s in stubs]]
     )))
-    bonded = np.empty((len(lost), len(BOND_PAIRS)) + lost.shape[1:4], dtype=bool)
 
     # Damage from ballistic loss heralds: a surviving attached stub whose
     # fusion partner never arrived is dropped as lost, wounding its qubit.
@@ -404,15 +395,32 @@ def _wiring(bonds, ny, nz):
     return tuple(ends), offsets
 
 
-def _bond_edges(wiring, bonded):
-    """One wafer's (m, 2) int64 edges, by bond, then cell: bond i fused at
-    cell c joins node 2 * c + p, p its local stub's parity, to that node
-    plus the id offset of its local end."""
-    edges = []
-    for (p, _off, jump), fused in zip(wiring[0][::2], bonded):
-        first = 2 * np.flatnonzero(fused) + p
-        edges.append(np.stack([first, first + jump], axis=1))
-    return np.concatenate(edges)
+def _live_bonds(bonded, alive, ends):
+    """Each bond's fused mask, less the cells where either of its qubits is
+    dead in `alive` (None, or all alive, leaves the masks as they are)."""
+    everyone = alive is None or alive.all()
+    for i, ((pl, off, _), (pr, _back, _)) in enumerate(zip(ends[::2], ends[1::2])):
+        fused = bonded[..., i, :, :, :]
+        if not everyone:
+            fused = fused & alive[..., pl] & _shift_ok(alive[..., pr], off)
+        yield fused
+
+
+def _links(bonded, alive, ends, oriented=False):
+    """The links of `_live_bonds` as one (2, m) int64 array, each bond's in
+    its slice: bond i fused at cell c joins node 2 * c + p, p its local
+    stub's parity, in row 0 to that node plus its local end's id offset in
+    row 1, or with `oriented` the lower id in row 0.  Over a leading wafer
+    axis, wafer k's node v is node k * node_count + v of the union."""
+    live = list(_live_bonds(bonded, alive, ends))
+    at = np.cumsum([0, *map(np.count_nonzero, live)]).tolist()
+    out = np.empty((2, at[-1]), dtype=np.int64)
+    for (p, _off, jump), fused, a, b in zip(ends[::2], live, at, at[1:]):
+        near, far = out[::-1 if oriented and jump < 0 else 1, a:b]
+        np.multiply(np.flatnonzero(fused), 2, out=near)
+        near += p
+        np.add(near, jump, out=far)
+    return out
 
 
 # -- static optics accounting ----------------------------------------------

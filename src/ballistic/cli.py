@@ -287,17 +287,10 @@ _RUN_DEFAULTS = {"seed": 0, "trials": 100, "threads": 1, "out": "results"}
 # constant, not a reading of this machine, so a valid config is valid anywhere.
 MAX_THREADS = 256
 # Size caps, so that a config whose trial would run out of memory fails
-# validation instead; constants for the same reason.  Peak RSS growth of one
-# trial (Python 3.11, numpy 2.4, x86-64 Linux) was about 206 B per wafer
-# cell in wafer-span, 196-204 B per cell in loss-sweep for a lattice that is
-# a build batch of its own (2^18-2^20 cells; smaller lattices are built and
-# labelled in batches of at most builder.BATCH_CELLS cells, about 200 B per
-# batch cell), all lossless, 24 B per threshold-scan site, 35-38 B per
-# mux-yield bin at p 0.2 and 140-166 B at p 0.9 and 1 where each row routes
-# alone (2^18-2^23 bins; shorter rows are swept and routed together, up to
-# multiplex.ROUTE_BINS bins at once, and grew by at most 44 MiB at
-# 2^16-2^17 bins) and 2.3 B per crazy-teleport qubit draw, so each cap
-# holds a trial under ~1 GiB, within the ~2 GiB the caps were set for.
+# validation instead; constants for the same reason.  A trial's peak RSS grew
+# by about 159 B per lossless wafer cell (wafer-span, loss-sweep), 24 B per
+# threshold-scan site, up to 166 B per mux-yield bin and 2.3 B per qubit draw
+# (README, "Validation"), so each cap holds a trial under ~1 GiB of ~2 GiB.
 MAX_WAFER_CELLS = 2**22  # nx * ny * nz
 MAX_SQUARE_SIDE = 2**12  # threshold-scan n, so n * n <= 2**24 sites
 MAX_MUX_BINS = 2**22  # 645 MiB at p = 1; 2^23 bins took 1169 MiB
@@ -504,8 +497,8 @@ def _metric_columns(metric_dicts, path: str) -> dict:
 
 
 def read_results(path: str):
-    """Yield a results file's config header, then each trial record, reading
-    and checking one line at a time."""
+    """Yield a results file's config header, then each trial record, each
+    as (line number, record), reading and checking one line at a time."""
     count = 0
     try:
         with open(path) as f:
@@ -515,11 +508,10 @@ def read_results(path: str):
                 rec = json.loads(ln)
                 key = "metrics" if count else "config"
                 if not (isinstance(rec, dict) and isinstance(rec.get(key), dict)):
-                    if not count:
-                        raise SpecError(f"results file {path} has no config header")
-                    raise SpecError(f"results file {path} has a trial record without metrics")
+                    what = "a trial record without metrics" if count else "no config header"
+                    raise SpecError(f"results file {path} line {number} is {what}")
                 count += 1
-                yield rec
+                yield number, rec
     except json.JSONDecodeError as exc:
         raise SpecError(f"results file {path} line {number} is not JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -571,9 +563,30 @@ def svg_line_chart(series: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _run_metrics(records, header: dict, cfg: dict, path: str):
+    """The metrics of `records`, (line number, record) pairs checked to be
+    the trials 0, 1, ... of the run `header` describes: its hash is its
+    config's, and they carry that hash and seed and number its trials."""
+    h = config_hash(cfg)
+    if header.get("config_hash") != h:
+        raise SpecError(f"results file {path} header: config_hash is not its config's {h!r}")
+    trial = number = 0
+    for number, rec in records:
+        for key, want in (("config_hash", h), ("seed", cfg["seed"]), ("trial", trial)):
+            # the type too, since True == 1 and 1.0 == 1
+            if type(rec.get(key)) is not type(want) or rec[key] != want:
+                raise SpecError(f"results file {path} line {number}: {key}"
+                                f" {rec.get(key)!r} where its run wrote {want!r}")
+        trial += 1
+        yield rec["metrics"]
+    if trial != cfg["trials"]:
+        raise SpecError(f"results file {path} ends at line {number} after {trial} trial"
+                        f" records, but its header's trials is {cfg['trials']}")
+
+
 def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
     records = read_results(results_path)
-    header = next(records)
+    _, header = next(records)
     # the header's config passes the checks of a run's config, so every
     # parameter is present, typed and in range, and every list non-empty
     cfg = validate_config(dict(header["config"], out=out_dir))
@@ -583,7 +596,7 @@ def emit_figure_data(results_path: str, figure_id: str, out_dir: str) -> dict:
             f"no figure {figure_id!r} for {cfg['scenario']!r} results; "
             f"valid: {sorted(figures)}"
         )
-    columns = _metric_columns((r["metrics"] for r in records), results_path)
+    columns = _metric_columns(_run_metrics(records, header, cfg, results_path), results_path)
     means = {k: float(col.mean()) for k, col in columns.items()}
     try:
         cols, rows = figures[figure_id](means, cfg["params"])

@@ -21,45 +21,26 @@ def _labels(comps: list[CompLattice], punched: bool):
     """Component labels of the disjoint union of same-shape lattices, and
     its alive mask: node v of comps[i] is node i * node_count + v.
 
-    One labelling serves the whole list.  Edges with a dead end are left
-    out, so a dead node is a component of its own and only alive nodes'
-    labels mean anything; with every node alive no edge is dropped, and the
-    edge filter is skipped.  The labels give the partition into components,
-    not the label values scipy's `connected_components` would return: each
-    label is the id of a node of its component, so callers compare labels
-    or index by them, never read them as component numbers.
+    One labelling serves the whole list, over the alive links
+    `CompLattice.union_links` gives (lower id first), so a dead node is a
+    component of its own and only alive nodes' labels mean anything.  Each
+    label is a node id of its component: callers compare or index by them.
 
     Hook and compress (Shiloach & Vishkin, J. Algorithms 3, 57 (1982)):
     every node starts as its own root, and each round hooks the larger root
-    of each edge between two components onto the smaller one, then jumps
+    of each link between two components onto the smaller one, then jumps
     pointers until every node points at its root.  A hook only ever points a
     root at a smaller id, so no cycle can form: the jumping ends, and each
-    round with an edge left removes at least one root, so the rounds end.
+    round with a link left removes at least one root, so the rounds end.
     """
-    if len({(c.nx, c.ny, c.nz) for c in comps}) > 1:
-        raise SpecError("lattices labelled together must share one shape")
-    n = comps[0].node_count
-    edges = [np.asarray(c.edges, dtype=np.int64).reshape(-1, 2) for c in comps]
-    # One lattice skips the concatenation: a single large lattice (wafer-span
-    # near cli.MAX_WAFER_CELLS) then holds two fewer copies of its edges,
-    # which the README's per-cell peak-RSS figures assume.
-    if len(comps) == 1:
-        alive, e = comps[0].alive_flat(punched), edges[0]
-    else:
-        alive = np.concatenate([c.alive_flat(punched) for c in comps])
-        e = np.concatenate([ei + i * n for i, ei in enumerate(edges)])
-    if not alive.all():
-        e = e.compress(alive[e[:, 0]] & alive[e[:, 1]], axis=0)
+    if len({(type(c), c.nx, c.ny, c.nz) for c in comps}) > 1:
+        raise SpecError("lattices labelled together must share one shape and form")
+    # each round's links join the roots of two components
+    (lo, hi), alive = comps[0].union_links(comps, punched)
     lab = np.arange(len(alive))
-    # each round's edges join the roots of two components
-    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-    del e
     while len(lo):
         np.minimum.at(lab, hi, lo)
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
+        while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
         a, b = lab[lo], lab[hi]
         keep = a != b
@@ -77,8 +58,7 @@ def _crossed(comps: list[CompLattice], labels, alive):
     # a dead node is a component of its own, so it matches no alive label
     top = np.zeros(len(labels), dtype=bool)
     top[lab[:, :, :, -1][alive.reshape(shape)[:, :, :, -1]]] = True
-    crossed = top[lab[:, :, :, 0]]
-    return crossed.reshape(len(comps), -1).any(axis=1).tolist()
+    return top[lab[:, :, :, 0]].reshape(len(comps), -1).any(axis=1).tolist()
 
 
 def crossings(lattices, punched: bool = False) -> list[bool]:
@@ -86,9 +66,7 @@ def crossings(lattices, punched: bool = False) -> list[bool]:
     nz - 1.  The lattices must share one shape; one labelling answers them
     all, since no component spans two of them."""
     comps = [lat.comp for lat in lattices]
-    if not comps:
-        return []
-    return _crossed(comps, *_labels(comps, punched))
+    return _crossed(comps, *_labels(comps, punched)) if comps else []
 
 
 def crossing_exists(lattice, punched: bool = False) -> bool:

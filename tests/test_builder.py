@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ballistic import acceptance, builder, cli
+from ballistic import acceptance, builder, cli, percolation
 from ballistic.builder import (
     WaferSpec,
     _batches,
@@ -516,6 +516,74 @@ def test_bond_masks_give_the_edge_lists_neighbours():
     assert seen["alive"] >= 80 and seen["lossy"] >= 150 and seen["dead"] >= 70, seen
 
 
+def random_batches(count, seed):
+    """(wiring, batch) pairs: `count` random batches of 1-4 same-shape wafers
+    in each wiring, sides 1-4 (so 1-wide and 1-deep), clean, lossy or
+    filtered, success 0.3-1."""
+    pick = np.random.default_rng(seed)
+    for bonds, k in itertools.product(WIRINGS, range(count)):
+        shape = tuple(int(d) for d in pick.integers(1, 5, size=3))
+        specs = [
+            WaferSpec(
+                *shape,
+                fusion_params=FusionParams(
+                    "BoostedTypeII", float(pick.choice([0.3, 0.75, 1.0]))
+                ),
+                photon_loss=float(pick.choice([0.0, 0.0, 0.05, 0.2])),
+                filter_fidelity=[None, 0.9, 1.0][int(pick.integers(3))],
+            )
+            for _ in range(int(pick.integers(1, 5)))
+        ]
+        with wired(bonds):
+            rngs = [trial_rng(41, 10 * k + i) for i in range(len(specs))]
+            yield bonds, build_wafers(specs, rngs)
+
+
+def partition(labels, alive):
+    """Each alive node's label replaced by the first alive node id with that
+    label, so two labellings compare as partitions of the alive nodes."""
+    _, first, inverse = np.unique(labels[alive], return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def test_mask_links_match_the_edge_list_links():
+    """The links a builder batch writes off its bond masks are the links an
+    edge-list lattice made from the same wafers' `edges` gives, each with
+    its lower id first, with the same alive mask and the same partition of
+    alive nodes: whole batches, reversed and single lists, in both wirings,
+    raw and punched."""
+    seen = {"alive": 0, "lossy": 0, "dead": 0, "flat": 0}
+    cases = itertools.chain(
+        ((b, lats) for b, _specs, lats in adjacency_batches()), random_batches(40, 41)
+    )
+    for bonds, batch in cases:
+        for lats in (batch, batch[::-1], batch[-1:]):
+            comps = [lat.comp for lat in lats]
+            listed = [
+                builder.CompLattice(c.nx, c.ny, c.nz, c.alive, c.alive_punched, c.edges)
+                for c in comps
+            ]
+            for punched in (False, True):
+                links, alive = comps[0].union_links(comps, punched)
+                want, want_alive = builder.CompLattice.union_links(listed, punched)
+                assert links.dtype == np.int64 and links.shape == want.shape, bonds
+                assert (links[0] < links[1]).all()
+                assert sorted(map(tuple, links.T.tolist())) == sorted(
+                    map(tuple, want.T.tolist())
+                ), (bonds, punched)
+                np.testing.assert_array_equal(alive, want_alive)
+                np.testing.assert_array_equal(
+                    partition(*percolation._labels(comps, punched)),
+                    partition(*percolation._labels(listed, punched)),
+                )
+                seen["dead" if not alive.any() else "alive" if alive.all() else "lossy"] += 1
+                seen["flat"] += min(comps[0].nx, comps[0].ny, comps[0].nz) == 1
+    # seen: 349 all-alive views, 699 lossy ones, 152 all dead; 834 of the
+    # lists' wafers are 1-wide or 1-deep
+    assert seen["alive"] >= 300 and seen["lossy"] >= 600 and seen["dead"] >= 120, seen
+    assert seen["flat"] >= 700, seen
+
+
 def test_lazy_edges_match_the_eager_listing():
     """A lattice lists its edges from its masks when they are first read,
     after routing and after the wiring is restored, and keeps them: the
@@ -536,15 +604,15 @@ def test_lazy_edges_match_the_eager_listing():
     assert empty >= 60, empty  # seen: 78
 
 
+def refuse(*args):
+    raise AssertionError("edges listed or sorted")
+
+
 def test_routing_a_builder_lattice_lists_no_edge(monkeypatch):
     """`build_wafer`, then `find_paths_windowed`, neither lists the edges
-    (`_bond_edges`) nor sorts them (the edge-list `adjacency`)."""
-
-    def refuse(*args):
-        raise AssertionError("edges listed or sorted")
-
+    (`_BondLattice.edges`) nor sorts them (the edge-list `adjacency`)."""
     spec = WaferSpec(3, 2, 30, fusion_params=BOOSTED, photon_loss=0.02)
-    monkeypatch.setattr(builder, "_bond_edges", refuse)
+    monkeypatch.setattr(builder._BondLattice, "edges", property(refuse))
     monkeypatch.setattr(builder.CompLattice, "adjacency", refuse)
     for punched in (False, True):
         lat = build_wafer(spec, rng=trial_rng(40, 0))
@@ -552,6 +620,27 @@ def test_routing_a_builder_lattice_lists_no_edge(monkeypatch):
         assert state.paths[0] and lat.comp._edges is None
     with pytest.raises(AssertionError, match="listed or sorted"):
         lat.comp.edges
+
+
+def test_labelling_a_builder_lattice_lists_no_edge(monkeypatch):
+    """Every labelling of builder lattices reads their bond masks, never
+    `edges` nor the edge-list links: `crossings` of a batch and of a
+    reordered list, `crossing_exists`, `raw_span`, and the loss-sweep and
+    wafer-span trials."""
+    monkeypatch.setattr(builder._BondLattice, "edges", property(refuse))
+    monkeypatch.setattr(builder.CompLattice, "union_links", classmethod(refuse))
+    specs = [
+        WaferSpec(3, 2, 8, fusion_params=BOOSTED, photon_loss=loss)
+        for loss in (0.0, 0.02, 0.1)
+    ]
+    lats = build_wafers(specs, [trial_rng(41, i) for i in range(3)])
+    for punched in (False, True):
+        assert crossings(lats, punched) == crossings(lats[::-1], punched)[::-1]
+        assert crossings(lats, punched) == [crossing_exists(x, punched) for x in lats]
+    assert percolation.raw_span(lats[1])[0] == crossing_exists(lats[1])
+    for name in ("loss-sweep", "wafer-span"):
+        assert cli._run_trial(name, cli.SCENARIOS[name]["defaults"], 41, 0)
+    assert all(lat.comp._edges is None for lat in lats)
 
 
 def test_build_wafers_rejects_mixed_shapes():

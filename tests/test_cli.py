@@ -261,7 +261,7 @@ def test_run_outputs_are_reproducible(tmp_path):
         with open(paths["results"], "rb") as f:
             blobs.append(f.read())
     assert blobs[0] == blobs[1]
-    header, *records = read_results(str(tmp_path / "a" / "results.jsonl"))
+    header, *records = (rec for _n, rec in read_results(str(tmp_path / "a" / "results.jsonl")))
     assert header["config"]["scenario"] == "wafer-span"
     assert [r["trial"] for r in records] == [0, 1, 2]
     assert all(set(r["metrics"]) == {"span", "span_punched", "largest_fraction"}
@@ -307,7 +307,7 @@ def test_short_pool_run_reaches_every_worker(tmp_path, monkeypatch):
 
     monkeypatch.setitem(SCENARIOS["wafer-span"], "trial", trial)
     cfg = validate_config(good_config(trials=4, threads=2, out=str(tmp_path)))
-    _, *records = read_results(run_experiment(cfg)["results"])
+    _, *records = (rec for _n, rec in read_results(run_experiment(cfg)["results"]))
     assert len({r["metrics"]["pid"] for r in records}) == 2
 
 
@@ -466,8 +466,8 @@ def test_read_results_streams(tmp_path):
     path = tmp_path / "results.jsonl"
     path.write_text('{"config": {}}\n{"metrics": {"a": 1}}\n{not json\n')
     records = read_results(str(path))
-    assert next(records) == {"config": {}}
-    assert next(records) == {"metrics": {"a": 1}}
+    assert next(records) == (1, {"config": {}})
+    assert next(records) == (2, {"metrics": {"a": 1}})
     with pytest.raises(SpecError, match="line 3 is not JSON"):
         next(records)
 
@@ -576,6 +576,61 @@ def test_figure_on_metric_too_large_for_a_float_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (
         f"config error: results file {results} has a 'collisions_S1' too large for a float\n"
+    )
+
+
+def test_figure_rejects_results_that_are_not_one_runs(tmp_path, capsys):
+    """`figure` exits 2 on a results file that no one run wrote, with one
+    line naming the file's line and no traceback: a header whose
+    config_hash is not its config's, a record of another run (its hash or
+    its seed), a trial out of the sequence 0, 1, ... and more or fewer
+    records than the header's trials.  The run's own file passes."""
+    cfg = validate_config(good_config(
+        scenario="loss-sweep", trials=3, out=str(tmp_path),
+        params={"nx": 2, "ny": 2, "nz": 3, "loss_values": [0.0, 0.1]},
+    ))
+    results = pathlib.Path(run_experiment(cfg)["results"])
+    header, *records = (json.loads(ln) for ln in results.read_text().splitlines())
+
+    def figure(*recs, head=header):
+        results.write_text("".join(json.dumps(r) + "\n" for r in (head, *recs)))
+        code = main(["figure", str(results), "loss-sweep"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == code // 2, err
+        return code, err
+
+    def changed(rec, **fields):
+        return dict(rec, **fields)
+
+    assert figure(*records) == (0, "")
+    foreign = changed(header, config_hash="0123456789abcdef")
+    code, err = figure(*records, head=foreign)
+    assert code == 2 and "header: config_hash is not its config's" in err
+    # the same run's records appended again under another run's hash
+    again = [changed(r, config_hash="0123456789abcdef", trial=3 + i)
+             for i, r in enumerate(records)]
+    assert figure(*records, *again)[1].endswith(
+        "line 5: config_hash '0123456789abcdef' where its run wrote"
+        f" {header['config_hash']!r}\n"
+    )
+    assert "line 3: seed 8 where its run wrote 7" in figure(
+        records[0], changed(records[1], seed=8), records[2]
+    )[1]
+    assert "line 3: trial 2 where its run wrote 1" in figure(
+        records[0], records[2], records[1]
+    )[1]
+    # True == 1, but no run writes it as a trial number
+    assert "line 3: trial True where its run wrote 1" in figure(
+        records[0], changed(records[1], trial=True), records[2]
+    )[1]
+    assert "line 4: trial None where its run wrote 2" in figure(
+        *records[:2], {k: v for k, v in records[2].items() if k != "trial"}
+    )[1]
+    assert "ends at line 5 after 4 trial records, but its header's trials is 3" in (
+        figure(*records, changed(records[0], trial=3))[1]
+    )
+    assert "ends at line 3 after 2 trial records, but its header's trials is 3" in (
+        figure(*records[:2])[1]
     )
 
 
@@ -767,9 +822,9 @@ def test_run_contract_on_random_configs(tmp_path, scenario, case):
     }
     assert len(digests) == 1
     i = r.randrange(trials)
-    _, *records = read_results(str(tmp_path / "1" / "results.jsonl"))
+    _, *records = (rec for _n, rec in read_results(str(tmp_path / "1" / "results.jsonl")))
     scenario_digest(tmp_path / "prefix", dict(config, trials=i + 1))
-    _, *prefix = read_results(str(tmp_path / "prefix" / "results.jsonl"))
+    _, *prefix = (rec for _n, rec in read_results(str(tmp_path / "prefix" / "results.jsonl")))
 
     def drop_hash(rec):
         return {k: v for k, v in rec.items() if k != "config_hash"}
